@@ -30,4 +30,4 @@ pub use compare::{bitwise_diff, norms, sample_point, sample_uniform, sfocu, Norm
 pub use guard::{fill_guards, BcKind, BcSpec};
 pub use mesh::{minmod, Block, BlockIdx, BlockPos, Mesh, MeshParams};
 pub use par::{par_leaves, seq_leaves, LeafGeom};
-pub use pool::{pool_run, run_inline, Pool};
+pub use pool::run_inline;

@@ -1,21 +1,15 @@
-//! Persistent worker pools for leaf sweeps and campaign fan-out.
+//! The persistent worker pool behind leaf sweeps.
 //!
 //! The seed implementation spawned a fresh `crossbeam::scope` of OS
 //! threads for *every* directional sweep — two spawns + joins per hydro
-//! step, thousands per run. A [`Pool`] spawns workers once (growing on
-//! demand up to the largest requested count), parks them on a condvar
-//! between sweeps, and hands each sweep out as an indexed job consumed
-//! through an atomic cursor. The submitting thread participates in the
-//! work, so `threads = n` means `n` CPUs busy, with `n - 1` pool workers.
-//!
-//! Two flavors share all of the machinery:
-//!
-//! * the **process-wide** pool behind [`pool_run`] — mesh sweeps and
-//!   single-node campaign fan-out share one set of workers;
-//! * **owned** pools ([`Pool::new`]) — a distributed-campaign rank builds
-//!   its own right-sized pool (`threads / nranks` workers) so rank shards
-//!   sweep concurrently instead of serializing on the global submit lock.
-//!   Dropping an owned pool shuts its workers down.
+//! step, thousands per run. The process-wide pool spawns workers once
+//! (growing on demand up to the largest requested count), parks them on a
+//! condvar between sweeps, and hands each sweep out as an indexed job
+//! consumed through an atomic cursor. The submitting thread participates
+//! in the work, so `threads = n` means `n` CPUs busy, with `n - 1` pool
+//! workers. Mesh sweeps are its only client ([`crate::par_leaves`]);
+//! concurrent submitters serialize on a submit lock, and threads that run
+//! many sweeps side by side opt out with [`run_inline`].
 //!
 //! Safety: the job closure is type-erased to a raw `'static` pointer, which
 //! is sound because the submit path does not return until every worker
@@ -56,8 +50,6 @@ struct PoolState {
     panicked: bool,
     /// Total live workers.
     workers: usize,
-    /// Set when the owning [`Pool`] is dropped; parked workers exit.
-    stop: bool,
 }
 
 struct PoolShared {
@@ -69,14 +61,9 @@ struct PoolShared {
     tickets: AtomicUsize,
 }
 
-/// A persistent worker pool.
-///
-/// The process-wide instance behind [`pool_run`] serves mesh sweeps and
-/// single-node campaigns; distributed-campaign ranks construct their own
-/// (one per rank, sized `threads / nranks`) so shards run concurrently.
-/// Concurrent submissions to one pool serialize on an internal lock;
-/// re-entrant submissions from inside a task run inline (see [`Pool::run`]).
-pub struct Pool {
+/// The persistent worker pool. One process-wide instance lives for the
+/// whole process; its workers are never shut down.
+pub(crate) struct Pool {
     shared: Arc<PoolShared>,
     /// Serializes submitters: one job in flight per pool.
     submit: Mutex<()>,
@@ -87,7 +74,7 @@ static POOL: OnceLock<Pool> = OnceLock::new();
 thread_local! {
     /// True while this thread is executing sweep items (as submitter or
     /// pool worker). A nested sweep from inside a kernel must not touch
-    /// any pool — the submitter path could self-deadlock on the submit
+    /// the pool — the submitter path could self-deadlock on the submit
     /// lock and a worker would starve the outer job — so it runs inline.
     static IN_SWEEP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
@@ -95,41 +82,26 @@ thread_local! {
 /// Run `task(i)` for every `i in 0..n_items` on up to `threads` CPUs
 /// (including the calling thread), using the persistent pool.
 ///
-/// Concurrent callers are serialized; the mesh-sweep call sites already
-/// hold `&mut Mesh`, so this costs nothing in practice. Re-entrant calls
-/// (a kernel sweeping another mesh) execute inline on the calling thread.
+/// * items are handed out through an atomic cursor, so long and short
+///   items load-balance automatically;
+/// * concurrent callers are serialized (the mesh-sweep call sites
+///   already hold `&mut Mesh`, so this costs nothing in practice);
+/// * re-entrant calls (a kernel sweeping another mesh) and calls under
+///   [`run_inline`] execute inline on the calling thread;
+/// * a panicking task propagates to the submitting thread after the
+///   batch drains, like the scoped-thread spawn it replaces.
 pub(crate) fn run_indexed(n_items: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
     POOL.get_or_init(Pool::new).run(n_items, threads, task);
 }
 
-/// Run `task(i)` for every `i in 0..n_items` on up to `threads` CPUs
-/// (including the calling thread) using the process-wide persistent sweep
-/// pool — the public entry point for coarse-grained fan-out such as
-/// `raptor-lab` campaign runs, sharing workers with the mesh sweeps
-/// instead of spawning fresh threads per batch.
-///
-/// Semantics match the internal sweep driver:
-///
-/// * items are handed out through an atomic cursor, so long and short
-///   items load-balance automatically;
-/// * a nested call from inside a task runs inline on the calling thread
-///   (a campaign item that itself runs `par_leaves` therefore sweeps
-///   sequentially rather than deadlocking the pool);
-/// * a panicking task propagates to the submitting thread after the
-///   batch drains, like the scoped-thread spawn it replaces.
-pub fn pool_run(n_items: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
-    run_indexed(n_items, threads, task);
-}
-
-/// Run `f` with this thread marked as a sweep participant: any pool
-/// submission `f` makes (mesh sweeps via `par_leaves`, nested
-/// [`pool_run`] batches) executes **inline** on this thread instead of
-/// queueing on a pool's submit lock.
+/// Run `f` with this thread marked as a sweep participant: any mesh
+/// sweep `f` makes (via `par_leaves`) executes **inline** on this thread
+/// instead of queueing on the pool's submit lock.
 ///
 /// This is what pool workers get implicitly; long-lived worker threads
-/// that are *not* pool tasks — e.g. the work-stealing study stealers in
-/// `raptor-lab` — wrap their per-item work in this so that many of them
-/// running concurrently never serialize on the process-wide pool.
+/// that are *not* pool tasks — e.g. the work-stealing task-pool stealers
+/// in `raptor-lab` — wrap their per-item work in this so that many of
+/// them running concurrently never serialize on the process-wide pool.
 /// Re-entrant calls nest (the flag restores to its previous value, also
 /// on panic).
 pub fn run_inline<T>(f: impl FnOnce() -> T) -> T {
@@ -146,8 +118,8 @@ pub fn run_inline<T>(f: impl FnOnce() -> T) -> T {
 
 impl Pool {
     /// A fresh pool with no workers; workers spawn lazily up to the
-    /// largest `threads - 1` ever requested from [`Pool::run`].
-    pub fn new() -> Pool {
+    /// largest `threads - 1` ever requested from `run`.
+    fn new() -> Pool {
         Pool {
             shared: Arc::new(PoolShared {
                 state: Mutex::new(PoolState {
@@ -156,7 +128,6 @@ impl Pool {
                     active: 0,
                     panicked: false,
                     workers: 0,
-                    stop: false,
                 }),
                 work_cv: Condvar::new(),
                 done_cv: Condvar::new(),
@@ -168,9 +139,9 @@ impl Pool {
     }
 
     /// Run `task(i)` for every `i in 0..n_items` on up to `threads` CPUs
-    /// (including the calling thread) on *this* pool. Single-threaded,
-    /// single-item, and re-entrant submissions run inline.
-    pub fn run(&self, n_items: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
+    /// (including the calling thread). Single-threaded, single-item, and
+    /// re-entrant submissions run inline.
+    fn run(&self, n_items: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
         if IN_SWEEP.with(|f| f.get()) || threads <= 1 || n_items <= 1 {
             for i in 0..n_items {
                 task(i);
@@ -240,33 +211,11 @@ impl Pool {
     }
 }
 
-impl Default for Pool {
-    fn default() -> Pool {
-        Pool::new()
-    }
-}
-
-impl Drop for Pool {
-    fn drop(&mut self) {
-        // Tell parked workers to exit. The process-wide pool lives in a
-        // `OnceLock` and is never dropped; owned per-rank pools release
-        // their threads here. In-flight jobs cannot exist: `run` returns
-        // only after the job drains, and dropping requires `&mut self`.
-        let mut st = self.shared.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        st.stop = true;
-        drop(st);
-        self.shared.work_cv.notify_all();
-    }
-}
-
 fn worker_loop(shared: Arc<PoolShared>, mut last_generation: u64) {
     loop {
         let (task, n_items, max_workers) = {
             let mut st = shared.state.lock().unwrap();
             loop {
-                if st.stop {
-                    return;
-                }
                 if st.generation != last_generation {
                     if let Some(job) = &st.job {
                         last_generation = st.generation;
@@ -311,11 +260,11 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn pool_run_covers_every_index_once() {
+    fn run_indexed_covers_every_index_once() {
         for threads in [1usize, 2, 4, 8] {
             let n = 37;
             let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-            pool_run(n, threads, &|i| {
+            run_indexed(n, threads, &|i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(
@@ -326,13 +275,13 @@ mod tests {
     }
 
     #[test]
-    fn pool_run_nested_calls_run_inline() {
+    fn run_indexed_nested_calls_run_inline() {
         let outer = AtomicUsize::new(0);
         let inner = AtomicUsize::new(0);
-        pool_run(4, 4, &|_| {
+        run_indexed(4, 4, &|_| {
             outer.fetch_add(1, Ordering::Relaxed);
             // A nested submission must not deadlock the pool.
-            pool_run(3, 4, &|_| {
+            run_indexed(3, 4, &|_| {
                 inner.fetch_add(1, Ordering::Relaxed);
             });
         });
@@ -341,10 +290,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_run_handles_empty_and_single() {
-        pool_run(0, 8, &|_| panic!("no items"));
+    fn run_indexed_handles_empty_and_single() {
+        run_indexed(0, 8, &|_| panic!("no items"));
         let n = AtomicUsize::new(0);
-        pool_run(1, 8, &|i| {
+        run_indexed(1, 8, &|i| {
             assert_eq!(i, 0);
             n.fetch_add(1, Ordering::Relaxed);
         });
@@ -352,18 +301,20 @@ mod tests {
     }
 
     #[test]
-    fn owned_pools_run_independently_and_concurrently() {
-        // Two owned pools driven from two submitter threads at once: the
-        // per-rank layout of a distributed campaign. Each must cover its
-        // own index space exactly once with no cross-talk.
+    fn concurrent_submitters_to_the_shared_pool_each_cover_their_own_indices() {
+        // Two threads submit to the one process-wide pool at once: the
+        // submit lock serializes their jobs, and each must still see its
+        // own index space covered exactly once per round, no cross-talk.
         let n = 101;
+        let start = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
-            for _rank in 0..2 {
+            for _submitter in 0..2 {
+                let start = &start;
                 s.spawn(move || {
-                    let pool = Pool::new();
                     let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                    start.wait();
                     for _round in 0..3 {
-                        pool.run(n, 3, &|i| {
+                        run_indexed(n, 3, &|i| {
                             hits[i].fetch_add(1, Ordering::Relaxed);
                         });
                     }
@@ -371,22 +322,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn dropping_an_owned_pool_releases_its_workers() {
-        // Spawn, use, and drop many pools; if workers did not exit on
-        // drop, this would accumulate hundreds of parked threads. The
-        // real assertion is that re-creating pools stays correct.
-        for _ in 0..8 {
-            let pool = Pool::new();
-            let count = AtomicUsize::new(0);
-            pool.run(16, 4, &|_| {
-                count.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(count.load(Ordering::Relaxed), 16);
-            drop(pool);
-        }
     }
 
     #[test]
@@ -398,7 +333,7 @@ mod tests {
         let n = AtomicUsize::new(0);
         run_inline(|| {
             assert!(IN_SWEEP.with(|s| s.get()));
-            pool_run(5, 8, &|_| {
+            run_indexed(5, 8, &|_| {
                 n.fetch_add(1, Ordering::Relaxed);
             });
             // Nesting restores to the *previous* value, i.e. stays set.
@@ -412,20 +347,5 @@ mod tests {
             run_inline(|| panic!("boom"));
         }));
         assert!(!IN_SWEEP.with(|s| s.get()), "flag restored after panic");
-    }
-
-    #[test]
-    fn owned_pool_runs_inline_inside_a_task() {
-        let pool = Pool::new();
-        let inner = AtomicUsize::new(0);
-        pool.run(4, 4, &|_| {
-            let nested = Pool::new();
-            // IN_SWEEP is set on this worker: the nested pool must run
-            // inline rather than park the outer job.
-            nested.run(2, 4, &|_| {
-                inner.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(inner.load(Ordering::Relaxed), 8);
     }
 }

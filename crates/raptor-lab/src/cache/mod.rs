@@ -1,7 +1,7 @@
 //! The campaign resume cache: a content-addressed, sharded, multi-process
 //! outcome database on disk.
 //!
-//! A cache is a *directory* (`--cache`/`--resume` paths name dirs now).
+//! A cache is a *directory* (`--resume` paths name dirs).
 //! Inside it, every scenario owns a subdirectory of `shard::N_SHARDS`
 //! append-only JSONL files plus their lock siblings:
 //!
@@ -34,15 +34,7 @@
 //! [`OutcomeCache::save`] compacts the touched shards (adopting any rows
 //! concurrent writers appended meanwhile — see
 //! `shard::rewrite_shard`).
-//!
-//! **Migration.** `load` on a legacy single-file cache renames the file
-//! to a `.legacy-v1` sibling, creates the directory in its place,
-//! absorbs the sibling's rows, appends them durably, and only then
-//! deletes the sibling — every crash point redoes cleanly on the next
-//! load, and a cache shared by old and new binaries fails loudly (the
-//! old binary refuses the directory) rather than silently forking.
 
-mod legacy;
 mod lock;
 mod shard;
 
@@ -51,16 +43,6 @@ use crate::scenario::LabParams;
 use shard::{Row, N_SHARDS};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-
-/// What a resumable campaign did: how many candidate rows came from the
-/// cache and how many had to be (re)computed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ResumeStats {
-    /// Rows served from the cache without running the scenario.
-    pub cached: usize,
-    /// Rows computed in this invocation (and written back to the cache).
-    pub computed: usize,
-}
 
 /// A mergeable, resumable outcome table persisted as a sharded cache
 /// directory.
@@ -91,20 +73,14 @@ fn probe_key(scenario: &str, params: &LabParams, exp_bits: u32, cutoff: u32, m: 
 impl OutcomeCache {
     /// Open (and fully replay) the cache directory at `path`; a missing
     /// path yields an empty cache that [`OutcomeCache::save`] will
-    /// create. A legacy single-file cache at `path` is migrated in place
-    /// (see module docs). Torn shard lines are absorbed and counted
-    /// ([`OutcomeCache::recovered`]); a *parseable* row with a bad shape
-    /// is an error — silently discarding completed work would be worse.
+    /// create, and a regular file at `path` is an error. Torn shard lines
+    /// are absorbed and counted ([`OutcomeCache::recovered`]); a
+    /// *parseable* row with a bad shape is an error — silently discarding
+    /// completed work would be worse.
     pub fn load(path: impl Into<PathBuf>) -> Result<OutcomeCache, String> {
         let path = path.into();
         if path.is_file() {
-            // Migration step 1: park the legacy file as a sibling so the
-            // directory can take its name. Absorption below is keyed off
-            // the sibling's existence, so a crash after this rename
-            // simply redoes the remaining steps next load.
-            let sibling = legacy::legacy_sibling(&path);
-            std::fs::rename(&path, &sibling)
-                .map_err(|e| format!("migrate {}: {e}", path.display()))?;
+            return Err(format!("{}: a regular file, not a cache directory", path.display()));
         }
         let mut cache = OutcomeCache {
             path,
@@ -132,29 +108,6 @@ impl OutcomeCache {
                     }
                 }
             }
-        }
-        let sibling = legacy::legacy_sibling(&cache.path);
-        if sibling.is_file() {
-            // Migration steps 2..4: absorb, persist, then delete. Rows
-            // already present in the directory (a previous partial
-            // migration) stage nothing thanks to idempotent insertion.
-            let text = std::fs::read_to_string(&sibling)
-                .map_err(|e| format!("read {}: {e}", sibling.display()))?;
-            let old = legacy::parse(&text, &sibling)?;
-            let (n_entries, n_baselines) = (old.entries.len(), old.baselines.len());
-            for (key, outcome) in old.entries {
-                cache.stage(Row::Outcome { key, outcome: Box::new(outcome) });
-            }
-            for (key, fidelity) in old.baselines {
-                cache.stage(Row::Baseline { key, fidelity });
-            }
-            cache.save()?;
-            std::fs::remove_file(&sibling)
-                .map_err(|e| format!("remove {}: {e}", sibling.display()))?;
-            eprintln!(
-                "cache: migrated legacy file into {} ({n_entries} outcomes, {n_baselines} baselines)",
-                cache.path.display()
-            );
         }
         if cache.recovered > 0 {
             eprintln!(
@@ -622,38 +575,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_file_migrates_once_and_loses_nothing() {
-        let path = tmp_dir("migrate");
+    fn load_on_a_regular_file_is_an_error_naming_the_path() {
+        let path = tmp_dir("file");
         let _ = std::fs::remove_dir_all(&path);
+        std::fs::write(&path, "{}").unwrap();
+        let err = OutcomeCache::load(&path).unwrap_err();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(path.is_file(), "the file is left as it was");
         let _ = std::fs::remove_file(&path);
-        let params = LabParams::mini();
-        // Fabricate a legacy single-file cache through its own format.
-        let legacy_doc = raptor_core::Json::obj()
-            .set("version", 1u32)
-            .set(
-                "baselines",
-                raptor_core::Json::Arr(vec![raptor_core::Json::obj()
-                    .set("key", "s|scale0|threads1")
-                    .set("fidelity", 1.0)]),
-            )
-            .set(
-                "entries",
-                raptor_core::Json::Arr(vec![raptor_core::Json::obj()
-                    .set("key", format!("s|scale0|threads1|{}", outcome(8).spec.label()).as_str())
-                    .set("outcome", outcome(8).to_json())]),
-            );
-        std::fs::write(&path, legacy_doc.render()).unwrap();
-
-        let cache = OutcomeCache::load(&path).unwrap();
-        assert!(path.is_dir(), "file replaced by a directory");
-        assert!(!legacy::legacy_sibling(&path).exists(), "sibling consumed");
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.baseline("s", &params), Some(1.0));
-        let spec = CandidateSpec::op(Format::new(11, 8));
-        assert_eq!(cache.get("s", &params, &spec), Some(&outcome(8)));
-        // Second load: already a directory, nothing left to migrate.
-        let back = OutcomeCache::load(&path).unwrap();
-        assert_eq!(back.len(), 1);
-        let _ = std::fs::remove_dir_all(&path);
     }
 }

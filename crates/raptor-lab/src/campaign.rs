@@ -1,31 +1,26 @@
-//! The precision-search campaign engine (§6–§7.2 as one API call).
+//! The campaign vocabulary (§6–§7.2): candidate lattices, campaign
+//! specs, outcome rows and ranked reports.
 //!
 //! A campaign takes one scenario, a set of candidate truncation
 //! configurations (format ladder × scope × mode × AMR-level cutoff), and:
 //!
-//! 1. runs the scenario once at full precision and caches the baseline
+//! 1. runs the scenario once at full precision for the baseline
 //!    observable;
-//! 2. runs every candidate **in parallel on the persistent sweep pool**
-//!    ([`amr::pool_run`] — campaign items share workers with mesh sweeps;
-//!    a candidate's own nested sweeps run inline, so candidates, not
-//!    blocks, are the unit of parallelism);
+//! 2. runs every candidate as one task of the sweep driver
+//!    ([`crate::run_study_distributed_resumable`] — a campaign is a
+//!    one-scenario study), each candidate's own mesh sweeps inline, so
+//!    candidates, not blocks, are the unit of parallelism;
 //! 3. scores each candidate's fidelity against the baseline
 //!    ([`Scenario::fidelity`]) and folds the live op/byte counters into
 //!    the §7.2 co-design model ([`codesign::predicted_speedup`]);
 //! 4. ranks survivors by `(accepted, predicted speedup, fidelity)` and
 //!    emits both a human table and a machine-readable JSON summary
 //!    through the shared [`raptor_core::json`] serializer.
-//!
-//! [`precision_search`] is the greedy refinement mode: per cutoff, bisect
-//! the mantissa ladder for the minimal width that stays above the
-//! fidelity floor — the `sedov_precision_hunt` workflow as a library.
 
-use crate::cache::{OutcomeCache, ResumeStats};
 use crate::scenario::{LabParams, Observable, Scenario};
 use bigfloat::Format;
 use codesign::{estimate_speedup, predicted_speedup, Machine};
 use raptor_core::{Config, Counters, EmulPath, Json, Mode, Report, Session};
-use std::sync::{Mutex, OnceLock};
 
 /// Scope axis of a candidate configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -292,8 +287,8 @@ pub struct CampaignSpec {
     pub candidates: Vec<CandidateSpec>,
     /// Acceptance threshold on fidelity (quality-of-result gate).
     pub fidelity_floor: f64,
-    /// Parallel candidate runs on the sweep pool (including the calling
-    /// thread).
+    /// Stealer threads on the task pool (see
+    /// [`TaskPool::new`](crate::queue::TaskPool::new) for the clamp).
     pub workers: usize,
     /// Hardware model for the §7.2 speedup ranking.
     pub machine: Machine,
@@ -342,7 +337,7 @@ pub struct CandidateOutcome {
 impl CandidateOutcome {
     /// Machine-readable outcome row: the spec's fields plus the scores,
     /// counters, and embedded profiling report. This is the row format of
-    /// campaign summaries, the distributed gather, and the resume cache.
+    /// campaign summaries, task-pool payloads, and the resume cache.
     pub fn to_json(&self) -> Json {
         // Speedup panels can go non-finite on degenerate counter
         // populations: encode every score losslessly.
@@ -485,45 +480,21 @@ impl CampaignReport {
     }
 }
 
-/// Run every candidate of `spec` against `scenario` in parallel on the
-/// persistent sweep pool, rank, and report.
+/// Run every candidate of `spec` against `scenario`, rank, and report: a
+/// one-scenario study on one rank
+/// ([`crate::run_study_distributed_resumable`]).
 ///
 /// Cutoff candidates are dropped for scenarios without a refinement
 /// hierarchy (`max_level <= 1`): with no levels to spare, an M-l config
 /// is bit-identical to its static twin, and reporting it as a distinct
 /// strategy would be misleading.
 pub fn run_campaign(scenario: &dyn Scenario, spec: &CampaignSpec) -> CampaignReport {
-    // Cached full-precision baseline (run once, shared by every worker).
-    let baseline = scenario.build(&spec.params).run(&Session::passthrough());
-    let baseline_fidelity = scenario.fidelity(&baseline, &baseline);
-    let max_level = scenario.max_level(&spec.params);
-
-    let candidates = eligible_candidates(spec, max_level);
-    let slots: Vec<Mutex<Option<CandidateOutcome>>> =
-        candidates.iter().map(|_| Mutex::new(None)).collect();
-    amr::pool_run(candidates.len(), spec.workers.max(1), &|i| {
-        let outcome = run_candidate(scenario, spec, candidates[i], max_level, &baseline);
-        *slots[i].lock().unwrap() = Some(outcome);
-    });
-    let mut outcomes: Vec<CandidateOutcome> = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("pool ran every candidate"))
-        .collect();
-    rank_outcomes(&mut outcomes);
-    CampaignReport {
-        scenario: scenario.name().to_string(),
-        crate_name: scenario.crate_name().to_string(),
-        params: spec.params,
-        fidelity_floor: spec.fidelity_floor,
-        baseline_fidelity,
-        outcomes,
-    }
+    crate::run_study_distributed_resumable(&[scenario], spec, 1, None).0.scenarios.remove(0)
 }
 
 /// The candidates a campaign actually runs at `max_level`: cutoff
 /// candidates are dropped for scenarios without a refinement hierarchy
-/// (their static twins are bit-identical). Shared by the single-node and
-/// distributed drivers so both see the same lattice in the same order.
+/// (their static twins are bit-identical).
 pub(crate) fn eligible_candidates(
     spec: &CampaignSpec,
     max_level: u32,
@@ -531,72 +502,52 @@ pub(crate) fn eligible_candidates(
     spec.candidates.iter().filter(|c| c.cutoff.is_none() || max_level > 1).collect()
 }
 
-/// Run campaigns for several scenarios (each scenario's candidates sweep
-/// in parallel; scenarios run back to back so baselines never contend).
-pub fn run_campaigns(scenarios: &[Box<dyn Scenario>], spec: &CampaignSpec) -> Vec<CampaignReport> {
-    scenarios.iter().map(|s| run_campaign(s.as_ref(), spec)).collect()
-}
-
-/// Bundle several campaign reports into one JSON document.
-pub fn campaigns_to_json(reports: &[CampaignReport]) -> Json {
-    Json::obj().set(
-        "campaigns",
-        Json::Arr(reports.iter().map(|r| r.to_json()).collect()),
-    )
-}
-
+/// Run one candidate at `params` and measure it against the baseline:
+/// fidelity, counters, and the session report. The row comes back
+/// unscored (`accepted` false, speedups 1.0) — [`score_and_rank`] scores
+/// every row of a merged report against the live spec. A candidate that
+/// cannot run becomes an error row.
 pub(crate) fn run_candidate(
     scenario: &dyn Scenario,
-    spec: &CampaignSpec,
+    params: &LabParams,
     cand: &CandidateSpec,
     max_level: u32,
     baseline: &Observable,
 ) -> CandidateOutcome {
-    let failed = |err: String, session: &Session| CandidateOutcome {
-        spec: cand.clone(),
-        fidelity: 0.0,
-        accepted: false,
-        predicted_speedup: 1.0,
-        speedup_compute: 1.0,
-        speedup_memory: 1.0,
-        counters: Counters::default(),
-        report: session.report(),
-        error: Some(err),
+    let row = |fidelity: f64, counters: Counters, session: &Session, error: Option<String>| {
+        CandidateOutcome {
+            spec: cand.clone(),
+            fidelity,
+            accepted: false,
+            predicted_speedup: 1.0,
+            speedup_compute: 1.0,
+            speedup_memory: 1.0,
+            counters,
+            report: session.report(),
+            error,
+        }
     };
-    let cfg = match cand.config(scenario, max_level) {
-        Ok(cfg) => cfg,
-        Err(e) => return failed(e, &Session::passthrough()),
-    };
-    let session = match Session::new(cfg) {
+    let session = match cand.config(scenario, max_level).and_then(Session::new) {
         Ok(s) => s,
-        Err(e) => return failed(e, &Session::passthrough()),
+        Err(e) => return row(0.0, Counters::default(), &Session::passthrough(), Some(e)),
     };
-    let trial = scenario.build(&spec.params).run(&session);
-    let fidelity = scenario.fidelity(&trial, baseline);
-    let counters = session.counters();
-    let s = estimate_speedup(&spec.machine, cand.format, &counters);
-    CandidateOutcome {
-        spec: cand.clone(),
-        fidelity,
-        accepted: fidelity >= spec.fidelity_floor,
-        predicted_speedup: predicted_speedup(&spec.machine, cand.format, &counters),
-        speedup_compute: s.compute_bound,
-        speedup_memory: s.memory_bound,
-        counters,
-        report: session.report(),
-        error: None,
-    }
+    let trial = scenario.build(params).run(&session);
+    row(scenario.fidelity(&trial, baseline), session.counters(), &session, None)
 }
 
-/// Re-gate and re-score a merged outcome vector, then rank it.
+/// Score a merged outcome vector against `spec`, then rank it.
 ///
-/// Cached rows may predate the calling spec: acceptance is recomputed
-/// against the live fidelity floor and speedups against the live machine
-/// model (the counters in every row make this free). Freshly computed
-/// rows are unchanged by the recompute — it is deterministic on the same
-/// inputs — so a merged report stays identical to [`run_campaign`].
-/// Shared by the distributed campaign and study merge paths.
-pub(crate) fn regate_and_rank(outcomes: &mut [CandidateOutcome], spec: &CampaignSpec) {
+/// The one place rows are scored: fresh rows arrive unscored from
+/// [`run_candidate`], and cached rows may predate the calling spec, so
+/// acceptance is gated against the live fidelity floor and speedups come
+/// from the live machine model (the counters in every row make this
+/// free). Error rows keep their neutral scores.
+///
+/// Ranking: accepted first (by predicted speedup, then fidelity),
+/// rejected after (by fidelity — the least-bad first), errors last. The
+/// sort is stable, so outcome vectors assembled in candidate-lattice
+/// order rank identically wherever their rows were computed.
+pub(crate) fn score_and_rank(outcomes: &mut [CandidateOutcome], spec: &CampaignSpec) {
     for o in outcomes.iter_mut() {
         if o.error.is_none() {
             o.accepted = o.fidelity >= spec.fidelity_floor;
@@ -606,15 +557,6 @@ pub(crate) fn regate_and_rank(outcomes: &mut [CandidateOutcome], spec: &Campaign
             o.speedup_memory = s.memory_bound;
         }
     }
-    rank_outcomes(outcomes);
-}
-
-/// Rank: accepted first (by predicted speedup, then fidelity), rejected
-/// after (by fidelity — the least-bad first), errors last. The sort is
-/// stable, so outcome vectors assembled in candidate-lattice order rank
-/// identically whether they were computed locally, gathered from minimpi
-/// ranks, or merged out of a resume cache.
-pub(crate) fn rank_outcomes(outcomes: &mut [CandidateOutcome]) {
     outcomes.sort_by(|a, b| {
         let key = |o: &CandidateOutcome| (o.error.is_none(), o.accepted);
         key(b)
@@ -630,332 +572,4 @@ pub(crate) fn rank_outcomes(outcomes: &mut [CandidateOutcome]) {
             })
             .then_with(|| b.fidelity.partial_cmp(&a.fidelity).unwrap_or(core::cmp::Ordering::Equal))
     });
-}
-
-// ---------------------------------------------------------------------------
-// Greedy refinement: minimal-precision search
-// ---------------------------------------------------------------------------
-
-/// Greedy precision-search specification.
-#[derive(Clone, Debug)]
-pub struct SearchSpec {
-    /// Scenario scale knobs.
-    pub params: LabParams,
-    /// Exponent width of every probed format (11 = FP64's).
-    pub exp_bits: u32,
-    /// Inclusive mantissa-bit search range.
-    pub mantissa: (u32, u32),
-    /// Acceptance threshold on fidelity.
-    pub fidelity_floor: f64,
-    /// The M-l cutoffs to search independently (each gets its own row).
-    pub cutoffs: Vec<u32>,
-    /// Parallel rows on the sweep pool.
-    pub workers: usize,
-}
-
-impl SearchSpec {
-    /// Default search: mantissa 2..=52 at exponent 11, cutoffs M-0..M-2.
-    pub fn new(params: LabParams, fidelity_floor: f64) -> SearchSpec {
-        SearchSpec {
-            params,
-            exp_bits: 11,
-            mantissa: (2, 52),
-            fidelity_floor,
-            cutoffs: vec![0, 1, 2],
-            workers: 4,
-        }
-    }
-}
-
-/// One row of a precision search: the minimal safe mantissa width for a
-/// cutoff strategy, plus every probe the bisection took.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SearchRow {
-    /// The cutoff `l` of this row's M-l strategy.
-    pub cutoff: u32,
-    /// Minimal mantissa bits with fidelity >= the floor (`None` when even
-    /// the widest probe fails).
-    pub minimal_m: Option<u32>,
-    /// Fidelity at `minimal_m` (or at the widest probe when `None`).
-    pub fidelity: f64,
-    /// Truncated-op fraction at the minimal width.
-    pub truncated_fraction: f64,
-    /// Every `(mantissa, fidelity)` probe, in probe order.
-    pub probes: Vec<(u32, f64)>,
-}
-
-impl SearchRow {
-    /// Machine-readable row through the shared serializer.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .set("cutoff", self.cutoff)
-            .set(
-                "minimal_mantissa",
-                match self.minimal_m {
-                    Some(m) => Json::from(m),
-                    None => Json::Null,
-                },
-            )
-            .set("fidelity", self.fidelity)
-            .set("truncated_fraction", self.truncated_fraction)
-            .set(
-                "probes",
-                Json::Arr(
-                    self.probes
-                        .iter()
-                        .map(|&(m, f)| Json::obj().set("mantissa", m).set("fidelity", f))
-                        .collect(),
-                ),
-            )
-    }
-
-    /// Parse back a document produced by [`SearchRow::to_json`] — search
-    /// rows gathered from minimpi ranks travel in this form.
-    pub fn from_json(doc: &Json) -> Result<SearchRow, String> {
-        let minimal_m = match doc.req("minimal_mantissa")? {
-            Json::Null => None,
-            m => Some(
-                m.as_u64().ok_or_else(|| "minimal_mantissa is not an integer".to_string())?
-                    as u32,
-            ),
-        };
-        let probes = doc
-            .arr_field("probes")?
-            .iter()
-            .map(|p| Ok((p.u64_field("mantissa")? as u32, p.f64_field("fidelity")?)))
-            .collect::<Result<Vec<(u32, f64)>, String>>()?;
-        Ok(SearchRow {
-            cutoff: doc.u64_field("cutoff")? as u32,
-            minimal_m,
-            fidelity: doc.f64_field("fidelity")?,
-            truncated_fraction: doc.f64_field("truncated_fraction")?,
-            probes,
-        })
-    }
-}
-
-/// Greedily bisect the mantissa ladder per cutoff for the minimal width
-/// that clears the fidelity floor. Rows run in parallel on the sweep
-/// pool; each probe is one full scenario run.
-pub fn precision_search(scenario: &dyn Scenario, spec: &SearchSpec) -> Vec<SearchRow> {
-    precision_search_resumable(scenario, spec, None).0
-}
-
-/// [`precision_search`] against a probe cache. Every bisection probe is
-/// a deterministic `(scenario, scale, threads, exp_bits, cutoff, m)`
-/// point, so a cached `(fidelity, truncated_fraction)` is served without
-/// running the scenario and the chain advances exactly as if the probe
-/// had run. The baseline reference run is built lazily, only when some
-/// probe actually misses — a fully-warm re-hunt of a completed search
-/// performs **zero** scenario runs. Fresh probes are recorded back into
-/// the cache (staged; the caller saves).
-pub fn precision_search_resumable(
-    scenario: &dyn Scenario,
-    spec: &SearchSpec,
-    cache: Option<&mut OutcomeCache>,
-) -> (Vec<SearchRow>, ResumeStats) {
-    let max_level = scenario.max_level(&spec.params);
-    let baseline: OnceLock<Observable> = OnceLock::new();
-    let cache = Mutex::new(cache);
-    let stats = Mutex::new(ResumeStats::default());
-    let slots: Vec<Mutex<Option<SearchRow>>> =
-        spec.cutoffs.iter().map(|_| Mutex::new(None)).collect();
-    amr::pool_run(spec.cutoffs.len(), spec.workers.max(1), &|i| {
-        let cutoff = spec.cutoffs[i];
-        let (mut chain, first) = ProbeChain::new(cutoff, spec.mantissa, spec.fidelity_floor);
-        let mut pending = Some(first);
-        while let Some(m) = pending {
-            let hit = cache
-                .lock()
-                .unwrap()
-                .as_deref()
-                .and_then(|c| c.get_probe(scenario.name(), &spec.params, spec.exp_bits, cutoff, m));
-            let (fid, frac) = match hit {
-                Some(v) => {
-                    stats.lock().unwrap().cached += 1;
-                    v
-                }
-                None => {
-                    let base = baseline
-                        .get_or_init(|| scenario.build(&spec.params).run(&Session::passthrough()));
-                    let v = run_probe(scenario, spec, cutoff, m, max_level, base);
-                    if let Some(c) = cache.lock().unwrap().as_deref_mut() {
-                        c.insert_probe(
-                            scenario.name(),
-                            &spec.params,
-                            spec.exp_bits,
-                            cutoff,
-                            m,
-                            v.0,
-                            v.1,
-                        );
-                    }
-                    stats.lock().unwrap().computed += 1;
-                    v
-                }
-            };
-            pending = chain.advance(m, fid, frac);
-        }
-        *slots[i].lock().unwrap() = Some(chain.into_row());
-    });
-    let rows = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("pool ran every row"))
-        .collect();
-    let stats = *stats.lock().unwrap();
-    (rows, stats)
-}
-
-/// The greedy-bisection decision machine of one M-l search row,
-/// decoupled from *where* its probes run: feed it probe results, it
-/// answers with the next mantissa width to probe (or finishes).
-///
-/// Both search drivers run this exact machine — [`precision_search`]
-/// inline on a pool worker, the distributed search with each pending
-/// probe as a work-stealing task and the chain state held by the rank-0
-/// server — so their rows are identical **by construction**, probe for
-/// probe.
-///
-/// Probe order (the serial contract): bracket at `hi` (if even the
-/// widest mantissa fails, report and bail), check `lo` (if the narrowest
-/// passes, it is minimal), then bisect. Fidelity is monotone enough in
-/// the mantissa width for bisection (the §6.1 error ladders); occasional
-/// non-monotone blips (the Fig. 7b AMR anomaly) cost at most a
-/// slightly-wider answer, never an infinite loop.
-pub(crate) struct ProbeChain {
-    cutoff: u32,
-    floor: f64,
-    lo: u32,
-    hi: u32,
-    phase: ChainPhase,
-    probes: Vec<(u32, f64)>,
-    /// Narrowest passing probe so far: `(m, fidelity, truncated_fraction)`.
-    best: Option<(u32, f64, f64)>,
-    /// Set once the chain finishes: `(minimal_m, fidelity, fraction)`.
-    result: Option<(Option<u32>, f64, f64)>,
-}
-
-enum ChainPhase {
-    /// Waiting on the widest probe (`hi`).
-    Bracket,
-    /// Waiting on the narrowest probe (`lo`).
-    Narrow,
-    /// Waiting on a bisection midpoint.
-    Bisect,
-    Finished,
-}
-
-impl ProbeChain {
-    /// Start a chain; returns the machine and its first probe width.
-    pub(crate) fn new(cutoff: u32, mantissa: (u32, u32), floor: f64) -> (ProbeChain, u32) {
-        let (lo, hi) = mantissa;
-        let chain = ProbeChain {
-            cutoff,
-            floor,
-            lo,
-            hi,
-            phase: ChainPhase::Bracket,
-            probes: Vec::new(),
-            best: None,
-            result: None,
-        };
-        (chain, hi)
-    }
-
-    /// Feed the result of the pending probe at width `m`; returns the
-    /// next width to probe, or `None` once the chain is finished.
-    pub(crate) fn advance(&mut self, m: u32, fid: f64, frac: f64) -> Option<u32> {
-        self.probes.push((m, fid));
-        match self.phase {
-            ChainPhase::Bracket => {
-                if fid < self.floor {
-                    self.finish(None, fid, frac);
-                    None
-                } else {
-                    self.best = Some((self.hi, fid, frac));
-                    self.phase = ChainPhase::Narrow;
-                    Some(self.lo)
-                }
-            }
-            ChainPhase::Narrow => {
-                if fid >= self.floor {
-                    self.finish(Some(self.lo), fid, frac);
-                    None
-                } else {
-                    self.bisect_or_finish()
-                }
-            }
-            ChainPhase::Bisect => {
-                if fid >= self.floor {
-                    self.hi = m;
-                    self.best = Some((m, fid, frac));
-                } else {
-                    self.lo = m;
-                }
-                self.bisect_or_finish()
-            }
-            ChainPhase::Finished => unreachable!("no probe is pending on a finished chain"),
-        }
-    }
-
-    fn bisect_or_finish(&mut self) -> Option<u32> {
-        if self.hi - self.lo > 1 {
-            self.phase = ChainPhase::Bisect;
-            Some(self.lo + (self.hi - self.lo) / 2)
-        } else {
-            let (m, fid, frac) = self.best.expect("bracket probe passed");
-            self.finish(Some(m), fid, frac);
-            None
-        }
-    }
-
-    fn finish(&mut self, minimal_m: Option<u32>, fid: f64, frac: f64) {
-        self.phase = ChainPhase::Finished;
-        self.result = Some((minimal_m, fid, frac));
-    }
-
-    /// Whether the chain has reached its answer.
-    pub(crate) fn finished(&self) -> bool {
-        matches!(self.phase, ChainPhase::Finished)
-    }
-
-    /// The finished chain as its search row (panics on an unfinished
-    /// chain — a scheduler bug, not a data condition).
-    pub(crate) fn into_row(self) -> SearchRow {
-        let (minimal_m, fidelity, truncated_fraction) =
-            self.result.expect("chain ran to completion");
-        SearchRow {
-            cutoff: self.cutoff,
-            minimal_m,
-            fidelity,
-            truncated_fraction,
-            probes: self.probes,
-        }
-    }
-}
-
-/// Run one bisection probe: a full scenario run at `e{exp_bits}m{m}`
-/// under the M-`cutoff` strategy, scored against the baseline. Returns
-/// `(fidelity, truncated_fraction)`. Shared by the serial rows and the
-/// distributed probe tasks.
-pub(crate) fn run_probe(
-    scenario: &dyn Scenario,
-    spec: &SearchSpec,
-    cutoff: u32,
-    m: u32,
-    max_level: u32,
-    baseline: &Observable,
-) -> (f64, f64) {
-    let cand = CandidateSpec::op(Format::new(spec.exp_bits, m)).with_cutoff(cutoff);
-    let cfg = cand.config(scenario, max_level).expect("op candidates validate");
-    let session = Session::new(cfg).expect("validated");
-    let trial = scenario.build(&spec.params).run(&session);
-    (scenario.fidelity(&trial, baseline), session.counters().truncated_fraction())
-}
-
-/// JSON summary of a precision search.
-pub fn search_to_json(scenario: &str, rows: &[SearchRow]) -> Json {
-    Json::obj()
-        .set("scenario", scenario)
-        .set("rows", Json::Arr(rows.iter().map(|r| r.to_json()).collect()))
 }

@@ -10,16 +10,19 @@
 //! * the [`Scenario`] trait + [`registry()`] — every workload crate
 //!   (hydro, incomp, eos, raptor-ir) behind one `build → run(&Session) →
 //!   fidelity` contract;
-//! * the campaign engine ([`run_campaign`], [`precision_search`]) — the
-//!   sweep itself, fanned out over the persistent sweep pool.
+//! * two drivers on one executor, the work-stealing [`queue::TaskPool`]
+//!   over [`minimpi`] ranks, at any rank count including 1:
+//!   the sweep driver [`run_study_distributed_resumable`] (a campaign is a
+//!   one-scenario study) and the search driver [`precision_search`].
 //!
 //! ## Running campaigns
 //!
 //! An enumerative sweep — 12 default configurations (format ladder ×
-//! static/M-1 cutoff), run in parallel, ranked by fidelity-gated
-//! predicted speedup. Scenarios without a refinement hierarchy (like the
-//! IR kernels here) keep only the 6 static configurations — their M-1
-//! twins would be bit-identical duplicates and are dropped:
+//! static/M-1 cutoff), each one task on the pool, ranked by
+//! fidelity-gated predicted speedup. Scenarios without a refinement
+//! hierarchy (like the IR kernels here) keep only the 6 static
+//! configurations — their M-1 twins would be bit-identical duplicates and
+//! are dropped:
 //!
 //! ```
 //! use raptor_lab::{find, run_campaign, CampaignSpec, LabParams};
@@ -37,102 +40,89 @@
 //! ```
 //!
 //! A greedy precision hunt — per M-l cutoff, bisect for the minimal
-//! mantissa width whose fidelity clears the floor:
+//! mantissa width whose fidelity clears the floor, every bisection probe
+//! one task:
 //!
 //! ```no_run
 //! use raptor_lab::{find, precision_search, LabParams, SearchSpec};
 //!
 //! let scenario = find("hydro/sedov").expect("registered");
 //! let spec = SearchSpec::new(LabParams::demo(), 0.999);
-//! for row in precision_search(scenario.as_ref(), &spec) {
+//! let (rows, _stats) = precision_search(scenario.as_ref(), &spec, 1, None);
+//! for row in rows {
 //!     println!("M-{}: minimal mantissa {:?}", row.cutoff, row.minimal_m);
 //! }
 //! ```
 //!
-//! Campaign candidates are the unit of parallelism: each runs on a
-//! worker of the process-wide sweep pool ([`amr::pool_run`]), and any
-//! mesh sweep *inside* a candidate runs inline on that worker — so a
-//! 12-candidate campaign keeps 12 CPUs busy without oversubscription.
 //! Fidelity is scenario-defined ([`Scenario::fidelity`]); `1.0` means
-//! bit-identical to the cached full-precision baseline, and the default
-//! metric maps relative-L1 distance through `1 / (1 + e)`.
+//! bit-identical to the full-precision baseline, and the default metric
+//! maps relative-L1 distance through `1 / (1 + e)`.
 //!
-//! ## Distributed campaigns
+//! ## Ranks
 //!
-//! [`run_campaign_distributed`] drains the candidate lattice across
-//! [`minimpi`] ranks through the shared work-stealing
-//! [`queue::TaskPool`] — every rank contributes stealer threads that
-//! pull one candidate at a time from a rank-0 queue server, and the
-//! full-precision baseline is a lazily-computed pool resource — with
-//! per-candidate outcome rows returning to rank 0 over the typed
-//! [`minimpi::Wire`] transport. The merged, deterministically-ordered
-//! [`CampaignReport`] is content-identical to the single-rank sweep for
-//! any rank count:
+//! Every rank contributes stealer threads that pull one task at a time
+//! from a rank-0 queue server; the full-precision baseline is a
+//! lazily-computed pool resource, and each task's mesh sweeps run inline
+//! on its stealer. Rows are reassembled in lattice order before the
+//! stable ranking sort, so the merged report is byte-identical at any
+//! rank count — only [`StudyStats`] shows where the work ran:
 //!
 //! ```
-//! use raptor_lab::{find, run_campaign, run_campaign_distributed, CampaignSpec, LabParams};
+//! use raptor_lab::{find, run_study_distributed_resumable, CampaignSpec, LabParams};
 //!
 //! let scenario = find("ir/horner").expect("registered");
 //! let spec = CampaignSpec::sweep(LabParams::mini());
-//! let single = run_campaign(scenario.as_ref(), &spec);
-//! let merged = run_campaign_distributed(scenario.as_ref(), &spec, 2);
-//! assert_eq!(merged.to_json().render(), single.to_json().render());
+//! let (one, _) = run_study_distributed_resumable(&[scenario.as_ref()], &spec, 1, None);
+//! let (two, stats) = run_study_distributed_resumable(&[scenario.as_ref()], &spec, 2, None);
+//! assert_eq!(two.to_json().render(), one.to_json().render());
+//! assert_eq!(stats.pairs_by_rank.iter().sum::<usize>(), 6);
 //! ```
 //!
-//! Campaign **resume** layers on top: outcomes persist to an
-//! [`OutcomeCache`] file keyed by `(scenario, params, candidate label)`,
-//! so an interrupted or repeated sweep restarts warm and only recomputes
-//! missing candidates ([`run_campaign_distributed_resumable`] /
-//! [`run_campaign_resumed`]). The CLI flow through the example binaries:
+//! ## Resume
+//!
+//! Outcomes persist to an [`OutcomeCache`] directory keyed by
+//! `(scenario, params, candidate label)`, so an interrupted or repeated
+//! sweep restarts warm and only recomputes missing candidates. Bisection
+//! probes are cached too: each is a deterministic
+//! `(scenario, scale, cutoff, m)` point, so a warm re-hunt performs zero
+//! scenario runs. [`run_resumed`] is the one cache shell — load, run,
+//! save, and append one [`StudyStats`] row to the `stats_history.jsonl`
+//! inside the cache. The CLI flow through the example binaries:
 //!
 //! ```sh
 //! # Shard the sweep over 4 ranks, persisting outcomes as they complete.
 //! codesign_advisor hydro/sod --ranks 4 --resume sweep-cache
 //! # Re-run after an interrupt: cached rows are served, the rest computed.
 //! codesign_advisor hydro/sod --ranks 4 --resume sweep-cache
-//! # Fan the greedy bisection rows out across ranks, caching probes too.
+//! # Steal the greedy bisection probes across ranks, caching probes too.
 //! sedov_precision_hunt hydro/sedov --ranks 3 --resume sweep-cache
 //! # GPU-native lattice: what would a GPU port tolerate (fp32/fp64 only)?
 //! codesign_advisor hydro/sod --native
 //! ```
 //!
-//! The cache path names a *directory* of per-scenario, per-shard JSONL
-//! files that any number of concurrent processes append to under
-//! advisory locks (a legacy single-file cache migrates in place on
-//! first load — see the [`cache`] module docs).
-//!
-//! [`precision_search_distributed`] steals at **probe** granularity:
-//! every greedy-bisection probe of every M-l cutoff row is one
-//! work-stealing task, with the per-cutoff chain state held by the
-//! rank-0 row owner — the most skewed work in the repo (probe counts
-//! differ per cutoff) no longer pins whole rows to ranks. Probes are
-//! cached too ([`precision_search_resumed`]): each is a deterministic
-//! `(scenario, scale, cutoff, m)` point, so a warm re-hunt performs
-//! zero scenario runs. [`native_candidates`] restricts the lattice to
-//! the hardware formats a GPU port could execute (the §3.6 constraint).
+//! The cache directory holds per-scenario, per-shard JSONL files that
+//! any number of concurrent processes append to under advisory locks
+//! (see the [`cache`] module docs). [`native_candidates`] restricts the
+//! lattice to the hardware formats a GPU port could execute (the §3.6
+//! constraint).
 //!
 //! ## Studies: the whole registry in one table
 //!
 //! A *study* sweeps **every** scenario (or a `--scenarios` subset, see
 //! [`study_scenarios`]) over one candidate lattice and merges the results
 //! into a single cross-scenario codesign ranking — the paper's headline
-//! Table-1-style artifact. [`run_study_distributed`] flattens the
-//! `(scenario, candidate)` pair list and drains it through the same
-//! [`queue::TaskPool`] (rank 0 serves pair indices from a shared queue
-//! over the minimpi mailboxes; per-scenario baselines broadcast lazily
-//! on first touch), so skewed per-pair costs never idle ranks. One
-//! shared [`OutcomeCache`] directory covers the whole study, and every
-//! resumed run appends its [`StudyStats`] to the `stats_history.jsonl`
-//! inside it ([`study::append_stats_history`]). See the [`queue`]
-//! module docs for the protocol; the result is byte-identical to the
-//! serial [`run_study`] for any rank count:
+//! Table-1-style artifact. The sweep driver flattens the
+//! `(scenario, candidate)` pair list into one queue, so skewed per-pair
+//! costs never idle ranks, and per-scenario baselines broadcast lazily on
+//! first touch. One shared [`OutcomeCache`] directory covers the whole
+//! study ([`run_study_resumed`]):
 //!
 //! ```
-//! use raptor_lab::{run_study_distributed, study_scenarios, CampaignSpec, LabParams};
+//! use raptor_lab::{run_study_distributed_resumable, study_scenarios, CampaignSpec, LabParams};
 //!
 //! let scenarios = study_scenarios(Some("ir/horner,eos/cellular")).unwrap();
 //! let spec = CampaignSpec::sweep(LabParams::mini());
-//! let study = run_study_distributed(&scenarios, &spec, 2);
+//! let (study, _stats) = run_study_distributed_resumable(&scenarios, &spec, 2, None);
 //! assert_eq!(study.scenarios.len(), 2);
 //! assert_eq!(study.ranking.len(), 2);   // one codesign row per scenario
 //! println!("{}", study.render_markdown());
@@ -144,31 +134,25 @@
 
 pub mod cache;
 pub mod campaign;
-pub mod distributed;
 pub mod queue;
 pub mod registry;
 pub mod scenario;
+pub mod search;
 pub mod study;
 
-pub use cache::{OutcomeCache, ResumeStats};
+pub use cache::OutcomeCache;
 pub use campaign::{
-    campaigns_to_json, default_candidates, format_ladder, native_candidates, precision_search,
-    precision_search_resumable, run_campaign, run_campaigns, search_to_json, shear_candidates,
-    CampaignReport, CampaignSpec, CandidateOutcome, CandidateSpec, ScopeAxis, SearchRow,
-    SearchSpec,
-};
-pub use distributed::{
-    precision_search_distributed, precision_search_distributed_resumable,
-    precision_search_distributed_stats, precision_search_resumed, run_campaign_distributed,
-    run_campaign_distributed_resumable, run_campaign_distributed_stats, run_campaign_resumed,
+    default_candidates, format_ladder, native_candidates, run_campaign, shear_candidates,
+    CampaignReport, CampaignSpec, CandidateOutcome, CandidateSpec, ScopeAxis,
 };
 pub use queue::{FixedTasks, PoolRun, PoolStats, Task, TaskCtx, TaskPool, TaskSource};
 pub use registry::{find, registry, study_scenarios};
 pub use scenario::{
     fidelity_from_error, relative_l1, LabParams, Observable, Runnable, Scenario,
 };
+pub use search::{precision_search, search_to_json, SearchRow, SearchSpec};
 pub use study::{
-    append_stats_history, load_stats_history, render_stats_history, run_study,
-    run_study_distributed, run_study_distributed_resumable, run_study_resumed,
-    stats_history_path, StatsRecord, StudyReport, StudyRow, StudyStats,
+    append_stats_history, load_stats_history, render_stats_history, run_resumed,
+    run_study_distributed_resumable, run_study_resumed, stats_history_path, StatsRecord,
+    StudyReport, StudyRow, StudyStats,
 };

@@ -28,7 +28,7 @@
 //!   queue is deep enough; after that, grants go to whoever asks.
 //! * **Parking.** A [`TaskSource`] may be *dynamic* — a completed task
 //!   can ready further tasks (the greedy-bisection probe chains of
-//!   `precision_search_distributed`). A requester that finds the queue
+//!   `precision_search`). A requester that finds the queue
 //!   momentarily empty is parked, and un-parked in FIFO order the moment
 //!   a completion readies new work; when the source reports itself
 //!   [`TaskSource::exhausted`], all parked stealers are dismissed.

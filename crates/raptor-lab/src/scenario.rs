@@ -23,8 +23,8 @@ pub struct LabParams {
     /// 1 = demo (example binaries), 2+ = larger studies.
     pub scale: u32,
     /// Threads available *inside* one scenario run. Campaign candidates
-    /// already run in parallel on the sweep pool, and nested sweeps run
-    /// inline there, so 1 is the right default for campaigns.
+    /// already run in parallel as task-pool tasks, each sweeping its mesh
+    /// inline, so 1 is the right default for campaigns.
     pub threads: usize,
 }
 

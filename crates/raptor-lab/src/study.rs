@@ -3,10 +3,10 @@
 //! codesign table — the paper's headline artifact (Table 1's shape) as
 //! one API call.
 //!
-//! A *study* flattens the two-level loop the campaign engine left
-//! implicit: instead of sweeping one scenario's candidates,
-//! [`run_study_distributed`] enumerates every `(scenario, candidate)`
-//! **pair** across the whole registry (or a subset, see
+//! [`run_study_distributed_resumable`] is the one sweep driver: a
+//! campaign is a study of one scenario, and one rank takes the same path
+//! as many. It enumerates every `(scenario, candidate)` **pair** across
+//! the scenarios (the whole registry or a subset, see
 //! [`crate::study_scenarios`]) and drains the flattened pair list
 //! through the shared work-stealing [`TaskPool`] (see the
 //! [`crate::queue`] module docs for the protocol):
@@ -16,41 +16,43 @@
 //! * per-scenario full-precision baselines are pool *resources*,
 //!   computed lazily on first touch and broadcast bit-exactly; scenarios
 //!   whose pairs are all cache hits never run one;
-//! * one shared [`OutcomeCache`] file covers the whole study (the cache
-//!   key already carries the scenario name), so a warm resume of a
+//! * one shared [`OutcomeCache`] directory covers the whole study (the
+//!   cache key already carries the scenario name), so a warm resume of a
 //!   completed study performs **zero** runs.
 //!
 //! The merged [`StudyReport`] carries one ranked [`CampaignReport`]
 //! section per scenario plus a cross-scenario codesign ranking, and its
 //! JSON rendering is **byte-identical for any rank count**: pairs are
-//! reassembled in lattice order before the deterministic re-gate + stable
+//! reassembled in lattice order before the deterministic scoring + stable
 //! ranking sort, so where a pair ran never shows in the result. Where it
 //! ran *is* recorded — [`StudyStats`] — and persisted across runs:
-//! [`append_stats_history`] appends one JSON line per run to the
-//! `stats_history.jsonl` next to the cache, so scheduler changes stay
-//! measurable against the recorded baseline
+//! [`run_resumed`] appends one JSON line per run to the
+//! `stats_history.jsonl` inside the cache directory, so scheduler
+//! changes stay measurable against the recorded baseline
 //! (`codesign_advisor --stats-history` renders the trend).
 //!
 //! ```
-//! use raptor_lab::{run_study, run_study_distributed, study_scenarios, CampaignSpec, LabParams};
+//! use raptor_lab::{run_study_distributed_resumable, study_scenarios, CampaignSpec, LabParams};
 //!
 //! let scenarios = study_scenarios(Some("ir/horner,ir/norm3")).unwrap();
 //! let spec = CampaignSpec::sweep(LabParams::mini());
-//! let single = run_study(&scenarios, &spec);
-//! let stolen = run_study_distributed(&scenarios, &spec, 2);
-//! assert_eq!(stolen.to_json().render(), single.to_json().render());
-//! println!("{}", stolen.render_markdown()); // the Table-1-style summary
+//! let (one, _) = run_study_distributed_resumable(&scenarios, &spec, 1, None);
+//! let (two, stats) = run_study_distributed_resumable(&scenarios, &spec, 2, None);
+//! assert_eq!(two.to_json().render(), one.to_json().render());
+//! assert_eq!(stats.pairs_by_rank.len(), 2); // where the pairs ran
+//! println!("{}", two.render_markdown()); // the Table-1-style summary
 //! ```
 
 use crate::cache::OutcomeCache;
 use crate::campaign::{
-    eligible_candidates, regate_and_rank, run_campaign, run_candidate, CampaignReport,
-    CampaignSpec, CandidateOutcome, CandidateSpec,
+    eligible_candidates, run_candidate, score_and_rank, CampaignReport, CampaignSpec,
+    CandidateOutcome,
 };
-use crate::queue::{FixedTasks, TaskPool};
+use crate::queue::{FixedTasks, PoolRun, TaskCtx, TaskPool, TaskSource};
 use crate::scenario::{LabParams, Observable, Scenario};
 use minimpi::Json;
 use raptor_core::Session;
+use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -163,8 +165,7 @@ pub struct StudyReport {
 
 impl StudyReport {
     /// Build the study from its per-scenario reports (the single place
-    /// the ranking is derived, shared by the serial and distributed
-    /// drivers so both produce byte-identical output).
+    /// the ranking is derived).
     fn assemble(spec: &CampaignSpec, scenarios: Vec<CampaignReport>) -> StudyReport {
         let mut ranking: Vec<StudyRow> = scenarios.iter().map(StudyRow::from_report).collect();
         ranking.sort_by(|a, b| {
@@ -277,9 +278,9 @@ impl StudyReport {
 /// spread the work, how much of it the shared cache absorbed, and what
 /// the scheduling cost. Kept out of [`StudyReport`] on purpose — the
 /// report must be byte-identical across rank counts; the stats are where
-/// the distribution shows. Shared by studies, distributed campaigns, and
-/// probe-stealing precision searches (where `pairs_by_rank` counts
-/// probes).
+/// the distribution shows. Shared by the sweep driver (studies and
+/// campaigns) and the probe-stealing precision search (where
+/// `pairs_by_rank` counts probes).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StudyStats {
     /// Units served from the shared cache without running anything.
@@ -303,8 +304,8 @@ pub struct StudyStats {
 impl StudyStats {
     /// Fold a drained pool run's scheduling stats into this record — the
     /// single bridge from [`crate::queue::PoolStats`], so a new pool
-    /// metric gets recorded by every driver (campaign, search, study) or
-    /// none.
+    /// metric gets recorded by both drivers (sweep and search) or
+    /// neither.
     pub fn absorb_pool(&mut self, pool: crate::queue::PoolStats) {
         self.pairs_by_rank = pool.tasks_by_rank;
         self.stealers = pool.stealers;
@@ -352,12 +353,10 @@ impl StudyStats {
 #[derive(Clone, Debug, PartialEq)]
 pub struct StatsRecord {
     /// What ran: `campaign:<scenario>`, `study:<n> scenarios`, or
-    /// `search:<scenario>`.
+    /// `hunt:<scenario>`.
     pub label: String,
-    /// File name of the cache the run resumed against. The history file
-    /// is shared per directory (one `stats_history.jsonl` sibling), so
-    /// this is what keeps rows of co-located caches distinguishable.
-    /// Stamped by [`append_stats_history`].
+    /// Directory name of the cache the run resumed against. Stamped by
+    /// [`append_stats_history`].
     pub cache: String,
     /// minimpi rank count of the run.
     pub ranks: usize,
@@ -412,28 +411,24 @@ impl StatsRecord {
     }
 }
 
-/// Where the stats history of the cache at `cache_path` lives: a
-/// `stats_history.jsonl` — one compact JSON document per line,
-/// append-only, so every resumed run (study, campaign, or hunt) adds
-/// exactly one row and the file diffs like a log. For a sharded cache
-/// directory the history lives *inside* it (top level, next to the
-/// scenario shard dirs); for a legacy file path it is a sibling.
-pub fn stats_history_path(cache_path: &Path) -> PathBuf {
-    if cache_path.is_dir() {
-        return cache_path.join("stats_history.jsonl");
-    }
-    cache_path.parent().unwrap_or_else(|| Path::new(".")).join("stats_history.jsonl")
+/// Where the stats history of the cache directory `cache_dir` lives: a
+/// `stats_history.jsonl` at its top level, next to the scenario shard
+/// dirs — one compact JSON document per line, append-only, so every
+/// resumed run (study, campaign, or hunt) adds exactly one row and the
+/// file diffs like a log.
+pub fn stats_history_path(cache_dir: &Path) -> PathBuf {
+    cache_dir.join("stats_history.jsonl")
 }
 
-/// Append one record to the stats history next to `cache_path` and
-/// return the history path. Called by [`run_study_resumed`] and
-/// [`crate::run_campaign_resumed`] after every run, so scheduler changes
-/// are measurable against the recorded baseline.
-pub fn append_stats_history(cache_path: &Path, record: &StatsRecord) -> Result<PathBuf, String> {
+/// Append one record to the stats history of the cache directory
+/// `cache_dir` and return the history path. Called by [`run_resumed`]
+/// after every run, so scheduler changes are measurable against the
+/// recorded baseline.
+pub fn append_stats_history(cache_dir: &Path, record: &StatsRecord) -> Result<PathBuf, String> {
     use std::io::Write;
-    let path = stats_history_path(cache_path);
+    let path = stats_history_path(cache_dir);
     let mut record = record.clone();
-    record.cache = cache_path
+    record.cache = cache_dir
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_default();
@@ -502,68 +497,75 @@ pub fn render_stats_history(records: &[StatsRecord]) -> String {
 // Drivers
 // ---------------------------------------------------------------------------
 
-/// Run the study serially in-process: one campaign per scenario (each
-/// scenario's candidates still sweep in parallel on the process-wide
-/// pool), then the cross-scenario ranking. The reference implementation
-/// the distributed driver is tested against.
-pub fn run_study(scenarios: &[Box<dyn Scenario>], spec: &CampaignSpec) -> StudyReport {
-    let reports: Vec<CampaignReport> =
-        scenarios.iter().map(|s| run_campaign(s.as_ref(), spec)).collect();
-    StudyReport::assemble(spec, reports)
-}
-
-/// One entry of the flattened `(scenario, candidate)` pair lattice.
-struct Pair {
-    /// Index into the study's scenario list.
-    scenario: usize,
-    candidate: CandidateSpec,
-}
-
-/// Run the study sharded across `nranks` minimpi ranks with the shared
-/// work-stealing [`TaskPool`]. The merged report is byte-identical
-/// (JSON) to [`run_study`] for any rank count.
-pub fn run_study_distributed(
-    scenarios: &[Box<dyn Scenario>],
-    spec: &CampaignSpec,
+/// Drain `source` on a [`TaskPool`] of `nranks` ranks and `workers`
+/// stealers whose shared resource `k` is the full-precision baseline of
+/// `scenarios[k]`, computed on first touch. The executor under both
+/// drivers (sweep and search).
+pub(crate) fn drain<S: TaskSource + Send>(
+    scenarios: &[&dyn Scenario],
+    params: &LabParams,
     nranks: usize,
-) -> StudyReport {
-    run_study_distributed_resumable(scenarios, spec, nranks, None).0
+    workers: usize,
+    source: S,
+    task: &(dyn Fn(&TaskCtx<'_>, u64, &Json) -> Json + Sync),
+) -> PoolRun<S> {
+    TaskPool::new(nranks, workers).run(scenarios.len(), source, task, &|key| {
+        amr::run_inline(|| scenarios[key as usize].build(params).run(&Session::passthrough()))
+            .values
+    })
 }
 
-/// [`run_study_distributed`] with the shared study cache: pairs already
-/// cached are served without running anything (a fully-warm resume of a
-/// whole study performs zero runs, baselines included); only missing
-/// pairs enter the work-stealing queue, and every row of the merged
-/// report is written back.
-pub fn run_study_distributed_resumable(
-    scenarios: &[Box<dyn Scenario>],
+/// Run `f` against the baseline of scenario `key` (see [`drain`]),
+/// materialized as an [`Observable`] at most once per stealer via
+/// [`TaskCtx::memo`]. Stealers are plain threads, not sweep-pool workers,
+/// so `f` runs inline: a scenario's interior mesh sweeps
+/// (`params.threads > 1`) must not serialize every stealer on the
+/// process-wide pool's submit lock.
+pub(crate) fn with_baseline<T>(
+    ctx: &TaskCtx<'_>,
+    key: usize,
+    f: impl FnOnce(&Observable) -> T,
+) -> T {
+    let key = key as u64;
+    ctx.memo(key, |ctx| Observable { values: (*ctx.resource(key)).clone() }, |baseline| {
+        amr::run_inline(|| f(baseline))
+    })
+}
+
+/// The sweep driver: run every scenario over `spec`'s lattice across
+/// `nranks` minimpi ranks and merge one ranked section per scenario plus
+/// the cross-scenario ranking. A campaign is a one-scenario study;
+/// `nranks = 1` takes the same [`TaskPool`] path. The report JSON is
+/// byte-identical at any rank count.
+///
+/// With a `cache`, pairs already cached are served without running
+/// anything (a fully-warm resume performs zero runs, baselines
+/// included); only missing pairs enter the work-stealing queue, and every
+/// row of the merged report is written back (staged; the caller saves).
+pub fn run_study_distributed_resumable<'s, S: Borrow<dyn Scenario + 's>>(
+    scenarios: &[S],
     spec: &CampaignSpec,
     nranks: usize,
     mut cache: Option<&mut OutcomeCache>,
 ) -> (StudyReport, StudyStats) {
     let t0 = Instant::now();
     let nranks = nranks.max(1);
+    let scenarios: Vec<&dyn Scenario> = scenarios.iter().map(Borrow::borrow).collect();
     let max_levels: Vec<u32> = scenarios.iter().map(|s| s.max_level(&spec.params)).collect();
 
-    // The flattened pair lattice, in (scenario, candidate) order — the
-    // deterministic spine every merge below reassembles along.
-    let mut pairs: Vec<Pair> = Vec::new();
-    for (si, _) in scenarios.iter().enumerate() {
-        for c in eligible_candidates(spec, max_levels[si]) {
-            pairs.push(Pair { scenario: si, candidate: c.clone() });
-        }
-    }
-    let mut cached: Vec<Option<CandidateOutcome>> = pairs
+    // The flattened `(scenario index, candidate)` pair lattice, in
+    // scenario-then-candidate order — the deterministic spine every merge
+    // below reassembles along.
+    let pairs: Vec<(usize, &_)> = (0..scenarios.len())
+        .flat_map(|si| eligible_candidates(spec, max_levels[si]).into_iter().map(move |c| (si, c)))
+        .collect();
+    let mut rows: Vec<Option<CandidateOutcome>> = pairs
         .iter()
-        .map(|p| {
-            cache.as_deref().and_then(|k| {
-                k.get(scenarios[p.scenario].name(), &spec.params, &p.candidate).cloned()
-            })
+        .map(|&(si, c)| {
+            cache.as_deref().and_then(|k| k.get(scenarios[si].name(), &spec.params, c).cloned())
         })
         .collect();
-    let missing: Vec<&Pair> =
-        pairs.iter().zip(&cached).filter(|(_, hit)| hit.is_none()).map(|(p, _)| p).collect();
-
+    let missing: Vec<usize> = (0..pairs.len()).filter(|&i| rows[i].is_none()).collect();
     let mut stats = StudyStats {
         cached: pairs.len() - missing.len(),
         computed: missing.len(),
@@ -571,93 +573,43 @@ pub fn run_study_distributed_resumable(
         ..StudyStats::default()
     };
 
-    // Baselines of scenarios some stealer actually touched (keyed by
-    // scenario index); fully-cached scenarios stay `None` and fall back
-    // to their cached baseline self-fidelity.
-    let (computed, baselines): (Vec<Option<CandidateOutcome>>, Vec<Option<Observable>>) =
-        if missing.is_empty() {
-            (Vec::new(), vec![None; scenarios.len()])
-        } else {
-            let pool = TaskPool::new(nranks, spec.workers);
-            let missing_ref = &missing;
-            let run = pool.run(
-                scenarios.len(),
-                FixedTasks::new(missing.len()),
-                // Stealers are plain threads, not pool workers: mark each
-                // pair run as in-sweep so a scenario's interior mesh
-                // sweeps (params.threads > 1) run inline instead of
-                // serializing all stealers on the process-wide pool's
-                // submit lock — the same one-level-of-parallelism rule
-                // pool workers get implicitly.
-                &|ctx, task, _detail| {
-                    let Pair { scenario: si, candidate } = missing_ref[task as usize];
-                    crate::distributed::with_baseline(ctx, *si as u64, |baseline| {
-                        amr::run_inline(|| {
-                            run_candidate(
-                                scenarios[*si].as_ref(),
-                                spec,
-                                candidate,
-                                max_levels[*si],
-                                baseline,
-                            )
-                        })
-                        .to_json()
-                    })
-                },
-                &|key| {
-                    amr::run_inline(|| {
-                        scenarios[key as usize].build(&spec.params).run(&Session::passthrough())
-                    })
-                    .values
-                },
-            );
-            stats.absorb_pool(run.stats);
-            let computed = run
-                .source
-                .into_payloads()
-                .into_iter()
-                .map(|p| {
-                    Some(
-                        CandidateOutcome::from_json(
-                            &p.expect("every missing pair was stolen and completed"),
-                        )
-                        .expect("outcome rows round-trip the wire"),
-                    )
+    // Baselines of scenarios some stealer touched; fully-cached
+    // scenarios stay `None` and fall back to their cached self-fidelity.
+    let mut baselines: Vec<Option<Observable>> = vec![None; scenarios.len()];
+    if !missing.is_empty() {
+        let run = drain(
+            &scenarios,
+            &spec.params,
+            nranks,
+            spec.workers,
+            FixedTasks::new(missing.len()),
+            &|ctx, task, _| {
+                let (si, cand) = pairs[missing[task as usize]];
+                with_baseline(ctx, si, |baseline| {
+                    run_candidate(scenarios[si], &spec.params, cand, max_levels[si], baseline)
                 })
-                .collect();
-            let baselines =
-                run.resources.into_iter().map(|r| r.map(|values| Observable { values })).collect();
-            (computed, baselines)
-        };
+                .to_json()
+            },
+        );
+        stats.absorb_pool(run.stats);
+        for (&i, payload) in missing.iter().zip(run.source.into_payloads()) {
+            let doc = payload.expect("every missing pair was stolen and completed");
+            let row = CandidateOutcome::from_json(&doc).expect("outcome rows round-trip the wire");
+            rows[i] = Some(row);
+        }
+        baselines =
+            run.resources.into_iter().map(|r| r.map(|values| Observable { values })).collect();
+    }
 
-    // Reassemble in pair-lattice order: cached rows slot back in where
-    // they came from, stolen rows by their pair index.
-    let mut fresh = computed.into_iter();
-    let outcomes: Vec<CandidateOutcome> = cached
-        .iter_mut()
-        .map(|slot| match slot.take() {
-            Some(o) => o,
-            None => fresh
-                .next()
-                .expect("every missing pair was stolen and completed")
-                .expect("server collected a done message per grant"),
-        })
-        .collect();
-    debug_assert!(fresh.next().is_none(), "stolen rows fully consumed");
-
-    // Per-scenario sections: group along the spine, re-gate, rank. A
+    // Per-scenario sections: group along the spine, score, rank. A
     // scenario can legitimately own zero pairs (e.g. a cutoff-only
     // lattice on an unrefined workload); its section is just empty.
-    let mut counts = vec![0usize; scenarios.len()];
-    for p in &pairs {
-        counts[p.scenario] += 1;
-    }
+    let mut rows = rows.into_iter().map(|r| r.expect("one outcome per pair"));
     let mut reports: Vec<CampaignReport> = Vec::with_capacity(scenarios.len());
-    let mut rows = outcomes.into_iter();
     for (si, scenario) in scenarios.iter().enumerate() {
-        let mut section: Vec<CandidateOutcome> =
-            (0..counts[si]).map(|_| rows.next().expect("one outcome per pair")).collect();
-        regate_and_rank(&mut section, spec);
+        let n = pairs.iter().filter(|p| p.0 == si).count();
+        let mut section: Vec<CandidateOutcome> = rows.by_ref().take(n).collect();
+        score_and_rank(&mut section, spec);
         let baseline_fidelity = match &baselines[si] {
             Some(obs) => scenario.fidelity(obs, obs),
             None => cache
@@ -685,34 +637,51 @@ pub fn run_study_distributed_resumable(
     (StudyReport::assemble(spec, reports), stats)
 }
 
-/// Load the cache at `path`, run the study resumably across `nranks`
-/// ranks, persist the updated cache, and append one [`StatsRecord`] to
-/// the `stats_history.jsonl` next to it — the `--study --ranks N
-/// --resume <path>` CLI flow as one call. The history append is
-/// best-effort observability: a failure there is reported on stderr,
-/// never allowed to discard the completed (and already persisted) run.
+/// The cache shell of every driver: load the cache directory at
+/// `cache_dir`, run `job` against it, persist it, and append one
+/// [`StatsRecord`] labelled `label` to its stats history — the
+/// `--resume <dir>` CLI flow as one call. `None` runs `job` without a
+/// cache and records nothing. The history append is best-effort
+/// observability: a failure there is reported on stderr, never allowed
+/// to discard the completed (and already persisted) run.
+///
+/// Labels name what ran: `campaign:<scenario>`, `hunt:<scenario>`, or
+/// `study:<n> scenarios`.
+pub fn run_resumed<T>(
+    cache_dir: Option<&Path>,
+    label: &str,
+    nranks: usize,
+    job: impl FnOnce(Option<&mut OutcomeCache>) -> (T, StudyStats),
+) -> Result<(T, StudyStats), String> {
+    let Some(dir) = cache_dir else { return Ok(job(None)) };
+    let mut cache = OutcomeCache::load(dir)?;
+    let (out, stats) = job(Some(&mut cache));
+    cache.save()?;
+    if let Err(e) = append_stats_history(cache.path(), &StatsRecord::now(label, nranks, &stats)) {
+        eprintln!("warning: scheduler stats history not recorded: {e}");
+    }
+    Ok((out, stats))
+}
+
+/// [`run_study_distributed_resumable`] inside [`run_resumed`] against the
+/// cache directory at `path`, labelled `study:<n> scenarios` — the
+/// `--study --ranks N --resume <dir>` CLI flow as one call.
 pub fn run_study_resumed(
     scenarios: &[Box<dyn Scenario>],
     spec: &CampaignSpec,
     nranks: usize,
     path: impl Into<std::path::PathBuf>,
 ) -> Result<(StudyReport, StudyStats), String> {
-    let mut cache = OutcomeCache::load(path)?;
-    let (report, stats) =
-        run_study_distributed_resumable(scenarios, spec, nranks, Some(&mut cache));
-    cache.save()?;
-    if let Err(e) = append_stats_history(
-        cache.path(),
-        &StatsRecord::now(format!("study:{} scenarios", scenarios.len()), nranks, &stats),
-    ) {
-        eprintln!("warning: scheduler stats history not recorded: {e}");
-    }
-    Ok((report, stats))
+    let label = format!("study:{} scenarios", scenarios.len());
+    run_resumed(Some(&path.into()), &label, nranks, |cache| {
+        run_study_distributed_resumable(scenarios, spec, nranks, cache)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CandidateSpec;
     use crate::registry::study_scenarios;
     use bigfloat::Format;
     use codesign::Machine;
@@ -768,8 +737,8 @@ mod tests {
             std::process::id(),
             line!()
         ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let cache_path = dir.join("cache.json");
+        let cache_path = dir.join("cache");
+        std::fs::create_dir_all(&cache_path).unwrap();
         let mk = |computed: usize| StudyStats {
             cached: 0,
             computed,
@@ -784,16 +753,16 @@ mod tests {
         let p2 =
             append_stats_history(&cache_path, &StatsRecord::now("study:1 scenarios", 2, &mk(0)))
                 .unwrap();
-        assert_eq!(p1, p2, "appends share one sibling file");
+        assert_eq!(p1, p2, "appends share one history file");
+        assert_eq!(p1, cache_path.join("stats_history.jsonl"));
         assert_eq!(p1, stats_history_path(&cache_path));
         let records = load_stats_history(&p1).unwrap();
         assert_eq!(records.len(), 2, "one row per run");
         assert_eq!(records[0].stats.computed, 5, "oldest first");
         assert_eq!(records[1].stats.computed, 0);
         assert_eq!(records[1].ranks, 2);
-        // Rows are attributable to their cache even though co-located
-        // caches share one history file.
-        assert!(records.iter().all(|r| r.cache == "cache.json"), "{:?}", records[0].cache);
+        // Rows name the cache directory they resumed against.
+        assert!(records.iter().all(|r| r.cache == "cache"), "{:?}", records[0].cache);
         // Malformed lines are loud errors, not silent drops.
         std::fs::write(&p1, "{\"label\": \"x\"}\n").unwrap();
         assert!(load_stats_history(&p1).is_err());
@@ -809,7 +778,7 @@ mod tests {
             CandidateSpec::op(Format::new(11, 40)),
             CandidateSpec::op(Format::new(11, 4)),
         ]);
-        let study = run_study(&scenarios, &spec);
+        let (study, _) = run_study_distributed_resumable(&scenarios, &spec, 1, None);
         assert_eq!(study.scenarios.len(), 2);
         assert_eq!(study.ranking.len(), 2);
         // Sections keep registry order; ranking is sorted by verdict.
@@ -835,7 +804,7 @@ mod tests {
             CandidateSpec::op(Format::new(11, 30)),
             CandidateSpec::op(Format::new(11, 6)),
         ]);
-        let study = run_study(&scenarios, &spec);
+        let (study, _) = run_study_distributed_resumable(&scenarios, &spec, 1, None);
         let text = study.to_json().render();
         let back = StudyReport::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, study, "study report round-trips losslessly");

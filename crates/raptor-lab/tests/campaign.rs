@@ -1,13 +1,13 @@
 //! Deterministic mini-campaign tests: coarse grids, few steps, fixed
 //! candidate lattices — the ISSUE-mandated coverage for the campaign
 //! engine (baseline exactness, monotone format-ladder degradation, JSON
-//! round-trip), plus pool-parallelism and precision-search checks.
+//! round-trip), plus ranking and precision-search checks.
 
 use bigfloat::Format;
 use raptor_core::Json;
 use raptor_lab::{
-    find, precision_search, run_campaign, run_campaigns, search_to_json, campaigns_to_json,
-    CampaignSpec, CandidateSpec, LabParams, SearchSpec,
+    find, precision_search, run_campaign, search_to_json, CampaignSpec, CandidateSpec, LabParams,
+    SearchSpec,
 };
 
 fn mini_spec(candidates: Vec<CandidateSpec>) -> CampaignSpec {
@@ -172,26 +172,6 @@ fn cutoff_candidates_truncate_less_and_score_at_least_as_well() {
 }
 
 #[test]
-fn multi_scenario_campaign_bundles_to_json() {
-    let scenarios: Vec<_> = ["ir/horner", "eos/cellular"]
-        .iter()
-        .map(|n| find(n).unwrap())
-        .collect();
-    let spec = mini_spec(vec![
-        CandidateSpec::op(Format::new(11, 24)),
-        CandidateSpec::op(Format::new(11, 8)),
-    ]);
-    let reports = run_campaigns(&scenarios, &spec);
-    assert_eq!(reports.len(), 2);
-    let doc = campaigns_to_json(&reports);
-    let back = Json::parse(&doc.render()).unwrap();
-    let arr = back.get("campaigns").unwrap().as_arr().unwrap();
-    assert_eq!(arr.len(), 2);
-    assert_eq!(arr[0].get("crate").unwrap().as_str(), Some("raptor-ir"));
-    assert_eq!(arr[1].get("crate").unwrap().as_str(), Some("eos"));
-}
-
-#[test]
 fn eos_campaign_reproduces_hypothesis_two() {
     // Truncating the table EOS: wide mantissas converge, 20 bits breaks
     // the Newton inversion and craters fidelity (§6.1's falsification).
@@ -219,7 +199,7 @@ fn precision_search_finds_minimal_safe_mantissa() {
     let scenario = find("ir/horner").unwrap();
     let mut spec = SearchSpec::new(LabParams::mini(), 0.9999);
     spec.cutoffs = vec![0, 1];
-    let rows = precision_search(scenario.as_ref(), &spec);
+    let (rows, _) = precision_search(scenario.as_ref(), &spec, 1, None);
     assert_eq!(rows.len(), 2);
     for row in &rows {
         let m = row.minimal_m.expect("52 bits is plenty for Horner");

@@ -1,29 +1,21 @@
-//! Distributed-campaign acceptance tests: merged multi-rank reports
-//! content-identical to the single-rank sweep, lossless outcome JSON
-//! round-trips, warm resume with zero candidate re-runs, remainder
-//! sharding on the Kelvin–Helmholtz lattice, and label injectivity
-//! (the resume/merge key).
+//! Multi-rank acceptance tests: campaigns and precision searches at 1, 2
+//! and 3 ranks reproduce the golden single-node reports, lossless
+//! outcome JSON round-trips, warm resume with zero candidate re-runs,
+//! remainder sharding on the Kelvin–Helmholtz lattice, and label
+//! injectivity (the resume/merge key).
+
+mod golden;
 
 use bigfloat::Format;
+use golden::mini_spec;
 use raptor_core::Json;
 use raptor_lab::{
-    default_candidates, find, native_candidates, precision_search, precision_search_distributed,
-    precision_search_distributed_stats, precision_search_resumable, precision_search_resumed,
-    run_campaign, run_campaign_distributed, run_campaign_distributed_resumable,
-    run_campaign_resumed, shear_candidates, CampaignReport, CampaignSpec, CandidateOutcome,
-    CandidateSpec, LabParams, OutcomeCache, SearchSpec,
+    default_candidates, find, native_candidates, precision_search, run_campaign, run_resumed,
+    run_study_distributed_resumable, shear_candidates, CampaignReport, CampaignSpec,
+    CandidateOutcome, CandidateSpec, LabParams, OutcomeCache, Scenario, SearchRow, SearchSpec,
+    StudyStats,
 };
-use std::path::PathBuf;
-
-fn mini_spec(candidates: Vec<CandidateSpec>) -> CampaignSpec {
-    CampaignSpec {
-        params: LabParams::mini(),
-        candidates,
-        fidelity_floor: 0.999,
-        workers: 4,
-        machine: codesign::Machine::default(),
-    }
-}
+use std::path::{Path, PathBuf};
 
 fn tmp_cache(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -32,9 +24,41 @@ fn tmp_cache(name: &str) -> PathBuf {
     p
 }
 
-/// The acceptance criterion: same candidate labels, fidelities, predicted
-/// speedups, and ranking. Comparing the rendered JSON compares all of it
-/// at once (labels, every f64 bit-exactly, and row order).
+/// A campaign at `ranks` ranks: a one-scenario study.
+fn campaign(scenario: &dyn Scenario, spec: &CampaignSpec, ranks: usize) -> CampaignReport {
+    run_study_distributed_resumable(&[scenario], spec, ranks, None).0.scenarios.remove(0)
+}
+
+/// A campaign at `ranks` ranks against the cache directory at `path`.
+fn campaign_resumed(
+    scenario: &dyn Scenario,
+    spec: &CampaignSpec,
+    ranks: usize,
+    path: &Path,
+) -> (CampaignReport, StudyStats) {
+    let label = format!("campaign:{}", scenario.name());
+    run_resumed(Some(path), &label, ranks, |cache| {
+        let (mut study, stats) = run_study_distributed_resumable(&[scenario], spec, ranks, cache);
+        (study.scenarios.remove(0), stats)
+    })
+    .unwrap()
+}
+
+/// A precision search at `ranks` ranks against the cache at `path`.
+fn hunt_resumed(
+    scenario: &dyn Scenario,
+    spec: &SearchSpec,
+    ranks: usize,
+    path: &Path,
+) -> (Vec<SearchRow>, StudyStats) {
+    let label = format!("hunt:{}", scenario.name());
+    run_resumed(Some(path), &label, ranks, |cache| precision_search(scenario, spec, ranks, cache))
+        .unwrap()
+}
+
+/// Same candidate labels, fidelities, predicted speedups, and ranking:
+/// the rendered JSON compares all of it at once (labels, every f64
+/// bit-exactly, and row order).
 fn assert_reports_identical(a: &CampaignReport, b: &CampaignReport, what: &str) {
     assert_eq!(a.to_json().render(), b.to_json().render(), "{what}");
     assert_eq!(a, b, "{what} (structural)");
@@ -42,23 +66,17 @@ fn assert_reports_identical(a: &CampaignReport, b: &CampaignReport, what: &str) 
 
 #[test]
 fn distributed_matches_single_rank_across_three_scenarios() {
-    // >= 3 scenarios x ranks in {1, 2, 3}: the merged report must be
-    // content-identical to the plain sweep. The 3-candidate lattice does
-    // not divide evenly by 2 ranks, so remainders are exercised here too.
-    let lattice = || {
-        vec![
-            CandidateSpec::op(Format::new(11, 24)),
-            CandidateSpec::op(Format::new(11, 12)),
-            CandidateSpec::op(Format::new(11, 6)),
-        ]
-    };
+    // >= 3 scenarios x ranks in {1, 2, 3}: each campaign must reproduce
+    // its section of the golden study. The 3-candidate lattice does not
+    // divide evenly by 2 ranks, so remainders are exercised here too.
+    let golden = golden::study();
     for name in ["ir/horner", "ir/norm3", "eos/cellular"] {
         let scenario = find(name).unwrap();
-        let spec = mini_spec(lattice());
-        let single = run_campaign(scenario.as_ref(), &spec);
+        let spec = mini_spec(golden::lattice_3());
+        let section = golden.scenario(name).expect("golden section");
         for ranks in [1usize, 2, 3] {
-            let merged = run_campaign_distributed(scenario.as_ref(), &spec, ranks);
-            assert_reports_identical(&merged, &single, &format!("{name} at {ranks} ranks"));
+            let merged = campaign(scenario.as_ref(), &spec, ranks);
+            golden::assert_campaign(&merged, section, &format!("{name} at {ranks} ranks"));
         }
     }
 }
@@ -72,12 +90,17 @@ fn kelvin_helmholtz_prime_lattice_shards_with_remainders() {
     let scenario = find("hydro/kelvin-helmholtz").unwrap();
     assert_eq!(shear_candidates().len(), 7);
     let spec = mini_spec(shear_candidates());
-    let single = run_campaign(scenario.as_ref(), &spec);
-    assert_eq!(single.outcomes.len(), 7, "refinement hierarchy keeps all 7");
-    assert_eq!(single.baseline_fidelity, 1.0);
-    for ranks in [2usize, 3] {
-        let merged = run_campaign_distributed(scenario.as_ref(), &spec, ranks);
-        assert_reports_identical(&merged, &single, &format!("KH at {ranks} ranks"));
+    let golden = golden::kh_campaign();
+    assert_eq!(golden.outcomes.len(), 7, "refinement hierarchy keeps all 7");
+    assert_eq!(golden.baseline_fidelity, 1.0);
+    for ranks in [1usize, 2, 3] {
+        let merged = campaign(scenario.as_ref(), &spec, ranks);
+        assert_eq!(
+            format!("{}\n", merged.to_json().render()),
+            golden::CAMPAIGN_KH_SHEAR,
+            "KH at {ranks} ranks"
+        );
+        golden::assert_campaign(&merged, &golden, &format!("KH at {ranks} ranks"));
     }
 }
 
@@ -120,12 +143,12 @@ fn resume_serves_cached_rows_and_reruns_only_missing_ones() {
     let path = tmp_cache("resume");
 
     // Cold run: everything computes.
-    let (cold, s1) = run_campaign_resumed(scenario.as_ref(), &spec, 2, &path).unwrap();
+    let (cold, s1) = campaign_resumed(scenario.as_ref(), &spec, 2, &path);
     assert_eq!((s1.cached, s1.computed), (0, 4));
 
     // Warm resume of a completed campaign: ZERO candidate re-runs, same
     // report (served entirely from the cache, baseline included).
-    let (warm, s2) = run_campaign_resumed(scenario.as_ref(), &spec, 2, &path).unwrap();
+    let (warm, s2) = campaign_resumed(scenario.as_ref(), &spec, 2, &path);
     assert_eq!((s2.cached, s2.computed), (4, 0));
     assert_reports_identical(&warm, &cold, "warm resume");
 
@@ -136,7 +159,7 @@ fn resume_serves_cached_rows_and_reruns_only_missing_ones() {
     cache.evict_half();
     assert_eq!(cache.len(), 2);
     cache.save().unwrap();
-    let (half, s3) = run_campaign_resumed(scenario.as_ref(), &spec, 3, &path).unwrap();
+    let (half, s3) = campaign_resumed(scenario.as_ref(), &spec, 3, &path);
     assert_eq!((s3.cached, s3.computed), (2, 2));
     assert_reports_identical(&half, &cold, "half-warm resume");
 
@@ -144,41 +167,39 @@ fn resume_serves_cached_rows_and_reruns_only_missing_ones() {
     // instead of replaying stale verdicts.
     let mut strict = spec.clone();
     strict.fidelity_floor = 1.0;
-    let (regated, s4) = run_campaign_resumed(scenario.as_ref(), &strict, 1, &path).unwrap();
+    let (regated, s4) = campaign_resumed(scenario.as_ref(), &strict, 1, &path);
     assert_eq!(s4.computed, 0, "re-gating needs no re-runs");
     assert!(
         regated.outcomes.iter().all(|o| !o.accepted || o.fidelity >= 1.0),
         "cached rows re-gated against the live floor"
     );
+
+    // Every resumed run appended one history row, labelled as a campaign.
+    let records =
+        raptor_lab::load_stats_history(&raptor_lab::stats_history_path(&path)).unwrap();
+    assert_eq!(records.len(), 4);
+    assert!(records.iter().all(|r| r.label == "campaign:ir/horner"), "{:?}", records[0].label);
     let _ = std::fs::remove_dir_all(&path);
 }
 
-#[test]
-fn resumable_without_cache_matches_plain_distributed() {
-    let scenario = find("ir/norm3").unwrap();
-    let spec = mini_spec(vec![
-        CandidateSpec::op(Format::new(11, 20)),
-        CandidateSpec::op(Format::new(11, 7)),
-    ]);
-    let (report, stats) =
-        run_campaign_distributed_resumable(scenario.as_ref(), &spec, 2, None);
-    assert_eq!((stats.cached, stats.computed), (0, 2));
-    assert_reports_identical(
-        &report,
-        &run_campaign(scenario.as_ref(), &spec),
-        "cacheless resumable",
-    );
+fn search_spec(floor: f64) -> SearchSpec {
+    let mut spec = SearchSpec::new(LabParams::mini(), floor);
+    spec.cutoffs = vec![0, 1, 2];
+    spec
 }
 
 #[test]
 fn distributed_precision_search_matches_single_rank() {
     let scenario = find("ir/horner").unwrap();
-    let mut spec = SearchSpec::new(LabParams::mini(), 0.9999);
-    spec.cutoffs = vec![0, 1, 2];
-    let single = precision_search(scenario.as_ref(), &spec);
+    let spec = search_spec(0.9999);
     for ranks in [1usize, 2, 3] {
-        let dist = precision_search_distributed(scenario.as_ref(), &spec, ranks);
-        assert_eq!(dist, single, "search rows identical at {ranks} ranks");
+        let (rows, _) = precision_search(scenario.as_ref(), &spec, ranks, None);
+        golden::assert_search(
+            "ir/horner",
+            &rows,
+            golden::SEARCH_IR_HORNER,
+            &format!("search rows at {ranks} ranks"),
+        );
     }
 }
 
@@ -189,29 +210,29 @@ fn warm_hunt_replays_probes_with_zero_runs() {
     // probe is served from the cache, the chains drain before the pool
     // starts, and even the baseline reference run is skipped.
     let scenario = find("ir/horner").unwrap();
-    let mut spec = SearchSpec::new(LabParams::mini(), 0.9999);
-    spec.cutoffs = vec![0, 1, 2];
+    let spec = search_spec(0.9999);
     let path = tmp_cache("hunt");
 
-    let (cold, s1) = precision_search_resumed(scenario.as_ref(), &spec, 2, &path).unwrap();
+    let (cold, s1) = hunt_resumed(scenario.as_ref(), &spec, 2, &path);
     assert_eq!(s1.cached, 0);
     assert!(s1.computed > 0, "cold hunt computes probes");
 
-    let (warm, s2) = precision_search_resumed(scenario.as_ref(), &spec, 3, &path).unwrap();
+    let (warm, s2) = hunt_resumed(scenario.as_ref(), &spec, 3, &path);
     assert_eq!(s2.computed, 0, "warm re-hunt performs zero scenario runs");
     assert_eq!(s2.cached, s1.computed, "every probe served from the cache");
     assert!(s2.pairs_by_rank.iter().all(|&n| n == 0), "{:?}", s2.pairs_by_rank);
+    assert_eq!(s2.stealers, 0, "a fully-warm hunt spins up no pool");
     assert_eq!(warm, cold, "warm rows identical to the cold hunt");
 
-    // The serial resumable driver replays the same cache to the same
-    // rows — the ProbeChain contract holds across both drivers.
-    let mut cache = OutcomeCache::load(&path).unwrap();
-    let (serial, st) = precision_search_resumable(scenario.as_ref(), &spec, Some(&mut cache));
-    assert_eq!((st.cached, st.computed), (s1.computed, 0));
-    assert_eq!(serial, cold, "serial warm replay matches");
-
-    // And the plain (uncached) search still agrees.
-    assert_eq!(precision_search(scenario.as_ref(), &spec), cold);
+    // One rank replays the same cache to the same rows, and both match
+    // the golden hunt.
+    let (one, s3) = hunt_resumed(scenario.as_ref(), &spec, 1, &path);
+    assert_eq!((s3.cached, s3.computed), (s1.computed, 0));
+    assert_eq!(one, cold, "one-rank warm replay matches");
+    golden::assert_search("ir/horner", &cold, golden::SEARCH_IR_HORNER, "cold hunt");
+    let records =
+        raptor_lab::load_stats_history(&raptor_lab::stats_history_path(&path)).unwrap();
+    assert!(records.iter().all(|r| r.label == "hunt:ir/horner"), "{:?}", records[0].label);
     let _ = std::fs::remove_dir_all(&path);
 }
 
@@ -220,26 +241,29 @@ fn probe_stealing_balances_skewed_chains_and_matches_serial() {
     // hydro/sedov at mini scale produces deliberately skewed probe
     // chains: M-0 bisects the full mantissa ladder (8 probes) while M-1
     // and M-2 spare the refined levels and finish after their 2 bracket
-    // probes. The retired block partition pinned one whole chain per
-    // rank — [8, 2, 2] at 3 ranks, a spread of 6 — because a chain's
-    // probes are sequential and could never leave their rank. Stealing
-    // at probe granularity keeps the merged rows identical to the serial
-    // search while the sequential tail rotates through parked stealers.
+    // probes. Pinning one whole chain per rank would give [8, 2, 2] at
+    // 3 ranks, a spread of 6, because a chain's probes are sequential.
+    // Stealing at probe granularity keeps the rows identical to the
+    // golden hunt while the sequential tail rotates through parked
+    // stealers.
     let scenario = find("hydro/sedov").unwrap();
-    let mut spec = SearchSpec::new(LabParams::mini(), 0.999);
-    spec.cutoffs = vec![0, 1, 2];
-    let single = precision_search(scenario.as_ref(), &spec);
-    let lengths: Vec<usize> = single.iter().map(|r| r.probes.len()).collect();
+    let mut spec = search_spec(0.999);
+    let golden_rows = golden::search_rows(golden::SEARCH_HYDRO_SEDOV);
+    let lengths: Vec<usize> = golden_rows.iter().map(|r| r.probes.len()).collect();
     let total: usize = lengths.iter().sum();
     assert!(
         lengths.iter().max().unwrap() - lengths.iter().min().unwrap() >= 4,
         "chains are skewed enough to matter: {lengths:?}"
     );
-    for ranks in [2usize, 3] {
+    for ranks in [1usize, 2, 3] {
         spec.workers = ranks; // one stealer per rank
-        let (rows, stats) =
-            precision_search_distributed_stats(scenario.as_ref(), &spec, ranks);
-        assert_eq!(rows, single, "rows row-for-row identical at {ranks} ranks");
+        let (rows, stats) = precision_search(scenario.as_ref(), &spec, ranks, None);
+        golden::assert_search(
+            "hydro/sedov",
+            &rows,
+            golden::SEARCH_HYDRO_SEDOV,
+            &format!("rows at {ranks} ranks"),
+        );
         assert_eq!(stats.stealers, ranks);
         assert_eq!((stats.cached, stats.computed), (0, total));
         assert_eq!(stats.pairs_by_rank.len(), ranks);
@@ -250,9 +274,9 @@ fn probe_stealing_balances_skewed_chains_and_matches_serial() {
             stats.pairs_by_rank
         );
         if ranks == 3 {
-            // The bound the block partition deterministically fails:
-            // chain-per-rank pinning yields a spread of 6 ([8, 2, 2]);
-            // probe stealing must stay well under it.
+            // The bound chain-per-rank pinning deterministically fails:
+            // it yields a spread of 6 ([8, 2, 2]); probe stealing must
+            // stay well under it.
             let (min, max) = (
                 *stats.pairs_by_rank.iter().min().unwrap(),
                 *stats.pairs_by_rank.iter().max().unwrap(),
@@ -269,24 +293,26 @@ fn probe_stealing_balances_skewed_chains_and_matches_serial() {
 #[test]
 fn distributed_search_handles_empty_and_single_chain_lattices() {
     let scenario = find("ir/horner").unwrap();
-    let mut spec = SearchSpec::new(LabParams::mini(), 0.9999);
+    let mut spec = search_spec(0.9999);
 
-    // Empty lattice: the pool dismisses every stealer at the fair start
-    // without a deadlock; no baseline ever runs.
+    // Empty lattice: nothing to run, no pool, no baseline.
     spec.cutoffs = Vec::new();
-    let (rows, stats) = precision_search_distributed_stats(scenario.as_ref(), &spec, 2);
+    let (rows, stats) = precision_search(scenario.as_ref(), &spec, 2, None);
     assert!(rows.is_empty());
     assert_eq!((stats.cached, stats.computed), (0, 0));
     assert_eq!(stats.pairs_by_rank, vec![0, 0]);
 
     // Single chain on more stealers than ever-ready probes: the chain's
     // sequential probes drain one at a time and the result still matches
-    // the serial row.
+    // the golden M-1 row.
     spec.cutoffs = vec![1];
-    let single = precision_search(scenario.as_ref(), &spec);
-    let (rows, stats) = precision_search_distributed_stats(scenario.as_ref(), &spec, 3);
-    assert_eq!(rows, single);
-    assert_eq!(stats.pairs_by_rank.iter().sum::<usize>(), single[0].probes.len());
+    let golden_row = golden::search_rows(golden::SEARCH_IR_HORNER)
+        .into_iter()
+        .find(|r| r.cutoff == 1)
+        .unwrap();
+    let (rows, stats) = precision_search(scenario.as_ref(), &spec, 3, None);
+    assert_eq!(rows, vec![golden_row.clone()]);
+    assert_eq!(stats.pairs_by_rank.iter().sum::<usize>(), golden_row.probes.len());
 }
 
 #[test]
@@ -295,7 +321,7 @@ fn native_lattice_answers_the_gpu_question() {
     // truncation), and every row runs without error on the native path.
     let scenario = find("ir/horner").unwrap();
     let spec = mini_spec(native_candidates());
-    let report = run_campaign_distributed(scenario.as_ref(), &spec, 2);
+    let report = campaign(scenario.as_ref(), &spec, 2);
     // ir has no refinement hierarchy: the M-1 twins dedup away, leaving
     // the two static native rows.
     assert_eq!(report.outcomes.len(), 2);

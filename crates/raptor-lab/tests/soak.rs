@@ -4,7 +4,7 @@
 //! overlapping campaigns and precision hunts against ONE shared cache
 //! directory. The fleet must terminate (no deadlock among per-shard
 //! advisory locks), lose no rows to concurrent appends, and leave a
-//! cache whose warm replay is identical to a serial run — the
+//! cache whose warm replay is identical to a cache-less run — the
 //! "many clients, one warming database" story, proven end to end.
 //!
 //! Mechanics: the parent test spawns N children as
@@ -13,11 +13,12 @@
 //! is an instant no-op, so a normal test run never recurses.
 
 use raptor_lab::{
-    find, precision_search, precision_search_resumed, run_campaign, run_campaign_resumed,
-    CampaignSpec, CandidateSpec, LabParams, OutcomeCache, SearchSpec,
+    find, precision_search, run_campaign, run_resumed, run_study_distributed_resumable,
+    CampaignReport, CampaignSpec, CandidateSpec, LabParams, OutcomeCache, Scenario, SearchRow,
+    SearchSpec, StudyStats,
 };
 use bigfloat::Format;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 const ENV_DIR: &str = "RAPTOR_SOAK_DIR";
@@ -46,6 +47,33 @@ fn soak_search_spec() -> SearchSpec {
     spec
 }
 
+/// A campaign at `ranks` ranks against the shared cache at `dir`.
+fn campaign_resumed(
+    scenario: &dyn Scenario,
+    spec: &CampaignSpec,
+    ranks: usize,
+    dir: &Path,
+) -> (CampaignReport, StudyStats) {
+    let label = format!("campaign:{}", scenario.name());
+    run_resumed(Some(dir), &label, ranks, |cache| {
+        let (mut study, stats) = run_study_distributed_resumable(&[scenario], spec, ranks, cache);
+        (study.scenarios.remove(0), stats)
+    })
+    .unwrap()
+}
+
+/// A precision hunt at `ranks` ranks against the shared cache at `dir`.
+fn hunt_resumed(
+    scenario: &dyn Scenario,
+    spec: &SearchSpec,
+    ranks: usize,
+    dir: &Path,
+) -> (Vec<SearchRow>, StudyStats) {
+    let label = format!("hunt:{}", scenario.name());
+    run_resumed(Some(dir), &label, ranks, |cache| precision_search(scenario, spec, ranks, cache))
+        .unwrap()
+}
+
 /// The overlapping workload every fleet member runs: two campaigns and
 /// one precision hunt, all against the shared cache. Every member runs
 /// the *same* work on purpose — maximal key contention, duplicate
@@ -53,16 +81,17 @@ fn soak_search_spec() -> SearchSpec {
 #[test]
 fn soak_child() {
     let Ok(dir) = std::env::var(ENV_DIR) else { return };
+    let dir = PathBuf::from(dir);
     let spec = soak_campaign_spec();
     for name in SCENARIOS {
         let scenario = find(name).unwrap();
-        let (report, stats) = run_campaign_resumed(scenario.as_ref(), &spec, 2, &dir).unwrap();
+        let (report, stats) = campaign_resumed(scenario.as_ref(), &spec, 2, &dir);
         assert_eq!(report.outcomes.len(), 4, "{name}: full lattice");
         assert_eq!(stats.cached + stats.computed, 4, "{name}: every row accounted for");
     }
     let hunt = soak_search_spec();
     let scenario = find(SCENARIOS[0]).unwrap();
-    let (rows, stats) = precision_search_resumed(scenario.as_ref(), &hunt, 2, &dir).unwrap();
+    let (rows, stats) = hunt_resumed(scenario.as_ref(), &hunt, 2, &dir);
     assert_eq!(rows.len(), 3, "one row per cutoff");
     assert!(stats.cached + stats.computed > 0, "hunt probed or replayed");
 }
@@ -117,7 +146,7 @@ fn fleet_of_processes_shares_one_cache_without_losing_rows_or_deadlocking() {
     }
 
     // No lost rows: the merged cache holds the full lattice for both
-    // scenarios and at least the serial hunt's probe set, with no torn
+    // scenarios and at least the hunt's probe set, with no torn
     // lines left behind.
     let cache = OutcomeCache::load(&dir).unwrap();
     assert_eq!(cache.len(), 2 * 4, "4 candidates x 2 scenarios, no row lost");
@@ -127,24 +156,24 @@ fn fleet_of_processes_shares_one_cache_without_losing_rows_or_deadlocking() {
         assert_eq!(cache.baseline(name, &params), Some(1.0), "{name} baseline cached");
     }
 
-    // Merged result identical to a serial run: a warm replay of the
+    // Merged result identical to a cache-less run: a warm replay of the
     // campaign and the hunt computes nothing and reproduces the
     // cache-less reports byte for byte.
     let spec = soak_campaign_spec();
     for name in SCENARIOS {
         let scenario = find(name).unwrap();
-        let serial = run_campaign(scenario.as_ref(), &spec);
-        let (warm, stats) = run_campaign_resumed(scenario.as_ref(), &spec, 1, &dir).unwrap();
+        let plain = run_campaign(scenario.as_ref(), &spec);
+        let (warm, stats) = campaign_resumed(scenario.as_ref(), &spec, 1, &dir);
         assert_eq!((stats.cached, stats.computed), (4, 0), "{name}: fully warm");
-        assert_eq!(warm.to_json().render(), serial.to_json().render(), "{name}: identical");
-        assert_eq!(warm, serial, "{name}: identical (structural)");
+        assert_eq!(warm.to_json().render(), plain.to_json().render(), "{name}: identical");
+        assert_eq!(warm, plain, "{name}: identical (structural)");
     }
     let hunt = soak_search_spec();
     let scenario = find(SCENARIOS[0]).unwrap();
-    let serial_rows = precision_search(scenario.as_ref(), &hunt);
-    let (warm_rows, hs) = precision_search_resumed(scenario.as_ref(), &hunt, 2, &dir).unwrap();
+    let (plain_rows, _) = precision_search(scenario.as_ref(), &hunt, 1, None);
+    let (warm_rows, hs) = hunt_resumed(scenario.as_ref(), &hunt, 2, &dir);
     assert_eq!(hs.computed, 0, "warm re-hunt performs zero scenario runs");
     assert!(hs.cached > 0);
-    assert_eq!(warm_rows, serial_rows, "hunt rows identical to serial");
+    assert_eq!(warm_rows, plain_rows, "hunt rows identical to a cache-less hunt");
     let _ = std::fs::remove_dir_all(&dir);
 }

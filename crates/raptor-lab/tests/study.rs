@@ -1,14 +1,16 @@
-//! Study-orchestration acceptance tests: the work-stealing merge is
-//! content-identical to the single-rank study at 1/2/3 ranks, a warm
+//! Study-orchestration acceptance tests: the work-stealing merge
+//! reproduces the golden study at 1/2/3 ranks, a warm
 //! shared-cache resume of a full study performs zero runs, a skewed pair
 //! lattice still hands every rank work, and the subset resolver keeps
 //! registry order.
 
+mod golden;
+
 use bigfloat::Format;
 use raptor_core::Json;
 use raptor_lab::{
-    run_study, run_study_distributed, run_study_distributed_resumable, run_study_resumed,
-    study_scenarios, CampaignSpec, CandidateSpec, LabParams, OutcomeCache, StudyReport,
+    run_study_distributed_resumable, run_study_resumed, study_scenarios, CampaignSpec,
+    CandidateSpec, LabParams, OutcomeCache, StudyReport,
 };
 use std::path::PathBuf;
 
@@ -39,24 +41,18 @@ fn assert_studies_identical(a: &StudyReport, b: &StudyReport, what: &str) {
 #[test]
 fn work_stealing_study_matches_single_rank_at_1_2_3_ranks() {
     // >= 3 scenarios spanning two crates; a 3-candidate lattice, so the
-    // 9-pair list divides evenly by 3 ranks and unevenly by 2 — both
-    // shapes must merge byte-identically to the serial study.
+    // 9-pair list divides evenly by 3 ranks and unevenly by 2 — every
+    // shape must merge byte-identically to the golden study.
     let scenarios = study_scenarios(Some("eos/cellular,ir/horner,ir/norm3")).unwrap();
     assert_eq!(scenarios.len(), 3);
-    let spec = mini_spec(
-        vec![
-            CandidateSpec::op(Format::new(11, 24)),
-            CandidateSpec::op(Format::new(11, 12)),
-            CandidateSpec::op(Format::new(11, 6)),
-        ],
-        4,
-    );
-    let single = run_study(&scenarios, &spec);
-    assert_eq!(single.scenarios.len(), 3);
-    assert_eq!(single.ranking.len(), 3);
+    let spec = golden::mini_spec(golden::lattice_3());
+    let golden = golden::study();
+    assert_eq!(golden.scenarios.len(), 3);
+    assert_eq!(golden.ranking.len(), 3);
     for ranks in [1usize, 2, 3] {
-        let stolen = run_study_distributed(&scenarios, &spec, ranks);
-        assert_studies_identical(&stolen, &single, &format!("study at {ranks} ranks"));
+        let (stolen, stats) = run_study_distributed_resumable(&scenarios, &spec, ranks, None);
+        golden::assert_study(&stolen, &format!("study at {ranks} ranks"));
+        assert_eq!(stats.pairs_by_rank.iter().sum::<usize>(), 9);
     }
 }
 
@@ -69,7 +65,7 @@ fn study_sections_match_standalone_campaigns() {
         vec![CandidateSpec::op(Format::new(11, 20)), CandidateSpec::op(Format::new(11, 8))],
         4,
     );
-    let study = run_study_distributed(&scenarios, &spec, 2);
+    let (study, _) = run_study_distributed_resumable(&scenarios, &spec, 2, None);
     for scenario in &scenarios {
         let standalone = raptor_lab::run_campaign(scenario.as_ref(), &spec);
         let section = study.scenario(scenario.name()).expect("section present");
@@ -125,8 +121,10 @@ fn campaign_and_study_share_one_cache_dir() {
     );
     let path = tmp_cache("shared");
     let horner = raptor_lab::find("ir/horner").unwrap();
-    let (_, s) =
-        raptor_lab::run_campaign_resumed(horner.as_ref(), &spec, 2, &path).unwrap();
+    let (_, s) = raptor_lab::run_resumed(Some(&path), "campaign:ir/horner", 2, |cache| {
+        run_study_distributed_resumable(&[horner.as_ref()], &spec, 2, cache)
+    })
+    .unwrap();
     assert_eq!((s.cached, s.computed), (0, 2));
 
     let scenarios = study_scenarios(Some("ir/horner,ir/norm3")).unwrap();
@@ -192,7 +190,7 @@ fn skewed_lattice_still_feeds_every_rank() {
         ],
         3, // one stealer per rank at 3 ranks
     );
-    let single = run_study(&scenarios, &spec);
+    let (single, _) = run_study_distributed_resumable(&scenarios, &spec, 1, None);
     for ranks in [2usize, 3] {
         let (stolen, stats) = run_study_distributed_resumable(&scenarios, &spec, ranks, None);
         assert_eq!(stats.pairs_by_rank.len(), ranks);
@@ -261,7 +259,7 @@ fn study_ranking_is_deterministically_ordered() {
         vec![CandidateSpec::op(Format::new(11, 40)), CandidateSpec::op(Format::new(11, 4))],
         4,
     );
-    let study = run_study_distributed(&scenarios, &spec, 2);
+    let (study, _) = run_study_distributed_resumable(&scenarios, &spec, 2, None);
     // Sections stay in registry order; the ranking is its own sort.
     let section_names: Vec<&str> =
         study.scenarios.iter().map(|r| r.scenario.as_str()).collect();

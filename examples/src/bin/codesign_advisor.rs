@@ -1,13 +1,11 @@
 //! Domain scenario 4: hardware co-design advisory (§7.2) — a thin
 //! wrapper over a `raptor-lab` enumerative campaign: sweep the default
 //! format × cutoff lattice, gate on fidelity, rank the survivors by the
-//! roofline-resolved predicted speedup. Since the distributed-campaign
-//! work the sweep shards across minimpi ranks (`--ranks N`), restarts
-//! warm from an outcome cache (`--resume <dir>` — a sharded cache
-//! directory that any number of concurrent processes append to; a
-//! legacy single-file cache migrates in place on first load), and can
-//! restrict itself to the GPU-native fp32/fp64 lattice (`--native`).
-//! `--study`
+//! roofline-resolved predicted speedup. The sweep shards across minimpi
+//! ranks (`--ranks N`), restarts warm from an outcome cache
+//! (`--resume <dir>` — a sharded cache directory that any number of
+//! concurrent processes append to), and can restrict itself to the
+//! GPU-native fp32/fp64 lattice (`--native`). `--study`
 //! runs the paper's headline artifact instead: every registry scenario
 //! (or a `--scenarios a,b,c` subset) swept over the same lattice, the
 //! `(scenario, candidate)` pairs distributed with the work-stealing
@@ -29,11 +27,10 @@
 //! cargo run --release -p raptor-examples --bin codesign_advisor -- --stats-history sweep-cache/stats_history.jsonl
 //! ```
 
-use raptor_examples::parse_lab_args;
+use raptor_examples::{campaign, parse_lab_args};
 use raptor_lab::{
-    load_stats_history, native_candidates, render_stats_history,
-    run_campaign_distributed_resumable, run_campaign_resumed, run_study_distributed_resumable,
-    run_study_resumed, study_scenarios, CampaignSpec, OutcomeCache, ResumeStats,
+    load_stats_history, native_candidates, render_stats_history, run_study_distributed_resumable,
+    run_study_resumed, study_scenarios, CampaignSpec, OutcomeCache,
 };
 
 fn main() {
@@ -145,13 +142,9 @@ fn main() {
         if args.native { " (GPU-native lattice)" } else { "" }
     );
 
-    let (report, stats): (_, ResumeStats) = match &args.resume {
-        Some(path) => run_campaign_resumed(args.scenario.as_ref(), &spec, args.ranks, path)
-            .expect("resume cache"),
-        None => {
-            run_campaign_distributed_resumable(args.scenario.as_ref(), &spec, args.ranks, None)
-        }
-    };
+    let (report, stats) =
+        campaign(args.scenario.as_ref(), &spec, args.ranks, args.resume.as_deref())
+            .expect("resume cache");
     println!("resume: cached={} computed={}", stats.cached, stats.computed);
     if let Some(path) = &args.resume {
         // Best-effort append (failures are warned on stderr); this line

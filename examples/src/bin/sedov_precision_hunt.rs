@@ -4,7 +4,7 @@
 //! engine's greedy precision search. `--ranks N` steals the individual
 //! bisection *probes* across minimpi ranks through the shared
 //! work-stealing `TaskPool` (per-cutoff chain state stays with the
-//! rank-0 row owner, so rows are identical to the serial search);
+//! rank-0 row owner, so rows are identical at any rank count);
 //! `--native` answers the §3.6 GPU question instead (a fp32/fp64-only
 //! campaign — bisecting mantissa widths makes no sense when only
 //! hardware formats are on the table); `--resume DIR` hunts against a
@@ -22,10 +22,9 @@
 //! `--tiny` switches to the mini scale (coarse grid, few steps) for CI
 //! smoke runs; an optional scenario name hunts any registry entry.
 
-use raptor_examples::parse_lab_args;
+use raptor_examples::{campaign, parse_lab_args};
 use raptor_lab::{
-    native_candidates, precision_search_distributed_stats, precision_search_resumed,
-    run_campaign_distributed, run_campaign_resumed, search_to_json, study_scenarios,
+    native_candidates, precision_search, run_resumed, search_to_json, study_scenarios,
     CampaignSpec, Scenario, SearchSpec,
 };
 
@@ -66,16 +65,12 @@ fn main() {
                 args.params.scale,
                 args.ranks
             );
-            let report = match &args.resume {
-                Some(path) => {
-                    let (report, stats) =
-                        run_campaign_resumed(scenario.as_ref(), &spec, args.ranks, path)
-                            .expect("resume cache");
-                    println!("resume: cached={} computed={}", stats.cached, stats.computed);
-                    report
-                }
-                None => run_campaign_distributed(scenario.as_ref(), &spec, args.ranks),
-            };
+            let (report, stats) =
+                campaign(scenario.as_ref(), &spec, args.ranks, args.resume.as_deref())
+                    .expect("resume cache");
+            if args.resume.is_some() {
+                println!("resume: cached={} computed={}", stats.cached, stats.computed);
+            }
             println!();
             print!("{}", report.render_table());
             println!();
@@ -107,11 +102,11 @@ fn main() {
         // bisection probe is a deterministic (scenario, scale, cutoff, m)
         // point, so a warm re-hunt replays the chains with zero scenario
         // runs — and any number of concurrent hunts share the cache.
-        let (rows, stats) = match &args.resume {
-            Some(path) => precision_search_resumed(scenario.as_ref(), &spec, args.ranks, path)
-                .expect("resume cache"),
-            None => precision_search_distributed_stats(scenario.as_ref(), &spec, args.ranks),
-        };
+        let label = format!("hunt:{}", scenario.name());
+        let (rows, stats) = run_resumed(args.resume.as_deref(), &label, args.ranks, |cache| {
+            precision_search(scenario.as_ref(), &spec, args.ranks, cache)
+        })
+        .expect("resume cache");
         println!(
             "steal: probes cached={} computed={} probes_by_rank={:?} stealers={} queue_wait={:.3}s",
             stats.cached, stats.computed, stats.pairs_by_rank, stats.stealers, stats.queue_wait_s

@@ -11,28 +11,29 @@
 //! * `--ranks N` — distribute the work across `N` minimpi ranks through
 //!   the shared work-stealing `raptor_lab::queue::TaskPool` (campaign
 //!   candidates, study pairs, and individual precision-search probes are
-//!   all stolen from a rank-0 queue); merged reports are
-//!   content-identical to the single-rank run;
+//!   all stolen from a rank-0 queue; one rank takes the same path);
+//!   merged reports are byte-identical at any rank count;
 //! * `--resume <dir>` — persist per-candidate outcomes (and, for
 //!   precision hunts, per-probe results) to a sharded cache directory so
 //!   interrupted or repeated runs restart warm; any number of concurrent
-//!   processes share one cache (per-shard advisory locks), a legacy
-//!   single-file cache migrates in place on first load, and every
+//!   processes share one cache (per-shard advisory locks), and every
 //!   resumed run appends its scheduler stats to the
 //!   `stats_history.jsonl` inside the cache, rendered by
 //!   `codesign_advisor --stats-history <path>`;
 //! * `--native` — restrict the lattice to the GPU-native fp32/fp64
 //!   hardware path (`raptor_lab::native_candidates`, the §3.6 question);
 //! * `--study` — sweep the whole registry into one cross-scenario
-//!   codesign table (`codesign_advisor` only; pairs are distributed with
-//!   the work-stealing scheduler when `--ranks > 1`);
+//!   codesign table (`codesign_advisor` only);
 //! * `--scenarios a,b,c` — restrict a study (or a multi-scenario hunt)
 //!   to a comma-separated registry subset, resolved in registry order.
 
 #![forbid(unsafe_code)]
 
-use raptor_lab::{find, registry, LabParams, Scenario};
-use std::path::PathBuf;
+use raptor_lab::{
+    find, registry, run_resumed, run_study_distributed_resumable, CampaignReport, CampaignSpec,
+    LabParams, Scenario, StudyStats,
+};
+use std::path::{Path, PathBuf};
 
 /// Parsed arguments of the campaign binaries.
 pub struct LabArgs {
@@ -103,6 +104,22 @@ pub fn parse_lab_args(default_scenario: &str) -> LabArgs {
     });
     let params = if tiny { LabParams::mini() } else { LabParams::demo() };
     LabArgs { scenario, named, params, ranks, resume, native, study, scenarios }
+}
+
+/// Sweep one scenario's campaign as a one-scenario study across `ranks`
+/// ranks, against the `resume` cache directory when one is given (its
+/// stats-history row labelled `campaign:<scenario>`).
+pub fn campaign(
+    scenario: &dyn Scenario,
+    spec: &CampaignSpec,
+    ranks: usize,
+    resume: Option<&Path>,
+) -> Result<(CampaignReport, StudyStats), String> {
+    let label = format!("campaign:{}", scenario.name());
+    run_resumed(resume, &label, ranks, |cache| {
+        let (mut study, stats) = run_study_distributed_resumable(&[scenario], spec, ranks, cache);
+        (study.scenarios.remove(0), stats)
+    })
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
