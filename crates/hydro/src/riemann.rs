@@ -124,8 +124,9 @@ pub fn riemann_flux<R: Real, E: Eos>(
 // Partitioned batch solvers (op-mode fast path)
 // ---------------------------------------------------------------------------
 //
-// The same fluxes as `hll_flux`/`hllc_flux`, computed for a whole line of
-// interfaces at once through `raptor_core::batch` slice kernels. The
+// The same fluxes as `hll_flux`/`hllc_flux`, computed for a whole set of
+// interfaces at once (the sweep passes every interface of a block, all
+// lines of one leaf) through `raptor_core::batch` slice kernels. The
 // interface-partition invariant: every data-dependent branch of the scalar
 // solver (the supersonic `sl >= 0` / `sr <= 0` early returns, the HLLC
 // `sm >= 0` star-state split) becomes a *partition* of the interface index
@@ -157,8 +158,10 @@ fn gather_c4(src: &C4, idx: &[usize], dst: &mut C4) {
     gather(&src.e, idx, &mut dst.e);
 }
 
-/// All scratch for one line's partitioned Riemann evaluation, allocated
-/// once (per block / per bench loop) and reused across lines.
+/// All scratch for one partitioned Riemann evaluation. The sweep keeps one
+/// per worker thread (inside its parked batch scratch) and reuses it for
+/// every block that worker sweeps; each call resizes what it reads, so
+/// the interface count may change from call to call.
 #[derive(Default)]
 pub struct RiemannScratch {
     // full-line stage
@@ -204,7 +207,8 @@ impl RiemannScratch {
 }
 
 /// Partitioned batch counterpart of [`riemann_flux`]: fluxes for a whole
-/// line of interfaces, `out[f] =` the scalar solver's flux for
+/// slice of interfaces (in the sweep, every interface of one block, line
+/// after line — each class of the partition spans lines), `out[f] =` the scalar solver's flux for
 /// `(wl[f], wr[f])`, bit for bit, with exactly the scalar op counts.
 ///
 /// Callers are responsible for region scoping (the sweep evaluates this
@@ -277,8 +281,9 @@ pub fn riemann_flux_batch<E: Eos>(
     }
 }
 
-/// Subsonic interfaces of one line: gather the compact index set, run the
-/// solver's interior expressions, leave fluxes in `rs.sres` (in `rs.idx`
+/// Subsonic interfaces of one call (across every line of a block in the
+/// sweep): gather the compact index set, run the solver's interior
+/// expressions, leave fluxes in `rs.sres` (in `rs.idx`
 /// order).
 fn subsonic_flux_b<E: Eos>(
     eos: &E,

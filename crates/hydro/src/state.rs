@@ -49,7 +49,7 @@ pub struct Prim<R: Real> {
 /// Besides the scalar evaluators, an EOS may opt into *batch* evaluation
 /// ([`Eos::batch_supported`]): slice-shaped variants that route through
 /// [`raptor_core::batch`], letting the hydro sweep retire per-op dispatch
-/// for whole mesh lines. A batch implementation must execute exactly the
+/// for whole blocks at a time. A batch implementation must execute exactly the
 /// same operation sequence as its scalar counterpart (same ops, same
 /// order per element, same regions pushed) so results stay bit-identical
 /// and operation counts stay exactly equal between the two paths.
@@ -235,9 +235,9 @@ impl<R: Real> Cons<R> {
 // Slice-shaped state (structure-of-arrays lines for the batch kernels)
 // ---------------------------------------------------------------------------
 
-/// Four primitive-component arrays: one mesh line (or a compacted subset
-/// of one) in structure-of-arrays form, the unit of work for the batch
-/// kernels.
+/// Four primitive-component arrays in structure-of-arrays form, the unit
+/// of work for the batch kernels: in the sweep, every line of one block
+/// laid end to end (or a compacted subset of them).
 #[derive(Default)]
 pub struct P4 {
     /// Densities.
@@ -292,7 +292,7 @@ impl C4 {
 }
 
 /// Five-slot temporary slice pool (resized once per stage, reused across
-/// lines) shared by the batch sweep stages and the partitioned Riemann
+/// stages and blocks) shared by the batch sweep stages and the partitioned Riemann
 /// solver.
 #[derive(Default)]
 pub struct Tmp {

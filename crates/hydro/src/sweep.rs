@@ -24,6 +24,7 @@ use raptor_core::batch::{
     batch_add, batch_div, batch_mul, batch_mul_s, batch_rmul_s, batch_sub, batch_weno5,
 };
 use raptor_core::{count_field_values, region, set_level, Mode, Real, Session};
+use std::cell::RefCell;
 
 /// Hydro solver configuration.
 #[derive(Clone, Copy, Debug)]
@@ -199,11 +200,7 @@ pub fn sweep_axis<R: Real, E: Eos>(
             session.mem_clear_slab();
         }
     };
-    if threads <= 1 {
-        amr::seq_leaves(mesh, kernel);
-    } else {
-        par_leaves(mesh, threads, kernel);
-    }
+    par_leaves(mesh, threads, kernel);
 }
 
 /// Directional update of one block.
@@ -267,14 +264,20 @@ fn sweep_block<R: Real, E: Eos>(
 // Batch-specialized sweep (op-mode fast path)
 // ---------------------------------------------------------------------------
 //
-// The same update as `sweep_block`, rewritten over whole mesh lines with
-// `raptor_core::batch` slice ops: the truncation decision is read once per
-// call instead of once per FP operation, counters are bulk-added, and the
-// monomorphized kernels auto-vectorize. The scalar path above remains the
-// differential oracle — this path must execute *exactly* the operations it
-// executes, per element, including recomputed subexpressions (the scalar
-// AST evaluates `u2 - u1` twice in PLM, `(s - un)` three times in HLLC),
-// so observables stay bit-identical and op counts exactly equal.
+// The same update as `sweep_block`, rewritten with `raptor_core::batch`
+// slice ops that each span a whole block — every line of one leaf at once:
+// the truncation decision is read once per call instead of once per FP
+// operation, counters are bulk-added, and the monomorphized kernels
+// auto-vectorize. Each stage gathers the block's lines into line-major SoA
+// slices (cells `c*l + a`, interfaces `c*k + f`, interior cells
+// `c*n_along + a` for cross line `c`), so a stage is one region entry and
+// one batch call per AST node, however many lines the block has. Every
+// batch op is element-wise, so concatenating lines changes no value and no
+// count. The scalar path above remains the differential oracle — this path
+// must execute *exactly* the operations it executes, per element,
+// including recomputed subexpressions (the scalar AST evaluates `u2 - u1`
+// twice in PLM, `(s - un)` three times in HLLC), so observables stay
+// bit-identical and op counts exactly equal.
 //
 // Data-dependent branches (supersonic upwinding, the HLLC `sm >= 0` split)
 // are handled by `riemann::riemann_flux_batch`, which partitions interfaces
@@ -282,8 +285,9 @@ fn sweep_block<R: Real, E: Eos>(
 // which ops the scalar path would have run per interface (the
 // interface-partition invariant — see `crate::riemann`). Comparisons and
 // min/max/floor selections are exact, uncounted operations in the scalar
-// path and stay plain f64 selects here. The SoA line containers (`P4`,
-// `C4`, `Tmp`) and the batch prim/flux helpers live in `crate::state`.
+// path and stay plain f64 selects here. The SoA containers (`P4`, `C4`,
+// `Tmp`) and the batch prim/flux helpers live in `crate::state`; all the
+// sweep's scratch is parked per worker thread and reused across blocks.
 
 /// `Tracked::max(v, f)` as an in-place select: `if f > v { f } else { v }`
 /// (keeps NaN `v`, exactly like the scalar floor).
@@ -312,17 +316,26 @@ fn minmod_sel(a: &[f64], b: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Batch PLM over one component array: interfaces `f = 0..k` read cells
-/// `ng+f-2 .. ng+f+1`. Slope `u2-u1` is computed twice, matching the
-/// scalar AST's operation count exactly.
-fn plm_b(w: &[f64], ng: usize, k: usize, t: &mut Tmp, ol: &mut Vec<f64>, or_: &mut Vec<f64>) {
-    t.resize(k);
-    ol.resize(k, 0.0);
-    or_.resize(k, 0.0);
-    let u0 = &w[ng - 2..ng - 2 + k];
-    let u1 = &w[ng - 1..ng - 1 + k];
-    let u2 = &w[ng..ng + k];
-    let u3 = &w[ng + 1..ng + 1 + k];
+/// Stencil windows of one line-major component array (`n_cross` lines of
+/// `l` padded cells): `win[s][c*k + f] = w[c*l + off + s + f]` for
+/// interfaces `f = 0..k` of line `c`. Padding between lines never becomes
+/// an interface, so the batch calls over the windows run exactly the
+/// scalar sweep's interfaces.
+fn gather_windows(w: &[f64], l: usize, k: usize, off: usize, win: &mut [Vec<f64>]) {
+    for (s, ws) in win.iter_mut().enumerate() {
+        ws.clear();
+        for line in w.chunks_exact(l) {
+            ws.extend_from_slice(&line[off + s..off + s + k]);
+        }
+    }
+}
+
+/// Batch PLM over the four stencil windows of one component (window `s`
+/// holds cell `ng+f-2+s` of every interface `f`). Slope `u2-u1` is
+/// computed twice, matching the scalar AST's operation count exactly.
+fn plm_b(win: &[Vec<f64>], t: &mut Tmp, ol: &mut [f64], or_: &mut [f64]) {
+    t.resize(ol.len());
+    let [u0, u1, u2, u3] = [&win[0], &win[1], &win[2], &win[3]];
     batch_sub(u1, u0, &mut t.a);
     batch_sub(u2, u1, &mut t.b);
     minmod_sel(&t.a, &t.b, &mut t.c); // sl
@@ -335,47 +348,48 @@ fn plm_b(w: &[f64], ng: usize, k: usize, t: &mut Tmp, ol: &mut Vec<f64>, or_: &m
     batch_sub(u2, &t.e, or_);
 }
 
-/// Batch WENO5 over one component array: interface `f = 0..k` reads the
-/// six padded cells `ng+f-3 .. ng+f+2`; the left state comes from the five
-/// upwind cells, the right state from the mirrored stencil, exactly like
-/// the scalar `recon::weno5_interface`. The whole nonlinear combination is
-/// one fused [`batch_weno5`] call per side.
-fn weno5_b(w: &[f64], ng: usize, k: usize, ol: &mut Vec<f64>, or_: &mut Vec<f64>) {
-    ol.resize(k, 0.0);
-    or_.resize(k, 0.0);
-    let win = |s: usize| &w[ng - 3 + s..ng - 3 + s + k];
-    batch_weno5(win(0), win(1), win(2), win(3), win(4), ol);
-    batch_weno5(win(5), win(4), win(3), win(2), win(1), or_);
+/// Batch WENO5 over the six stencil windows of one component (window `s`
+/// holds cell `ng+f-3+s` of every interface `f`): the left state comes
+/// from the five upwind cells, the right state from the mirrored stencil,
+/// exactly like the scalar `recon::weno5_interface`. The whole nonlinear
+/// combination is one fused [`batch_weno5`] call per side.
+fn weno5_b(win: &[Vec<f64>], ol: &mut [f64], or_: &mut [f64]) {
+    batch_weno5(&win[0], &win[1], &win[2], &win[3], &win[4], ol);
+    batch_weno5(&win[5], &win[4], &win[3], &win[2], &win[1], or_);
 }
 
-/// All per-block scratch for the batch sweep, allocated once per block.
+/// All scratch for the batch sweep of one block. Parked per worker thread
+/// in [`BATCH_BUFS`] and reused across blocks and sweeps: every stage
+/// resizes (or clears and refills) what it reads before reading it, so
+/// nothing carries over from a block of another shape.
+#[derive(Default)]
 struct BatchBufs {
+    /// Conserved padded lines, line-major (`c*l + a`).
     ucons: C4,
+    /// Primitive padded lines, line-major (`c*l + a`).
     prim: P4,
+    /// Stencil windows of one component, interface-major (`c*k + f`).
+    win: [Vec<f64>; 6],
+    /// Left/right interface states, interface-major.
     wl: P4,
     wr: P4,
+    /// Interface fluxes, interface-major.
     flux: C4,
     t: Tmp,
     rs: RiemannScratch,
 }
 
-impl BatchBufs {
-    fn new() -> BatchBufs {
-        BatchBufs {
-            ucons: C4::new(),
-            prim: P4::new(),
-            wl: P4::new(),
-            wr: P4::new(),
-            flux: C4::new(),
-            t: Tmp::new(),
-            rs: RiemannScratch::new(),
-        }
-    }
+thread_local! {
+    /// Per-worker batch-sweep scratch: taken at block entry and put back
+    /// at exit (the take-and-put-back idiom of `amr::par`'s leaf work
+    /// buffer), so its capacity survives every later block on this thread.
+    static BATCH_BUFS: RefCell<BatchBufs> = RefCell::new(BatchBufs::default());
 }
 
-/// Directional update of one block through the batch kernels. Semantics
-/// (values, op counts, region scoping) are identical to `sweep_block`
-/// instantiated with `Tracked` under an op-mode session.
+/// Directional update of one block through the batch kernels, each stage
+/// once over every line of the block. Semantics (values, op counts, region
+/// scoping) are identical to `sweep_block` instantiated with `Tracked`
+/// under an op-mode session.
 fn sweep_block_batch<E: Eos>(
     data: &mut [f64],
     lay: &Layout,
@@ -388,95 +402,112 @@ fn sweep_block_batch<E: Eos>(
     let (n_along, n_cross) = if axis == 0 { (lay.nx, lay.ny) } else { (lay.ny, lay.nx) };
     let ng = lay.ng;
     let l = n_along + 2 * ng; // padded line length
-    let k = n_along + 1; // interface count
+    let k = n_along + 1; // interfaces per line
+    let (n_cells, n_iface, n_int) = (n_cross * l, n_cross * k, n_cross * n_along);
+    // Flat `data` index of padded cell `a` along interior cross line `c`.
+    let at = |var: usize, c: usize, a: usize| -> usize {
+        if axis == 0 { lay.at(var, a, c + ng) } else { lay.at(var, c + ng, a) }
+    };
     let dt_h = dt / h;
-    let b = &mut BatchBufs::new();
+    let mut bufs = BATCH_BUFS.with(|b| std::mem::take(&mut *b.borrow_mut()));
+    let b = &mut bufs;
     let ws = &mut E::BatchScratch::default();
-    for c in 0..n_cross {
-        let at = |var: usize, a: usize| -> usize {
-            let (i, j) = if axis == 0 { (a, c + ng) } else { (c + ng, a) };
-            lay.at(var, i, j)
-        };
-        // ---- Hydro/eos: primitive recovery along the padded line ----
-        {
-            let _r = region("Hydro/eos");
-            b.ucons.resize(l);
-            b.prim.resize(l);
-            b.t.resize(l);
+    // ---- Hydro/eos: primitive recovery over every padded line ----
+    {
+        let _r = region("Hydro/eos");
+        b.ucons.resize(n_cells);
+        b.prim.resize(n_cells);
+        b.t.resize(n_cells);
+        for c in 0..n_cross {
             for a in 0..l {
-                b.ucons.rho[a] = data[at(DENS, a)];
-                b.ucons.mx[a] = data[at(MOMX, a)];
-                b.ucons.my[a] = data[at(MOMY, a)];
-                b.ucons.e[a] = data[at(ENER, a)];
+                let x = c * l + a;
+                b.ucons.rho[x] = data[at(DENS, c, a)];
+                b.ucons.mx[x] = data[at(MOMX, c, a)];
+                b.ucons.my[x] = data[at(MOMY, c, a)];
+                b.ucons.e[x] = data[at(ENER, c, a)];
             }
-            b.prim.rho.copy_from_slice(&b.ucons.rho);
-            floor_sel(&mut b.prim.rho, params.floors.small_rho);
-            batch_div(&b.ucons.mx, &b.prim.rho, &mut b.prim.vx);
-            batch_div(&b.ucons.my, &b.prim.rho, &mut b.prim.vy);
-            batch_rmul_s(0.5, &b.prim.rho, &mut b.t.a);
-            batch_mul(&b.prim.vx, &b.prim.vx, &mut b.t.b);
-            batch_mul(&b.prim.vy, &b.prim.vy, &mut b.t.c);
-            batch_add(&b.t.b, &b.t.c, &mut b.t.d);
-            batch_mul(&b.t.a, &b.t.d, &mut b.t.b); // ke
-            batch_sub(&b.ucons.e, &b.t.b, &mut b.t.c);
-            batch_div(&b.t.c, &b.prim.rho, &mut b.t.d); // eint
-            eos.pressure_batch(&b.prim.rho, &b.t.d, ws, &mut b.prim.p);
-            floor_sel(&mut b.prim.p, params.floors.small_p);
         }
-        // ---- Hydro/recon: interface states, component-wise ----
-        {
-            let _r = region("Hydro/recon");
-            b.wl.resize(k);
-            b.wr.resize(k);
+        b.prim.rho.copy_from_slice(&b.ucons.rho);
+        floor_sel(&mut b.prim.rho, params.floors.small_rho);
+        batch_div(&b.ucons.mx, &b.prim.rho, &mut b.prim.vx);
+        batch_div(&b.ucons.my, &b.prim.rho, &mut b.prim.vy);
+        batch_rmul_s(0.5, &b.prim.rho, &mut b.t.a);
+        batch_mul(&b.prim.vx, &b.prim.vx, &mut b.t.b);
+        batch_mul(&b.prim.vy, &b.prim.vy, &mut b.t.c);
+        batch_add(&b.t.b, &b.t.c, &mut b.t.d);
+        batch_mul(&b.t.a, &b.t.d, &mut b.t.b); // ke
+        batch_sub(&b.ucons.e, &b.t.b, &mut b.t.c);
+        batch_div(&b.t.c, &b.prim.rho, &mut b.t.d); // eint
+        eos.pressure_batch(&b.prim.rho, &b.t.d, ws, &mut b.prim.p);
+        floor_sel(&mut b.prim.p, params.floors.small_p);
+    }
+    // ---- Hydro/recon: interface states, component-wise ----
+    {
+        let _r = region("Hydro/recon");
+        b.wl.resize(n_iface);
+        b.wr.resize(n_iface);
+        let comps = [
+            (&b.prim.rho, &mut b.wl.rho, &mut b.wr.rho),
+            (&b.prim.vx, &mut b.wl.vx, &mut b.wr.vx),
+            (&b.prim.vy, &mut b.wl.vy, &mut b.wr.vy),
+            (&b.prim.p, &mut b.wl.p, &mut b.wr.p),
+        ];
+        for (w, ol, or_) in comps {
             match params.recon {
                 ReconKind::Plm => {
-                    plm_b(&b.prim.rho, ng, k, &mut b.t, &mut b.wl.rho, &mut b.wr.rho);
-                    plm_b(&b.prim.vx, ng, k, &mut b.t, &mut b.wl.vx, &mut b.wr.vx);
-                    plm_b(&b.prim.vy, ng, k, &mut b.t, &mut b.wl.vy, &mut b.wr.vy);
-                    plm_b(&b.prim.p, ng, k, &mut b.t, &mut b.wl.p, &mut b.wr.p);
+                    let win = &mut b.win[..4];
+                    gather_windows(w, l, k, ng - 2, win);
+                    plm_b(win, &mut b.t, ol, or_);
                 }
                 ReconKind::Weno5 => {
-                    weno5_b(&b.prim.rho, ng, k, &mut b.wl.rho, &mut b.wr.rho);
-                    weno5_b(&b.prim.vx, ng, k, &mut b.wl.vx, &mut b.wr.vx);
-                    weno5_b(&b.prim.vy, ng, k, &mut b.wl.vy, &mut b.wr.vy);
-                    weno5_b(&b.prim.p, ng, k, &mut b.wl.p, &mut b.wr.p);
+                    let win = &mut b.win[..6];
+                    gather_windows(w, l, k, ng - 3, win);
+                    weno5_b(win, ol, or_);
                 }
             }
-            // assemble() floors (fixed 1e-12, independent of params.floors)
-            floor_sel(&mut b.wl.rho, 1e-12);
-            floor_sel(&mut b.wl.p, 1e-12);
-            floor_sel(&mut b.wr.rho, 1e-12);
-            floor_sel(&mut b.wr.p, 1e-12);
         }
-        // ---- Hydro/riemann: partitioned batch solver ----
-        {
-            let _r = region("Hydro/riemann");
-            riemann_flux_batch(
-                params.riemann, eos, axis, &b.wl, &b.wr, &mut b.flux, &mut b.rs, ws,
-            );
-        }
-        // ---- Hydro/update: conservative update ----
-        {
-            let _r = region("Hydro/update");
-            b.t.resize(n_along);
-            let comps = [
-                (&b.flux.rho, &b.ucons.rho, DENS),
-                (&b.flux.mx, &b.ucons.mx, MOMX),
-                (&b.flux.my, &b.ucons.my, MOMY),
-                (&b.flux.e, &b.ucons.e, ENER),
-            ];
-            for (fc, uc, var) in comps {
-                batch_sub(&fc[1..], &fc[..n_along], &mut b.t.a);
-                batch_mul_s(&b.t.a, dt_h, &mut b.t.b);
-                batch_sub(&uc[ng..ng + n_along], &b.t.b, &mut b.t.c);
+        // assemble() floors (fixed 1e-12, independent of params.floors)
+        floor_sel(&mut b.wl.rho, 1e-12);
+        floor_sel(&mut b.wl.p, 1e-12);
+        floor_sel(&mut b.wr.rho, 1e-12);
+        floor_sel(&mut b.wr.p, 1e-12);
+    }
+    // ---- Hydro/riemann: partitioned batch solver over every interface ----
+    {
+        let _r = region("Hydro/riemann");
+        riemann_flux_batch(params.riemann, eos, axis, &b.wl, &b.wr, &mut b.flux, &mut b.rs, ws);
+    }
+    // ---- Hydro/update: conservative update of every interior cell ----
+    {
+        let _r = region("Hydro/update");
+        b.t.resize(n_int);
+        let comps = [
+            (&b.flux.rho, &b.ucons.rho, DENS),
+            (&b.flux.mx, &b.ucons.mx, MOMX),
+            (&b.flux.my, &b.ucons.my, MOMY),
+            (&b.flux.e, &b.ucons.e, ENER),
+        ];
+        for (fc, uc, var) in comps {
+            // t.a = flux right of each cell, t.b = flux left, t.c = u.
+            for c in 0..n_cross {
                 for a in 0..n_along {
-                    let (i, j) =
-                        if axis == 0 { (a + ng, c + ng) } else { (c + ng, a + ng) };
-                    data[lay.at(var, i, j)] = b.t.c[a];
+                    let x = c * n_along + a;
+                    b.t.a[x] = fc[c * k + a + 1];
+                    b.t.b[x] = fc[c * k + a];
+                    b.t.c[x] = uc[c * l + ng + a];
+                }
+            }
+            batch_sub(&b.t.a, &b.t.b, &mut b.t.d);
+            batch_mul_s(&b.t.d, dt_h, &mut b.t.e);
+            batch_sub(&b.t.c, &b.t.e, &mut b.t.a);
+            for c in 0..n_cross {
+                for a in 0..n_along {
+                    data[at(var, c, a + ng)] = b.t.a[c * n_along + a];
                 }
             }
         }
     }
+    BATCH_BUFS.with(|b| *b.borrow_mut() = bufs);
 }
 
 /// Reconstruct left/right primitive states at the interface left of padded
@@ -545,9 +576,13 @@ mod tests {
     use amr::{BcSpec, Mesh, MeshParams};
 
     fn mesh(recon: ReconKind) -> Mesh {
+        mesh_sized(recon, 8, 8)
+    }
+
+    fn mesh_sized(recon: ReconKind, nx: usize, ny: usize) -> Mesh {
         Mesh::new(MeshParams {
-            nx: 8,
-            ny: 8,
+            nx,
+            ny,
             ng: recon.guard_cells(),
             nvar: 4,
             nbx: 2,
@@ -704,6 +739,62 @@ mod tests {
         assert!(mom[32] > 0.0);
     }
 
+    /// Serializes the tests that flip the process-global
+    /// `batch::set_force_scalar` toggle, so one test's scalar oracle run
+    /// never switches another test's batch run onto the scalar path.
+    static FORCE_SCALAR_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Sod tube along x (jump at x = 0.5) with `vx = vx(y)` and `vy = 0.1`.
+    fn init_sod(m: &mut Mesh, vx: fn(f64) -> f64) {
+        m.fill_initial(|x, y, var| {
+            let w = Prim {
+                rho: if x < 0.5 { 1.0 } else { 0.125 },
+                vx: vx(y),
+                vy: 0.1,
+                p: if x < 0.5 { 1.0 } else { 0.1 },
+            };
+            let u = prim_to_cons(w, &GammaLaw::default());
+            match var {
+                DENS => u.rho,
+                MOMX => u.mx,
+                MOMY => u.my,
+                _ => u.e,
+            }
+        })
+    }
+
+    /// Four op-mode steps through the batch sweep and through the scalar
+    /// oracle (`set_force_scalar`) from the same initial mesh: every cell
+    /// must match bit for bit and the counters exactly. The caller holds
+    /// [`FORCE_SCALAR_LOCK`].
+    fn assert_batch_matches_scalar(
+        build: &dyn Fn() -> Mesh,
+        params: HydroParams,
+        fmt: bigfloat::Format,
+        threads: usize,
+        label: &str,
+    ) {
+        use raptor_core::{batch, Config, Tracked};
+        let eos = GammaLaw::default();
+        let bc = BcSpec::all_outflow(4);
+        let run = |force_scalar: bool| {
+            batch::set_force_scalar(force_scalar);
+            let mut m = build();
+            let sess = Session::new(Config::op_files(fmt, ["Hydro"]).with_counting()).unwrap();
+            for s in 0..4 {
+                let dt = compute_dt::<f64, _>(&m, &eos, &params);
+                step::<Tracked, _>(&mut m, &bc, &eos, &params, dt, threads, &sess, s % 2 == 1);
+            }
+            batch::set_force_scalar(false);
+            (m, sess.counters())
+        };
+        let (m_scalar, c_scalar) = run(true);
+        let (m_batch, c_batch) = run(false);
+        assert_eq!(amr::bitwise_diff(&m_batch, &m_scalar), None, "batch vs scalar data ({label})");
+        assert_eq!(c_batch, c_scalar, "batch vs scalar counters ({label})");
+        assert!(c_batch.trunc.total() > 1_000, "sanity: ops were actually counted ({label})");
+    }
+
     /// The batch-kernel sweep must be a pure performance rewrite: same
     /// bits in every cell and the exact same operation counts as the
     /// scalar path, across table-served formats ((11,12), fp16), the
@@ -714,73 +805,77 @@ mod tests {
     /// branches. Runs with 3 worker threads so the bulk counter
     /// accounting is validated under `par_leaves` guard-drop merging
     /// too.
+    ///
+    /// The non-square 8x6 blocks make `n_along != n_cross` on both axes,
+    /// where the block-wide window gather and update scatter index maths
+    /// could go wrong. Their shear `vx = 8(y - 1/4)` gives the lower
+    /// blocks' x-lines (cell centres y = 1/24 .. 11/24) speeds of about
+    /// -1.67, -1.0, -0.33, 0.33, 1.0, 1.67 against sound speeds of 1.06
+    /// to 1.18: the outer lines are supersonic in opposite directions and
+    /// the inner ones subsonic with both HLLC contact signs, so one
+    /// block-wide Riemann call partitions classes that span lines.
     #[test]
     fn batch_sweep_bit_identical_to_scalar() {
         use bigfloat::Format;
-        use raptor_core::{batch, Config, Tracked};
-        let eos = GammaLaw::default();
-        let bc = BcSpec::all_outflow(4);
-        let init = |m: &mut Mesh, vx0: f64| {
-            m.fill_initial(|x, _, var| {
-                let w = Prim {
-                    rho: if x < 0.5 { 1.0 } else { 0.125 },
-                    vx: vx0,
-                    vy: 0.1,
-                    p: if x < 0.5 { 1.0 } else { 0.1 },
-                };
-                let u = prim_to_cons(w, &GammaLaw::default());
-                match var {
-                    DENS => u.rho,
-                    MOMX => u.mx,
-                    MOMY => u.my,
-                    _ => u.e,
-                }
-            })
-        };
-        for (recon, fmt) in [
-            // PLM: full format spread (table, fp16, emulation fallback).
-            (ReconKind::Plm, Format::new(11, 12)),
-            (ReconKind::Plm, Format::new(5, 10)),
-            (ReconKind::Plm, Format::new(11, 20)),
-            // WENO5 through the fused stencil kernel: one table-served
-            // format and the per-element emulation fallback.
-            (ReconKind::Weno5, Format::new(11, 12)),
-            (ReconKind::Weno5, Format::new(11, 20)),
-        ] {
-            for kind in [RiemannKind::Hllc, RiemannKind::Hll] {
-                for vx0 in [0.0, 3.0] {
-                    let params =
-                        HydroParams { riemann: kind, recon, ..Default::default() };
-                    let run = |force_scalar: bool| {
-                        batch::set_force_scalar(force_scalar);
-                        let mut m = mesh(recon);
-                        init(&mut m, vx0);
-                        let sess = Session::new(
-                            Config::op_files(fmt, ["Hydro"]).with_counting(),
-                        )
-                        .unwrap();
-                        for s in 0..4 {
-                            let dt = compute_dt::<f64, _>(&m, &eos, &params);
-                            step::<Tracked, _>(&mut m, &bc, &eos, &params, dt, 3, &sess, s % 2 == 1);
-                        }
-                        batch::set_force_scalar(false);
-                        (m, sess.counters())
-                    };
-                    let (m_scalar, c_scalar) = run(true);
-                    let (m_batch, c_batch) = run(false);
-                    let label = format!("{recon:?} {fmt:?} {kind:?} vx0={vx0}");
-                    assert_eq!(
-                        amr::bitwise_diff(&m_batch, &m_scalar),
-                        None,
-                        "batch vs scalar data ({label})"
-                    );
-                    assert_eq!(c_batch, c_scalar, "batch vs scalar counters ({label})");
-                    assert!(
-                        c_batch.trunc.total() > 1_000,
-                        "sanity: ops were actually counted ({label})"
-                    );
-                }
+        let _lock = FORCE_SCALAR_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let still: fn(f64) -> f64 = |_| 0.0;
+        let drift: fn(f64) -> f64 = |_| 3.0;
+        let shear: fn(f64) -> f64 = |y| 8.0 * (y - 0.25);
+        let mut cases = Vec::new();
+        for (vx_name, vx) in [("still", still), ("drift", drift)] {
+            for (recon, fmt) in [
+                // PLM: full format spread (table, fp16, emulation fallback).
+                (ReconKind::Plm, Format::new(11, 12)),
+                (ReconKind::Plm, Format::new(5, 10)),
+                (ReconKind::Plm, Format::new(11, 20)),
+                // WENO5 through the fused stencil kernel: one table-served
+                // format and the per-element emulation fallback.
+                (ReconKind::Weno5, Format::new(11, 12)),
+                (ReconKind::Weno5, Format::new(11, 20)),
+            ] {
+                cases.push((recon, fmt, 8, vx_name, vx));
             }
+        }
+        for recon in [ReconKind::Plm, ReconKind::Weno5] {
+            for fmt in [Format::new(11, 12), Format::new(11, 20)] {
+                cases.push((recon, fmt, 6, "shear", shear));
+            }
+        }
+        for (recon, fmt, ny, vx_name, vx) in cases {
+            for kind in [RiemannKind::Hllc, RiemannKind::Hll] {
+                let params = HydroParams { riemann: kind, recon, ..Default::default() };
+                let build = || {
+                    let mut m = mesh_sized(recon, 8, ny);
+                    init_sod(&mut m, vx);
+                    m
+                };
+                let label = format!("{recon:?} {fmt:?} {kind:?} 8x{ny} {vx_name}");
+                assert_batch_matches_scalar(&build, params, fmt, 3, &label);
+            }
+        }
+    }
+
+    /// The per-worker batch scratch is reused across blocks of different
+    /// shapes on one thread: WENO5 (`ng` 3, 8x8), then PLM (`ng` 2, 8x6),
+    /// then WENO5 again, all on the calling thread (`threads` 1), each
+    /// checked bit for bit against the scalar oracle. Stale lengths or
+    /// values left by the previous shape would break the match.
+    #[test]
+    fn reused_batch_scratch_survives_shape_changes() {
+        use bigfloat::Format;
+        let _lock = FORCE_SCALAR_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let fmt = Format::new(11, 12);
+        for (recon, ny) in [(ReconKind::Weno5, 8), (ReconKind::Plm, 6), (ReconKind::Weno5, 8)] {
+            let params = HydroParams { recon, ..Default::default() };
+            let build = || {
+                let mut m = mesh_sized(recon, 8, ny);
+                init_sod(&mut m, |y| 8.0 * (y - 0.25));
+                m
+            };
+            let label = format!("{recon:?} 8x{ny} after a different shape");
+            assert_batch_matches_scalar(&build, params, fmt, 1, &label);
+            let parked = BATCH_BUFS.with(|b| b.borrow().ucons.rho.capacity());
+            assert!(parked > 0, "the batch scratch stays parked on this thread ({label})");
         }
     }
 

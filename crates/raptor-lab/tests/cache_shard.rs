@@ -237,10 +237,14 @@ fn concurrent_eviction_and_appends_lose_no_foreign_rows() {
     }
     seed.save().unwrap();
 
+    // The evictor loads before any appender starts, so it holds exactly
+    // the 4 seeded rows. Loaded later, the rows of appenders that had
+    // already saved would be in its key set, and `evict_half` could
+    // legitimately tombstone them.
+    let mut evictor = OutcomeCache::load(&path).unwrap();
     std::thread::scope(|s| {
-        // The evictor: loads the 4 seeded rows, evicts 2, compacts.
-        s.spawn(|| {
-            let mut evictor = OutcomeCache::load(&path).unwrap();
+        // The evictor: evicts 2 of the 4 seeded rows, compacts.
+        s.spawn(move || {
             evictor.evict_half();
             evictor.save().unwrap();
         });
