@@ -11,6 +11,14 @@
 //! concurrent submitters serialize on a submit lock, and threads that run
 //! many sweeps side by side opt out with [`run_inline`].
 //!
+//! Lock order: a submitter takes the submit lock, then the state lock;
+//! nothing takes them the other way round, so no checker is needed.
+//! Workers hold only an `Arc<PoolShared>`, and `PoolShared` has no
+//! `submit` — the submit lock lives in `Pool`, out of a worker's reach.
+//! A sweep nested inside a task runs inline (the `IN_SWEEP` flag)
+//! instead of re-taking the submit lock. ThreadSanitizer over this
+//! module's tests stays the dynamic check.
+//!
 //! Safety: the job closure is type-erased to a raw `'static` pointer, which
 //! is sound because the submit path does not return until every worker
 //! has bumped the done-count for the job's generation — the closure (and

@@ -33,10 +33,12 @@
 //! one rewriting operation: it tombstones keys and the next
 //! [`OutcomeCache::save`] compacts the touched shards (adopting any rows
 //! concurrent writers appended meanwhile — see
-//! `shard::rewrite_shard`).
+//! [`OutcomeCache::compact`]).
 
 mod lock;
 mod shard;
+
+pub use lock::{ShardLock, ShardLocks};
 
 use crate::campaign::{CandidateOutcome, CandidateSpec};
 use crate::scenario::LabParams;
@@ -60,6 +62,9 @@ pub struct OutcomeCache {
     needs_compact: bool,
     /// Torn lines absorbed by the last load (see module docs).
     recovered: usize,
+    /// This cache's one shard-lock token: at most one shard lock held
+    /// at a time, enforced by `&mut ShardLocks`.
+    locks: ShardLocks,
 }
 
 fn campaign_key(scenario: &str, params: &LabParams) -> String {
@@ -91,6 +96,7 @@ impl OutcomeCache {
             tombstones: BTreeSet::new(),
             needs_compact: false,
             recovered: 0,
+            locks: ShardLocks::default(),
         };
         if cache.path.is_dir() {
             let entries = std::fs::read_dir(&cache.path)
@@ -101,7 +107,12 @@ impl OutcomeCache {
             for dir in dirs {
                 shard::sweep_stale_temps(&dir, STALE_TEMP_AGE);
                 for s in 0..N_SHARDS {
-                    let replay = shard::read_shard(&dir, s)?;
+                    // No file, nothing to replay: skip it without
+                    // creating a lock file in a directory we only read.
+                    if !shard::shard_path(&dir, s).exists() {
+                        continue;
+                    }
+                    let replay = cache.locks.lock(&dir, s)?.replay()?;
                     cache.recovered += replay.recovered;
                     for row in replay.rows {
                         cache.apply(row);
@@ -276,7 +287,9 @@ impl OutcomeCache {
             by_shard.entry((dir, shard::shard_of(row.key()))).or_default().push(row.to_line());
         }
         for ((dir, s), lines) in &by_shard {
-            shard::append_lines(&self.path.join(dir), *s, lines)?;
+            let dir = self.path.join(dir);
+            std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
+            self.locks.lock(&dir, *s)?.append(lines)?;
         }
         self.pending.clear();
         Ok(())
@@ -290,78 +303,75 @@ impl OutcomeCache {
     pub fn compact(&mut self) -> Result<(), String> {
         std::fs::create_dir_all(&self.path)
             .map_err(|e| format!("mkdir {}: {e}", self.path.display()))?;
-        // Split the borrows: the rewrite closure mutates the maps while
-        // the loop below iterates an independently-computed dir list.
-        let OutcomeCache { path, entries, baselines, probes, tombstones, .. } = self;
         let mut dirs: BTreeSet<String> = BTreeSet::new();
-        for key in entries
+        for key in self
+            .entries
             .keys()
-            .chain(baselines.keys())
-            .chain(probes.keys())
-            .chain(tombstones.iter())
+            .chain(self.baselines.keys())
+            .chain(self.probes.keys())
+            .chain(self.tombstones.iter())
         {
             dirs.insert(shard::dir_name(shard::scenario_of(key)));
         }
         for dir in &dirs {
-            let dir_path = path.join(dir);
+            let dir_path = self.path.join(dir);
+            std::fs::create_dir_all(&dir_path)
+                .map_err(|e| format!("mkdir {}: {e}", dir_path.display()))?;
             for s in 0..N_SHARDS {
-                shard::rewrite_shard(&dir_path, s, &mut |replay| {
-                    for row in replay.rows {
-                        if tombstones.contains(row.key()) {
-                            continue;
+                // Replay and replace under one guard, so no append can
+                // slip between what we adopt and what we write back.
+                let lock = self.locks.lock(&dir_path, s)?;
+                for row in lock.replay()?.rows {
+                    if self.tombstones.contains(row.key()) {
+                        continue;
+                    }
+                    // A row we don't hold was appended by a concurrent
+                    // writer after our load: adopt it (our own value
+                    // wins when both exist).
+                    match row {
+                        Row::Outcome { key, outcome } => {
+                            self.entries.entry(key).or_insert(*outcome);
                         }
-                        // A row we don't hold was appended by a
-                        // concurrent writer after our load: adopt it
-                        // (our own value wins when both exist).
-                        match row {
-                            Row::Outcome { key, outcome } => {
-                                entries.entry(key).or_insert(*outcome);
-                            }
-                            Row::Baseline { key, fidelity } => {
-                                baselines.entry(key).or_insert(fidelity);
-                            }
-                            Row::Probe { key, fidelity, truncated_fraction } => {
-                                probes.entry(key).or_insert((fidelity, truncated_fraction));
-                            }
+                        Row::Baseline { key, fidelity } => {
+                            self.baselines.entry(key).or_insert(fidelity);
+                        }
+                        Row::Probe { key, fidelity, truncated_fraction } => {
+                            self.probes.entry(key).or_insert((fidelity, truncated_fraction));
                         }
                     }
-                    let home = |key: &str| {
-                        shard::dir_name(shard::scenario_of(key)) == *dir
-                            && shard::shard_of(key) == s
-                    };
-                    let mut lines = Vec::new();
-                    for (key, outcome) in entries.iter() {
-                        if home(key) {
-                            lines.push(
-                                Row::Outcome {
-                                    key: key.clone(),
-                                    outcome: Box::new(outcome.clone()),
-                                }
+                }
+                let home = |key: &str| {
+                    shard::dir_name(shard::scenario_of(key)) == *dir && shard::shard_of(key) == s
+                };
+                let mut lines = Vec::new();
+                for (key, outcome) in &self.entries {
+                    if home(key) {
+                        lines.push(
+                            Row::Outcome { key: key.clone(), outcome: Box::new(outcome.clone()) }
                                 .to_line(),
-                            );
-                        }
+                        );
                     }
-                    for (key, fidelity) in baselines.iter() {
-                        if home(key) {
-                            lines.push(
-                                Row::Baseline { key: key.clone(), fidelity: *fidelity }.to_line(),
-                            );
-                        }
+                }
+                for (key, fidelity) in &self.baselines {
+                    if home(key) {
+                        lines.push(
+                            Row::Baseline { key: key.clone(), fidelity: *fidelity }.to_line(),
+                        );
                     }
-                    for (key, (fidelity, truncated_fraction)) in probes.iter() {
-                        if home(key) {
-                            lines.push(
-                                Row::Probe {
-                                    key: key.clone(),
-                                    fidelity: *fidelity,
-                                    truncated_fraction: *truncated_fraction,
-                                }
-                                .to_line(),
-                            );
-                        }
+                }
+                for (key, (fidelity, truncated_fraction)) in &self.probes {
+                    if home(key) {
+                        lines.push(
+                            Row::Probe {
+                                key: key.clone(),
+                                fidelity: *fidelity,
+                                truncated_fraction: *truncated_fraction,
+                            }
+                            .to_line(),
+                        );
                     }
-                    lines
-                })?;
+                }
+                lock.replace(&lines)?;
             }
         }
         self.pending.clear();
@@ -558,6 +568,35 @@ mod tests {
         shard::sweep_stale_temps(&sdir, std::time::Duration::ZERO);
         assert!(!temp.exists(), "aged-out temp swept");
         assert!(odd.exists(), "non-temp-shaped sibling untouched");
+        let _ = std::fs::remove_dir_all(&path);
+    }
+
+    #[test]
+    fn load_creates_no_lock_files_for_absent_shards() {
+        let path = tmp_dir("readonly-locks");
+        let _ = std::fs::remove_dir_all(&path);
+        let params = LabParams::mini();
+        let mut cache = OutcomeCache::load(&path).unwrap();
+        cache.insert("s", &params, &outcome(8));
+        cache.save().unwrap();
+        let sdir = path.join("s");
+        let listing = || -> BTreeSet<String> {
+            std::fs::read_dir(&sdir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect()
+        };
+        // Leave the scenario dir holding only its one shard file.
+        let data = listing().into_iter().find(|n| n.ends_with(".jsonl")).unwrap();
+        let data_lock = data.replace(".jsonl", ".lock");
+        std::fs::remove_file(sdir.join(&data_lock)).unwrap();
+        assert_eq!(listing(), BTreeSet::from([data.clone()]));
+
+        let back = OutcomeCache::load(&path).unwrap();
+        assert_eq!(back.len(), 1);
+        // Only the shard with data was locked (to replay it); no lock
+        // file appeared for the absent shards.
+        assert_eq!(listing(), BTreeSet::from([data, data_lock]));
         let _ = std::fs::remove_dir_all(&path);
     }
 

@@ -15,9 +15,10 @@
 //! A row's home shard is a pure function of its key —
 //! `fnv1a64(key) % N_SHARDS` — so every appender, in every process,
 //! agrees on where a row lives without coordination ("content-addressed"
-//! placement). Writers *append* one compact JSON line per row under the
-//! shard's advisory lock ([`super::lock`]); nobody rewrites the file on
-//! the hot path, so concurrent campaigns merge instead of clobbering.
+//! placement). Every read or write of a shard file is a method of the
+//! held [`ShardLock`] ([`super::lock`]). Writers *append* one compact
+//! JSON line per row; nobody rewrites the file on the hot path, so
+//! concurrent campaigns merge instead of clobbering.
 //!
 //! **Replay invariant.** Loading replays every line of every shard in
 //! file order; for a repeated key the *last* line wins. Keys are
@@ -27,8 +28,8 @@
 //! appends from overlapping campaigns are absorbed, not corrupting. A
 //! line that does not parse as JSON is a *torn* append from a writer
 //! killed mid-`write` — it is counted and skipped, never an error, and
-//! the next appender starts on a fresh line (see [`append_lines`]), so
-//! one crash cannot poison a shard. A line that parses but has the wrong
+//! the next appender starts on a fresh line (see [`ShardLock::append`]),
+//! so one crash cannot poison a shard. A line that parses but has the wrong
 //! shape is real corruption and is a loud error.
 
 use super::lock::ShardLock;
@@ -72,12 +73,9 @@ pub(crate) fn dir_name(scenario: &str) -> String {
     scenario.replace('/', "__")
 }
 
-fn shard_path(dir: &Path, shard: usize) -> PathBuf {
+/// The data file of shard `shard` in a scenario directory.
+pub(super) fn shard_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard{shard}.jsonl"))
-}
-
-fn lock_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard{shard}.lock"))
 }
 
 /// One replayable row of a shard file.
@@ -165,106 +163,93 @@ fn parse_lines(text: &str, path: &Path) -> Result<Replay, String> {
     Ok(Replay { rows, recovered })
 }
 
-fn replay_file(path: &Path) -> Result<Replay, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(Replay { rows: Vec::new(), recovered: 0 })
-        }
-        Err(e) => return Err(format!("read {}: {e}", path.display())),
-    };
-    parse_lines(&text, path)
-}
-
-/// Replay one shard under its lock — a consistent snapshot even while
-/// appenders are live (an in-flight append either committed before we
-/// took the lock or starts after we release it).
-pub(crate) fn read_shard(dir: &Path, shard: usize) -> Result<Replay, String> {
-    if !shard_path(dir, shard).exists() {
-        // No file, nothing to lock against; don't create lock files in
-        // directories we are only reading.
-        return Ok(Replay { rows: Vec::new(), recovered: 0 });
+impl ShardLock<'_> {
+    fn path(&self) -> PathBuf {
+        shard_path(&self.dir, self.shard)
     }
-    let _lock = ShardLock::acquire(&lock_path(dir, shard))?;
-    replay_file(&shard_path(dir, shard))
-}
 
-/// Append pre-rendered row lines to a shard under its lock.
-///
-/// If the file does not end in a newline — the signature of a writer
-/// killed mid-append — a newline is prepended first, so the torn
-/// fragment stays its own (absorbable) line instead of gluing onto our
-/// first row. This is how a single append *repairs* a crashed shard:
-/// the debris is quarantined immediately and dropped for good at the
-/// next compaction.
-pub(crate) fn append_lines(dir: &Path, shard: usize, lines: &[String]) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-    let _lock = ShardLock::acquire(&lock_path(dir, shard))?;
-    let path = shard_path(dir, shard);
-    let needs_newline = match std::fs::File::open(&path) {
-        Ok(mut f) => {
-            let len = f.metadata().map_err(|e| format!("stat {}: {e}", path.display()))?.len();
-            if len == 0 {
-                false
-            } else {
-                f.seek(SeekFrom::End(-1))
-                    .map_err(|e| format!("seek {}: {e}", path.display()))?;
-                let mut last = [0u8; 1];
-                f.read_exact(&mut last)
-                    .map_err(|e| format!("read {}: {e}", path.display()))?;
-                last[0] != b'\n'
+    /// Replay the shard — a consistent snapshot even while appenders are
+    /// live (an in-flight append either committed before we took the
+    /// lock or starts after we release it). A missing file replays empty.
+    pub(crate) fn replay(&self) -> Result<Replay, String> {
+        let path = self.path();
+        let text = match std::fs::read_to_string(&path) {
+            Ok(t) => t,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Ok(Replay { rows: Vec::new(), recovered: 0 })
             }
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
-        Err(e) => return Err(format!("open {}: {e}", path.display())),
-    };
-    let mut buf = String::new();
-    if needs_newline {
-        buf.push('\n');
+            Err(e) => return Err(format!("read {}: {e}", path.display())),
+        };
+        parse_lines(&text, &path)
     }
-    for line in lines {
-        debug_assert!(!line.contains('\n'), "rows are single lines");
-        buf.push_str(line);
-        buf.push('\n');
-    }
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .map_err(|e| format!("append-open {}: {e}", path.display()))?;
-    file.write_all(buf.as_bytes()).map_err(|e| format!("append {}: {e}", path.display()))
-}
 
-/// Rewrite one shard under its lock: replay the current file, let
-/// `produce` turn that replay into the new line set (adopting any rows
-/// a concurrent writer appended since the caller last loaded), and
-/// replace the file atomically (unique temp + rename, the same
-/// discipline as the retired whole-file save). The lock is held across
-/// replay *and* rename, so no append can slip between what `produce`
-/// saw and what the rename installs.
-pub(crate) fn rewrite_shard(
-    dir: &Path,
-    shard: usize,
-    produce: &mut dyn FnMut(Replay) -> Vec<String>,
-) -> Result<(), String> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static REWRITE_SEQ: AtomicU64 = AtomicU64::new(0);
-    std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-    let _lock = ShardLock::acquire(&lock_path(dir, shard))?;
-    let path = shard_path(dir, shard);
-    let lines = produce(replay_file(&path)?);
-    let seq = REWRITE_SEQ.fetch_add(1, Ordering::Relaxed);
-    let tmp = dir.join(format!("shard{shard}.jsonl.tmp.{}.{seq}", std::process::id()));
-    let mut text = String::new();
-    for line in &lines {
-        text.push_str(line);
-        text.push('\n');
+    /// Append pre-rendered row lines to the shard.
+    ///
+    /// If the file does not end in a newline — the signature of a writer
+    /// killed mid-append — a newline is prepended first, so the torn
+    /// fragment stays its own (absorbable) line instead of gluing onto
+    /// our first row. This is how a single append *repairs* a crashed
+    /// shard: the debris is quarantined immediately and dropped for good
+    /// at the next compaction.
+    pub(crate) fn append(&self, lines: &[String]) -> Result<(), String> {
+        let path = self.path();
+        let needs_newline = match std::fs::File::open(&path) {
+            Ok(mut f) => {
+                let len =
+                    f.metadata().map_err(|e| format!("stat {}: {e}", path.display()))?.len();
+                if len == 0 {
+                    false
+                } else {
+                    f.seek(SeekFrom::End(-1))
+                        .map_err(|e| format!("seek {}: {e}", path.display()))?;
+                    let mut last = [0u8; 1];
+                    f.read_exact(&mut last)
+                        .map_err(|e| format!("read {}: {e}", path.display()))?;
+                    last[0] != b'\n'
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
+            Err(e) => return Err(format!("open {}: {e}", path.display())),
+        };
+        let mut buf = String::new();
+        if needs_newline {
+            buf.push('\n');
+        }
+        for line in lines {
+            debug_assert!(!line.contains('\n'), "rows are single lines");
+            buf.push_str(line);
+            buf.push('\n');
+        }
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .map_err(|e| format!("append-open {}: {e}", path.display()))?;
+        file.write_all(buf.as_bytes()).map_err(|e| format!("append {}: {e}", path.display()))
     }
-    std::fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, &path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        format!("rename {} -> {}: {e}", tmp.display(), path.display())
-    })
+
+    /// Replace the shard's contents with `lines`, atomically (unique
+    /// temp + rename). Callers replay, merge and replace under one guard,
+    /// so no append can slip between what the replay saw and what the
+    /// rename installs.
+    pub(crate) fn replace(&self, lines: &[String]) -> Result<(), String> {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static REWRITE_SEQ: AtomicU64 = AtomicU64::new(0);
+        let path = self.path();
+        let seq = REWRITE_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp =
+            self.dir.join(format!("shard{}.jsonl.tmp.{}.{seq}", self.shard, std::process::id()));
+        let mut text = String::new();
+        for line in lines {
+            text.push_str(line);
+            text.push('\n');
+        }
+        std::fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
+        std::fs::rename(&tmp, &path).map_err(|e| {
+            let _ = std::fs::remove_file(&tmp);
+            format!("rename {} -> {}: {e}", tmp.display(), path.display())
+        })
+    }
 }
 
 /// Best-effort removal of compaction temps orphaned by a crashed

@@ -435,6 +435,11 @@ mod tests {
         assert!(find("hydro/kelvin-helmholtz").is_some());
         let names: BTreeSet<_> = reg.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), reg.len(), "names unique");
+        // Cache keys are `{scenario}|...`, and `shard::scenario_of` splits
+        // at the first `|`: a name containing one would misfile its rows.
+        for name in &names {
+            assert!(!name.contains('|'), "`{name}` contains the cache key separator `|`");
+        }
         let crates: BTreeSet<_> = reg.iter().map(|s| s.crate_name()).collect();
         assert!(crates.len() >= 4, "scenarios span >= 4 crates: {crates:?}");
         assert!(crates.contains("hydro") && crates.contains("incomp"));

@@ -2,11 +2,12 @@
 //!
 //! Every number in the reproduction's codesign tables is only meaningful if
 //! **every** floating-point operation in a kernel routes through the
-//! `Tracked` dispatch layer, and the concurrency layer's informal proofs
-//! ("one shard lock at a time", "the closure outlives the workers") stay
-//! true as the code evolves. This crate walks the workspace sources with a
-//! hand-rolled lightweight Rust lexer ([`lexer`]) and enforces four
-//! repo-specific rules:
+//! `Tracked` dispatch layer, every `unsafe` argues its case, and every
+//! batch kernel keeps a tested scalar twin as the code evolves. This crate
+//! walks the workspace sources with a hand-rolled lightweight Rust lexer
+//! ([`lexer`]) and enforces three repo-specific rules — the invariants the
+//! type system cannot carry (the cache's one-shard-lock-at-a-time rule is
+//! a borrow-checked type in `raptor-lab` instead):
 //!
 //! 1. **tracked-escape** ([`rules::tracked`]) — no raw `f64`/`f32`
 //!    arithmetic or `std` float intrinsics inside the kernel crates
@@ -19,12 +20,7 @@
 //!    `# Safety` doc section), and library crates with zero unsafe declare
 //!    `#![forbid(unsafe_code)]` so the invariant is anchored in the
 //!    compiler too.
-//! 3. **lock-discipline** ([`rules::locks`]) — the lock-acquisition graph
-//!    of the cache and scheduler layers is extracted (interprocedurally,
-//!    within the configured files) and checked: no nested shard-lock
-//!    scopes, no shard lock held across another lock-taking cache entry
-//!    point, no lock-order cycles.
-//! 4. **batch-pairing** ([`rules::batch_pair`]) — every public `*_batch`
+//! 3. **batch-pairing** ([`rules::batch_pair`]) — every public `*_batch`
 //!    kernel has a scalar twin (`foo_batch` ⇔ `foo`) and is referenced by
 //!    a differential test or the `batch_diff` smoke, so the bit-identity
 //!    contract can never silently lose coverage.
@@ -59,14 +55,6 @@ pub use report::Finding;
 
 /// Crates whose kernels must route all FP math through `Real` (rule 1).
 pub const KERNEL_CRATES: &[&str] = &["hydro", "incomp", "eos", "raptor-ir"];
-
-/// Files whose lock usage is modeled by rule 3 (workspace-relative path
-/// prefixes).
-pub const LOCK_SCOPE: &[&str] = &["crates/raptor-lab/src/", "crates/amr/src/pool.rs"];
-
-/// Cache entry points that acquire a shard lock internally: calling one
-/// while a shard lock is held would self-deadlock on the advisory lock.
-pub const LOCKING_ENTRY_POINTS: &[&str] = &["append_lines", "read_shard", "rewrite_shard"];
 
 /// Where a source file sits in its crate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,7 +127,7 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
 }
 
-/// Lint the workspace rooted at `root` with all four rules plus the
+/// Lint the workspace rooted at `root` with all three rules plus the
 /// annotation-grammar check. Findings come back sorted by (file, line).
 pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let ws = Workspace::scan(root)?;
@@ -147,7 +135,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     findings.extend(check_annotations(&ws));
     findings.extend(rules::tracked::check(&ws));
     findings.extend(rules::unsafe_audit::check(&ws));
-    findings.extend(rules::locks::check(&ws));
     findings.extend(rules::batch_pair::check(&ws));
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.msg == b.msg);
@@ -208,11 +195,6 @@ impl Workspace {
         }
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
         Ok(Workspace { files })
-    }
-
-    /// The files of one crate.
-    pub fn crate_files<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SourceFile> {
-        self.files.iter().filter(move |f| f.crate_name == name)
     }
 }
 

@@ -6,8 +6,8 @@
 /// One rule violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id: `tracked-escape`, `unsafe-audit`, `lock-discipline`,
-    /// `batch-pairing`, or `annotation`.
+    /// Rule id: `tracked-escape`, `unsafe-audit`, `batch-pairing`, or
+    /// `annotation`.
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,

@@ -1,7 +1,6 @@
-//! The four repo-specific rules. Each module exposes
+//! The three repo-specific rules. Each module exposes
 //! `check(&Workspace) -> Vec<Finding>`.
 
 pub mod batch_pair;
-pub mod locks;
 pub mod tracked;
 pub mod unsafe_audit;

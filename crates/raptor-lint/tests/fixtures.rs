@@ -1,4 +1,4 @@
-//! Integration tests for the four rules: every seeded violation in the
+//! Integration tests for the three rules: every seeded violation in the
 //! fixture workspace under `tests/fixtures/ws/` must be caught, nothing
 //! else in the fixture may fire, and the real workspace must be clean.
 
@@ -69,26 +69,6 @@ fn unsafe_audit_seeds_are_caught() {
 }
 
 #[test]
-fn lock_discipline_seeds_are_caught() {
-    let all = fixture_findings();
-    let hits = by_rule(&all, "lock-discipline");
-    assert!(
-        hits.iter().any(|f| f.msg.contains("nested shard-lock scopes")),
-        "nested shard acquire: {hits:?}"
-    );
-    assert!(
-        hits.iter().any(|f| {
-            f.msg.contains("held across call to `append_lines`")
-        }),
-        "re-entry through the cache entry point: {hits:?}"
-    );
-    assert!(
-        hits.iter().any(|f| f.msg.contains("lock-order cycle")),
-        "s.a/s.b ordering cycle: {hits:?}"
-    );
-}
-
-#[test]
 fn batch_pairing_seeds_are_caught() {
     let all = fixture_findings();
     let hits = by_rule(&all, "batch-pairing");
@@ -109,7 +89,7 @@ fn batch_pairing_seeds_are_caught() {
     assert!(!hits.iter().any(|f| f.msg.contains("tested_batch")), "{hits:?}");
 }
 
-/// The real workspace is the fifth fixture: it must stay clean, so the
+/// The real workspace is the fourth fixture: it must stay clean, so the
 /// lint can gate CI at exit status 0.
 #[test]
 fn real_workspace_is_clean() {
