@@ -273,6 +273,21 @@ fn bench_dispatch(c: &mut Harness) {
                 h
             })
         });
+        // A stencil-shaped chain: every op sits on its own source line, as
+        // in a real kernel, so consecutive ops never share a call site.
+        g.bench_function("memmode_stencil", |b| {
+            b.iter(|| {
+                let a = Tracked::mem_pre(black_box(0.1));
+                let c = Tracked::mem_pre(black_box(0.7));
+                let d = a * c;
+                let e = d + a;
+                let f = e - c;
+                let h = (f / d).sqrt();
+                let r = black_box(h.mem_post());
+                sess.mem_clear_slab();
+                r
+            })
+        });
     }
     g.finish();
 }

@@ -26,7 +26,7 @@
 
 use crate::config::{Config, EmulPath, Mode, Scope};
 use crate::counters::{CellCounts, Counters};
-use crate::memmode::MemState;
+use crate::memmode::{MemParams, MemShard, MemStats};
 use bigfloat::{Format, RoundMode};
 use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Mutex};
@@ -36,8 +36,7 @@ pub(crate) struct SessionInner {
     pub(crate) counters: Mutex<Counters>,
     /// Merged mem-mode statistics (per-thread shards merge in here at
     /// barriers; see the module docs of [`crate::memmode`]).
-    pub(crate) mem: Mutex<MemState>,
-    pub(crate) warnings: Mutex<Vec<String>>,
+    pub(crate) mem: Mutex<MemStats>,
 }
 
 /// A profiling session: a validated configuration plus collected data.
@@ -73,8 +72,7 @@ impl Session {
             inner: Arc::new(SessionInner {
                 config,
                 counters: Mutex::new(Counters::default()),
-                mem: Mutex::new(MemState::default()),
-                warnings: Mutex::new(Vec::new()),
+                mem: Mutex::new(MemStats::default()),
             }),
         })
     }
@@ -131,18 +129,12 @@ impl Session {
         }
     }
 
-    /// Warnings emitted by the runtime (e.g. mem-mode auto-promotions,
-    /// the analog of RAPTOR's "calls to pre-compiled external libraries
-    /// are ignored" warnings).
+    /// Warnings emitted by the runtime: mem-mode auto-promotions (the
+    /// analog of RAPTOR's "calls to pre-compiled external libraries are
+    /// ignored" warnings) and stale handles, one line each, with the
+    /// counts merged so far (see [`Session::mem_flags`]).
     pub fn warnings(&self) -> Vec<String> {
-        self.inner.warnings.lock().unwrap().clone()
-    }
-
-    pub(crate) fn warn(&self, msg: String) {
-        let mut w = self.inner.warnings.lock().unwrap();
-        if w.len() < 1000 {
-            w.push(msg);
-        }
+        self.inner.mem.lock().unwrap().warnings()
     }
 
     /// mem-mode: number of live shadow slots in the *current thread's*
@@ -161,9 +153,10 @@ impl Session {
 
     /// mem-mode: clear the current thread's shadow slab (call between
     /// kernels, after post-converting outputs — bounds memory like the
-    /// paper's per-region scratch lifetime). Flag statistics stay in the
-    /// thread's shard; they merge into the session when the guard drops or
-    /// when [`Session::mem_flags`] is read.
+    /// paper's per-region scratch lifetime). Handles issued before the
+    /// clear become stale: using one counts it and reads NaN. Flag
+    /// statistics stay in the thread's shard; they merge into the session
+    /// when the guard drops or when [`Session::mem_flags`] is read.
     pub fn mem_clear_slab(&self) {
         if self.installed_here() {
             ACTIVE.with(|cell| {
@@ -181,24 +174,18 @@ impl Session {
         if self.installed_here() {
             ACTIVE.with(|cell| {
                 if let Some(act) = cell.borrow_mut().as_mut() {
-                    self.inner.mem.lock().unwrap().merge_stats(&mut act.mem);
+                    self.inner.mem.lock().unwrap().merge(&mut act.mem);
                 }
             });
         }
-        let mem = self.inner.mem.lock().unwrap();
-        if mem.auto_promotions > 0 {
-            self.warn(format!(
-                "mem-mode auto-promoted {} raw values that never went through pre() \
-                 (the paper requires explicit boundary conversions, Fig. 3c)",
-                mem.auto_promotions
-            ));
-        }
-        mem.report()
+        self.inner.mem.lock().unwrap().report()
     }
 
-    /// mem-mode: clear flag statistics (merged and current-thread pending).
+    /// mem-mode: clear flag statistics and the auto-promotion and stale-
+    /// handle counts behind [`Session::warnings`] (merged and
+    /// current-thread pending).
     pub fn mem_reset_flags(&self) {
-        self.inner.mem.lock().unwrap().reset_stats();
+        self.inner.mem.lock().unwrap().reset();
         if self.installed_here() {
             ACTIVE.with(|cell| {
                 if let Some(act) = cell.borrow_mut().as_mut() {
@@ -212,12 +199,11 @@ impl Session {
     /// thread's shard to `(truncated value, fp64 shadow)`.
     #[doc(hidden)]
     pub fn debug_mem_slot(&self, handle: f64) -> Option<(f64, f64)> {
-        let idx = crate::memmode::decode_handle(handle)?;
         let mut out = None;
         if self.installed_here() {
             ACTIVE.with(|cell| {
                 if let Some(act) = cell.borrow().as_ref() {
-                    if let Some(s) = act.mem.slots.get(idx) {
+                    if let crate::memmode::Lookup::Slot(s) = act.mem.lookup(handle) {
                         out = Some((s.val.to_f64(), s.shadow));
                     }
                 }
@@ -228,7 +214,8 @@ impl Session {
 }
 
 /// RAII guard for an installed session; flushes this thread's counters and
-/// mem-mode statistics on drop.
+/// mem-mode statistics on drop, and parks a mem-mode session's cleared
+/// shard for the next install on this thread.
 pub struct SessionGuard {
     _priv: (),
 }
@@ -247,8 +234,10 @@ impl Drop for SessionGuard {
                     f.clear_counters();
                     f.dispatch.set(Dispatch::None);
                 });
-                let sess = act.sess.clone();
-                sess.inner.mem.lock().unwrap().merge_stats(&mut act.mem);
+                if act.sess.inner.config.mode == Mode::Mem {
+                    act.sess.inner.mem.lock().unwrap().merge(&mut act.mem);
+                    act.mem.park();
+                }
             }
         });
     }
@@ -351,18 +340,26 @@ pub(crate) struct ActiveCtx {
     /// Cached activation decision, recomputed on region/level change.
     pub(crate) active: bool,
     /// This thread's mem-mode shard (slots + pending flag statistics).
-    pub(crate) mem: MemState,
+    pub(crate) mem: MemShard,
+    /// The session's mem-mode parameters.
+    pub(crate) mem_params: MemParams,
 }
 
 impl ActiveCtx {
     fn new(sess: Session) -> Self {
+        let cfg = &sess.inner.config;
+        let mem_params = MemParams::of(cfg);
+        // Only mem-mode sessions touch the shard; other installs leave the
+        // parked one, and its slab size, alone.
+        let mem = if cfg.mode == Mode::Mem { MemShard::take_parked() } else { MemShard::default() };
         let mut ctx = ActiveCtx {
             sess,
             regions: Vec::new(),
             level: None,
             level_epoch: 0,
             active: false,
-            mem: MemState::default(),
+            mem,
+            mem_params,
         };
         ctx.recompute();
         ctx

@@ -80,13 +80,21 @@
 //! **mem-mode sharding invariants.** Shadow slots live in the *installing
 //! thread's* shard, never behind the session mutex: a NaN-boxed handle is
 //! only meaningful on the thread that produced it, and kernels may assume
-//! exclusive, lock-free access to their own slab between barriers. Handles
+//! exclusive, lock-free access to their own slab between barriers. The
+//! shard is taken from a per-thread parking slot at install and put back,
+//! cleared, when the guard drops; the next install on that thread
+//! reserves the slab at its last size instead of regrowing it. Handles
 //! must not outlive [`Session::mem_clear_slab`] (the sweep barrier, called
-//! per block after outputs are post-converted) and must never cross
-//! threads — a foreign handle auto-promotes like any raw value. Flag
-//! *statistics* merge into the session when a guard drops or when
-//! [`Session::mem_flags`] is read, so per-location reports aggregate all
-//! workers while the per-op path stays unsynchronized.
+//! per block after outputs are post-converted) or their guard: each
+//! handle carries the slab's 16-bit epoch, which every clear bumps, so a
+//! late handle is counted as *stale*, warned about, and reads as NaN (an
+//! epoch only repeats after 65536 clears). Handles must never cross
+//! threads either; this is not detected — a foreign handle reads whatever
+//! slot the local shard holds under the same epoch and index, or counts as
+//! stale if there is none. Flag *statistics* are keyed by call site on the
+//! op path and merge into the session, keyed by [`SrcLoc`], when a guard
+//! drops or when [`Session::mem_flags`] is read, so per-location reports
+//! aggregate all workers while the per-op path stays unsynchronized.
 //!
 //! **Emulation short-cut.** For round-to-nearest-even and formats where
 //! double rounding through `f64` is provably innocuous

@@ -25,8 +25,9 @@
 use crate::config::EmulPath;
 use crate::context::{ActiveCtx, Dispatch, FastPath, ACTIVE, FAST};
 use crate::counters::OpKind;
-use crate::memmode::{self, rel_deviation, SlotVal, SrcLoc};
+use crate::memmode::{self, rel_deviation, Lookup, MemParams, Slot, SlotVal};
 use bigfloat::{BigFloat, Format, RoundMode, SoftFloat};
+use std::panic::Location;
 
 /// Math-library functions the runtime understands (paper §7.3: "not all
 /// elementary functions are implemented, but adding additional functions is
@@ -140,7 +141,7 @@ pub fn op2(kind: OpKind, a: f64, b: f64) -> f64 {
         }
         Dispatch::Mem => with_mem(f, |act| {
             f.trunc.bump(kind);
-            mem_op2(act, kind, a, b, loc.into())
+            mem_op2(act, kind, a, b, loc)
         }),
         Dispatch::MemInactive => raw2(kind, resolve_fast(f, a), resolve_fast(f, b)),
         Dispatch::MemInactiveCount => {
@@ -167,7 +168,7 @@ pub fn op_sqrt(a: f64) -> f64 {
         }
         Dispatch::Mem => with_mem(f, |act| {
             f.trunc.bump(OpKind::Sqrt);
-            mem_sqrt(act, a, loc.into())
+            mem_sqrt(act, a, loc)
         }),
         Dispatch::MemInactive => resolve_fast(f, a).sqrt(),
         Dispatch::MemInactiveCount => {
@@ -194,7 +195,7 @@ pub fn op_fma(a: f64, b: f64, c: f64) -> f64 {
         }
         Dispatch::Mem => with_mem(f, |act| {
             f.trunc.bump(OpKind::Fma);
-            mem_fma(act, a, b, c, loc.into())
+            mem_fma(act, a, b, c, loc)
         }),
         Dispatch::MemInactive => {
             resolve_fast(f, a).mul_add(resolve_fast(f, b), resolve_fast(f, c))
@@ -223,7 +224,7 @@ pub fn op_math(func: MathFn, a: f64) -> f64 {
         }
         Dispatch::Mem => with_mem(f, |act| {
             f.trunc.bump(OpKind::Math);
-            mem_math(act, func, a, loc.into())
+            mem_math(act, func, a, loc)
         }),
         Dispatch::MemInactive => func.eval_f64(resolve_fast(f, a)),
         Dispatch::MemInactiveCount => {
@@ -260,7 +261,7 @@ pub fn op_powf(a: f64, b: f64) -> f64 {
         }
         Dispatch::Mem => with_mem(f, |act| {
             f.trunc.bump(OpKind::Math);
-            mem_pow(act, a, b, loc.into())
+            mem_pow(act, a, b, loc)
         }),
         Dispatch::MemInactive => resolve_fast(f, a).powf(resolve_fast(f, b)),
         Dispatch::MemInactiveCount => {
@@ -295,29 +296,15 @@ pub fn op_sign(a: f64, op: SignOp) -> f64 {
     FAST.with(|f| match f.dispatch.get() {
         Dispatch::Mem => with_mem(f, |act| {
             if act.active {
-                if let Some(idx) = memmode::decode_handle(a) {
-                    if let Some(s) = act.mem.slots.get(idx) {
-                        let (val, shadow) = match op {
-                            SignOp::Neg => (
-                                match &s.val {
-                                    SlotVal::Soft(x) => SlotVal::Soft(x.neg()),
-                                    SlotVal::Big(b) => SlotVal::Big(b.neg()),
-                                },
-                                -s.shadow,
-                            ),
-                            SignOp::Abs => (
-                                match &s.val {
-                                    SlotVal::Soft(x) => SlotVal::Soft(x.abs()),
-                                    SlotVal::Big(b) => SlotVal::Big(b.abs()),
-                                },
-                                s.shadow.abs(),
-                            ),
-                        };
-                        return act.mem.push(crate::memmode::Slot { val, shadow });
-                    }
+                if let Lookup::Slot(s) = act.mem.lookup(a) {
+                    let slot = match op {
+                        SignOp::Neg => Slot { val: s.val.neg(), shadow: -s.shadow },
+                        SignOp::Abs => Slot { val: s.val.abs(), shadow: s.shadow.abs() },
+                    };
+                    return act.mem.push(slot);
                 }
             }
-            raw_sign(a, op)
+            raw_sign(act.mem.value_of(a), op)
         }),
         _ => raw_sign(a, op),
     })
@@ -360,14 +347,11 @@ pub fn op_atan2(y: f64, x: f64) -> f64 {
         }
         Dispatch::Mem => with_mem(f, |act| {
             f.trunc.bump(OpKind::Math);
-            let (prec, clamp, rm, threshold) = mem_params_act(act);
-            let (vy, shy) = act.mem.resolve(y, prec, clamp, rm);
-            let (vx, shx) = act.mem.resolve(x, prec, clamp, rm);
-            let shadow = shy.atan2(shx);
-            let r = vy.to_f64().atan2(vx.to_f64());
-            let val = memmode::make_val(r, prec, clamp, rm);
-            act.mem.record(loc.into(), rel_deviation(val.to_f64(), shadow), threshold);
-            act.mem.push(crate::memmode::Slot { val, shadow })
+            let p = &act.mem_params;
+            let (vy, shy) = act.mem.resolve(y, p);
+            let (vx, shx) = act.mem.resolve(x, p);
+            let val = p.make_val(vy.to_f64().atan2(vx.to_f64()));
+            mem_finish(act, val, shy.atan2(shx), loc)
         }),
     })
 }
@@ -378,7 +362,7 @@ pub fn op_atan2(y: f64, x: f64) -> f64 {
 #[inline]
 pub fn resolve(x: f64) -> f64 {
     FAST.with(|f| match f.dispatch.get() {
-        Dispatch::Mem => with_mem(f, |act| resolve_in_ctx(act, x)),
+        Dispatch::Mem => with_mem(f, |act| act.mem.value_of(x)),
         Dispatch::MemInactive | Dispatch::MemInactiveCount => resolve_fast(f, x),
         _ => x,
     })
@@ -390,10 +374,18 @@ pub fn resolve(x: f64) -> f64 {
 #[inline(always)]
 fn resolve_fast(f: &FastPath, x: f64) -> f64 {
     if memmode::is_handle(x) {
-        with_mem(f, |act| resolve_in_ctx(act, x))
+        resolve_handle(f, x)
     } else {
         x
     }
+}
+
+/// The shard lookup behind [`resolve_fast`], out of line so that the
+/// plain-value path inlines as the bit test alone.
+#[cold]
+#[inline(never)]
+fn resolve_handle(f: &FastPath, x: f64) -> f64 {
+    with_mem(f, |act| act.mem.value_of(x))
 }
 
 /// Run a closure against the slow-path context. Only called when the
@@ -406,16 +398,6 @@ fn with_mem<R>(_f: &FastPath, body: impl FnOnce(&mut ActiveCtx) -> R) -> R {
         let act = slot.as_mut().expect("Mem dispatch implies an installed session");
         body(act)
     })
-}
-
-#[inline]
-fn resolve_in_ctx(act: &mut ActiveCtx, x: f64) -> f64 {
-    if let Some(idx) = memmode::decode_handle(x) {
-        if let Some(s) = act.mem.slots.get(idx) {
-            return s.val.to_f64();
-        }
-    }
-    x
 }
 
 // ---------------------------------------------------------------------------
@@ -478,38 +460,41 @@ pub(crate) fn emulate2(fmt: Format, rm: RoundMode, path: EmulPath, kind: OpKind,
             }
             fmt.round_soft_sticky(&tz.to_soft(), sticky, rm).to_f64()
         }
-        _ => {
-            // Hardware short-cut: for round-to-nearest-even and formats
-            // where double rounding through f64 is provably innocuous
-            // (Figueroa's 2p+2 <= 53 bound plus subnormal-range margin),
-            // the bit-identical result costs one hardware op and three
-            // bit-twiddled roundings — no SoftFloat at all.
-            if rm == RoundMode::NearestEven && fmt.double_round_safe() {
-                let ra = fmt.round_f64(a, rm);
-                let rb = fmt.round_f64(b, rm);
-                let r = raw2(kind, ra, rb);
-                if r.is_nan() {
-                    // Canonicalize: hardware may produce a negative quiet
-                    // NaN (x86's "indefinite"); the soft kernels emit the
-                    // canonical positive one.
-                    return f64::NAN;
-                }
-                return fmt.round_f64(r, rm);
-            }
-            // Optimised path: allocation-free single-rounding format ops
-            // (scratch-pad analog, Fig. 4b).
-            let sa = SoftFloat::from_f64(fmt.round_f64(a, rm));
-            let sb = SoftFloat::from_f64(fmt.round_f64(b, rm));
-            let r = match kind {
-                OpKind::Add => fmt.add(&sa, &sb, rm),
-                OpKind::Sub => fmt.sub(&sa, &sb, rm),
-                OpKind::Mul => fmt.mul(&sa, &sb, rm),
-                OpKind::Div => fmt.div(&sa, &sb, rm),
-                _ => unreachable!(),
-            };
-            r.to_f64()
-        }
+        _ => fmt_op2(fmt, rm, kind, fmt.round_f64(a, rm), fmt.round_f64(b, rm)),
     }
+}
+
+/// The `Soft` path of [`emulate2`] on operands already rounded into
+/// `fmt` (mem-mode's `Fmt` slots call it directly).
+#[inline(always)]
+pub(crate) fn fmt_op2(fmt: Format, rm: RoundMode, kind: OpKind, a: f64, b: f64) -> f64 {
+    // Hardware short-cut: for round-to-nearest-even and formats where
+    // double rounding through f64 is provably innocuous (Figueroa's
+    // 2p+2 <= 53 bound plus subnormal-range margin), the bit-identical
+    // result costs one hardware op and a bit-twiddled rounding — no
+    // SoftFloat at all.
+    if rm == RoundMode::NearestEven && fmt.double_round_safe() {
+        let r = raw2(kind, a, b);
+        if r.is_nan() {
+            // Canonicalize: hardware may produce a negative quiet NaN
+            // (x86's "indefinite"); the soft kernels emit the canonical
+            // positive one.
+            return f64::NAN;
+        }
+        return fmt.round_f64(r, rm);
+    }
+    // Optimised path: allocation-free single-rounding format ops
+    // (scratch-pad analog, Fig. 4b).
+    let sa = SoftFloat::from_f64(a);
+    let sb = SoftFloat::from_f64(b);
+    let r = match kind {
+        OpKind::Add => fmt.add(&sa, &sb, rm),
+        OpKind::Sub => fmt.sub(&sa, &sb, rm),
+        OpKind::Mul => fmt.mul(&sa, &sb, rm),
+        OpKind::Div => fmt.div(&sa, &sb, rm),
+        _ => unreachable!(),
+    };
+    r.to_f64()
 }
 
 #[inline]
@@ -527,21 +512,25 @@ pub(crate) fn emulate_sqrt(fmt: Format, rm: RoundMode, path: EmulPath, a: f64) -
             let (tz, sticky) = ba.sqrt_ix(63, RoundMode::TowardZero);
             fmt.round_soft_sticky(&tz.to_soft(), sticky, rm).to_f64()
         }
-        _ => {
-            // Same innocuous-double-rounding short-cut as emulate2: f64
-            // sqrt is correctly rounded, and sqrt never leaves the safe
-            // magnitude range for qualifying formats.
-            if rm == RoundMode::NearestEven && fmt.double_round_safe() {
-                let r = fmt.round_f64(a, rm).sqrt();
-                if r.is_nan() {
-                    return f64::NAN;
-                }
-                return fmt.round_f64(r, rm);
-            }
-            let sa = SoftFloat::from_f64(fmt.round_f64(a, rm));
-            fmt.sqrt(&sa, rm).to_f64()
-        }
+        _ => fmt_sqrt(fmt, rm, fmt.round_f64(a, rm)),
     }
+}
+
+/// The `Soft` path of [`emulate_sqrt`] on an operand already rounded into
+/// `fmt`.
+#[inline(always)]
+pub(crate) fn fmt_sqrt(fmt: Format, rm: RoundMode, a: f64) -> f64 {
+    // Same innocuous-double-rounding short-cut as fmt_op2: f64 sqrt is
+    // correctly rounded, and sqrt never leaves the safe magnitude range
+    // for qualifying formats.
+    if rm == RoundMode::NearestEven && fmt.double_round_safe() {
+        let r = a.sqrt();
+        if r.is_nan() {
+            return f64::NAN;
+        }
+        return fmt.round_f64(r, rm);
+    }
+    fmt.sqrt(&SoftFloat::from_f64(a), rm).to_f64()
 }
 
 #[inline]
@@ -622,27 +611,18 @@ pub(crate) fn emulate_math(fmt: Format, rm: RoundMode, path: EmulPath, func: Mat
 // mem-mode operations (slow path; state is the thread's shard, no lock)
 // ---------------------------------------------------------------------------
 
-fn mem_params_act(act: &ActiveCtx) -> (u32, Option<Format>, RoundMode, f64) {
-    let cfg = &act.sess.inner.config;
-    let clamp = if cfg.mem_precision <= cfg.format.precision() {
-        Some(cfg.format)
-    } else {
-        None
-    };
-    (cfg.mem_precision, clamp, cfg.round, cfg.mem_threshold)
-}
-
-fn slot_op2(
-    kind: OpKind,
-    a: &SlotVal,
-    b: &SlotVal,
-    prec: u32,
-    clamp: Option<Format>,
-    rm: RoundMode,
-) -> SlotVal {
+/// Slot arithmetic: `Fmt` slots through the format's own arithmetic,
+/// `SoftFloat` at up to 62 bits, and the limb path beyond and whenever an
+/// operand is a `Big` slot.
+fn slot_op2(kind: OpKind, a: &SlotVal, b: &SlotVal, p: &MemParams) -> SlotVal {
+    let (prec, rm) = (p.prec, p.round);
     match (a, b) {
+        (SlotVal::Fmt(x), SlotVal::Fmt(y)) => {
+            let fmt = p.clamp.expect("Fmt slots imply a clamping format");
+            SlotVal::Fmt(fmt_op2(fmt, rm, kind, *x, *y))
+        }
         (SlotVal::Soft(x), SlotVal::Soft(y)) if prec <= 62 => {
-            let r = match (kind, clamp) {
+            let r = match (kind, p.clamp) {
                 (OpKind::Add, Some(f)) => f.add(x, y, rm),
                 (OpKind::Sub, Some(f)) => f.sub(x, y, rm),
                 (OpKind::Mul, Some(f)) => f.mul(x, y, rm),
@@ -656,8 +636,7 @@ fn slot_op2(
             SlotVal::Soft(r)
         }
         _ => {
-            let bx = slot_to_big(a);
-            let by = slot_to_big(b);
+            let (bx, by) = (a.to_big(), b.to_big());
             let r = match kind {
                 OpKind::Add => bx.add(&by, prec, rm),
                 OpKind::Sub => bx.sub(&by, prec, rm),
@@ -665,108 +644,102 @@ fn slot_op2(
                 OpKind::Div => bx.div(&by, prec, rm),
                 _ => unreachable!(),
             };
-            SlotVal::Big(r)
+            SlotVal::Big(Box::new(r))
         }
     }
 }
 
-fn slot_to_big(v: &SlotVal) -> BigFloat {
-    match v {
-        SlotVal::Soft(s) => BigFloat::from_soft(s),
-        SlotVal::Big(b) => b.clone(),
-    }
+/// Record a result's deviation at `loc` and store it in a fresh slot.
+fn mem_finish(
+    act: &mut ActiveCtx,
+    val: SlotVal,
+    shadow: f64,
+    loc: &'static Location<'static>,
+) -> f64 {
+    act.mem.record(loc, rel_deviation(val.to_f64(), shadow), act.mem_params.threshold);
+    act.mem.push(Slot { val, shadow })
 }
 
-fn mem_op2(act: &mut ActiveCtx, kind: OpKind, a: f64, b: f64, loc: SrcLoc) -> f64 {
-    let (prec, clamp, rm, threshold) = mem_params_act(act);
-    let mem = &mut act.mem;
-    let (va, sha) = mem.resolve(a, prec, clamp, rm);
-    let (vb, shb) = mem.resolve(b, prec, clamp, rm);
-    let val = slot_op2(kind, &va, &vb, prec, clamp, rm);
-    let shadow = raw2(kind, sha, shb);
-    mem.record(loc, rel_deviation(val.to_f64(), shadow), threshold);
-    mem.push(crate::memmode::Slot { val, shadow })
+fn mem_op2(
+    act: &mut ActiveCtx,
+    kind: OpKind,
+    a: f64,
+    b: f64,
+    loc: &'static Location<'static>,
+) -> f64 {
+    let p = &act.mem_params;
+    let (va, sha) = act.mem.resolve(a, p);
+    let (vb, shb) = act.mem.resolve(b, p);
+    let val = slot_op2(kind, &va, &vb, p);
+    mem_finish(act, val, raw2(kind, sha, shb), loc)
 }
 
-fn mem_sqrt(act: &mut ActiveCtx, a: f64, loc: SrcLoc) -> f64 {
-    let (prec, clamp, rm, threshold) = mem_params_act(act);
-    let mem = &mut act.mem;
-    let (va, sha) = mem.resolve(a, prec, clamp, rm);
-    let val = match (&va, prec <= 61) {
-        (SlotVal::Soft(x), true) => {
-            let r = match clamp {
-                Some(f) => f.sqrt(x, rm),
-                None => x.sqrt(prec.min(61), rm),
-            };
-            SlotVal::Soft(r)
-        }
-        _ => SlotVal::Big(slot_to_big(&va).sqrt(prec, rm)),
+fn mem_sqrt(act: &mut ActiveCtx, a: f64, loc: &'static Location<'static>) -> f64 {
+    let p = &act.mem_params;
+    let (prec, rm) = (p.prec, p.round);
+    let (va, sha) = act.mem.resolve(a, p);
+    let val = match (&va, p.clamp) {
+        (SlotVal::Fmt(x), Some(f)) => SlotVal::Fmt(fmt_sqrt(f, rm, *x)),
+        (SlotVal::Soft(x), Some(f)) if prec <= 61 => SlotVal::Soft(f.sqrt(x, rm)),
+        (SlotVal::Soft(x), None) if prec <= 61 => SlotVal::Soft(x.sqrt(prec, rm)),
+        _ => SlotVal::Big(Box::new(va.to_big().sqrt(prec, rm))),
     };
-    let shadow = sha.sqrt();
-    mem.record(loc, rel_deviation(val.to_f64(), shadow), threshold);
-    mem.push(crate::memmode::Slot { val, shadow })
+    mem_finish(act, val, sha.sqrt(), loc)
 }
 
-fn mem_fma(act: &mut ActiveCtx, a: f64, b: f64, c: f64, loc: SrcLoc) -> f64 {
-    let (prec, clamp, rm, threshold) = mem_params_act(act);
-    let mem = &mut act.mem;
-    let (va, sha) = mem.resolve(a, prec, clamp, rm);
-    let (vb, shb) = mem.resolve(b, prec, clamp, rm);
-    let (vc, shc) = mem.resolve(c, prec, clamp, rm);
-    let (ba, bb, bc) = (slot_to_big(&va), slot_to_big(&vb), slot_to_big(&vc));
-    let prod = ba.mul(&bb, 2 * prec + 2, rm);
-    let val = SlotVal::Big(prod.add(&bc, prec, rm));
-    let shadow = sha.mul_add(shb, shc);
-    mem.record(loc, rel_deviation(val.to_f64(), shadow), threshold);
-    mem.push(crate::memmode::Slot { val, shadow })
+fn mem_fma(act: &mut ActiveCtx, a: f64, b: f64, c: f64, loc: &'static Location<'static>) -> f64 {
+    let p = &act.mem_params;
+    let (prec, rm) = (p.prec, p.round);
+    let (va, sha) = act.mem.resolve(a, p);
+    let (vb, shb) = act.mem.resolve(b, p);
+    let (vc, shc) = act.mem.resolve(c, p);
+    let prod = va.to_big().mul(&vb.to_big(), 2 * prec + 2, rm);
+    let val = SlotVal::Big(Box::new(prod.add(&vc.to_big(), prec, rm)));
+    mem_finish(act, val, sha.mul_add(shb, shc), loc)
 }
 
-fn mem_math(act: &mut ActiveCtx, func: MathFn, a: f64, loc: SrcLoc) -> f64 {
-    let (prec, clamp, rm, threshold) = mem_params_act(act);
-    let mem = &mut act.mem;
-    let (va, sha) = mem.resolve(a, prec, clamp, rm);
+fn mem_math(act: &mut ActiveCtx, func: MathFn, a: f64, loc: &'static Location<'static>) -> f64 {
+    let p = &act.mem_params;
+    let (prec, rm) = (p.prec, p.round);
+    let (va, sha) = act.mem.resolve(a, p);
     // Math functions at >62-bit precision fall back to 53-bit seeds
     // (documented limitation; add/mul/div/sqrt stay correctly rounded).
-    let val = match &va {
-        SlotVal::Soft(x) if prec <= 62 => {
-            let r = func.eval_soft(x, prec, rm);
-            SlotVal::Soft(match clamp {
+    let val = match va.to_soft() {
+        Some(x) if prec <= 62 => {
+            let r = func.eval_soft(&x, prec, rm);
+            p.slot_val(match p.clamp {
                 Some(fc) => fc.round_soft(&r, rm),
                 None => r,
             })
         }
         _ => {
-            let x = slot_to_big(&va).to_f64();
-            SlotVal::Big(BigFloat::from_f64(func.eval_f64(x)).round_to_prec(prec, rm))
+            let x = va.to_big().to_f64();
+            SlotVal::Big(Box::new(BigFloat::from_f64(func.eval_f64(x)).round_to_prec(prec, rm)))
         }
     };
-    let shadow = func.eval_f64(sha);
-    mem.record(loc, rel_deviation(val.to_f64(), shadow), threshold);
-    mem.push(crate::memmode::Slot { val, shadow })
+    mem_finish(act, val, func.eval_f64(sha), loc)
 }
 
-fn mem_pow(act: &mut ActiveCtx, a: f64, b: f64, loc: SrcLoc) -> f64 {
-    let (prec, clamp, rm, threshold) = mem_params_act(act);
-    let mem = &mut act.mem;
-    let (va, sha) = mem.resolve(a, prec, clamp, rm);
-    let (vb, shb) = mem.resolve(b, prec, clamp, rm);
-    let val = match (&va, &vb) {
-        (SlotVal::Soft(x), SlotVal::Soft(y)) if prec <= 62 => {
-            let r = x.pow(y, prec, rm);
-            SlotVal::Soft(match clamp {
+fn mem_pow(act: &mut ActiveCtx, a: f64, b: f64, loc: &'static Location<'static>) -> f64 {
+    let p = &act.mem_params;
+    let (prec, rm) = (p.prec, p.round);
+    let (va, sha) = act.mem.resolve(a, p);
+    let (vb, shb) = act.mem.resolve(b, p);
+    let val = match (va.to_soft(), vb.to_soft()) {
+        (Some(x), Some(y)) if prec <= 62 => {
+            let r = x.pow(&y, prec, rm);
+            p.slot_val(match p.clamp {
                 Some(fc) => fc.round_soft(&r, rm),
                 None => r,
             })
         }
         _ => {
-            let x = slot_to_big(&va).to_f64();
-            let y = slot_to_big(&vb).to_f64();
-            SlotVal::Big(BigFloat::from_f64(x.powf(y)).round_to_prec(prec, rm))
+            let x = va.to_big().to_f64();
+            let y = vb.to_big().to_f64();
+            SlotVal::Big(Box::new(BigFloat::from_f64(x.powf(y)).round_to_prec(prec, rm)))
         }
     };
-    let shadow = sha.powf(shb);
-    mem.record(loc, rel_deviation(val.to_f64(), shadow), threshold);
-    mem.push(crate::memmode::Slot { val, shadow })
+    mem_finish(act, val, sha.powf(shb), loc)
 }
 
 /// mem-mode boundary conversion *into* the truncated region
@@ -775,9 +748,8 @@ fn mem_pow(act: &mut ActiveCtx, a: f64, b: f64, loc: SrcLoc) -> f64 {
 pub fn mem_pre(x: f64) -> f64 {
     FAST.with(|f| match f.dispatch.get() {
         Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount => with_mem(f, |act| {
-            let (prec, clamp, rm, _) = mem_params_act(act);
-            let val = memmode::make_val(x, prec, clamp, rm);
-            act.mem.push(crate::memmode::Slot { val, shadow: x })
+            let val = act.mem_params.make_val(x);
+            act.mem.push(Slot { val, shadow: x })
         }),
         _ => x,
     })
@@ -972,5 +944,48 @@ mod tests {
         let flags = s.mem_flags();
         let total_ops: u64 = flags.iter().map(|f| f.stats.ops).sum();
         assert_eq!(total_ops, 3, "one recorded op per barrier interval");
+    }
+
+    #[test]
+    fn consecutive_reports_are_equal() {
+        let cfg = Config::mem_functions(Format::new(11, 4), ["Kern"], 1e-12);
+        let s = Session::new(cfg).unwrap();
+        let _g = s.install();
+        let _r = crate::context::region("Kern");
+        // Two raw operands: auto-promoted, which is what warns.
+        let _ = op2(OpKind::Add, 0.1, 0.2);
+        let first = s.report();
+        let second = s.report();
+        assert_eq!(first, second);
+        assert_eq!(first.warnings.len(), 1, "{:?}", first.warnings);
+        assert!(first.warnings[0].contains("auto-promoted 2 raw values"));
+    }
+
+    #[test]
+    fn stale_handles_are_counted_and_read_nan() {
+        let cfg = Config::mem_functions(Format::new(11, 8), ["Kern"], 1e-12);
+        let s = Session::new(cfg).unwrap();
+        let g = s.install();
+        let r = crate::context::region("Kern");
+        let old = mem_pre(1.0 / 3.0);
+        s.mem_clear_slab();
+        // Takes the slot index `old` had; `old` must not resolve to it.
+        let live = mem_pre(5.0);
+        assert_eq!(s.debug_mem_slot(old), None);
+        let prod = op2(OpKind::Mul, old, live);
+        assert!(mem_post(prod).is_nan());
+        assert!(mem_post(old).is_nan());
+        assert_eq!(mem_post(live), 5.0);
+        drop(r);
+        drop(g);
+        // A handle that outlives its guard is stale at the next install.
+        let g = s.install();
+        let r = crate::context::region("Kern");
+        assert!(mem_post(live).is_nan());
+        drop(r);
+        drop(g);
+        let w = s.warnings();
+        assert_eq!(w.len(), 1, "nothing was auto-promoted: {w:?}");
+        assert!(w[0].contains("3 stale handles"), "{w:?}");
     }
 }
