@@ -77,6 +77,8 @@ fn bench_dispatch(c: &mut Harness) {
             ("e11m12", Format::new(11, 12)),
             ("fp16", Format::new(5, 10)),
             ("bf16", Format::new(8, 7)),
+            // The default ladder's guarded-short-cut rung.
+            ("e11m20", Format::new(11, 20)),
         ] {
             let sess = Session::new(Config::op_all(bfmt)).unwrap();
             let _g = sess.install();
@@ -112,6 +114,8 @@ fn bench_dispatch(c: &mut Harness) {
             ("e11m12", Format::new(11, 12)),
             ("fp16", Format::new(5, 10)),
             ("bf16", Format::new(8, 7)),
+            // The default ladder's guarded-short-cut rung.
+            ("e11m20", Format::new(11, 20)),
         ] {
             let sess = Session::new(Config::op_all(bfmt)).unwrap();
             let _g = sess.install();

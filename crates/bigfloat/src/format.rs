@@ -98,33 +98,49 @@ impl Format {
         *self == Format::FP64 || *self == Format::FP32
     }
 
-    /// Whether round-to-nearest-even double rounding through hardware `f64`
-    /// is *innocuous* for `+`, `-`, `*`, `/`, `sqrt` in this format — i.e.
-    /// `round_fmt(op_f64(a, b)) == round_fmt(exact op)` for all format
-    /// values `a`, `b`.
+    /// How round-to-nearest-even double rounding through hardware `f64`
+    /// behaves in this format for `+`, `-`, `*`, `/` and `sqrt`: whether
+    /// `round_fmt(op_f64(a, b)) == round_fmt(exact op)` for format values
+    /// `a`, `b`.
     ///
-    /// Conditions (all must hold):
-    /// * Figueroa's bound `2p + 2 <= 53` (`precision() <= 25`), so a
-    ///   53-bit intermediate rounding cannot move the result across a
-    ///   `p`-bit rounding boundary;
-    /// * the format embeds in `f64` (`exp_bits <= 11`, `man_bits <= 52`);
-    /// * every rounding decision boundary of the format — down to half its
-    ///   minimum subnormal at exponent `emin - man_bits - 1` — lies where
-    ///   `f64` still carries `2p + 2` significant bits, so the shrinking
-    ///   `f64` subnormal precision near `2^-1074` cannot corrupt the
-    ///   underflow decisions: `emin - man_bits >= 2p - 1072`.
+    /// * [`DoubleRound::Unsafe`] unless Figueroa's bound `2p + 2 <= 53`
+    ///   (`precision() <= 25`) holds and the format embeds in `f64`
+    ///   (`exp_bits <= 11`). Under the bound a 53-bit intermediate
+    ///   rounding of a result in `f64`'s *normal* range cannot move it
+    ///   across a `p`-bit rounding boundary.
+    /// * [`DoubleRound::Safe`] when, in addition, every rounding decision
+    ///   boundary of the format — down to half its minimum subnormal at
+    ///   exponent `emin - man_bits - 1` — lies where `f64` still carries
+    ///   `2p + 2` significant bits, so `f64`'s shrinking subnormal
+    ///   precision near `2^-1074` cannot corrupt the underflow decisions:
+    ///   `emin - man_bits >= 2p - 1072`. Every format with fewer than 11
+    ///   exponent bits qualifies (fp8/fp16/bf16, `64_to_5_14`, ...), and
+    ///   11-bit ones up to 16 mantissa bits (the Table 3 `e11m12`).
+    /// * [`DoubleRound::Guarded`] for the rest: the full 11-bit exponent
+    ///   with 17 to 24 mantissa bits (`e11m20`, ...). Their minimum normal
+    ///   is `f64::MIN_POSITIVE`, so a result whose `f64` value `r` has
+    ///   `|r| > f64::MIN_POSITIVE` was rounded in both formats' normal
+    ///   ranges, where the bound holds; `r == 0` means the exact value is
+    ///   at most `2^-1075`, which rounds to the same signed zero in the
+    ///   format. Only results in [`DoubleRound::in_window`] must be
+    ///   recomputed with a single rounding. `sqrt` of a format value
+    ///   never lands there.
     ///
-    /// Every format the paper sweeps (fp8/fp16/bf16, `64_to_5_14`, the
-    /// Table 3 `e11m12`, ...) qualifies; wide-mantissa formats with the
-    /// full 11-bit exponent range (e.g. `e11m24`) fall back to the
-    /// SoftFloat path. Differentially tested against the naive path in
+    /// fma is not covered: its exact value has no `2p`-bit bound, so a
+    /// hardware result may land on a format tie from either side of it
+    /// (see [`crate::kernel::is_tie_core`]). Differentially tested against
+    /// the naive path, subnormal window and fma ties included, in
     /// `raptor-core/tests/fastpath.rs`.
     #[inline]
-    pub fn double_round_safe(&self) -> bool {
+    pub const fn double_round(&self) -> DoubleRound {
         let p = self.precision() as i32;
-        p <= 25
-            && self.exp_bits <= 11
-            && self.emin() - self.man_bits as i32 >= 2 * p - 1072
+        if p > 25 || self.exp_bits > 11 {
+            DoubleRound::Unsafe
+        } else if self.emin() - self.man_bits as i32 >= 2 * p - 1072 {
+            DoubleRound::Safe
+        } else {
+            DoubleRound::Guarded
+        }
     }
 
     /// Largest finite value of this format.
@@ -351,6 +367,29 @@ impl Format {
     #[inline]
     fn round_f64_rne_fast(&self, x: f64) -> f64 {
         crate::kernel::round_rne_core(x, self.exp_bits, self.man_bits)
+    }
+}
+
+/// A format's class under [`Format::double_round`]: whether rounding a
+/// hardware `f64` result into the format gives the correctly rounded
+/// result of the exact operation at round-to-nearest-even.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DoubleRound {
+    /// Not in general: the format needs its own single-rounding arithmetic.
+    Unsafe,
+    /// For every result.
+    Safe,
+    /// For every result outside [`DoubleRound::in_window`].
+    Guarded,
+}
+
+impl DoubleRound {
+    /// The `f64` results a [`DoubleRound::Guarded`] format must not
+    /// double-round: nonzero with `|r| <= f64::MIN_POSITIVE`, where the
+    /// exact value may have been rounded at `f64`'s subnormal precision.
+    #[inline(always)]
+    pub fn in_window(r: f64) -> bool {
+        r != 0.0 && r.abs() <= f64::MIN_POSITIVE
     }
 }
 

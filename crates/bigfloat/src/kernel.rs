@@ -29,23 +29,8 @@ pub fn round_rne_core(x: f64, exp_bits: u32, man_bits: u32) -> f64 {
     if mag == 0 {
         return x;
     }
-    let bias = (1i32 << (exp_bits - 1)) - 1;
-    let emin = 1 - bias;
-    let emax = bias;
-    // Decompose |x| = mant * 2^(exp - 52) with mant in [2^52, 2^53)
-    // (subnormal f64 inputs are normalized first).
-    let biased = (mag >> 52) as i32;
-    let (exp, mant) = if biased == 0 {
-        let frac = mag;
-        let lz = frac.leading_zeros(); // >= 12 for subnormals
-        (-1011 - lz as i32, frac << (lz - 11))
-    } else {
-        (biased - 1023, (1u64 << 52) | (mag & ((1u64 << 52) - 1)))
-    };
-    // Bits to drop from the 53-bit significand: precision loss plus the
-    // extra loss below the target's normal range (gradual underflow).
-    let extra = (emin - exp).max(0);
-    let drop = (52 - man_bits as i32) + extra;
+    let emax = (1i32 << (exp_bits - 1)) - 1;
+    let (exp, mant, drop) = split(mag, exp_bits, man_bits);
     if drop <= 0 {
         if exp > emax {
             return f64::from_bits(sign | f64::INFINITY.to_bits());
@@ -79,6 +64,41 @@ pub fn round_rne_core(x: f64, exp_bits: u32, man_bits: u32) -> f64 {
         return f64::from_bits(sign | f64::INFINITY.to_bits());
     }
     f64::from_bits(res.to_bits() | sign)
+}
+
+/// Whether `x` lies exactly halfway between two neighbours in the format
+/// `(exp_bits, man_bits)`: a tie, which [`round_rne_core`] breaks to even.
+/// A value that was already rounded once (to `f64`, say) and lands on a
+/// tie may have come from either side of it, so rounding it again can go
+/// the wrong way; off the ties, the second rounding agrees with a single
+/// rounding of the original. Same domain as [`round_rne_core`]; non-finite
+/// values and zeros are never ties.
+#[inline(always)]
+pub fn is_tie_core(x: f64, exp_bits: u32, man_bits: u32) -> bool {
+    let mag = x.to_bits() & !(1 << 63);
+    if !x.is_finite() || mag == 0 {
+        return false;
+    }
+    let (_, mant, drop) = split(mag, exp_bits, man_bits);
+    (1..=53).contains(&drop) && mant & ((1u64 << drop) - 1) == 1u64 << (drop - 1)
+}
+
+/// Decompose a finite nonzero magnitude `|x| = mant * 2^(exp - 52)` with
+/// `mant` in `[2^52, 2^53)` (subnormal `f64` inputs are normalized first),
+/// plus the bits to drop from that 53-bit significand for the format:
+/// precision loss and the extra loss below the format's normal range
+/// (gradual underflow). Returns `(exp, mant, drop)`.
+#[inline(always)]
+fn split(mag: u64, exp_bits: u32, man_bits: u32) -> (i32, u64, i32) {
+    let emin = 2 - (1i32 << (exp_bits - 1));
+    let biased = (mag >> 52) as i32;
+    let (exp, mant) = if biased == 0 {
+        let lz = mag.leading_zeros(); // >= 12 for subnormals
+        (-1011 - lz as i32, mag << (lz - 11))
+    } else {
+        (biased - 1023, (1u64 << 52) | (mag & ((1u64 << 52) - 1)))
+    };
+    (exp, mant, (52 - man_bits as i32) + (emin - exp).max(0))
 }
 
 /// Monomorphized round-to-nearest-even: [`round_rne_core`] with the widths
@@ -168,6 +188,58 @@ mod tests {
                 let got = round_rne_core(v, fmt.exp_bits(), fmt.man_bits());
                 assert_eq!(got.to_bits(), want.to_bits(), "{fmt} rounding of {v:e}");
             }
+        }
+    }
+
+    /// `is_tie_core` against the directed roundings: `x` is a tie exactly
+    /// when it sits strictly between its two format neighbours at equal
+    /// distance. Random patterns (almost never ties) plus constructed
+    /// midpoints across each format's normal, subnormal and overflow
+    /// ranges.
+    #[test]
+    fn tie_detection_matches_directed_roundings() {
+        let formats = [
+            Format::FP8_E4M3,
+            Format::FP16,
+            Format::BF16,
+            Format::new(11, 12),
+            Format::new(11, 20),
+        ];
+        let mut state = 0x13198A2E03707344u64;
+        for _ in 0..20000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let v = f64::from_bits(state);
+            for fmt in formats {
+                let lo = fmt.round_f64(v.abs(), RoundMode::TowardZero);
+                let hi = fmt.round_f64(v.abs(), RoundMode::Up);
+                if !v.is_finite() || !hi.is_finite() {
+                    assert!(!is_tie_core(v, fmt.exp_bits(), fmt.man_bits()), "{fmt} {v:e}");
+                    continue;
+                }
+                // Both differences are exact (Sterbenz) whenever they
+                // could be equal.
+                let tie = lo != hi && v.abs() - lo == hi - v.abs();
+                assert_eq!(is_tie_core(v, fmt.exp_bits(), fmt.man_bits()), tie, "{fmt} {v:e}");
+                if lo != hi {
+                    let mid = lo + (hi - lo) / 2.0;
+                    for m in [mid, -mid] {
+                        let tie = is_tie_core(m, fmt.exp_bits(), fmt.man_bits());
+                        assert!(tie, "{fmt} midpoint {m:e}");
+                    }
+                    let off = f64::from_bits(mid.to_bits() + 1);
+                    assert!(!is_tie_core(off, fmt.exp_bits(), fmt.man_bits()), "{fmt} {off:e}");
+                }
+            }
+        }
+        for fmt in formats {
+            // Not `min_subnormal()`: its `powi` underflows to 0 for e11.
+            let min_sub = fmt.min_normal() * 0.5f64.powi(fmt.man_bits() as i32);
+            for v in [0.0, -0.0, min_sub, fmt.max_finite(), f64::NAN, f64::INFINITY] {
+                assert!(!is_tie_core(v, fmt.exp_bits(), fmt.man_bits()), "{fmt} {v:e}");
+            }
+            let half_min = min_sub / 2.0;
+            let tie = is_tie_core(half_min, fmt.exp_bits(), fmt.man_bits());
+            assert!(tie, "{fmt} half min subnormal");
         }
     }
 

@@ -47,7 +47,7 @@ pub mod soft;
 pub mod soft_math;
 
 pub use big::BigFloat;
-pub use format::Format;
+pub use format::{DoubleRound, Format};
 pub use round::RoundMode;
 pub use soft::{Class, SoftFloat};
 

@@ -381,10 +381,11 @@ mod tests {
 
     /// Tentpole bit-identity for the EOS consumer layer: the batched
     /// interpolation and central-difference derivative must match the
-    /// scalar ASTs bit for bit and op count for op count — across a
-    /// kernel-table format, a wide format that takes the per-element
-    /// fallback tier, and directed rounding (which also bypasses the
-    /// double-rounding shortcut). Sample states run past both table edges
+    /// scalar ASTs bit for bit and op count for op count — across
+    /// kernel-table formats (one of them the guarded (11,20)), a wide
+    /// format that takes the per-element fallback tier ((11,30)), and
+    /// directed rounding (which also bypasses the double-rounding
+    /// shortcut). Sample states run past both table edges
     /// so the clamped weight selects are exercised.
     #[test]
     fn batch_interp_bit_identical_and_counter_parity() {
@@ -404,6 +405,7 @@ mod tests {
             Config::op_all(Format::new(5, 10)),
             Config::op_all(Format::new(11, 12)),
             Config::op_all(Format::new(11, 20)),
+            Config::op_all(Format::new(11, 30)),
             directed,
         ];
         for cfg in configs {

@@ -536,8 +536,9 @@ mod tests {
     /// the partition — supersonic left, supersonic right, and (for HLLC)
     /// both signs of the contact speed — must give bit-identical fluxes
     /// and exactly equal op counters between the partitioned batch solver
-    /// and the per-interface scalar solver, across a table-served format,
-    /// fp16, and the emulation fallback.
+    /// and the per-interface scalar solver, across table-served formats
+    /// (e11m12, fp16, the guarded e11m20) and the emulation fallback
+    /// (e11m30).
     #[test]
     fn batch_riemann_bit_identical_and_counter_parity() {
         use bigfloat::Format;
@@ -595,7 +596,9 @@ mod tests {
             }
             assert!(nl > 0 && nr > 0 && nsl > 0 && nsr > 0, "classes {nl}/{nr}/{nsl}/{nsr}");
         }
-        for fmt in [Format::new(11, 12), Format::new(5, 10), Format::new(11, 20)] {
+        let formats =
+            [Format::new(11, 12), Format::new(5, 10), Format::new(11, 20), Format::new(11, 30)];
+        for fmt in formats {
             for axis in [0usize, 1] {
                 for kind in [RiemannKind::Hll, RiemannKind::Hllc] {
                     // Scalar oracle: per-interface Tracked solver.

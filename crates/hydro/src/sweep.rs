@@ -797,9 +797,10 @@ mod tests {
 
     /// The batch-kernel sweep must be a pure performance rewrite: same
     /// bits in every cell and the exact same operation counts as the
-    /// scalar path, across table-served formats ((11,12), fp16), the
-    /// per-element emulation fallback ((11,20) fails
-    /// `double_round_safe`), both reconstructions (PLM component slices,
+    /// scalar path, across table-served formats ((11,12), fp16, and the
+    /// guarded (11,20), whose subnormal-window results re-run through
+    /// SoftFloat), the per-element emulation fallback ((11,30) is past
+    /// the short-cut's `p <= 25` bound), both reconstructions (PLM component slices,
     /// WENO5 through the fused stencil kernel), both Riemann solvers,
     /// and a supersonic drift that exercises the upwind early-out
     /// branches. Runs with 3 worker threads so the bulk counter
@@ -824,20 +825,23 @@ mod tests {
         let mut cases = Vec::new();
         for (vx_name, vx) in [("still", still), ("drift", drift)] {
             for (recon, fmt) in [
-                // PLM: full format spread (table, fp16, emulation fallback).
+                // PLM: full format spread (table, fp16, guarded table,
+                // emulation fallback).
                 (ReconKind::Plm, Format::new(11, 12)),
                 (ReconKind::Plm, Format::new(5, 10)),
                 (ReconKind::Plm, Format::new(11, 20)),
-                // WENO5 through the fused stencil kernel: one table-served
-                // format and the per-element emulation fallback.
+                (ReconKind::Plm, Format::new(11, 30)),
+                // WENO5 through the fused stencil kernel: table-served
+                // formats and the per-element emulation fallback.
                 (ReconKind::Weno5, Format::new(11, 12)),
                 (ReconKind::Weno5, Format::new(11, 20)),
+                (ReconKind::Weno5, Format::new(11, 30)),
             ] {
                 cases.push((recon, fmt, 8, vx_name, vx));
             }
         }
         for recon in [ReconKind::Plm, ReconKind::Weno5] {
-            for fmt in [Format::new(11, 12), Format::new(11, 20)] {
+            for fmt in [Format::new(11, 12), Format::new(11, 20), Format::new(11, 30)] {
                 cases.push((recon, fmt, 6, "shear", shear));
             }
         }

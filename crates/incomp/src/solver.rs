@@ -1113,15 +1113,16 @@ mod tests {
     }
 
     /// The batched diffusion operator must match the scalar loop bit for
-    /// bit and op count for op count — across a table-served format and
-    /// the per-element fallback format. (The quiescent bubble has zero
+    /// bit and op count for op count — across two table-served formats
+    /// ((11,10) and the guarded (11,20)) and the per-element fallback
+    /// format ((11,30), past the short-cut bound). (The quiescent bubble has zero
     /// initial velocity, so this run leans on diffusion/CSF; the seeded
     /// advection test below stresses the upwind partitions.)
     #[test]
     fn batch_diffusion_bit_identical_to_scalar() {
         use bigfloat::Format;
         use raptor_core::{batch, Config, Tracked};
-        for fmt in [Format::new(11, 10), Format::new(11, 20)] {
+        for fmt in [Format::new(11, 10), Format::new(11, 20), Format::new(11, 30)] {
             let run = |force_scalar: bool| {
                 batch::set_force_scalar(force_scalar);
                 let mut g = circle_grid(24, 24);
@@ -1175,13 +1176,14 @@ mod tests {
     /// The batched advection path (wind-partitioned fused WENO5) and the
     /// row-sliced CSF curvature must match the scalar loops bit for bit
     /// and op count for op count. Velocities are seeded with both signs in
-    /// both axes so all four upwind partitions carry cells, across a
-    /// kernel-table format and the per-element fallback format.
+    /// both axes so all four upwind partitions carry cells, across two
+    /// kernel-table formats (one of them the guarded (11,20)) and the
+    /// per-element fallback format (11,30).
     #[test]
     fn batch_advection_and_csf_bit_identical_to_scalar() {
         use bigfloat::Format;
         use raptor_core::{batch, Config, Tracked};
-        for fmt in [Format::new(11, 10), Format::new(11, 20)] {
+        for fmt in [Format::new(11, 10), Format::new(11, 20), Format::new(11, 30)] {
             let run = |force_scalar: bool| {
                 batch::set_force_scalar(force_scalar);
                 let mut g = circle_grid(24, 24);
@@ -1229,15 +1231,16 @@ mod tests {
 
     /// The row-sliced batch reinitialization must reproduce the per-cell
     /// generic loop bit for bit with exact op-counter parity, at a format
-    /// that perturbs the Hamiltonian ((11,10)) and at the emulation
-    /// fallback ((11,20)). A ×2.5 distortion keeps `phi` away from a
+    /// that perturbs the Hamiltonian ((11,10)), at the guarded table
+    /// format (11,20) and at the emulation fallback ((11,30)). A ×2.5
+    /// distortion keeps `phi` away from a
     /// fixed point so both signs of `s` (and all upwind selects) are
     /// exercised through all 12 pseudo-time iterations.
     #[test]
     fn batch_reinit_bit_identical_to_scalar() {
         use bigfloat::Format;
         use raptor_core::{batch, Config, Tracked};
-        for fmt in [Format::new(11, 10), Format::new(11, 20)] {
+        for fmt in [Format::new(11, 10), Format::new(11, 20), Format::new(11, 30)] {
             let run = |force_scalar: bool| {
                 batch::set_force_scalar(force_scalar);
                 let mut g = circle_grid(24, 24);

@@ -16,16 +16,22 @@
 //!
 //! 1. **No session / inactive region** — plain hardware loops (plus one
 //!    bulk `full` count when the session counts full ops).
-//! 2. **Op-mode, monomorphized** — round-to-nearest-even and an
-//!    innocuous-double-rounding format in the static table: the
-//!    `round → hardware op → round` shortcut with const-generic widths,
-//!    bit-identical to the scalar Soft path by construction (both funnel
-//!    through [`bigfloat::kernel::round_rne_core`]).
-//! 3. **Op-mode, generic shortcut** — safe format outside the table: the
-//!    same loop with runtime widths.
+//! 2. **Op-mode, monomorphized** — round-to-nearest-even and a format in
+//!    the static table whose double rounding through `f64` is innocuous
+//!    ([`DoubleRound::Safe`]) or guarded ([`DoubleRound::Guarded`],
+//!    `e11m20`): the `round → hardware op → round` short-cut with
+//!    const-generic widths, bit-identical to the scalar Soft path by
+//!    construction (both funnel through
+//!    [`bigfloat::kernel::round_rne_core`]). A flagged chunk or element
+//!    re-runs precisely; for a guarded format that re-run sends a result
+//!    in the `f64` subnormal window through the scalar SoftFloat kernel.
+//! 3. **Op-mode, generic short-cut** — a short-cut format outside the
+//!    table (`e11m18`, `e11m24`, ...): the same short-cut and guard with
+//!    runtime widths.
 //! 4. **Op-mode fallback** — Native/Big paths, directed rounding modes,
-//!    or wide formats: per-element emulation (same functions the scalar
-//!    path calls), still with one dispatch read and one bulk count.
+//!    or formats past Figueroa's bound (`p > 25`, e.g. `e11m30`):
+//!    per-element emulation (same functions the scalar path calls),
+//!    still with one dispatch read and one bulk count.
 //! 5. **mem-mode** — defensive per-element [`crate::ops`] calls. Consumers
 //!    should gate with [`ready`] and keep their scalar path instead:
 //!    mem-mode needs per-op source locations, which a batch call cannot
@@ -33,12 +39,12 @@
 //!
 //! All slices must have equal length; the functions panic otherwise.
 
-use crate::config::{Config, EmulPath};
+use crate::config::EmulPath;
 use crate::context::{Dispatch, FastPath, FAST};
 use crate::counters::OpKind;
 use crate::ops;
 use bigfloat::kernel::{round_rne, round_rne_core};
-use bigfloat::RoundMode;
+use bigfloat::{DoubleRound, Format, RoundMode};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 // ---------------------------------------------------------------------------
@@ -242,11 +248,9 @@ pub fn batch_log10(a: &[f64], out: &mut [f64]) {
         }
         Dispatch::Op => {
             f.trunc.bump_n(OpKind::Math, n);
-            let fmt = f.format.get();
-            let rm = f.round.get();
-            let path = f.path.get();
+            let emul = f.emul.get();
             for (o, &x) in out.iter_mut().zip(a) {
-                *o = ops::emulate_math(fmt, rm, path, ops::MathFn::Log10, x);
+                *o = ops::emulate_math(emul, ops::MathFn::Log10, x);
             }
         }
         Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount => {
@@ -417,12 +421,10 @@ fn raw_bin_rs(kind: OpKind, s: f64, b: &[f64], out: &mut [f64]) {
 // ---------------------------------------------------------------------------
 
 fn op_bin_fallback(f: &FastPath, kind: OpKind, a: &[f64], b: &[f64], out: &mut [f64]) {
-    let fmt = f.format.get();
-    let rm = f.round.get();
-    let path = f.path.get();
-    match path {
+    let emul = f.emul.get();
+    match emul.path {
         EmulPath::Native => {
-            if fmt == bigfloat::Format::FP64 {
+            if emul.fmt == Format::FP64 {
                 raw_bin(kind, a, b, out);
             } else {
                 for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
@@ -431,17 +433,15 @@ fn op_bin_fallback(f: &FastPath, kind: OpKind, a: &[f64], b: &[f64], out: &mut [
             }
         }
         _ => {
-            if path != EmulPath::Big && rm == RoundMode::NearestEven && fmt.double_round_safe() {
-                // Safe format outside the static table: same shortcut with
-                // runtime widths.
-                let (e, m) = (fmt.exp_bits(), fmt.man_bits());
+            if let Some(g) = Generic::of(emul) {
+                // Short-cut format outside the static table: same
+                // short-cut with runtime widths.
                 for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                    let r = ops::raw2(kind, round_rne_core(x, e, m), round_rne_core(y, e, m));
-                    *o = if r.is_nan() { f64::NAN } else { round_rne_core(r, e, m) };
+                    *o = g.op2(kind, g.round(x), g.round(y));
                 }
             } else {
                 for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                    *o = ops::emulate2(fmt, rm, path, kind, x, y);
+                    *o = ops::emulate2(emul, kind, x, y);
                 }
             }
         }
@@ -449,89 +449,104 @@ fn op_bin_fallback(f: &FastPath, kind: OpKind, a: &[f64], b: &[f64], out: &mut [
 }
 
 fn op_bin_s_fallback(f: &FastPath, kind: OpKind, a: &[f64], s: f64, out: &mut [f64]) {
-    let fmt = f.format.get();
-    let rm = f.round.get();
-    let path = f.path.get();
-    if path != EmulPath::Native
-        && path != EmulPath::Big
-        && rm == RoundMode::NearestEven
-        && fmt.double_round_safe()
-    {
-        let (e, m) = (fmt.exp_bits(), fmt.man_bits());
-        let rs = round_rne_core(s, e, m);
+    let emul = f.emul.get();
+    if let Some(g) = Generic::of(emul) {
+        let rs = g.round(s);
         for (o, &x) in out.iter_mut().zip(a) {
-            let r = ops::raw2(kind, round_rne_core(x, e, m), rs);
-            *o = if r.is_nan() { f64::NAN } else { round_rne_core(r, e, m) };
+            *o = g.op2(kind, g.round(x), rs);
         }
     } else {
         for (o, &x) in out.iter_mut().zip(a) {
-            *o = ops::emulate2(fmt, rm, path, kind, x, s);
+            *o = ops::emulate2(emul, kind, x, s);
         }
     }
 }
 
 fn op_bin_rs_fallback(f: &FastPath, kind: OpKind, s: f64, b: &[f64], out: &mut [f64]) {
-    let fmt = f.format.get();
-    let rm = f.round.get();
-    let path = f.path.get();
-    if path != EmulPath::Native
-        && path != EmulPath::Big
-        && rm == RoundMode::NearestEven
-        && fmt.double_round_safe()
-    {
-        let (e, m) = (fmt.exp_bits(), fmt.man_bits());
-        let rs = round_rne_core(s, e, m);
+    let emul = f.emul.get();
+    if let Some(g) = Generic::of(emul) {
+        let rs = g.round(s);
         for (o, &y) in out.iter_mut().zip(b) {
-            let r = ops::raw2(kind, rs, round_rne_core(y, e, m));
-            *o = if r.is_nan() { f64::NAN } else { round_rne_core(r, e, m) };
+            *o = g.op2(kind, rs, g.round(y));
         }
     } else {
         for (o, &y) in out.iter_mut().zip(b) {
-            *o = ops::emulate2(fmt, rm, path, kind, s, y);
+            *o = ops::emulate2(emul, kind, s, y);
         }
     }
 }
 
 fn op_sqrt_fallback(f: &FastPath, a: &[f64], out: &mut [f64]) {
-    let fmt = f.format.get();
-    let rm = f.round.get();
-    let path = f.path.get();
-    if path != EmulPath::Native
-        && path != EmulPath::Big
-        && rm == RoundMode::NearestEven
-        && fmt.double_round_safe()
-    {
-        let (e, m) = (fmt.exp_bits(), fmt.man_bits());
+    let emul = f.emul.get();
+    if let Some(g) = Generic::of(emul) {
         for (o, &x) in out.iter_mut().zip(a) {
-            let r = round_rne_core(x, e, m).sqrt();
-            *o = if r.is_nan() { f64::NAN } else { round_rne_core(r, e, m) };
+            let r = g.round(x).sqrt();
+            *o = if r.is_nan() { f64::NAN } else { g.round(r) };
         }
     } else {
         for (o, &x) in out.iter_mut().zip(a) {
-            *o = ops::emulate_sqrt(fmt, rm, path, x);
+            *o = ops::emulate_sqrt(emul, x);
         }
     }
 }
 
 fn op_fma_fallback(f: &FastPath, a: &[f64], b: &[f64], c: &[f64], out: &mut [f64]) {
-    let fmt = f.format.get();
-    let rm = f.round.get();
-    let path = f.path.get();
-    if path != EmulPath::Native
-        && path != EmulPath::Big
-        && rm == RoundMode::NearestEven
-        && fmt.double_round_safe()
-    {
-        let (e, m) = (fmt.exp_bits(), fmt.man_bits());
+    let emul = f.emul.get();
+    if let Some(g) = Generic::of(emul) {
         for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
-            let r = round_rne_core(x, e, m)
-                .mul_add(round_rne_core(y, e, m), round_rne_core(z, e, m));
-            *o = if r.is_nan() { f64::NAN } else { round_rne_core(r, e, m) };
+            *o = g.fma(g.round(x), g.round(y), g.round(z));
         }
     } else {
         for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
-            *o = ops::emulate_fma(fmt, rm, path, x, y, z);
+            *o = ops::emulate_fma(emul, x, y, z);
         }
+    }
+}
+
+/// The generic-width short-cut tier: a Soft-path, round-to-nearest-even
+/// decision whose format double-rounds innocuously or guarded but has no
+/// static-table kernels. Operands round with runtime widths; results
+/// finish through [`ops::finish_shortcut`], so guarded formats re-run a
+/// result in the `f64` subnormal window through the SoftFloat kernel
+/// exactly as the scalar path does.
+#[derive(Clone, Copy)]
+struct Generic {
+    fmt: Format,
+    guarded: bool,
+}
+
+impl Generic {
+    fn of(emul: ops::Emul) -> Option<Generic> {
+        (emul.dr != DoubleRound::Unsafe)
+            .then_some(Generic { fmt: emul.fmt, guarded: emul.dr == DoubleRound::Guarded })
+    }
+
+    #[inline(always)]
+    fn round(self, x: f64) -> f64 {
+        round_rne_core(x, self.fmt.exp_bits(), self.fmt.man_bits())
+    }
+
+    /// One binary op on operands already rounded into the format.
+    #[inline(always)]
+    fn op2(self, kind: OpKind, a: f64, b: f64) -> f64 {
+        ops::finish_shortcut(
+            ops::raw2(kind, a, b),
+            self.guarded,
+            |r| self.round(r),
+            || ops::soft_op2(self.fmt, RoundMode::NearestEven, kind, a, b),
+        )
+    }
+
+    /// One fma on operands already rounded into the format; a result on
+    /// a format tie re-runs exactly, as in `ops::fmt_fma`.
+    #[inline(always)]
+    fn fma(self, a: f64, b: f64, c: f64) -> f64 {
+        ops::finish_fma(
+            self.fmt,
+            a.mul_add(b, c),
+            |r| self.round(r),
+            || ops::soft_fma(self.fmt, RoundMode::NearestEven, a, b, c),
+        )
     }
 }
 
@@ -551,9 +566,19 @@ pub(crate) struct KernelSet {
     pub(crate) weno5_adv: for<'a> fn([&'a [f64]; 5], &mut [f64]),
 }
 
-/// Finish one shortcut op: canonicalize hardware NaNs (x86's negative
+/// Whether `(E, M)` double-rounds innocuously for every result
+/// ([`DoubleRound::Safe`]). The table's guarded formats (`e11m20`) are
+/// not: their precise re-runs keep the scalar path's subnormal-window
+/// guard. Evaluated in `const` blocks, so strict formats' kernels carry
+/// no trace of the guard.
+const fn strict<const E: u32, const M: u32>() -> bool {
+    matches!(Format::new(E, M).double_round(), DoubleRound::Safe)
+}
+
+/// Finish one short-cut op: canonicalize hardware NaNs (x86's negative
 /// "indefinite" vs the soft kernels' positive quiet NaN), then the final
-/// rounding. Mirrors the scalar shortcut in [`crate::ops`] exactly.
+/// rounding. Mirrors the scalar short-cut in [`crate::ops`] exactly; for
+/// `sqrt`, and for every op of a strict format, it is all of it.
 #[inline(always)]
 fn finish<const E: u32, const M: u32>(r: f64) -> f64 {
     if r.is_nan() {
@@ -561,6 +586,26 @@ fn finish<const E: u32, const M: u32>(r: f64) -> f64 {
     } else {
         round_rne::<E, M>(r)
     }
+}
+
+/// [`finish`] with the guard: a guarded format re-runs a result in the
+/// `f64` subnormal window through `soft`, the scalar SoftFloat kernel on
+/// the same rounded operands ([`ops::finish_shortcut`]).
+#[inline(always)]
+fn finish_guarded<const E: u32, const M: u32>(r: f64, soft: impl FnOnce() -> f64) -> f64 {
+    if const { strict::<E, M>() } {
+        finish::<E, M>(r)
+    } else {
+        ops::finish_shortcut(r, true, round_rne::<E, M>, soft)
+    }
+}
+
+/// The scalar SoftFloat kernel in `(E, M)` on operands already rounded
+/// into it: where a guarded format's precise re-run of a binary op goes
+/// when its result lands in the subnormal window.
+#[inline(always)]
+fn soft2<const E: u32, const M: u32>(kind: OpKind, a: f64, b: f64) -> f64 {
+    ops::soft_op2(Format::new(E, M), RoundMode::NearestEven, kind, a, b)
 }
 
 /// Branchless RNE rounding for magnitudes whose rounded value stays in
@@ -589,6 +634,16 @@ fn fast_round<const E: u32, const M: u32>(x: f64, slow: &mut bool) -> f64 {
     f64::from_bits(rbits)
 }
 
+/// [`bigfloat::kernel::is_tie_core`] for the fast tier's unflagged results: `x` in the
+/// format's normal range, where a tie is a fixed bit pattern below the
+/// kept mantissa. (Zero never matches; everything else [`fast_round`]
+/// flags by itself.)
+#[inline(always)]
+fn on_tie<const M: u32>(x: f64) -> bool {
+    let drop = 52 - M;
+    x.to_bits() & ((1u64 << drop) - 1) == 1u64 << (drop - 1)
+}
+
 /// Chunk size for the fast/precise split: small enough that one stray
 /// subnormal only re-runs a cacheline-scale stretch, large enough to
 /// amortize the flag check.
@@ -608,7 +663,8 @@ fn k_bin<const E: u32, const M: u32>(kind: OpKind, a: &[f64], b: &[f64], out: &m
                 }
                 if slow {
                     for ((o, &x), &y) in out[i0..i1].iter_mut().zip(&a[i0..i1]).zip(&b[i0..i1]) {
-                        *o = finish::<E, M>(round_rne::<E, M>(x) $op round_rne::<E, M>(y));
+                        let (x, y) = (round_rne::<E, M>(x), round_rne::<E, M>(y));
+                        *o = finish_guarded::<E, M>(x $op y, || soft2::<E, M>(kind, x, y));
                     }
                 }
                 i0 = i1;
@@ -641,7 +697,8 @@ fn k_bin_s<const E: u32, const M: u32>(kind: OpKind, a: &[f64], s: f64, out: &mu
                 }
                 if slow {
                     for (o, &x) in out[i0..i1].iter_mut().zip(&a[i0..i1]) {
-                        *o = finish::<E, M>(round_rne::<E, M>(x) $op rs);
+                        let x = round_rne::<E, M>(x);
+                        *o = finish_guarded::<E, M>(x $op rs, || soft2::<E, M>(kind, x, rs));
                     }
                 }
                 i0 = i1;
@@ -672,7 +729,8 @@ fn k_bin_rs<const E: u32, const M: u32>(kind: OpKind, s: f64, b: &[f64], out: &m
                 }
                 if slow {
                     for (o, &y) in out[i0..i1].iter_mut().zip(&b[i0..i1]) {
-                        *o = finish::<E, M>(rs $op round_rne::<E, M>(y));
+                        let y = round_rne::<E, M>(y);
+                        *o = finish_guarded::<E, M>(rs $op y, || soft2::<E, M>(kind, rs, y));
                     }
                 }
                 i0 = i1;
@@ -718,15 +776,20 @@ fn k_fma<const E: u32, const M: u32>(a: &[f64], b: &[f64], c: &[f64], out: &mut 
         {
             let r = fast_round::<E, M>(x, &mut slow)
                 .mul_add(fast_round::<E, M>(y, &mut slow), fast_round::<E, M>(z, &mut slow));
+            // A result on a format tie may hide the addend's tail (see
+            // `ops::fmt_fma`): the precise re-run takes it.
+            slow |= on_tie::<M>(r);
             *o = fast_round::<E, M>(r, &mut slow);
         }
         if slow {
             for (((o, &x), &y), &z) in
                 out[i0..i1].iter_mut().zip(&a[i0..i1]).zip(&b[i0..i1]).zip(&c[i0..i1])
             {
-                *o = finish::<E, M>(
-                    round_rne::<E, M>(x).mul_add(round_rne::<E, M>(y), round_rne::<E, M>(z)),
-                );
+                let (x, y, z) = (round_rne::<E, M>(x), round_rne::<E, M>(y), round_rne::<E, M>(z));
+                let fmt = Format::new(E, M);
+                *o = ops::finish_fma(fmt, x.mul_add(y, z), round_rne::<E, M>, || {
+                    ops::soft_fma(fmt, RoundMode::NearestEven, x, y, z)
+                });
             }
         }
         i0 = i1;
@@ -883,49 +946,34 @@ impl<const E: u32, const M: u32> WenoExec for FastExec<E, M> {
     }
 }
 
-/// Monomorphized precise tier: the exact `round → op → finish` shortcut
-/// the scalar Soft path takes for double-round-safe formats.
+/// Monomorphized precise tier: the exact `round → op → finish` short-cut
+/// the scalar Soft path takes, subnormal-window guard included.
 struct PreciseExec<const E: u32, const M: u32>;
 impl<const E: u32, const M: u32> WenoExec for PreciseExec<E, M> {
     #[inline(always)]
     fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64 {
-        finish::<E, M>(ops::raw2(kind, round_rne::<E, M>(a), round_rne::<E, M>(b)))
+        let (a, b) = (round_rne::<E, M>(a), round_rne::<E, M>(b));
+        finish_guarded::<E, M>(ops::raw2(kind, a, b), || soft2::<E, M>(kind, a, b))
     }
 }
 
-/// Generic-width shortcut tier: safe formats outside the static table.
-struct GenericExec {
-    e: u32,
-    m: u32,
-}
-impl WenoExec for GenericExec {
+/// Generic-width short-cut tier: short-cut formats outside the static
+/// table.
+impl WenoExec for Generic {
     #[inline(always)]
     fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64 {
-        let r = ops::raw2(
-            kind,
-            round_rne_core(a, self.e, self.m),
-            round_rne_core(b, self.e, self.m),
-        );
-        if r.is_nan() {
-            f64::NAN
-        } else {
-            round_rne_core(r, self.e, self.m)
-        }
+        self.op2(kind, self.round(a), self.round(b))
     }
 }
 
-/// Emulation tier: Native/Big paths, directed rounding, wide formats — the
-/// same per-op [`ops::emulate2`] the scalar path calls, with the decision
-/// captured once.
-struct EmulExec {
-    fmt: bigfloat::Format,
-    rm: RoundMode,
-    path: EmulPath,
-}
+/// Emulation tier: Native/Big paths, directed rounding, formats past the
+/// short-cut's bound — the same per-op [`ops::emulate2`] the scalar path
+/// calls, with the decision captured once.
+struct EmulExec(ops::Emul);
 impl WenoExec for EmulExec {
     #[inline(always)]
     fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64 {
-        ops::emulate2(self.fmt, self.rm, self.path, kind, a, b)
+        ops::emulate2(self.0, kind, a, b)
     }
 }
 
@@ -1005,22 +1053,15 @@ fn weno5_dispatch<const INV_TAIL: bool>(v: [&[f64]; 5], out: &mut [f64]) {
 }
 
 fn op_weno5_fallback<const INV_TAIL: bool>(f: &FastPath, v: [&[f64]; 5], out: &mut [f64]) {
-    let fmt = f.format.get();
-    let rm = f.round.get();
-    let path = f.path.get();
-    if path != EmulPath::Native
-        && path != EmulPath::Big
-        && rm == RoundMode::NearestEven
-        && fmt.double_round_safe()
-    {
-        let mut x = GenericExec { e: fmt.exp_bits(), m: fmt.man_bits() };
+    let emul = f.emul.get();
+    if let Some(mut x) = Generic::of(emul) {
         for (i, o) in out.iter_mut().enumerate() {
             *o = weno5_elem::<_, INV_TAIL>(&mut x, v[0][i], v[1][i], v[2][i], v[3][i], v[4][i]);
         }
     } else {
         // Native included: `emulate2` funnels it to the same f32/FP64
         // double-cast the scalar path uses.
-        let mut x = EmulExec { fmt, rm, path };
+        let mut x = EmulExec(emul);
         for (i, o) in out.iter_mut().enumerate() {
             *o = weno5_elem::<_, INV_TAIL>(&mut x, v[0][i], v[1][i], v[2][i], v[3][i], v[4][i]);
         }
@@ -1044,9 +1085,13 @@ macro_rules! kernel_set {
 
 /// The static dispatch table: the shipped format ladder (fp8 variants,
 /// fp16, bf16, tf32-shaped e8m10, fp32, the paper's e5m14, and the e11
-/// mantissa-truncation ladder the campaigns bisect). Every entry satisfies
-/// [`bigfloat::Format::double_round_safe`]; safe formats outside the table
-/// use the generic-width shortcut loop instead.
+/// mantissa-truncation ladder the campaigns bisect, up to the default
+/// ladder's `e11m20`). Every entry double-rounds innocuously
+/// ([`DoubleRound::Safe`]) except `e11m20`, which is
+/// [`DoubleRound::Guarded`]: its fast tier already flags every
+/// `f64`-subnormal operand or result, and its precise re-runs keep the
+/// scalar guard. Short-cut formats outside the table use the
+/// generic-width loop instead.
 fn kernel_table(e: u32, m: u32) -> Option<&'static KernelSet> {
     Some(match (e, m) {
         (4, 3) => kernel_set!(4, 3),
@@ -1063,22 +1108,20 @@ fn kernel_table(e: u32, m: u32) -> Option<&'static KernelSet> {
         (11, 12) => kernel_set!(11, 12),
         (11, 14) => kernel_set!(11, 14),
         (11, 16) => kernel_set!(11, 16),
+        (11, 20) => kernel_set!(11, 20),
         _ => return None,
     })
 }
 
-/// Resolve a config to its monomorphized kernel set, if the op-mode
-/// decision qualifies for the hardware shortcut (Soft path, round to
-/// nearest even, innocuous double rounding) and the format is in the
-/// static table. Called from `ActiveCtx::publish`.
-pub(crate) fn kernels_for_config(cfg: &Config) -> Option<&'static KernelSet> {
-    if cfg.resolved_path() != EmulPath::Soft
-        || cfg.round != RoundMode::NearestEven
-        || !cfg.format.double_round_safe()
-    {
+/// Resolve an op-mode decision to its monomorphized kernel set, if it
+/// takes the hardware short-cut (Soft path, round to nearest even, a
+/// format whose double rounding is innocuous or guarded) and the format
+/// is in the static table. Called from `ActiveCtx::publish`.
+pub(crate) fn kernels_for(emul: ops::Emul) -> Option<&'static KernelSet> {
+    if emul.dr == DoubleRound::Unsafe {
         return None;
     }
-    kernel_table(cfg.format.exp_bits(), cfg.format.man_bits())
+    kernel_table(emul.fmt.exp_bits(), emul.fmt.man_bits())
 }
 
 #[cfg(test)]
@@ -1116,7 +1159,14 @@ mod tests {
             a[i] = f64::from_bits(splitmix(&mut state));
             b[i] = f64::from_bits(splitmix(&mut state));
         }
-        for fmt in [Format::FP16, Format::new(11, 12), Format::new(11, 20)] {
+        let formats = [
+            Format::FP16,
+            Format::new(11, 12),
+            Format::new(11, 20),
+            Format::new(11, 22),
+            Format::new(11, 30),
+        ];
+        for fmt in formats {
             let s = Session::new(Config::op_all(fmt)).unwrap();
             let _g = s.install();
             let mut out = vec![0.0; a.len()];
@@ -1218,10 +1268,13 @@ mod tests {
             Config::op_all(Format::FP16),
             Config::op_all(Format::new(11, 12)),
             // Safe format outside the static table (generic-width
-            // shortcut) and a wide format past the double-round bound
-            // (per-element emulation).
+            // short-cut), the guarded table format, a guarded format
+            // outside the table, and a wide format past the double-round
+            // bound (per-element emulation).
             Config::op_all(Format::new(11, 5)),
             Config::op_all(Format::new(11, 20)),
+            Config::op_all(Format::new(11, 22)),
+            Config::op_all(Format::new(11, 30)),
         ];
         let mut directed = Config::op_all(Format::new(11, 12));
         directed.round = RoundMode::TowardZero;

@@ -24,10 +24,10 @@
 //! Counters accumulate in unsynchronized per-thread cells and are flushed
 //! into the session under its mutex when the guard drops.
 
-use crate::config::{Config, EmulPath, Mode, Scope};
+use crate::config::{Config, Mode, Scope};
 use crate::counters::{CellCounts, Counters};
 use crate::memmode::{MemParams, MemShard, MemStats};
-use bigfloat::{Format, RoundMode};
+use crate::ops::Emul;
 use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Mutex};
 
@@ -272,16 +272,16 @@ pub(crate) enum Dispatch {
 /// Plain-data decision cache + per-thread counters (no `RefCell`).
 pub(crate) struct FastPath {
     pub(crate) dispatch: Cell<Dispatch>,
-    /// Cached op-mode parameters, valid when `dispatch == Op`.
-    pub(crate) format: Cell<Format>,
-    pub(crate) round: Cell<RoundMode>,
-    pub(crate) path: Cell<EmulPath>,
+    /// Cached op-mode decision, valid when `dispatch == Op`: format,
+    /// rounding, resolved path and hardware short-cut tier.
+    pub(crate) emul: Cell<Emul>,
     /// `format.storage_bytes()`, for the §3.4 memory model.
     pub(crate) fmt_bytes: Cell<u64>,
     /// Monomorphized batch kernels for the cached op-mode decision, looked
     /// up from the static format table at publish time. `Some` only when
     /// `dispatch == Op` resolves to the Soft path with round-to-nearest-even
-    /// and an innocuous-double-rounding format in the shipped ladder.
+    /// and a format in the shipped ladder whose double rounding through
+    /// `f64` is innocuous or guarded.
     pub(crate) kernels: Cell<Option<&'static crate::batch::KernelSet>>,
     /// Per-thread op counts (truncated / full precision).
     pub(crate) trunc: CellCounts,
@@ -294,9 +294,7 @@ impl FastPath {
     const fn new() -> FastPath {
         FastPath {
             dispatch: Cell::new(Dispatch::None),
-            format: Cell::new(Format::FP64),
-            round: Cell::new(RoundMode::NearestEven),
-            path: Cell::new(EmulPath::Native),
+            emul: Cell::new(Emul::FP64),
             fmt_bytes: Cell::new(8),
             kernels: Cell::new(None),
             trunc: CellCounts::new(),
@@ -399,15 +397,10 @@ impl ActiveCtx {
         };
         FAST.with(|f| {
             f.dispatch.set(d);
-            f.format.set(cfg.format);
-            f.round.set(cfg.round);
-            f.path.set(cfg.resolved_path());
+            let emul = Emul::of(cfg);
+            f.emul.set(emul);
             f.fmt_bytes.set(cfg.format.storage_bytes() as u64);
-            f.kernels.set(if d == Dispatch::Op {
-                crate::batch::kernels_for_config(cfg)
-            } else {
-                None
-            });
+            f.kernels.set(if d == Dispatch::Op { crate::batch::kernels_for(emul) } else { None });
         });
     }
 }

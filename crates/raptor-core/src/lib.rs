@@ -98,11 +98,19 @@
 //!
 //! **Emulation short-cut.** For round-to-nearest-even and formats where
 //! double rounding through `f64` is provably innocuous
-//! ([`Format::double_round_safe`]: Figueroa's `2p + 2 <= 53` bound plus a
-//! subnormal-range margin), add/sub/mul/div/sqrt/fma run as one hardware
-//! op plus bit-twiddled roundings — bit-identical to the SoftFloat
-//! kernels, which remain the general path (and the `Big` limb path stays
-//! available as the naive baseline of Table 3).
+//! ([`Format::double_round`]: Figueroa's `2p + 2 <= 53` bound, and an
+//! embedding in `f64`), add/sub/mul/div/sqrt/fma run as one hardware op
+//! plus bit-twiddled roundings — bit-identical to the SoftFloat kernels,
+//! which remain the general path (and the `Big` limb path stays available
+//! as the naive baseline of Table 3). The check is per result, not per
+//! format: formats whose subnormal range reaches into `f64`'s (the full
+//! 11-bit exponent with 17 to 24 mantissa bits, e.g. `e11m20`) are
+//! [`bigfloat::DoubleRound::Guarded`], and a hardware result in the `f64`
+//! subnormal window (nonzero, `|r| <= f64::MIN_POSITIVE`) re-runs through
+//! the SoftFloat kernel. fma, whose exact value has no `2p`-bit bound,
+//! re-runs any hardware result that lands on a format tie instead. The
+//! tier (none, unconditional, guarded) is resolved once per publish and
+//! cached in the decision cache.
 //!
 //! **Batch kernels.** Even the cached per-op path pays a thread-local
 //! load, a dispatch branch, and a counter bump *per operation*. The
@@ -112,9 +120,10 @@
 //! kernel monomorphized over the format's exponent/mantissa widths
 //! (const-generic instantiations of the short-cut above), so the rounding
 //! mask arithmetic constant-folds and the loop auto-vectorizes. Decisions
-//! the table can't serve (Big/Native paths, directed rounding, wide
-//! formats) fall back to per-element emulation inside the same single
-//! dispatch — results are bit-identical to the scalar path in every tier.
+//! the table can't serve (Big/Native paths, directed rounding, formats
+//! past the short-cut's bound such as `e11m30`) fall back to per-element
+//! emulation inside the same single dispatch — results are bit-identical
+//! to the scalar path in every tier.
 //! Consumers gate on [`batch::ready`] and keep their scalar code as the
 //! mem-mode path and differential oracle.
 

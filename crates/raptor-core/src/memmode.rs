@@ -64,7 +64,7 @@
 //! See the "Runtime hot path" section of the crate docs for the
 //! invariants kernels may rely on.
 
-use bigfloat::{BigFloat, Format, RoundMode, SoftFloat};
+use bigfloat::{BigFloat, DoubleRound, Format, RoundMode, SoftFloat};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -200,6 +200,9 @@ pub(crate) struct MemParams {
     /// `clamp`'s smallest normal (0 without a clamp).
     min_normal: f64,
     pub(crate) round: RoundMode,
+    /// `Fmt` slot arithmetic's hardware short-cut tier
+    /// ([`crate::ops::shortcut`] of the format and `round`).
+    pub(crate) dr: DoubleRound,
     pub(crate) threshold: f64,
 }
 
@@ -213,6 +216,7 @@ impl MemParams {
             fmt_slots: clamp.is_some() && fmt.exp_bits() <= 11 && fmt.man_bits() <= 52,
             min_normal: clamp.map_or(0.0, |f| f.min_normal()),
             round: cfg.round,
+            dr: crate::ops::shortcut(fmt, cfg.round),
             threshold: cfg.mem_threshold,
         }
     }

@@ -22,11 +22,12 @@
 //! mem-mode ops go through the slow path: they need the thread's shadow
 //! shard and `#[track_caller]` source locations.
 
-use crate::config::EmulPath;
+use crate::config::{Config, EmulPath};
 use crate::context::{ActiveCtx, Dispatch, FastPath, ACTIVE, FAST};
 use crate::counters::OpKind;
 use crate::memmode::{self, rel_deviation, Lookup, MemParams, Slot, SlotVal};
-use bigfloat::{BigFloat, Format, RoundMode, SoftFloat};
+use bigfloat::kernel::is_tie_core;
+use bigfloat::{BigFloat, DoubleRound, Format, RoundMode, SoftFloat};
 use std::panic::Location;
 
 /// Math-library functions the runtime understands (paper §7.3: "not all
@@ -137,7 +138,7 @@ pub fn op2(kind: OpKind, a: f64, b: f64) -> f64 {
         }
         Dispatch::Op => {
             f.trunc.bump(kind);
-            emulate2(f.format.get(), f.round.get(), f.path.get(), kind, a, b)
+            emulate2(f.emul.get(), kind, a, b)
         }
         Dispatch::Mem => with_mem(f, |act| {
             f.trunc.bump(kind);
@@ -164,7 +165,7 @@ pub fn op_sqrt(a: f64) -> f64 {
         }
         Dispatch::Op => {
             f.trunc.bump(OpKind::Sqrt);
-            emulate_sqrt(f.format.get(), f.round.get(), f.path.get(), a)
+            emulate_sqrt(f.emul.get(), a)
         }
         Dispatch::Mem => with_mem(f, |act| {
             f.trunc.bump(OpKind::Sqrt);
@@ -191,7 +192,7 @@ pub fn op_fma(a: f64, b: f64, c: f64) -> f64 {
         }
         Dispatch::Op => {
             f.trunc.bump(OpKind::Fma);
-            emulate_fma(f.format.get(), f.round.get(), f.path.get(), a, b, c)
+            emulate_fma(f.emul.get(), a, b, c)
         }
         Dispatch::Mem => with_mem(f, |act| {
             f.trunc.bump(OpKind::Fma);
@@ -220,7 +221,7 @@ pub fn op_math(func: MathFn, a: f64) -> f64 {
         }
         Dispatch::Op => {
             f.trunc.bump(OpKind::Math);
-            emulate_math(f.format.get(), f.round.get(), f.path.get(), func, a)
+            emulate_math(f.emul.get(), func, a)
         }
         Dispatch::Mem => with_mem(f, |act| {
             f.trunc.bump(OpKind::Math);
@@ -247,9 +248,8 @@ pub fn op_powf(a: f64, b: f64) -> f64 {
         }
         Dispatch::Op => {
             f.trunc.bump(OpKind::Math);
-            let fmt = f.format.get();
-            let rm = f.round.get();
-            match f.path.get() {
+            let Emul { fmt, rm, path, .. } = f.emul.get();
+            match path {
                 EmulPath::Native => native_pow(fmt, a, b),
                 _ => {
                     let p = fmt.precision();
@@ -323,9 +323,8 @@ pub fn op_atan2(y: f64, x: f64) -> f64 {
         }
         Dispatch::Op => {
             f.trunc.bump(OpKind::Math);
-            let fmt = f.format.get();
-            let rm = f.round.get();
-            match f.path.get() {
+            let Emul { fmt, rm, path, .. } = f.emul.get();
+            match path {
                 EmulPath::Native => {
                     if fmt == Format::FP64 {
                         y.atan2(x)
@@ -404,6 +403,53 @@ fn with_mem<R>(_f: &FastPath, body: impl FnOnce(&mut ActiveCtx) -> R) -> R {
 // op-mode emulation
 // ---------------------------------------------------------------------------
 
+/// An op-mode decision as the emulation functions consume it, resolved
+/// once per publish and cached in the decision cache.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Emul {
+    pub(crate) fmt: Format,
+    pub(crate) rm: RoundMode,
+    /// The resolved path: never [`EmulPath::Auto`].
+    pub(crate) path: EmulPath,
+    /// The hardware short-cut's tier on the `Soft` path; `Unsafe` (no
+    /// short-cut) on the others. See [`shortcut`].
+    pub(crate) dr: DoubleRound,
+}
+
+impl Emul {
+    /// The decision cache's value before any publish.
+    pub(crate) const FP64: Emul = Emul {
+        fmt: Format::FP64,
+        rm: RoundMode::NearestEven,
+        path: EmulPath::Native,
+        dr: DoubleRound::Unsafe,
+    };
+
+    pub(crate) fn of(cfg: &Config) -> Emul {
+        let path = cfg.resolved_path();
+        let dr = if path == EmulPath::Soft {
+            shortcut(cfg.format, cfg.round)
+        } else {
+            DoubleRound::Unsafe
+        };
+        Emul { fmt: cfg.format, rm: cfg.round, path, dr }
+    }
+}
+
+/// Which hardware short-cut single-rounding `fmt` arithmetic under `rm`
+/// may take: round the operands, one hardware op, round the result.
+/// Innocuous double rounding is a round-to-nearest-even property
+/// (Figueroa's `2p + 2 <= 53` bound), so directed modes never take it;
+/// [`DoubleRound::Guarded`] formats take it for every result outside the
+/// `f64` subnormal window ([`Format::double_round`]).
+pub(crate) fn shortcut(fmt: Format, rm: RoundMode) -> DoubleRound {
+    if rm == RoundMode::NearestEven {
+        fmt.double_round()
+    } else {
+        DoubleRound::Unsafe
+    }
+}
+
 fn native2(fmt: Format, kind: OpKind, a: f64, b: f64) -> f64 {
     if fmt == Format::FP64 {
         return raw2(kind, a, b);
@@ -428,7 +474,8 @@ fn native_pow(fmt: Format, a: f64, b: f64) -> f64 {
 }
 
 #[inline]
-pub(crate) fn emulate2(fmt: Format, rm: RoundMode, path: EmulPath, kind: OpKind, a: f64, b: f64) -> f64 {
+pub(crate) fn emulate2(e: Emul, kind: OpKind, a: f64, b: f64) -> f64 {
+    let Emul { fmt, rm, path, dr } = e;
     match path {
         EmulPath::Native => native2(fmt, kind, a, b),
         EmulPath::Big => {
@@ -460,31 +507,64 @@ pub(crate) fn emulate2(fmt: Format, rm: RoundMode, path: EmulPath, kind: OpKind,
             }
             fmt.round_soft_sticky(&tz.to_soft(), sticky, rm).to_f64()
         }
-        _ => fmt_op2(fmt, rm, kind, fmt.round_f64(a, rm), fmt.round_f64(b, rm)),
+        _ => fmt_op2(fmt, rm, dr, kind, fmt.round_f64(a, rm), fmt.round_f64(b, rm)),
     }
 }
 
 /// The `Soft` path of [`emulate2`] on operands already rounded into
-/// `fmt` (mem-mode's `Fmt` slots call it directly).
+/// `fmt`, with `dr` its [`shortcut`] tier (mem-mode's `Fmt` slots and the
+/// batch kernels' precise re-runs call it directly).
 #[inline(always)]
-pub(crate) fn fmt_op2(fmt: Format, rm: RoundMode, kind: OpKind, a: f64, b: f64) -> f64 {
-    // Hardware short-cut: for round-to-nearest-even and formats where
-    // double rounding through f64 is provably innocuous (Figueroa's
-    // 2p+2 <= 53 bound plus subnormal-range margin), the bit-identical
-    // result costs one hardware op and a bit-twiddled rounding — no
-    // SoftFloat at all.
-    if rm == RoundMode::NearestEven && fmt.double_round_safe() {
-        let r = raw2(kind, a, b);
-        if r.is_nan() {
-            // Canonicalize: hardware may produce a negative quiet NaN
-            // (x86's "indefinite"); the soft kernels emit the canonical
-            // positive one.
-            return f64::NAN;
-        }
-        return fmt.round_f64(r, rm);
+pub(crate) fn fmt_op2(
+    fmt: Format,
+    rm: RoundMode,
+    dr: DoubleRound,
+    kind: OpKind,
+    a: f64,
+    b: f64,
+) -> f64 {
+    // Hardware short-cut: where double rounding through f64 is provably
+    // innocuous, the bit-identical result costs one hardware op and a
+    // bit-twiddled rounding — no SoftFloat at all.
+    if dr != DoubleRound::Unsafe {
+        return finish_shortcut(
+            raw2(kind, a, b),
+            dr == DoubleRound::Guarded,
+            |r| fmt.round_f64(r, rm),
+            || soft_op2(fmt, rm, kind, a, b),
+        );
     }
-    // Optimised path: allocation-free single-rounding format ops
-    // (scratch-pad analog, Fig. 4b).
+    soft_op2(fmt, rm, kind, a, b)
+}
+
+/// Finish one hardware short-cut op from its `f64` result `r`:
+/// canonicalize NaN (hardware may produce a negative quiet NaN, x86's
+/// "indefinite"; the soft kernels emit the canonical positive one), then
+/// the final rounding `round` — unless the format is `guarded` and `r`
+/// lies in the `f64` subnormal window ([`DoubleRound::in_window`]), where
+/// `soft` recomputes the op with a single rounding. Every guarded
+/// short-cut, scalar and batch, ends here.
+#[inline(always)]
+pub(crate) fn finish_shortcut(
+    r: f64,
+    guarded: bool,
+    round: impl FnOnce(f64) -> f64,
+    soft: impl FnOnce() -> f64,
+) -> f64 {
+    if r.is_nan() {
+        f64::NAN
+    } else if guarded && DoubleRound::in_window(r) {
+        soft()
+    } else {
+        round(r)
+    }
+}
+
+/// The single-rounding `SoftFloat` kernel behind [`fmt_op2`], on operands
+/// already rounded into `fmt`: allocation-free format ops (scratch-pad
+/// analog, Fig. 4b).
+#[inline]
+pub(crate) fn soft_op2(fmt: Format, rm: RoundMode, kind: OpKind, a: f64, b: f64) -> f64 {
     let sa = SoftFloat::from_f64(a);
     let sb = SoftFloat::from_f64(b);
     let r = match kind {
@@ -498,7 +578,8 @@ pub(crate) fn fmt_op2(fmt: Format, rm: RoundMode, kind: OpKind, a: f64, b: f64) 
 }
 
 #[inline]
-pub(crate) fn emulate_sqrt(fmt: Format, rm: RoundMode, path: EmulPath, a: f64) -> f64 {
+pub(crate) fn emulate_sqrt(e: Emul, a: f64) -> f64 {
+    let Emul { fmt, rm, path, dr } = e;
     match path {
         EmulPath::Native => {
             if fmt == Format::FP64 {
@@ -512,18 +593,19 @@ pub(crate) fn emulate_sqrt(fmt: Format, rm: RoundMode, path: EmulPath, a: f64) -
             let (tz, sticky) = ba.sqrt_ix(63, RoundMode::TowardZero);
             fmt.round_soft_sticky(&tz.to_soft(), sticky, rm).to_f64()
         }
-        _ => fmt_sqrt(fmt, rm, fmt.round_f64(a, rm)),
+        _ => fmt_sqrt(fmt, rm, dr, fmt.round_f64(a, rm)),
     }
 }
 
 /// The `Soft` path of [`emulate_sqrt`] on an operand already rounded into
 /// `fmt`.
 #[inline(always)]
-pub(crate) fn fmt_sqrt(fmt: Format, rm: RoundMode, a: f64) -> f64 {
+pub(crate) fn fmt_sqrt(fmt: Format, rm: RoundMode, dr: DoubleRound, a: f64) -> f64 {
     // Same innocuous-double-rounding short-cut as fmt_op2: f64 sqrt is
-    // correctly rounded, and sqrt never leaves the safe magnitude range
-    // for qualifying formats.
-    if rm == RoundMode::NearestEven && fmt.double_round_safe() {
+    // correctly rounded, and needs no guard — the square root of a value
+    // of at least 2^-1074 is at least 2^-537, far above the subnormal
+    // window.
+    if dr != DoubleRound::Unsafe {
         let r = a.sqrt();
         if r.is_nan() {
             return f64::NAN;
@@ -534,7 +616,8 @@ pub(crate) fn fmt_sqrt(fmt: Format, rm: RoundMode, a: f64) -> f64 {
 }
 
 #[inline]
-pub(crate) fn emulate_fma(fmt: Format, rm: RoundMode, path: EmulPath, a: f64, b: f64, c: f64) -> f64 {
+pub(crate) fn emulate_fma(e: Emul, a: f64, b: f64, c: f64) -> f64 {
+    let Emul { fmt, rm, path, dr } = e;
     match path {
         EmulPath::Native => {
             if fmt == Format::FP64 {
@@ -559,38 +642,69 @@ pub(crate) fn emulate_fma(fmt: Format, rm: RoundMode, path: EmulPath, a: f64, b:
             fmt.round_soft_sticky(&tz.to_soft(), sticky, rm).to_f64()
         }
         _ => {
-            // Hardware short-cut: fused multiply-add double rounding
-            // through f64 is innocuous under the same 2p+2 bound (Roux,
-            // "Innocuous double rounding of basic arithmetic operations",
-            // JFR 2014, formally includes fma) — differentially tested
-            // against the exact-sticky fallback in tests/fastpath.rs.
-            if rm == RoundMode::NearestEven && fmt.double_round_safe() {
-                let r = fmt
-                    .round_f64(a, rm)
-                    .mul_add(fmt.round_f64(b, rm), fmt.round_f64(c, rm));
-                if r.is_nan() {
-                    return f64::NAN;
-                }
-                return fmt.round_f64(r, rm);
-            }
-            // Exact-until-one-rounding: fma truncated toward zero at 64
-            // bits with the inexact flag as sticky, then a single rounding
-            // into the format's precision and range.
-            let sa = SoftFloat::from_f64(fmt.round_f64(a, rm));
-            let sb = SoftFloat::from_f64(fmt.round_f64(b, rm));
-            let sc = SoftFloat::from_f64(fmt.round_f64(c, rm));
-            let (tz, sticky) = sa.fma_rz64(&sb, &sc);
-            if tz.is_zero() && !sticky {
-                // Exact-zero fma: sign per the final rounding direction.
-                return sa.fma(&sb, &sc, 1, rm).to_f64();
-            }
-            fmt.round_soft_sticky(&tz, sticky, rm).to_f64()
+            let (a, b, c) = (fmt.round_f64(a, rm), fmt.round_f64(b, rm), fmt.round_f64(c, rm));
+            fmt_fma(fmt, rm, dr, a, b, c)
         }
     }
 }
 
+/// The `Soft` path of [`emulate_fma`] on operands already rounded into
+/// `fmt`.
+#[inline(always)]
+pub(crate) fn fmt_fma(fmt: Format, rm: RoundMode, dr: DoubleRound, a: f64, b: f64, c: f64) -> f64 {
+    // Hardware short-cut, guarded by ties rather than by the 2p+2 bound:
+    // an fma's exact value has no 2p-bit bound (a product on a format
+    // tie plus a tiny addend rounds onto the tie in f64, and the second
+    // rounding then breaks it to even, away from the exact value). Every
+    // tie of a short-cut format is an f64 value, so a hardware result off
+    // the ties lies strictly between the same two ties as the exact
+    // value and rounds the same way — in the f64 subnormal window too.
+    // Results on a tie re-run through the exact kernel. Differentially
+    // tested against the naive path in tests/fastpath.rs.
+    if dr != DoubleRound::Unsafe {
+        let soft = || soft_fma(fmt, rm, a, b, c);
+        return finish_fma(fmt, a.mul_add(b, c), |r| fmt.round_f64(r, rm), soft);
+    }
+    soft_fma(fmt, rm, a, b, c)
+}
+
+/// [`finish_shortcut`] for fma, guarded by ties instead of the subnormal
+/// window: a hardware result `r` on a tie of `fmt` re-runs through `soft`
+/// (see [`fmt_fma`]); any other is canonicalized and rounded.
+#[inline(always)]
+pub(crate) fn finish_fma(
+    fmt: Format,
+    r: f64,
+    round: impl FnOnce(f64) -> f64,
+    soft: impl FnOnce() -> f64,
+) -> f64 {
+    if is_tie_core(r, fmt.exp_bits(), fmt.man_bits()) {
+        soft()
+    } else if r.is_nan() {
+        f64::NAN
+    } else {
+        round(r)
+    }
+}
+
+/// The exact-until-one-rounding kernel behind [`fmt_fma`], on operands
+/// already rounded into `fmt`: fma truncated toward zero at 64 bits with
+/// the inexact flag as sticky, then a single rounding into the format's
+/// precision and range.
 #[inline]
-pub(crate) fn emulate_math(fmt: Format, rm: RoundMode, path: EmulPath, func: MathFn, a: f64) -> f64 {
+pub(crate) fn soft_fma(fmt: Format, rm: RoundMode, a: f64, b: f64, c: f64) -> f64 {
+    let (sa, sb, sc) = (SoftFloat::from_f64(a), SoftFloat::from_f64(b), SoftFloat::from_f64(c));
+    let (tz, sticky) = sa.fma_rz64(&sb, &sc);
+    if tz.is_zero() && !sticky {
+        // Exact-zero fma: sign per the final rounding direction.
+        return sa.fma(&sb, &sc, 1, rm).to_f64();
+    }
+    fmt.round_soft_sticky(&tz, sticky, rm).to_f64()
+}
+
+#[inline]
+pub(crate) fn emulate_math(e: Emul, func: MathFn, a: f64) -> f64 {
+    let Emul { fmt, rm, path, .. } = e;
     match path {
         EmulPath::Native => {
             if fmt == Format::FP64 {
@@ -619,7 +733,7 @@ fn slot_op2(kind: OpKind, a: &SlotVal, b: &SlotVal, p: &MemParams) -> SlotVal {
     match (a, b) {
         (SlotVal::Fmt(x), SlotVal::Fmt(y)) => {
             let fmt = p.clamp.expect("Fmt slots imply a clamping format");
-            SlotVal::Fmt(fmt_op2(fmt, rm, kind, *x, *y))
+            SlotVal::Fmt(fmt_op2(fmt, rm, p.dr, kind, *x, *y))
         }
         (SlotVal::Soft(x), SlotVal::Soft(y)) if prec <= 62 => {
             let r = match (kind, p.clamp) {
@@ -679,7 +793,7 @@ fn mem_sqrt(act: &mut ActiveCtx, a: f64, loc: &'static Location<'static>) -> f64
     let (prec, rm) = (p.prec, p.round);
     let (va, sha) = act.mem.resolve(a, p);
     let val = match (&va, p.clamp) {
-        (SlotVal::Fmt(x), Some(f)) => SlotVal::Fmt(fmt_sqrt(f, rm, *x)),
+        (SlotVal::Fmt(x), Some(f)) => SlotVal::Fmt(fmt_sqrt(f, rm, p.dr, *x)),
         (SlotVal::Soft(x), Some(f)) if prec <= 61 => SlotVal::Soft(f.sqrt(x, rm)),
         (SlotVal::Soft(x), None) if prec <= 61 => SlotVal::Soft(x.sqrt(prec, rm)),
         _ => SlotVal::Big(Box::new(va.to_big().sqrt(prec, rm))),

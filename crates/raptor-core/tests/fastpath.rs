@@ -7,8 +7,8 @@
 //! is a deterministic SplitMix64 stream over structured magnitude classes
 //! (normals, format-subnormal range, overflow boundary, exact ties).
 
-use bigfloat::Format;
-use raptor_core::{Config, EmulPath, OpKind, Real, Session, Tracked};
+use bigfloat::{DoubleRound, Format, RoundMode};
+use raptor_core::{batch, Config, EmulPath, OpKind, Real, Session, Tracked};
 
 /// SplitMix64: deterministic, well-distributed 64-bit stream.
 struct Rng(u64);
@@ -33,6 +33,17 @@ impl Rng {
         } else {
             x
         }
+    }
+
+    /// A random-signed f64 with exponent exactly `e`, down to f64's
+    /// subnormal range (where `2f64.powi(e)` would underflow to zero),
+    /// rounded into `fmt`.
+    fn fmt_value_at_exp(&mut self, fmt: Format, e: i32) -> f64 {
+        let frac = self.next() >> 12;
+        let x = f64::from_bits((((e.max(-1022) + 1023) as u64) << 52) | frac)
+            * f64::from_bits(((e.min(-1022) + 2045) as u64) << 52);
+        let x = if self.next() & 1 == 1 { -x } else { x };
+        fmt.round_f64(x, RoundMode::NearestEven)
     }
 }
 
@@ -78,7 +89,7 @@ fn soft_path_matches_naive_oracle_randomized() {
         Format::FP8_E5M2,
         Format::FP8_E4M3,
         Format::new(8, 16),
-        Format::new(11, 24), // short-cut does NOT apply: soft kernel path
+        Format::new(11, 24), // guarded short-cut (p = 25, Figueroa's limit)
     ];
     let kinds = [OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Div];
     let mut rng = Rng(0x00C0_FFEE_D15C_0DE5);
@@ -86,6 +97,8 @@ fn soft_path_matches_naive_oracle_randomized() {
         let emin = fmt.emin();
         let emax = fmt.emax();
         // Magnitude classes: mid-range, underflow fringe, overflow fringe.
+        // The underflow fringe stays above f64's subnormal range; the
+        // window below it has its own tests.
         let classes: [(i32, i32); 3] = [
             (emin / 2, emax / 2),
             ((emin - fmt.man_bits() as i32 - 2).max(-1021), emin + 2),
@@ -243,5 +256,227 @@ fn directed_rounding_preserves_zero_sign_on_cancellation() {
                 "{path:?} {mode:?}: fma(2, 0.75, -1.5) gave {r:?}"
             );
         }
+    }
+}
+
+/// The e11 formats whose short-cut is guarded ([`DoubleRound::Guarded`]):
+/// one in the batch kernels' static table (`e11m20`), the rest on the
+/// generic-width tier.
+const GUARDED: [Format; 4] =
+    [Format::new(11, 18), Format::new(11, 20), Format::new(11, 22), Format::new(11, 24)];
+
+/// `kind` (fma when `None`) lane by lane over whole operand slices, under
+/// one installed session, evaluated as `how` says.
+fn eval_all(
+    fmt: Format,
+    how: Eval,
+    kind: Option<OpKind>,
+    a: &[f64],
+    b: &[f64],
+    c: &[f64],
+) -> Vec<u64> {
+    let path = if how == Eval::Big { EmulPath::Big } else { EmulPath::Soft };
+    let sess = Session::new(Config::op_all(fmt).with_path(path)).unwrap();
+    let _g = sess.install();
+    let mut out = vec![0.0; a.len()];
+    match (how, kind) {
+        (Eval::Batch, Some(OpKind::Add)) => batch::batch_add(a, b, &mut out),
+        (Eval::Batch, Some(OpKind::Sub)) => batch::batch_sub(a, b, &mut out),
+        (Eval::Batch, Some(OpKind::Mul)) => batch::batch_mul(a, b, &mut out),
+        (Eval::Batch, Some(OpKind::Div)) => batch::batch_div(a, b, &mut out),
+        (Eval::Batch, None) => batch::batch_fma(a, b, c, &mut out),
+        (_, Some(k)) => {
+            for i in 0..a.len() {
+                out[i] = raptor_core::ops::op2(k, a[i], b[i]);
+            }
+        }
+        (_, None) => {
+            for i in 0..a.len() {
+                out[i] = raptor_core::ops::op_fma(a[i], b[i], c[i]);
+            }
+        }
+    }
+    out.into_iter().map(canonical_bits).collect()
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Eval {
+    /// Scalar entry points, Soft path (the short-cut under test).
+    Soft,
+    /// Batch slice kernels, Soft path.
+    Batch,
+    /// Scalar entry points, naive BigFloat oracle.
+    Big,
+}
+
+/// Soft and batch both match the Big oracle, lane by lane.
+fn assert_matches_oracle(
+    fmt: Format,
+    kind: Option<OpKind>,
+    a: &[f64],
+    b: &[f64],
+    c: &[f64],
+    what: &str,
+) {
+    let want = eval_all(fmt, Eval::Big, kind, a, b, c);
+    for how in [Eval::Soft, Eval::Batch] {
+        let got = eval_all(fmt, how, kind, a, b, c);
+        for i in 0..a.len() {
+            assert_eq!(
+                got[i],
+                want[i],
+                "{fmt} {what} {kind:?} {how:?} lane {i}: a={:e} b={:e} c={:e}: \
+                 {:e} vs oracle {:e}",
+                a[i],
+                b[i],
+                c[i],
+                f64::from_bits(got[i]),
+                f64::from_bits(want[i])
+            );
+        }
+    }
+}
+
+/// The guarded short-cut in the f64 subnormal window: results of mul,
+/// div, add and fma on format values land in `[2^-1074, 2^-1022]`, where
+/// f64 rounds to fewer than `2p + 2` bits and the guard must send them
+/// to the single-rounding kernel. Scalar and batch (table-served e11m20,
+/// generic-width e11m18/m22/m24) both match the naive oracle.
+#[test]
+fn guarded_formats_match_naive_oracle_in_subnormal_window() {
+    let mut rng = Rng(0x5B_D1E9_95A5_7E11);
+    for fmt in GUARDED {
+        assert_eq!(fmt.double_round(), DoubleRound::Guarded, "{fmt}");
+        let n = 1500;
+        let (mut ma, mut mb, mut da, mut db, mut aa, mut ab, mut fc) =
+            (vec![], vec![], vec![], vec![], vec![], vec![], vec![]);
+        for _ in 0..n {
+            // Result exponents from the format's smallest subnormal's
+            // half-ulp (and below, rounding to zero) up to 2^-1022.
+            let m = fmt.man_bits();
+            let t = -1024 - m as i32 + (rng.next() % (m as u64 + 3)) as i32;
+            // mul: exponents summing into the window.
+            let ea = -700 + (rng.next() % 350) as i32;
+            ma.push(rng.fmt_value_at_exp(fmt, ea));
+            mb.push(rng.fmt_value_at_exp(fmt, t - ea));
+            // div: a normal dividend over a large divisor.
+            let eb = 60 + (rng.next() % 240) as i32;
+            da.push(rng.fmt_value_at_exp(fmt, t + eb));
+            db.push(rng.fmt_value_at_exp(fmt, eb));
+            // add/sub: values at the bottom of the range, signs mixed.
+            for v in [&mut aa, &mut ab] {
+                let e = -1042 + (rng.next() % 23) as i32;
+                v.push(rng.fmt_value_at_exp(fmt, e));
+            }
+            // fma: a window product plus a window addend.
+            let e = -1060 + (rng.next() % 39) as i32;
+            fc.push(rng.fmt_value_at_exp(fmt, e));
+        }
+        // The hardware results (what the guard sees) mostly land in the
+        // window.
+        let in_window = |a: &[f64], b: &[f64], op: fn(f64, f64) -> f64| {
+            a.iter().zip(b).filter(|(&x, &y)| DoubleRound::in_window(op(x, y))).count()
+        };
+        assert!(in_window(&ma, &mb, |x, y| x * y) > n / 2, "{fmt}: products in the window");
+        assert!(in_window(&da, &db, |x, y| x / y) > n / 2, "{fmt}: quotients in the window");
+        assert!(in_window(&aa, &ab, |x, y| x + y) > n / 2, "{fmt}: sums in the window");
+        assert_matches_oracle(fmt, Some(OpKind::Mul), &ma, &mb, &ma, "window mul");
+        assert_matches_oracle(fmt, Some(OpKind::Div), &da, &db, &da, "window div");
+        assert_matches_oracle(fmt, Some(OpKind::Add), &aa, &ab, &aa, "window add");
+        assert_matches_oracle(fmt, Some(OpKind::Sub), &aa, &ab, &aa, "window sub");
+        assert_matches_oracle(fmt, None, &ma, &mb, &fc, "window fma");
+    }
+}
+
+/// Products the unguarded short-cut gets wrong: `a = A 2^-537`,
+/// `b = B 2^-538` with odd `p`-bit `A`, `B` make `ab = AB 2^-1075`, one
+/// bit below f64's subnormal grid, while the format keeps the bits of
+/// `AB` from `2^(53-m)` up. `AB` one unit off the format tie — `AB ≡
+/// 2^(52-m) ± 1 (mod 2^(53-m))` — is an f64 tie whose even neighbour is
+/// the format tie, so f64 rounds onto it, and the second rounding breaks
+/// it to even: the wrong way for half of them. The pairs come from
+/// `AB ≡ ±1 (mod 2^(52-m))`, half of which are such near-ties. The test
+/// also shows the guard is needed: the unguarded `round(a * b)` is wrong
+/// on some of them.
+#[test]
+fn guarded_formats_match_naive_oracle_on_window_near_ties() {
+    for fmt in GUARDED {
+        let (m, p) = (fmt.man_bits(), fmt.precision());
+        let k = 52 - m;
+        let modulus = 1u64 << k;
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let mut big_a = (1u64 << (p - 1)) + 1;
+        while big_a < 1u64 << p && a.len() < 256 {
+            // Inverse of the odd `big_a` modulo 2^64 by Newton's iteration
+            // (each step doubles the correct low bits).
+            let mut inv = big_a;
+            for _ in 0..6 {
+                inv = inv.wrapping_mul(2u64.wrapping_sub(big_a.wrapping_mul(inv)));
+            }
+            for target in [1, modulus - 1] {
+                let big_b = inv.wrapping_mul(target) & (modulus - 1);
+                if (1u64 << (p - 1)..1u64 << p).contains(&big_b) {
+                    a.push(big_a as f64 * 2f64.powi(-537));
+                    b.push(big_b as f64 * 2f64.powi(-538));
+                    a.push(-(big_a as f64) * 2f64.powi(-537));
+                    b.push(big_b as f64 * 2f64.powi(-538));
+                }
+            }
+            big_a += 2;
+        }
+        assert!(a.len() >= 8, "{fmt}: {} pairs", a.len());
+        assert_matches_oracle(fmt, Some(OpKind::Mul), &a, &b, &a, "near-tie mul");
+        let want = eval_all(fmt, Eval::Big, Some(OpKind::Mul), &a, &b, &a);
+        let unguarded = (0..a.len())
+            .filter(|&i| fmt.round_f64(a[i] * b[i], RoundMode::NearestEven).to_bits() != want[i])
+            .count();
+        // e11m18's 19-bit significands leave the format 3 bits of these
+        // products, and its dozen pairs happen to break the right way.
+        assert!(
+            unguarded > 0 || fmt.man_bits() == 18,
+            "{fmt}: the unguarded short-cut must be wrong on some of {} pairs",
+            a.len()
+        );
+    }
+}
+
+/// fma needs its own guard, for every short-cut format: a product on a
+/// format tie plus an addend far below it rounds onto the tie in f64,
+/// and the second rounding breaks it to even, away from the exact value.
+/// Soft and batch re-run those ties exactly; the unguarded short-cut is
+/// wrong on some of them.
+#[test]
+fn fma_short_cut_matches_naive_oracle_on_ties() {
+    let mut rng = Rng(0xF3A_7135_0DD5);
+    // Formats with the range for an addend 2^-60 below the product.
+    for fmt in [Format::new(11, 12), Format::BF16, Format::new(8, 16), Format::new(11, 20)] {
+        let p = fmt.precision() as i32;
+        let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 1..p {
+            // (1 + 2^-i)(1 + 2^(i-p)) = 1 + 2^-i + 2^(i-p) + 2^-p: its last
+            // bit is the format's half ulp, so it is a tie.
+            let (x, y) = (1.0 + 2f64.powi(-i), 1.0 + 2f64.powi(i - p));
+            for _ in 0..4 {
+                let mut scale = || 2f64.powi((rng.next() % 40) as i32 - 20);
+                let (x, y) = (x * scale(), y * scale());
+                let x = if rng.next() & 1 == 1 { -x } else { x };
+                assert!(bigfloat::kernel::is_tie_core(x * y, fmt.exp_bits(), fmt.man_bits()));
+                let tail = fmt.round_f64(x * y * 2f64.powi(-60), RoundMode::NearestEven);
+                for t in [tail, -tail] {
+                    a.push(x);
+                    b.push(y);
+                    c.push(t);
+                }
+            }
+        }
+        assert_matches_oracle(fmt, None, &a, &b, &c, "tie fma");
+        let want = eval_all(fmt, Eval::Big, None, &a, &b, &c);
+        let unguarded = (0..a.len())
+            .filter(|&i| {
+                let r = a[i].mul_add(b[i], c[i]);
+                fmt.round_f64(r, RoundMode::NearestEven).to_bits() != want[i]
+            })
+            .count();
+        assert!(unguarded > 0, "{fmt}: the unguarded fma short-cut must be wrong on some tie");
     }
 }
