@@ -157,8 +157,12 @@ impl Format {
     }
 
     /// Smallest positive subnormal value: `2^(emin - m)`.
+    ///
+    /// Scaled down from `min_normal()` rather than formed as one `powi`:
+    /// `powi` with a negative exponent divides by `2^-(emin - m)`, which
+    /// overflows to infinity (and the result to 0) below `2^-1023`.
     pub fn min_subnormal(&self) -> f64 {
-        2f64.powi(self.emin() - self.man_bits as i32)
+        self.min_normal() * 0.5f64.powi(self.man_bits as i32)
     }
 
     // ------------------------------------------------------------------
@@ -414,6 +418,10 @@ mod tests {
         assert_eq!(Format::FP16.max_finite(), 65504.0);
         assert_eq!(Format::FP16.min_normal(), 6.103515625e-05);
         assert_eq!(Format::FP16.min_subnormal(), 5.960464477539063e-08);
+        // e11 subnormals sit below 2^-1023, where a single `powi` gives 0.
+        let e11m12 = std::hint::black_box(Format::new(11, 12));
+        assert_eq!(e11m12.min_subnormal(), f64::from_bits(1 << 40), "2^-1034");
+        assert_eq!(Format::FP64.min_subnormal(), f64::from_bits(1), "2^-1074");
     }
 
     #[test]

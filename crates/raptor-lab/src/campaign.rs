@@ -287,8 +287,8 @@ pub struct CampaignSpec {
     pub candidates: Vec<CandidateSpec>,
     /// Acceptance threshold on fidelity (quality-of-result gate).
     pub fidelity_floor: f64,
-    /// Stealer threads on the task pool (see
-    /// [`TaskPool::new`](crate::queue::TaskPool::new) for the clamp).
+    /// Stealer threads on the task pool: `max(workers, nranks)` in
+    /// total, spread ±1 across the ranks.
     pub workers: usize,
     /// Hardware model for the §7.2 speedup ranking.
     pub machine: Machine,
@@ -337,7 +337,7 @@ pub struct CandidateOutcome {
 impl CandidateOutcome {
     /// Machine-readable outcome row: the spec's fields plus the scores,
     /// counters, and embedded profiling report. This is the row format of
-    /// campaign summaries, task-pool payloads, and the resume cache.
+    /// campaign summaries and the resume cache.
     pub fn to_json(&self) -> Json {
         // Speedup panels can go non-finite on degenerate counter
         // populations: encode every score losslessly.
@@ -359,9 +359,8 @@ impl CandidateOutcome {
     }
 
     /// Parse back a document produced by [`CandidateOutcome::to_json`]
-    /// — lossless for every finite field, so a row that crosses the
-    /// minimpi wire (or sleeps in a resume cache) compares equal to the
-    /// locally computed one.
+    /// — lossless for every finite field, so a row that sleeps in a
+    /// resume cache compares equal to the locally computed one.
     pub fn from_json(doc: &Json) -> Result<CandidateOutcome, String> {
         Ok(CandidateOutcome {
             spec: CandidateSpec::from_json(doc)?,

@@ -10,8 +10,8 @@
 //! * the [`Scenario`] trait + [`registry()`] — every workload crate
 //!   (hydro, incomp, eos, raptor-ir) behind one `build → run(&Session) →
 //!   fidelity` contract;
-//! * two drivers on one executor, the work-stealing [`queue::TaskPool`]
-//!   over [`minimpi`] ranks, at any rank count including 1:
+//! * two drivers on one executor, a work-stealing pool of stealer
+//!   threads in `nranks` worker groups, at any rank count including 1:
 //!   the sweep driver [`run_study_distributed_resumable`] (a campaign is a
 //!   one-scenario study) and the search driver [`precision_search`].
 //!
@@ -60,12 +60,13 @@
 //!
 //! ## Ranks
 //!
-//! Every rank contributes stealer threads that pull one task at a time
-//! from a rank-0 queue server; the full-precision baseline is a
-//! lazily-computed pool resource, and each task's mesh sweeps run inline
-//! on its stealer. Rows are reassembled in lattice order before the
-//! stable ranking sort, so the merged report is byte-identical at any
-//! rank count — only [`StudyStats`] shows where the work ran:
+//! Every rank contributes stealer threads that take one task at a time
+//! from one shared queue; the full-precision baseline is a
+//! lazily-computed pool resource that every stealer shares, and each
+//! task's mesh sweeps run inline on its stealer. Rows are reassembled in
+//! lattice order before the stable ranking sort, so the merged report is
+//! byte-identical at any rank count — only [`StudyStats`] shows where the
+//! work ran:
 //!
 //! ```
 //! use raptor_lab::{find, run_study_distributed_resumable, CampaignSpec, LabParams};
@@ -113,9 +114,9 @@
 //! into a single cross-scenario codesign ranking — the paper's headline
 //! Table-1-style artifact. The sweep driver flattens the
 //! `(scenario, candidate)` pair list into one queue, so skewed per-pair
-//! costs never idle ranks, and per-scenario baselines broadcast lazily on
-//! first touch. One shared [`OutcomeCache`] directory covers the whole
-//! study ([`run_study_resumed`]):
+//! costs never idle ranks, and per-scenario baselines are computed
+//! lazily on first touch. One shared [`OutcomeCache`] directory covers
+//! the whole study ([`run_study_resumed`]):
 //!
 //! ```
 //! use raptor_lab::{run_study_distributed_resumable, study_scenarios, CampaignSpec, LabParams};
@@ -134,7 +135,7 @@
 
 pub mod cache;
 pub mod campaign;
-pub mod queue;
+mod queue;
 pub mod registry;
 pub mod scenario;
 pub mod search;
@@ -145,7 +146,6 @@ pub use campaign::{
     default_candidates, format_ladder, native_candidates, run_campaign, shear_candidates,
     CampaignReport, CampaignSpec, CandidateOutcome, CandidateSpec, ScopeAxis,
 };
-pub use queue::{FixedTasks, PoolRun, PoolStats, Task, TaskCtx, TaskPool, TaskSource};
 pub use registry::{find, registry, study_scenarios};
 pub use scenario::{
     fidelity_from_error, relative_l1, LabParams, Observable, Runnable, Scenario,

@@ -4,13 +4,14 @@
 //! workflow as a library.
 //!
 //! [`precision_search`] steals at **probe** granularity: every bisection
-//! probe of every cutoff row is one [`TaskPool`](crate::queue::TaskPool)
-//! task, and the per-cutoff decision state (a `ProbeChain`) lives with
-//! the rank-0 queue server, which readies a chain's next probe the moment
-//! its pending one completes. Chain lengths differ per cutoff, so pinning
-//! a chain to a rank would idle the others; stealing probes keeps every
-//! rank busy until the last chain dries up, and because the chains never
-//! leave the server the rows are identical at any rank count.
+//! probe of every cutoff row is one task on the shared work-stealing
+//! pool, and the per-cutoff decision state (a `ProbeChain`) lives in the
+//! pool's task source, which readies a chain's next probe the moment its
+//! pending one completes. Chain lengths differ per cutoff, so pinning a
+//! chain to a rank would idle the others; stealing probes keeps every
+//! rank busy until the last chain dries up, and because each chain
+//! advances in its own probe order the rows are identical at any rank
+//! count.
 //!
 //! Probes are cached too: each is a deterministic
 //! `(scenario, scale, threads, exp_bits, cutoff, m)` point, so cached
@@ -19,7 +20,7 @@
 
 use crate::cache::OutcomeCache;
 use crate::campaign::{run_candidate, CandidateSpec};
-use crate::queue::{Task, TaskSource};
+use crate::queue::TaskSource;
 use crate::scenario::{LabParams, Scenario};
 use crate::study::{drain, with_baseline, StudyStats};
 use bigfloat::Format;
@@ -40,8 +41,8 @@ pub struct SearchSpec {
     pub fidelity_floor: f64,
     /// The M-l cutoffs to search independently (each gets its own row).
     pub cutoffs: Vec<u32>,
-    /// Stealer threads on the task pool (see
-    /// [`TaskPool::new`](crate::queue::TaskPool::new) for the clamp).
+    /// Stealer threads on the task pool: `max(workers, nranks)` in
+    /// total, spread ±1 across the ranks.
     pub workers: usize,
 }
 
@@ -134,7 +135,7 @@ pub fn search_to_json(scenario: &str, rows: &[SearchRow]) -> Json {
 
 /// Greedily bisect the mantissa ladder per cutoff for the minimal width
 /// that clears the fidelity floor, stealing probes across `nranks`
-/// minimpi ranks. Rows come back in cutoff order, identical at any rank
+/// worker groups. Rows come back in cutoff order, identical at any rank
 /// count.
 ///
 /// With a `cache`, cached `(cutoff, m)` probes advance the chains without
@@ -167,20 +168,17 @@ pub fn precision_search(
     let mut stats = StudyStats { pairs_by_rank: vec![0; nranks], ..StudyStats::default() };
     let mut source = ChainSource::new(spec, snapshot);
     if !source.exhausted() {
-        let run = drain(&[scenario], &spec.params, nranks, spec.workers, source, &|ctx, _, detail| {
-            let ci = detail.u64_field("chain").expect("grant carries the chain index") as usize;
-            let m = detail.u64_field("m").expect("grant carries the probe width") as u32;
-            let probe =
-                CandidateSpec::op(Format::new(spec.exp_bits, m)).with_cutoff(spec.cutoffs[ci]);
-            let o = with_baseline(ctx, 0, |baseline| {
-                run_candidate(scenario, &spec.params, &probe, max_level, baseline)
+        let (drained, _, pool) =
+            drain(&[scenario], &spec.params, nranks, spec.workers, source, &|ctx, _, (ci, m)| {
+                let probe =
+                    CandidateSpec::op(Format::new(spec.exp_bits, m)).with_cutoff(spec.cutoffs[ci]);
+                let o = with_baseline(ctx, 0, |baseline| {
+                    run_candidate(scenario, &spec.params, &probe, max_level, baseline)
+                });
+                (o.fidelity, o.counters.truncated_fraction())
             });
-            Json::obj()
-                .set("fidelity", Json::from_f64_lossless(o.fidelity))
-                .set("truncated_fraction", Json::from_f64_lossless(o.counters.truncated_fraction()))
-        });
-        stats.absorb_pool(run.stats);
-        source = run.source;
+        stats.absorb_pool(pool);
+        source = drained;
     }
     if let Some(c) = cache {
         for &(cutoff, m, fid, frac) in &source.fresh {
@@ -212,8 +210,8 @@ struct ChainSource {
     /// Probes served from the cache snapshot without running anything.
     cached: usize,
     /// Cached `(cutoff, m) -> (fidelity, truncated_fraction)` points,
-    /// snapshotted before the pool starts (the source lives on the
-    /// rank-0 server thread; it cannot touch the caller's cache).
+    /// snapshotted before the pool starts, so completions, which run
+    /// under the pool's lock, never read the caller's cache.
     snapshot: HashMap<(u32, u32), (f64, f64)>,
     /// Probes computed this run, for write-back after the pool drains:
     /// `(cutoff, m, fidelity, truncated_fraction)`.
@@ -271,20 +269,23 @@ impl ChainSource {
 }
 
 impl TaskSource for ChainSource {
-    fn next(&mut self) -> Option<Task> {
+    /// `(chain index, mantissa)` of the probe to run.
+    type Detail = (usize, u32);
+    /// The probe's `(fidelity, truncated_fraction)`.
+    type Output = (f64, f64);
+
+    fn next(&mut self) -> Option<(u64, (usize, u32))> {
         let (ci, m) = self.ready.pop_front()?;
         let id = self.next_id;
         self.next_id += 1;
         self.inflight.insert(id, (ci, m));
-        Some(Task { id, detail: Json::obj().set("chain", ci).set("m", m) })
+        Some((id, (ci, m)))
     }
 
-    fn complete(&mut self, task: u64, payload: Json) -> Result<(), String> {
+    fn complete(&mut self, task: u64, (fid, frac): (f64, f64)) -> Result<(), String> {
         let (ci, m) =
             self.inflight.remove(&task).ok_or_else(|| format!("unknown probe task {task}"))?;
         self.probes += 1;
-        let fid = payload.f64_field_lossless("fidelity")?;
-        let frac = payload.f64_field_lossless("truncated_fraction")?;
         self.fresh.push((self.cutoffs[ci], m, fid, frac));
         if let Some(next_m) = self.chains[ci].advance(m, fid, frac) {
             self.ready.push_back((ci, next_m));

@@ -8,14 +8,13 @@
 //! as many. It enumerates every `(scenario, candidate)` **pair** across
 //! the scenarios (the whole registry or a subset, see
 //! [`crate::study_scenarios`]) and drains the flattened pair list
-//! through the shared work-stealing [`TaskPool`] (see the
-//! [`crate::queue`] module docs for the protocol):
+//! through the shared work-stealing task pool:
 //!
 //! * each pair is one task; skewed per-pair costs (a Kelvin–Helmholtz
 //!   hydro run next to a 16-call IR kernel) never leave ranks idle;
 //! * per-scenario full-precision baselines are pool *resources*,
-//!   computed lazily on first touch and broadcast bit-exactly; scenarios
-//!   whose pairs are all cache hits never run one;
+//!   computed lazily on first touch and shared by every stealer;
+//!   scenarios whose pairs are all cache hits never run one;
 //! * one shared [`OutcomeCache`] directory covers the whole study (the
 //!   cache key already carries the scenario name), so a warm resume of a
 //!   completed study performs **zero** runs.
@@ -48,10 +47,9 @@ use crate::campaign::{
     eligible_candidates, run_candidate, score_and_rank, CampaignReport, CampaignSpec,
     CandidateOutcome,
 };
-use crate::queue::{FixedTasks, PoolRun, TaskCtx, TaskPool, TaskSource};
+use crate::queue::{FixedTasks, PoolStats, TaskCtx, TaskPool, TaskSource};
 use crate::scenario::{LabParams, Observable, Scenario};
-use minimpi::Json;
-use raptor_core::Session;
+use raptor_core::{Json, Session};
 use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -291,7 +289,7 @@ pub struct StudyStats {
     /// the rank count; a fully-warm resume has every entry zero.
     pub pairs_by_rank: Vec<usize>,
     /// Effective stealer count across all ranks: `max(workers, nranks)`
-    /// (see [`crate::queue::TaskPool::new`] for the clamp rule). `0` when
+    /// (at least one per rank, spread ±1 across ranks). `0` when
     /// the run was fully warm and no pool was spun up.
     pub stealers: usize,
     /// Total seconds stealers spent blocked on the queue, summed across
@@ -303,10 +301,9 @@ pub struct StudyStats {
 
 impl StudyStats {
     /// Fold a drained pool run's scheduling stats into this record — the
-    /// single bridge from [`crate::queue::PoolStats`], so a new pool
-    /// metric gets recorded by both drivers (sweep and search) or
-    /// neither.
-    pub fn absorb_pool(&mut self, pool: crate::queue::PoolStats) {
+    /// single bridge from the pool's stats, so a new pool metric gets
+    /// recorded by both drivers (sweep and search) or neither.
+    pub(crate) fn absorb_pool(&mut self, pool: PoolStats) {
         self.pairs_by_rank = pool.tasks_by_rank;
         self.stealers = pool.stealers;
         self.queue_wait_s = pool.queue_wait_s;
@@ -358,7 +355,7 @@ pub struct StatsRecord {
     /// Directory name of the cache the run resumed against. Stamped by
     /// [`append_stats_history`].
     pub cache: String,
-    /// minimpi rank count of the run.
+    /// Rank (worker-group) count of the run.
     pub ranks: usize,
     /// Milliseconds since the Unix epoch at record time.
     pub unix_ms: u64,
@@ -499,43 +496,38 @@ pub fn render_stats_history(records: &[StatsRecord]) -> String {
 
 /// Drain `source` on a [`TaskPool`] of `nranks` ranks and `workers`
 /// stealers whose shared resource `k` is the full-precision baseline of
-/// `scenarios[k]`, computed on first touch. The executor under both
-/// drivers (sweep and search).
+/// `scenarios[k]`, computed on first touch and shared by every stealer.
+/// The executor under both drivers (sweep and search).
 pub(crate) fn drain<S: TaskSource + Send>(
     scenarios: &[&dyn Scenario],
     params: &LabParams,
     nranks: usize,
     workers: usize,
     source: S,
-    task: &(dyn Fn(&TaskCtx<'_>, u64, &Json) -> Json + Sync),
-) -> PoolRun<S> {
+    task: &(dyn Fn(&TaskCtx<'_, Observable>, u64, S::Detail) -> S::Output + Sync),
+) -> (S, Vec<Option<Observable>>, PoolStats) {
     TaskPool::new(nranks, workers).run(scenarios.len(), source, task, &|key| {
-        amr::run_inline(|| scenarios[key as usize].build(params).run(&Session::passthrough()))
-            .values
+        amr::run_inline(|| scenarios[key].build(params).run(&Session::passthrough()))
     })
 }
 
-/// Run `f` against the baseline of scenario `key` (see [`drain`]),
-/// materialized as an [`Observable`] at most once per stealer via
-/// [`TaskCtx::memo`]. Stealers are plain threads, not sweep-pool workers,
-/// so `f` runs inline: a scenario's interior mesh sweeps
-/// (`params.threads > 1`) must not serialize every stealer on the
-/// process-wide pool's submit lock.
+/// Run `f` against the baseline of scenario `key` (see [`drain`]).
+/// Stealers are plain threads, not sweep-pool workers, so `f` runs
+/// inline: a scenario's interior mesh sweeps (`params.threads > 1`) must
+/// not serialize every stealer on the process-wide pool's submit lock.
 pub(crate) fn with_baseline<T>(
-    ctx: &TaskCtx<'_>,
+    ctx: &TaskCtx<'_, Observable>,
     key: usize,
     f: impl FnOnce(&Observable) -> T,
 ) -> T {
-    let key = key as u64;
-    ctx.memo(key, |ctx| Observable { values: (*ctx.resource(key)).clone() }, |baseline| {
-        amr::run_inline(|| f(baseline))
-    })
+    let baseline = ctx.resource(key);
+    amr::run_inline(|| f(baseline))
 }
 
 /// The sweep driver: run every scenario over `spec`'s lattice across
-/// `nranks` minimpi ranks and merge one ranked section per scenario plus
+/// `nranks` worker groups and merge one ranked section per scenario plus
 /// the cross-scenario ranking. A campaign is a one-scenario study;
-/// `nranks = 1` takes the same [`TaskPool`] path. The report JSON is
+/// `nranks = 1` takes the same task-pool path. The report JSON is
 /// byte-identical at any rank count.
 ///
 /// With a `cache`, pairs already cached are served without running
@@ -577,28 +569,24 @@ pub fn run_study_distributed_resumable<'s, S: Borrow<dyn Scenario + 's>>(
     // scenarios stay `None` and fall back to their cached self-fidelity.
     let mut baselines: Vec<Option<Observable>> = vec![None; scenarios.len()];
     if !missing.is_empty() {
-        let run = drain(
+        let (source, resources, pool) = drain(
             &scenarios,
             &spec.params,
             nranks,
             spec.workers,
             FixedTasks::new(missing.len()),
-            &|ctx, task, _| {
+            &|ctx, task, ()| {
                 let (si, cand) = pairs[missing[task as usize]];
                 with_baseline(ctx, si, |baseline| {
                     run_candidate(scenarios[si], &spec.params, cand, max_levels[si], baseline)
                 })
-                .to_json()
             },
         );
-        stats.absorb_pool(run.stats);
-        for (&i, payload) in missing.iter().zip(run.source.into_payloads()) {
-            let doc = payload.expect("every missing pair was stolen and completed");
-            let row = CandidateOutcome::from_json(&doc).expect("outcome rows round-trip the wire");
-            rows[i] = Some(row);
+        stats.absorb_pool(pool);
+        for (&i, row) in missing.iter().zip(source.into_outputs()) {
+            rows[i] = Some(row.expect("every missing pair was stolen and completed"));
         }
-        baselines =
-            run.resources.into_iter().map(|r| r.map(|values| Observable { values })).collect();
+        baselines = resources;
     }
 
     // Per-scenario sections: group along the spine, score, rank. A

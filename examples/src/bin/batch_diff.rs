@@ -153,9 +153,9 @@ fn main() {
     let mut failed = false;
     // e11m12 exercises the monomorphized kernel table; e11m20 its guarded
     // entry, whose flagged chunks re-run through the subnormal-window
-    // guard. (The per-element fallback tier is covered by the e11m30
-    // cases of the consumer crates' batch bit-identity tests.)
-    for (e, m) in [(11u32, 12u32), (11, 20)] {
+    // guard; e11m30, off the double-rounding short-cut, the per-element
+    // fallback tier.
+    for (e, m) in [(11u32, 12u32), (11, 20), (11, 30)] {
         let fmt = Format::new(e, m);
         for recon in [ReconKind::Plm, ReconKind::Weno5] {
             let (mesh_b, count_b) = run_sedov(fmt, recon, false);

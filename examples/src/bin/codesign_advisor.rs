@@ -1,8 +1,8 @@
 //! Domain scenario 4: hardware co-design advisory (§7.2) — a thin
 //! wrapper over a `raptor-lab` enumerative campaign: sweep the default
 //! format × cutoff lattice, gate on fidelity, rank the survivors by the
-//! roofline-resolved predicted speedup. The sweep shards across minimpi
-//! ranks (`--ranks N`), restarts warm from an outcome cache
+//! roofline-resolved predicted speedup. The sweep shards across ranks
+//! of the task pool (`--ranks N`), restarts warm from an outcome cache
 //! (`--resume <dir>` — a sharded cache directory that any number of
 //! concurrent processes append to), and can restrict itself to the
 //! GPU-native fp32/fp64 lattice (`--native`). `--study`

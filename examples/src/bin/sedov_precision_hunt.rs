@@ -2,9 +2,9 @@
 //! blast's hydro solver using AMR-level-selective truncation — the §6.1
 //! methodology, now a thin wrapper over the `raptor-lab` campaign
 //! engine's greedy precision search. `--ranks N` steals the individual
-//! bisection *probes* across minimpi ranks through the shared
-//! work-stealing `TaskPool` (per-cutoff chain state stays with the
-//! rank-0 row owner, so rows are identical at any rank count);
+//! bisection *probes* across the ranks of the shared work-stealing task
+//! pool (per-cutoff chain state stays in the pool's task source, so rows
+//! are identical at any rank count);
 //! `--native` answers the §3.6 GPU question instead (a fp32/fp64-only
 //! campaign — bisecting mantissa widths makes no sense when only
 //! hardware formats are on the table); `--resume DIR` hunts against a

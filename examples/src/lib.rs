@@ -8,11 +8,11 @@
 //!
 //! * an optional registry scenario name (e.g. `eos/cellular`);
 //! * `--tiny` — the mini scale for CI smoke runs;
-//! * `--ranks N` — distribute the work across `N` minimpi ranks through
-//!   the shared work-stealing `raptor_lab::queue::TaskPool` (campaign
+//! * `--ranks N` — distribute the work across `N` ranks (worker groups)
+//!   of raptor-lab's shared-memory work-stealing task pool (campaign
 //!   candidates, study pairs, and individual precision-search probes are
-//!   all stolen from a rank-0 queue; one rank takes the same path);
-//!   merged reports are byte-identical at any rank count;
+//!   all stolen from one queue; one rank takes the same path); merged
+//!   reports are byte-identical at any rank count;
 //! * `--resume <dir>` — persist per-candidate outcomes (and, for
 //!   precision hunts, per-probe results) to a sharded cache directory so
 //!   interrupted or repeated runs restart warm; any number of concurrent
@@ -46,7 +46,7 @@ pub struct LabArgs {
     pub named: bool,
     /// Scale knobs (`--tiny` selects the mini scale).
     pub params: LabParams,
-    /// minimpi rank count (`--ranks N`, default 1).
+    /// Rank (worker-group) count (`--ranks N`, default 1).
     pub ranks: usize,
     /// Outcome-cache directory (`--resume <dir>`), if resuming.
     pub resume: Option<PathBuf>,
