@@ -7,9 +7,8 @@
 //! per-element rows for the `raptor_core::batch` slice kernels, which
 //! amortize that dispatch over whole slices.
 //!
-//! Set `RAPTOR_BENCH_JSON=path.json` to capture the numbers
-//! (`BENCH_dispatch.json` at the repo root holds the committed
-//! before/after pair for the fast-path PR).
+//! Set `RAPTOR_BENCH_JSON=path.json` to capture the numbers; compare two
+//! revisions by running each back to back on the same machine.
 
 use bigfloat::Format;
 use raptor_bench::harness::{black_box, Harness};
@@ -107,7 +106,7 @@ fn bench_dispatch(c: &mut Harness) {
     // dispatch — what the sweep and the incomp advection pay per
     // interface. The matching scalar_weno5 rows run the per-op Tracked
     // reconstruction on the same windows: the path the fused kernel
-    // retired, and the "before" column for the committed JSON.
+    // retired.
     {
         use raptor_core::batch::batch_weno5;
         for (flabel, bfmt) in [

@@ -50,13 +50,6 @@ fn time_run(
 }
 
 fn main() {
-    // `RAPTOR_BATCH_FORCE_SCALAR=1` pins every batch consumer to its
-    // scalar per-op path — the "before" column of the committed
-    // before/after pair in BENCH_overhead.json.
-    if std::env::var_os("RAPTOR_BATCH_FORCE_SCALAR").is_some() {
-        raptor_core::batch::set_force_scalar(true);
-        println!("batch slice kernels DISABLED (RAPTOR_BATCH_FORCE_SCALAR)");
-    }
     let max_level = 3;
     let t_end = 0.015;
     let fmt = Format::new(11, 12);

@@ -128,7 +128,7 @@ impl Harness {
 
     /// Results as a JSON object `{label: ns_per_iter, ...}` through the
     /// shared [`raptor_core::json`] serializer (one writer for campaign
-    /// summaries, reports, and `BENCH_*.json` files).
+    /// summaries, reports, and the `RAPTOR_BENCH_JSON` output).
     pub fn to_json(&self) -> String {
         let mut doc = Json::obj();
         for r in &self.results {

@@ -490,12 +490,11 @@ mod tests {
         for mant in [48u32, 20] {
             let fmt = Format::new(11, mant);
             let run = |force_scalar: bool| {
-                batch::set_force_scalar(force_scalar);
+                let _pin = batch::force_scalar(force_scalar);
                 let mut sim = setup_cellular(2, 8, CellularInit::default());
                 let sess =
                     Session::new(Config::op_files(fmt, ["Eos"]).with_counting()).unwrap();
                 sim.run::<Tracked>(3, &sess);
-                batch::set_force_scalar(false);
                 let stats = sim.eos.stats();
                 (sim, sess.counters(), stats)
             };
@@ -536,14 +535,13 @@ mod tests {
         ];
         for (scope, fmt) in cases {
             let run = |force_scalar: bool| {
-                batch::set_force_scalar(force_scalar);
+                let _pin = batch::force_scalar(force_scalar);
                 let mut sim = setup_cellular(2, 8, CellularInit::default());
                 let sess = Session::new(
                     Config::op_files(fmt, scope.iter().copied()).with_counting(),
                 )
                 .unwrap();
                 sim.run::<Tracked>(2, &sess);
-                batch::set_force_scalar(false);
                 let stats = sim.eos.stats();
                 (sim, sess.counters(), stats)
             };

@@ -172,8 +172,8 @@ pub fn sweep_axis<R: Real, E: Eos>(
     // only when the EOS ships slice kernels. `batch::ready()` is checked
     // per block *after* the session is installed — it rejects mem-mode
     // sessions, whose per-op source-location attribution a slice loop
-    // cannot reproduce, and the `set_force_scalar` differential-testing
-    // toggle.
+    // cannot reproduce, and the `batch::force_scalar` differential-testing
+    // pin.
     let use_batch = R::IS_TRACKED
         && matches!(params.recon, ReconKind::Plm | ReconKind::Weno5)
         && eos.batch_supported();
@@ -739,11 +739,6 @@ mod tests {
         assert!(mom[32] > 0.0);
     }
 
-    /// Serializes the tests that flip the process-global
-    /// `batch::set_force_scalar` toggle, so one test's scalar oracle run
-    /// never switches another test's batch run onto the scalar path.
-    static FORCE_SCALAR_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     /// Sod tube along x (jump at x = 0.5) with `vx = vx(y)` and `vy = 0.1`.
     fn init_sod(m: &mut Mesh, vx: fn(f64) -> f64) {
         m.fill_initial(|x, y, var| {
@@ -764,9 +759,10 @@ mod tests {
     }
 
     /// Four op-mode steps through the batch sweep and through the scalar
-    /// oracle (`set_force_scalar`) from the same initial mesh: every cell
-    /// must match bit for bit and the counters exactly. The caller holds
-    /// [`FORCE_SCALAR_LOCK`].
+    /// oracle from the same initial mesh: every cell must match bit for
+    /// bit and the counters exactly. Each half holds a
+    /// `batch::force_scalar` pin, so a concurrent test cannot switch it
+    /// onto the other path.
     fn assert_batch_matches_scalar(
         build: &dyn Fn() -> Mesh,
         params: HydroParams,
@@ -778,14 +774,13 @@ mod tests {
         let eos = GammaLaw::default();
         let bc = BcSpec::all_outflow(4);
         let run = |force_scalar: bool| {
-            batch::set_force_scalar(force_scalar);
+            let _pin = batch::force_scalar(force_scalar);
             let mut m = build();
             let sess = Session::new(Config::op_files(fmt, ["Hydro"]).with_counting()).unwrap();
             for s in 0..4 {
                 let dt = compute_dt::<f64, _>(&m, &eos, &params);
                 step::<Tracked, _>(&mut m, &bc, &eos, &params, dt, threads, &sess, s % 2 == 1);
             }
-            batch::set_force_scalar(false);
             (m, sess.counters())
         };
         let (m_scalar, c_scalar) = run(true);
@@ -818,7 +813,6 @@ mod tests {
     #[test]
     fn batch_sweep_bit_identical_to_scalar() {
         use bigfloat::Format;
-        let _lock = FORCE_SCALAR_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let still: fn(f64) -> f64 = |_| 0.0;
         let drift: fn(f64) -> f64 = |_| 3.0;
         let shear: fn(f64) -> f64 = |y| 8.0 * (y - 0.25);
@@ -867,7 +861,6 @@ mod tests {
     #[test]
     fn reused_batch_scratch_survives_shape_changes() {
         use bigfloat::Format;
-        let _lock = FORCE_SCALAR_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let fmt = Format::new(11, 12);
         for (recon, ny) in [(ReconKind::Weno5, 8), (ReconKind::Plm, 6), (ReconKind::Weno5, 8)] {
             let params = HydroParams { recon, ..Default::default() };

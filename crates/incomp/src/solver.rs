@@ -381,7 +381,7 @@ pub fn step<R: Real>(
             // Row-sliced CSF curvature: same plain-f64 AST per cell,
             // evaluated a row at a time (linear indexing, vectorizable
             // coefficient prep). Bit-identical to the per-cell map below,
-            // which remains the oracle under `set_force_scalar`.
+            // which remains the oracle under `batch::force_scalar`.
             let mut kc = vec![0.0; n_int];
             for j in 0..ny {
                 curvature_row(grid, j, &mut kc[j * nx..(j + 1) * nx]);
@@ -1124,7 +1124,7 @@ mod tests {
         use raptor_core::{batch, Config, Tracked};
         for fmt in [Format::new(11, 10), Format::new(11, 20), Format::new(11, 30)] {
             let run = |force_scalar: bool| {
-                batch::set_force_scalar(force_scalar);
+                let _pin = batch::force_scalar(force_scalar);
                 let mut g = circle_grid(24, 24);
                 let params = InsParams::default();
                 let sess = Session::new(
@@ -1135,7 +1135,6 @@ mod tests {
                     let dt = compute_dt(&g, &params);
                     step::<Tracked>(&mut g, &params, dt, None, &sess);
                 }
-                batch::set_force_scalar(false);
                 (g, sess.counters())
             };
             let (gs, cs) = run(true);
@@ -1185,7 +1184,7 @@ mod tests {
         use raptor_core::{batch, Config, Tracked};
         for fmt in [Format::new(11, 10), Format::new(11, 20), Format::new(11, 30)] {
             let run = |force_scalar: bool| {
-                batch::set_force_scalar(force_scalar);
+                let _pin = batch::force_scalar(force_scalar);
                 let mut g = circle_grid(24, 24);
                 for j in 0..24 {
                     for i in 0..24 {
@@ -1205,7 +1204,6 @@ mod tests {
                     let dt = compute_dt(&g, &params);
                     step::<Tracked>(&mut g, &params, dt, None, &sess);
                 }
-                batch::set_force_scalar(false);
                 (g, sess.counters())
             };
             let (gs, cs) = run(true);
@@ -1242,7 +1240,7 @@ mod tests {
         use raptor_core::{batch, Config, Tracked};
         for fmt in [Format::new(11, 10), Format::new(11, 20), Format::new(11, 30)] {
             let run = |force_scalar: bool| {
-                batch::set_force_scalar(force_scalar);
+                let _pin = batch::force_scalar(force_scalar);
                 let mut g = circle_grid(24, 24);
                 for v in g.phi.iter_mut() {
                     *v *= 2.5;
@@ -1253,7 +1251,6 @@ mod tests {
                 )
                 .unwrap();
                 reinitialize::<Tracked>(&mut g, 12, &sess);
-                batch::set_force_scalar(false);
                 (g, sess.counters())
             };
             let (gs, cs) = run(true);

@@ -1,38 +1,44 @@
 //! Batch-specialized emulation kernels: slice-shaped ops that read the
 //! published [`FastPath`](crate::context) decision **once per call**, then
-//! run the whole slice through a monomorphized kernel — no per-element TLS
+//! run the whole slice through one tier's executor — no per-element TLS
 //! load, no per-element dispatch branch, no per-element counter bump.
 //!
 //! This is the RAPTOR answer to what r2vm's DBT does for instruction
 //! dispatch: the scalar [`crate::ops`] entry points are the interpreter
 //! slow path (kept verbatim as the differential oracle); a leaf's worth of
-//! cells goes through `batch_add`/`batch_mul`/... instead, which jump
-//! through a small static dispatch table to a `softfp`-style const-generic
-//! kernel instantiated for the shipped format ladder. Counters are
+//! cells goes through `batch_add`/`batch_mul`/... instead. Counters are
 //! bulk-added once per call ([`CellCounts::bump_n`](crate::counters)), so
 //! totals are *exactly* what the scalar path would have produced.
 //!
+//! Each op shape — binary with slice or broadcast operands, `sqrt`, `fma`,
+//! the fused WENO5 stencils, `log10` — is written once, as the scalar op
+//! AST over a per-element executor (`Exec`), and every shape runs
+//! through one dispatch skeleton (`run`). The skeleton picks the
+//! executor; the op kind and operand shape are type parameters, fixed
+//! outside the element loop, so the fast chunk loop is branch-free
+//! straight-line code per element.
+//!
 //! ## Dispatch tiers (fastest first)
 //!
-//! 1. **No session / inactive region** — plain hardware loops (plus one
-//!    bulk `full` count when the session counts full ops).
+//! 1. **Hardware** — no session, an inactive region (plus one bulk `full`
+//!    count when the session counts full ops), or a Native op-mode
+//!    decision: plain `f64` ops, or `f32` ones for the Native FP32 rung.
 //! 2. **Op-mode, monomorphized** — round-to-nearest-even and a format in
 //!    the static table whose double rounding through `f64` is innocuous
 //!    ([`DoubleRound::Safe`]) or guarded ([`DoubleRound::Guarded`],
 //!    `e11m20`): the `round → hardware op → round` short-cut with
 //!    const-generic widths, bit-identical to the scalar Soft path by
 //!    construction (both funnel through
-//!    [`bigfloat::kernel::round_rne_core`]). A flagged chunk or element
-//!    re-runs precisely; for a guarded format that re-run sends a result
-//!    in the `f64` subnormal window through the scalar SoftFloat kernel.
-//! 3. **Op-mode, generic short-cut** — a short-cut format outside the
-//!    table (`e11m18`, `e11m24`, ...): the same short-cut and guard with
-//!    runtime widths.
-//! 4. **Op-mode fallback** — Native/Big paths, directed rounding modes,
-//!    or formats past Figueroa's bound (`p > 25`, e.g. `e11m30`):
-//!    per-element emulation (same functions the scalar path calls),
-//!    still with one dispatch read and one bulk count.
-//! 5. **mem-mode** — defensive per-element [`crate::ops`] calls. Consumers
+//!    [`bigfloat::kernel::round_rne_core`]). A flagged chunk re-runs
+//!    precisely; for a guarded format that re-run sends a result in the
+//!    `f64` subnormal window through the scalar SoftFloat kernel.
+//! 3. **Op-mode, per-element emulation** — everything else in op-mode:
+//!    the Big path, directed rounding modes, formats past Figueroa's bound
+//!    (`p > 25`, e.g. `e11m30`) and short-cut formats outside the table
+//!    (`e11m22`, which take the same short-cut through `ops::emulate2`).
+//!    The scalar path's own emulation functions, still with one dispatch
+//!    read and one bulk count.
+//! 4. **mem-mode** — defensive per-element [`crate::ops`] calls. Consumers
 //!    should gate with [`ready`] and keep their scalar path instead:
 //!    mem-mode needs per-op source locations, which a batch call cannot
 //!    attribute.
@@ -40,45 +46,61 @@
 //! All slices must have equal length; the functions panic otherwise.
 
 use crate::config::EmulPath;
-use crate::context::{Dispatch, FastPath, FAST};
+use crate::context::{Dispatch, FAST};
 use crate::counters::OpKind;
-use crate::ops;
-use bigfloat::kernel::{round_rne, round_rne_core};
+use crate::ops::{self, MathFn};
+use bigfloat::kernel::round_rne;
 use bigfloat::{DoubleRound, Format, RoundMode};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 // ---------------------------------------------------------------------------
 // Consumer gating
 // ---------------------------------------------------------------------------
 
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
+static FORCE_SCALAR_LOCK: Mutex<()> = Mutex::new(());
 
-/// Test/diagnostic toggle: when set, [`ready`] reports `false` so gated
-/// consumers take their scalar path. Global (all threads), so differential
-/// runs under `par_leaves` flip every worker at once.
-pub fn set_force_scalar(on: bool) {
-    FORCE_SCALAR.store(on, Ordering::SeqCst);
+/// A held [`force_scalar`] pin. The flag it set lasts until the guard
+/// drops — on unwinding too — and no other pin can be taken meanwhile.
+#[must_use = "the pin lasts only as long as the guard"]
+pub struct ForceScalar {
+    _lock: MutexGuard<'static, ()>,
 }
 
-/// Whether [`set_force_scalar`] is currently set.
-pub fn force_scalar() -> bool {
-    FORCE_SCALAR.load(Ordering::Relaxed)
+impl Drop for ForceScalar {
+    fn drop(&mut self) {
+        // Runs before the lock field drops: the next holder sees it clear.
+        FORCE_SCALAR.store(false, Ordering::SeqCst);
+    }
+}
+
+/// Test/diagnostic pin: while the returned guard lives, [`ready`] reports
+/// `false` on every thread if `on`, so gated consumers take their scalar
+/// path. A differential takes a pin for *both* halves — `true` for the
+/// scalar oracle, `false` for the batch run — so the one process-wide
+/// lock serializes it against every other differential; the flag is clear
+/// whenever no pin is held.
+pub fn force_scalar(on: bool) -> ForceScalar {
+    let lock = FORCE_SCALAR_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    FORCE_SCALAR.store(on, Ordering::SeqCst);
+    ForceScalar { _lock: lock }
 }
 
 /// Whether batch calls are profitable *and* semantics-preserving for the
 /// current thread state: false under mem-mode sessions (per-op source
-/// locations cannot be attributed from a slice loop) and under
-/// [`set_force_scalar`]. True otherwise, including with no session at all.
+/// locations cannot be attributed from a slice loop) and under a
+/// `force_scalar(true)` pin. True otherwise, including with no session at
+/// all.
 pub fn ready() -> bool {
-    if force_scalar() {
-        return false;
-    }
-    FAST.with(|f| {
-        !matches!(
-            f.dispatch.get(),
-            Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount
-        )
-    })
+    !FORCE_SCALAR.load(Ordering::Relaxed)
+        && FAST.with(|f| {
+            !matches!(
+                f.dispatch.get(),
+                Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount
+            )
+        })
 }
 
 // ---------------------------------------------------------------------------
@@ -87,128 +109,67 @@ pub fn ready() -> bool {
 
 /// `out[i] = a[i] + b[i]` under the current truncation decision.
 pub fn batch_add(a: &[f64], b: &[f64], out: &mut [f64]) {
-    bin(OpKind::Add, a, b, out)
+    run(Bin::<ADD, _, _>(a, b), out)
 }
 
 /// `out[i] = a[i] - b[i]` under the current truncation decision.
 pub fn batch_sub(a: &[f64], b: &[f64], out: &mut [f64]) {
-    bin(OpKind::Sub, a, b, out)
+    run(Bin::<SUB, _, _>(a, b), out)
 }
 
 /// `out[i] = a[i] * b[i]` under the current truncation decision.
 pub fn batch_mul(a: &[f64], b: &[f64], out: &mut [f64]) {
-    bin(OpKind::Mul, a, b, out)
+    run(Bin::<MUL, _, _>(a, b), out)
 }
 
 /// `out[i] = a[i] / b[i]` under the current truncation decision.
 pub fn batch_div(a: &[f64], b: &[f64], out: &mut [f64]) {
-    bin(OpKind::Div, a, b, out)
+    run(Bin::<DIV, _, _>(a, b), out)
 }
 
 /// `out[i] = a[i] + s` (scalar broadcast on the right).
 pub fn batch_add_s(a: &[f64], s: f64, out: &mut [f64]) {
-    bin_s(OpKind::Add, a, s, out)
+    run(Bin::<ADD, _, _>(a, s), out)
 }
 
 /// `out[i] = a[i] - s` (scalar broadcast on the right).
 pub fn batch_sub_s(a: &[f64], s: f64, out: &mut [f64]) {
-    bin_s(OpKind::Sub, a, s, out)
+    run(Bin::<SUB, _, _>(a, s), out)
 }
 
 /// `out[i] = a[i] * s` (scalar broadcast on the right).
 pub fn batch_mul_s(a: &[f64], s: f64, out: &mut [f64]) {
-    bin_s(OpKind::Mul, a, s, out)
+    run(Bin::<MUL, _, _>(a, s), out)
 }
 
 /// `out[i] = a[i] / s` (scalar broadcast on the right).
 pub fn batch_div_s(a: &[f64], s: f64, out: &mut [f64]) {
-    bin_s(OpKind::Div, a, s, out)
+    run(Bin::<DIV, _, _>(a, s), out)
 }
 
 /// `out[i] = s + b[i]` (scalar broadcast on the left).
 pub fn batch_radd_s(s: f64, b: &[f64], out: &mut [f64]) {
-    bin_rs(OpKind::Add, s, b, out)
-}
-
-/// `out[i] = s - b[i]` (scalar broadcast on the left).
-pub fn batch_rsub_s(s: f64, b: &[f64], out: &mut [f64]) {
-    bin_rs(OpKind::Sub, s, b, out)
+    run(Bin::<ADD, _, _>(s, b), out)
 }
 
 /// `out[i] = s * b[i]` (scalar broadcast on the left).
 pub fn batch_rmul_s(s: f64, b: &[f64], out: &mut [f64]) {
-    bin_rs(OpKind::Mul, s, b, out)
+    run(Bin::<MUL, _, _>(s, b), out)
 }
 
 /// `out[i] = s / b[i]` (scalar broadcast on the left).
 pub fn batch_rdiv_s(s: f64, b: &[f64], out: &mut [f64]) {
-    bin_rs(OpKind::Div, s, b, out)
+    run(Bin::<DIV, _, _>(s, b), out)
 }
 
 /// `out[i] = sqrt(a[i])` under the current truncation decision.
 pub fn batch_sqrt(a: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), out.len());
-    let n = out.len() as u64;
-    FAST.with(|f| match f.dispatch.get() {
-        Dispatch::None | Dispatch::Inactive => {
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o = x.sqrt();
-            }
-        }
-        Dispatch::InactiveCount => {
-            f.full.bump_n(OpKind::Sqrt, n);
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o = x.sqrt();
-            }
-        }
-        Dispatch::Op => {
-            f.trunc.bump_n(OpKind::Sqrt, n);
-            if let Some(ks) = f.kernels.get() {
-                (ks.sqrt)(a, out);
-            } else {
-                op_sqrt_fallback(f, a, out);
-            }
-        }
-        Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount => {
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o = ops::op_sqrt(x);
-            }
-        }
-    })
+    run(Sqrt(a), out)
 }
 
 /// `out[i] = fma(a[i], b[i], c[i])` under the current truncation decision.
 pub fn batch_fma(a: &[f64], b: &[f64], c: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), out.len());
-    assert_eq!(b.len(), out.len());
-    assert_eq!(c.len(), out.len());
-    let n = out.len() as u64;
-    FAST.with(|f| match f.dispatch.get() {
-        Dispatch::None | Dispatch::Inactive => {
-            for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
-                *o = x.mul_add(y, z);
-            }
-        }
-        Dispatch::InactiveCount => {
-            f.full.bump_n(OpKind::Fma, n);
-            for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
-                *o = x.mul_add(y, z);
-            }
-        }
-        Dispatch::Op => {
-            f.trunc.bump_n(OpKind::Fma, n);
-            if let Some(ks) = f.kernels.get() {
-                (ks.fma)(a, b, c, out);
-            } else {
-                op_fma_fallback(f, a, b, c, out);
-            }
-        }
-        Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount => {
-            for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
-                *o = ops::op_fma(x, y, z);
-            }
-        }
-    })
+    run(Fma(a, b, c), out)
 }
 
 /// Fused Jiang–Shu WENO5 over five stencil slices: `out[i]` is exactly what
@@ -216,7 +177,7 @@ pub fn batch_fma(a: &[f64], b: &[f64], c: &[f64], out: &mut [f64]) {
 /// the scalar path — same op AST per element (19 adds, 8 subs, 34 muls,
 /// 4 divs), one `FastPath` read and one bulk counter add per call.
 pub fn batch_weno5(v0: &[f64], v1: &[f64], v2: &[f64], v3: &[f64], v4: &[f64], out: &mut [f64]) {
-    weno5_dispatch::<false>([v0, v1, v2, v3, v4], out)
+    run(Weno5::<false>([v0, v1, v2, v3, v4]), out)
 }
 
 /// Fused WENO5, `incomp::solver::weno5_core` variant: the combination ends
@@ -224,580 +185,279 @@ pub fn batch_weno5(v0: &[f64], v1: &[f64], v2: &[f64], v3: &[f64], v4: &[f64], o
 /// 8 subs, 35 muls, 4 divs per element). Bit- and counter-identical to the
 /// incomp scalar AST.
 pub fn batch_weno5_adv(v0: &[f64], v1: &[f64], v2: &[f64], v3: &[f64], v4: &[f64], out: &mut [f64]) {
-    weno5_dispatch::<true>([v0, v1, v2, v3, v4], out)
+    run(Weno5::<true>([v0, v1, v2, v3, v4]), out)
 }
 
-/// `out[i] = log10(a[i])` under the current truncation decision. Math
-/// functions have no monomorphized table entry (SoftFloat evaluation
-/// dominates the cost); the win here is one dispatch read and one bulk
-/// `Math` counter add instead of per-element TLS traffic.
+/// `out[i] = log10(a[i])` under the current truncation decision. The
+/// SoftFloat evaluation dominates the cost, which every op-mode tier pays
+/// per element; the win here is one dispatch read and one bulk `Math`
+/// counter add instead of per-element TLS traffic.
 pub fn batch_log10(a: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), out.len());
-    let n = out.len() as u64;
-    FAST.with(|f| match f.dispatch.get() {
-        Dispatch::None | Dispatch::Inactive => {
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o = x.log10();
-            }
-        }
-        Dispatch::InactiveCount => {
-            f.full.bump_n(OpKind::Math, n);
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o = x.log10();
-            }
-        }
-        Dispatch::Op => {
-            f.trunc.bump_n(OpKind::Math, n);
-            let emul = f.emul.get();
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o = ops::emulate_math(emul, ops::MathFn::Log10, x);
-            }
-        }
-        Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount => {
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o = ops::op_math(ops::MathFn::Log10, x);
-            }
-        }
-    })
+    run(Log10(a), out)
 }
 
 // ---------------------------------------------------------------------------
-// Binary dispatch skeletons
+// The dispatch skeleton
 // ---------------------------------------------------------------------------
 
-fn bin(kind: OpKind, a: &[f64], b: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), out.len());
-    assert_eq!(b.len(), out.len());
-    let n = out.len() as u64;
-    FAST.with(|f| match f.dispatch.get() {
-        Dispatch::None | Dispatch::Inactive => raw_bin(kind, a, b, out),
-        Dispatch::InactiveCount => {
-            f.full.bump_n(kind, n);
-            raw_bin(kind, a, b, out)
-        }
-        Dispatch::Op => {
-            f.trunc.bump_n(kind, n);
-            if let Some(ks) = f.kernels.get() {
-                (ks.bin)(kind, a, b, out);
-            } else {
-                op_bin_fallback(f, kind, a, b, out);
+/// Every batch op: one `FastPath` read, one bulk count, and the whole
+/// slice through the executor of the decision's tier.
+fn run<S: Shape>(s: S, out: &mut [f64]) {
+    let n = out.len();
+    s.check(n);
+    FAST.with(|f| {
+        let count = |c: &crate::counters::CellCounts| {
+            for &(kind, per) in S::COUNTS {
+                c.bump_n(kind, per * n as u64);
             }
-        }
-        Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount => {
-            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                *o = ops::op2(kind, x, y);
+        };
+        match f.dispatch.get() {
+            Dispatch::None | Dispatch::Inactive => each(s, &mut Hw, out),
+            Dispatch::InactiveCount => {
+                count(&f.full);
+                each(s, &mut Hw, out)
             }
-        }
-    })
-}
-
-fn bin_s(kind: OpKind, a: &[f64], s: f64, out: &mut [f64]) {
-    assert_eq!(a.len(), out.len());
-    let n = out.len() as u64;
-    FAST.with(|f| match f.dispatch.get() {
-        Dispatch::None | Dispatch::Inactive => raw_bin_s(kind, a, s, out),
-        Dispatch::InactiveCount => {
-            f.full.bump_n(kind, n);
-            raw_bin_s(kind, a, s, out)
-        }
-        Dispatch::Op => {
-            f.trunc.bump_n(kind, n);
-            if let Some(ks) = f.kernels.get() {
-                (ks.bin_s)(kind, a, s, out);
-            } else {
-                op_bin_s_fallback(f, kind, a, s, out);
-            }
-        }
-        Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount => {
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o = ops::op2(kind, x, s);
-            }
-        }
-    })
-}
-
-fn bin_rs(kind: OpKind, s: f64, b: &[f64], out: &mut [f64]) {
-    assert_eq!(b.len(), out.len());
-    let n = out.len() as u64;
-    FAST.with(|f| match f.dispatch.get() {
-        Dispatch::None | Dispatch::Inactive => raw_bin_rs(kind, s, b, out),
-        Dispatch::InactiveCount => {
-            f.full.bump_n(kind, n);
-            raw_bin_rs(kind, s, b, out)
-        }
-        Dispatch::Op => {
-            f.trunc.bump_n(kind, n);
-            if let Some(ks) = f.kernels.get() {
-                (ks.bin_rs)(kind, s, b, out);
-            } else {
-                op_bin_rs_fallback(f, kind, s, b, out);
-            }
-        }
-        Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount => {
-            for (o, &y) in out.iter_mut().zip(b) {
-                *o = ops::op2(kind, s, y);
-            }
-        }
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Hardware loops
-// ---------------------------------------------------------------------------
-
-macro_rules! raw_loop2 {
-    ($kind:expr, $a:expr, $b:expr, $out:expr, $op:tt) => {
-        for ((o, &x), &y) in $out.iter_mut().zip($a).zip($b) {
-            *o = x $op y;
-        }
-    };
-}
-
-fn raw_bin(kind: OpKind, a: &[f64], b: &[f64], out: &mut [f64]) {
-    match kind {
-        OpKind::Add => raw_loop2!(kind, a, b, out, +),
-        OpKind::Sub => raw_loop2!(kind, a, b, out, -),
-        OpKind::Mul => raw_loop2!(kind, a, b, out, *),
-        OpKind::Div => raw_loop2!(kind, a, b, out, /),
-        _ => unreachable!("binary batch ops only"),
-    }
-}
-
-fn raw_bin_s(kind: OpKind, a: &[f64], s: f64, out: &mut [f64]) {
-    match kind {
-        OpKind::Add => {
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o = x + s;
-            }
-        }
-        OpKind::Sub => {
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o = x - s;
-            }
-        }
-        OpKind::Mul => {
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o = x * s;
-            }
-        }
-        OpKind::Div => {
-            for (o, &x) in out.iter_mut().zip(a) {
-                *o = x / s;
-            }
-        }
-        _ => unreachable!("binary batch ops only"),
-    }
-}
-
-fn raw_bin_rs(kind: OpKind, s: f64, b: &[f64], out: &mut [f64]) {
-    match kind {
-        OpKind::Add => {
-            for (o, &y) in out.iter_mut().zip(b) {
-                *o = s + y;
-            }
-        }
-        OpKind::Sub => {
-            for (o, &y) in out.iter_mut().zip(b) {
-                *o = s - y;
-            }
-        }
-        OpKind::Mul => {
-            for (o, &y) in out.iter_mut().zip(b) {
-                *o = s * y;
-            }
-        }
-        OpKind::Div => {
-            for (o, &y) in out.iter_mut().zip(b) {
-                *o = s / y;
-            }
-        }
-        _ => unreachable!("binary batch ops only"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Op-mode fallbacks (Native path, generic-width shortcut, per-element
-// emulation). One dispatch read and one bulk count already happened.
-// ---------------------------------------------------------------------------
-
-fn op_bin_fallback(f: &FastPath, kind: OpKind, a: &[f64], b: &[f64], out: &mut [f64]) {
-    let emul = f.emul.get();
-    match emul.path {
-        EmulPath::Native => {
-            if emul.fmt == Format::FP64 {
-                raw_bin(kind, a, b, out);
-            } else {
-                for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                    *o = ops::raw2(kind, (x as f32) as f64, (y as f32) as f64) as f32 as f64;
+            Dispatch::Op => {
+                count(&f.trunc);
+                let emul = f.emul.get();
+                match emul.path {
+                    EmulPath::Native if emul.fmt == Format::FP64 => each(s, &mut Hw, out),
+                    EmulPath::Native => each(s, &mut Hw32, out),
+                    _ => {
+                        if emul.dr == DoubleRound::Unsafe || !table(emul.fmt, s, out) {
+                            each(s, &mut Emulate(emul), out)
+                        }
+                    }
                 }
             }
+            Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount => each(s, &mut Ops, out),
         }
-        _ => {
-            if let Some(g) = Generic::of(emul) {
-                // Short-cut format outside the static table: same
-                // short-cut with runtime widths.
-                for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                    *o = g.op2(kind, g.round(x), g.round(y));
-                }
-            } else {
-                for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                    *o = ops::emulate2(emul, kind, x, y);
-                }
+    })
+}
+
+/// `out[i] = s[i]` through `x`, element by element. The operands are
+/// re-sliced to `out`'s length, so the loop carries no bounds checks.
+#[inline(always)]
+fn each<S: Shape, X: Exec>(s: S, x: &mut X, out: &mut [f64]) {
+    let n = out.len();
+    let s = s.window(0..n);
+    for i in 0..n {
+        out[i] = s.elem(x, i);
+    }
+}
+
+/// The monomorphized tier: each chunk runs through [`Fast`], and re-runs
+/// through [`Precise`] if any rounding in it tripped the slow flag.
+fn fast<S: Shape, const E: u32, const M: u32>(s: S, out: &mut [f64]) {
+    let n = out.len();
+    let mut i0 = 0;
+    while i0 < n {
+        let i1 = (i0 + S::CHUNK).min(n);
+        let (w, o) = (s.window(i0..i1), &mut out[i0..i1]);
+        let mut x = Fast::<E, M> { slow: false };
+        each(w, &mut x, o);
+        if x.slow {
+            each(w, &mut Precise::<E, M>, o);
+        }
+        i0 = i1;
+    }
+}
+
+/// The static dispatch table: runs `s` on the monomorphized tier and
+/// returns true if `fmt` is in the shipped format ladder — fp8 variants,
+/// fp16, bf16, tf32-shaped e8m10, fp32, the paper's e5m14, and the e11
+/// mantissa-truncation ladder the campaigns bisect, up to the default
+/// ladder's `e11m20`. Every entry double-rounds innocuously
+/// ([`DoubleRound::Safe`]) except `e11m20`, which is
+/// [`DoubleRound::Guarded`]: its fast tier already flags every
+/// `f64`-subnormal operand or result, and its precise re-runs keep the
+/// scalar guard.
+fn table<S: Shape>(fmt: Format, s: S, out: &mut [f64]) -> bool {
+    macro_rules! table {
+        ($(($e:literal, $m:literal)),* $(,)?) => {
+            match (fmt.exp_bits(), fmt.man_bits()) {
+                $(($e, $m) => fast::<S, $e, $m>(s, out),)*
+                _ => return false,
             }
-        }
+        };
+    }
+    table!(
+        (4, 3), (5, 2), (5, 10), (5, 14), (8, 7), (8, 10), (8, 23),
+        (11, 4), (11, 6), (11, 8), (11, 10), (11, 12), (11, 14), (11, 16), (11, 20),
+    );
+    true
+}
+
+// ---------------------------------------------------------------------------
+// Op shapes: the operands and the scalar op AST, written once
+// ---------------------------------------------------------------------------
+
+/// One batch op: its operands, its per-element ops for the bulk count, and
+/// the scalar op AST it evaluates per element.
+trait Shape: Copy {
+    /// Ops per element by kind; a call counts these times its length.
+    const COUNTS: &'static [(OpKind, u64)];
+    /// Chunk size for the fast/precise split: how many elements one
+    /// flagged rounding re-runs. Small enough that one stray subnormal only
+    /// re-runs a cacheline-scale stretch, large enough to amortize the flag
+    /// check.
+    const CHUNK: usize = 128;
+    /// Panics unless every slice operand has length `n`.
+    fn check(self, n: usize);
+    /// The operands restricted to the elements `r`.
+    fn window(self, r: Range<usize>) -> Self;
+    /// Element `i` through the executor `x`.
+    fn elem<X: Exec>(self, x: &mut X, i: usize) -> f64;
+}
+
+/// An operand of a binary op: a slice, or an `f64` broadcast to every
+/// element.
+trait Arg: Copy {
+    fn check(self, n: usize);
+    fn window(self, r: Range<usize>) -> Self;
+    fn at(self, i: usize) -> f64;
+}
+
+impl Arg for &[f64] {
+    fn check(self, n: usize) {
+        assert_eq!(self.len(), n);
+    }
+    fn window(self, r: Range<usize>) -> Self {
+        &self[r]
+    }
+    fn at(self, i: usize) -> f64 {
+        self[i]
     }
 }
 
-fn op_bin_s_fallback(f: &FastPath, kind: OpKind, a: &[f64], s: f64, out: &mut [f64]) {
-    let emul = f.emul.get();
-    if let Some(g) = Generic::of(emul) {
-        let rs = g.round(s);
-        for (o, &x) in out.iter_mut().zip(a) {
-            *o = g.op2(kind, g.round(x), rs);
-        }
-    } else {
-        for (o, &x) in out.iter_mut().zip(a) {
-            *o = ops::emulate2(emul, kind, x, s);
-        }
+impl Arg for f64 {
+    fn check(self, _: usize) {}
+    fn window(self, _: Range<usize>) -> Self {
+        self
+    }
+    fn at(self, _: usize) -> f64 {
+        self
     }
 }
 
-fn op_bin_rs_fallback(f: &FastPath, kind: OpKind, s: f64, b: &[f64], out: &mut [f64]) {
-    let emul = f.emul.get();
-    if let Some(g) = Generic::of(emul) {
-        let rs = g.round(s);
-        for (o, &y) in out.iter_mut().zip(b) {
-            *o = g.op2(kind, rs, g.round(y));
-        }
-    } else {
-        for (o, &y) in out.iter_mut().zip(b) {
-            *o = ops::emulate2(emul, kind, s, y);
-        }
+/// Binary op kinds as const-generic tags, so each instantiation's kind
+/// folds out of the element loop.
+const ADD: u8 = OpKind::Add as u8;
+const SUB: u8 = OpKind::Sub as u8;
+const MUL: u8 = OpKind::Mul as u8;
+const DIV: u8 = OpKind::Div as u8;
+
+const fn bin_kind(k: u8) -> OpKind {
+    match k {
+        ADD => OpKind::Add,
+        SUB => OpKind::Sub,
+        MUL => OpKind::Mul,
+        _ => OpKind::Div,
     }
 }
 
-fn op_sqrt_fallback(f: &FastPath, a: &[f64], out: &mut [f64]) {
-    let emul = f.emul.get();
-    if let Some(g) = Generic::of(emul) {
-        for (o, &x) in out.iter_mut().zip(a) {
-            let r = g.round(x).sqrt();
-            *o = if r.is_nan() { f64::NAN } else { g.round(r) };
-        }
-    } else {
-        for (o, &x) in out.iter_mut().zip(a) {
-            *o = ops::emulate_sqrt(emul, x);
-        }
-    }
-}
-
-fn op_fma_fallback(f: &FastPath, a: &[f64], b: &[f64], c: &[f64], out: &mut [f64]) {
-    let emul = f.emul.get();
-    if let Some(g) = Generic::of(emul) {
-        for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
-            *o = g.fma(g.round(x), g.round(y), g.round(z));
-        }
-    } else {
-        for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
-            *o = ops::emulate_fma(emul, x, y, z);
-        }
-    }
-}
-
-/// The generic-width short-cut tier: a Soft-path, round-to-nearest-even
-/// decision whose format double-rounds innocuously or guarded but has no
-/// static-table kernels. Operands round with runtime widths; results
-/// finish through [`ops::finish_shortcut`], so guarded formats re-run a
-/// result in the `f64` subnormal window through the SoftFloat kernel
-/// exactly as the scalar path does.
 #[derive(Clone, Copy)]
-struct Generic {
-    fmt: Format,
-    guarded: bool,
+struct Bin<const K: u8, A, B>(A, B);
+
+impl<const K: u8, A: Arg, B: Arg> Shape for Bin<K, A, B> {
+    const COUNTS: &'static [(OpKind, u64)] = &[(bin_kind(K), 1)];
+    fn check(self, n: usize) {
+        self.0.check(n);
+        self.1.check(n);
+    }
+    fn window(self, r: Range<usize>) -> Self {
+        Bin(self.0.window(r.clone()), self.1.window(r))
+    }
+    #[inline(always)]
+    fn elem<X: Exec>(self, x: &mut X, i: usize) -> f64 {
+        x.bin(bin_kind(K), self.0.at(i), self.1.at(i))
+    }
 }
 
-impl Generic {
-    fn of(emul: ops::Emul) -> Option<Generic> {
-        (emul.dr != DoubleRound::Unsafe)
-            .then_some(Generic { fmt: emul.fmt, guarded: emul.dr == DoubleRound::Guarded })
-    }
+#[derive(Clone, Copy)]
+struct Sqrt<'a>(&'a [f64]);
 
-    #[inline(always)]
-    fn round(self, x: f64) -> f64 {
-        round_rne_core(x, self.fmt.exp_bits(), self.fmt.man_bits())
+impl Shape for Sqrt<'_> {
+    const COUNTS: &'static [(OpKind, u64)] = &[(OpKind::Sqrt, 1)];
+    fn check(self, n: usize) {
+        self.0.check(n);
     }
-
-    /// One binary op on operands already rounded into the format.
-    #[inline(always)]
-    fn op2(self, kind: OpKind, a: f64, b: f64) -> f64 {
-        ops::finish_shortcut(
-            ops::raw2(kind, a, b),
-            self.guarded,
-            |r| self.round(r),
-            || ops::soft_op2(self.fmt, RoundMode::NearestEven, kind, a, b),
-        )
+    fn window(self, r: Range<usize>) -> Self {
+        Sqrt(&self.0[r])
     }
-
-    /// One fma on operands already rounded into the format; a result on
-    /// a format tie re-runs exactly, as in `ops::fmt_fma`.
     #[inline(always)]
-    fn fma(self, a: f64, b: f64, c: f64) -> f64 {
-        ops::finish_fma(
-            self.fmt,
-            a.mul_add(b, c),
-            |r| self.round(r),
-            || ops::soft_fma(self.fmt, RoundMode::NearestEven, a, b, c),
-        )
+    fn elem<X: Exec>(self, x: &mut X, i: usize) -> f64 {
+        x.sqrt(self.0[i])
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Fma<'a>(&'a [f64], &'a [f64], &'a [f64]);
+
+impl Shape for Fma<'_> {
+    const COUNTS: &'static [(OpKind, u64)] = &[(OpKind::Fma, 1)];
+    fn check(self, n: usize) {
+        self.0.check(n);
+        self.1.check(n);
+        self.2.check(n);
+    }
+    fn window(self, r: Range<usize>) -> Self {
+        Fma(&self.0[r.clone()], &self.1[r.clone()], &self.2[r])
+    }
+    #[inline(always)]
+    fn elem<X: Exec>(self, x: &mut X, i: usize) -> f64 {
+        x.fma(self.0[i], self.1[i], self.2[i])
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Log10<'a>(&'a [f64]);
+
+impl Shape for Log10<'_> {
+    const COUNTS: &'static [(OpKind, u64)] = &[(OpKind::Math, 1)];
+    fn check(self, n: usize) {
+        self.0.check(n);
+    }
+    fn window(self, r: Range<usize>) -> Self {
+        Log10(&self.0[r])
+    }
+    #[inline(always)]
+    fn elem<X: Exec>(self, x: &mut X, i: usize) -> f64 {
+        x.math(MathFn::Log10, self.0[i])
+    }
+}
+
+/// The fused WENO5 stencil ([`weno5_elem`]; the `bool` is its `INV_TAIL`).
+#[derive(Clone, Copy)]
+struct Weno5<'a, const INV_TAIL: bool>([&'a [f64]; 5]);
+
+impl<const INV_TAIL: bool> Shape for Weno5<'_, INV_TAIL> {
+    const COUNTS: &'static [(OpKind, u64)] = &[
+        (OpKind::Add, weno5_counts(INV_TAIL).0),
+        (OpKind::Sub, weno5_counts(INV_TAIL).1),
+        (OpKind::Mul, weno5_counts(INV_TAIL).2),
+        (OpKind::Div, weno5_counts(INV_TAIL).3),
+    ];
+    /// Element granularity: one subnormal intermediate re-runs 65 ops,
+    /// not 128 elements' worth.
+    const CHUNK: usize = 1;
+    fn check(self, n: usize) {
+        for v in self.0 {
+            v.check(n);
+        }
+    }
+    fn window(self, r: Range<usize>) -> Self {
+        Weno5(self.0.map(|v| &v[r.clone()]))
+    }
+    #[inline(always)]
+    fn elem<X: Exec>(self, x: &mut X, i: usize) -> f64 {
+        let v = self.0;
+        weno5_elem::<X, INV_TAIL>(x, v[0][i], v[1][i], v[2][i], v[3][i], v[4][i])
     }
 }
 
 // ---------------------------------------------------------------------------
-// Monomorphized kernels and the static dispatch table
-// ---------------------------------------------------------------------------
-
-/// One format's worth of monomorphized kernels, selected once per publish
-/// and cached in the decision cache.
-pub(crate) struct KernelSet {
-    pub(crate) bin: fn(OpKind, &[f64], &[f64], &mut [f64]),
-    pub(crate) bin_s: fn(OpKind, &[f64], f64, &mut [f64]),
-    pub(crate) bin_rs: fn(OpKind, f64, &[f64], &mut [f64]),
-    pub(crate) sqrt: fn(&[f64], &mut [f64]),
-    pub(crate) fma: fn(&[f64], &[f64], &[f64], &mut [f64]),
-    pub(crate) weno5: for<'a> fn([&'a [f64]; 5], &mut [f64]),
-    pub(crate) weno5_adv: for<'a> fn([&'a [f64]; 5], &mut [f64]),
-}
-
-/// Whether `(E, M)` double-rounds innocuously for every result
-/// ([`DoubleRound::Safe`]). The table's guarded formats (`e11m20`) are
-/// not: their precise re-runs keep the scalar path's subnormal-window
-/// guard. Evaluated in `const` blocks, so strict formats' kernels carry
-/// no trace of the guard.
-const fn strict<const E: u32, const M: u32>() -> bool {
-    matches!(Format::new(E, M).double_round(), DoubleRound::Safe)
-}
-
-/// Finish one short-cut op: canonicalize hardware NaNs (x86's negative
-/// "indefinite" vs the soft kernels' positive quiet NaN), then the final
-/// rounding. Mirrors the scalar short-cut in [`crate::ops`] exactly; for
-/// `sqrt`, and for every op of a strict format, it is all of it.
-#[inline(always)]
-fn finish<const E: u32, const M: u32>(r: f64) -> f64 {
-    if r.is_nan() {
-        f64::NAN
-    } else {
-        round_rne::<E, M>(r)
-    }
-}
-
-/// [`finish`] with the guard: a guarded format re-runs a result in the
-/// `f64` subnormal window through `soft`, the scalar SoftFloat kernel on
-/// the same rounded operands ([`ops::finish_shortcut`]).
-#[inline(always)]
-fn finish_guarded<const E: u32, const M: u32>(r: f64, soft: impl FnOnce() -> f64) -> f64 {
-    if const { strict::<E, M>() } {
-        finish::<E, M>(r)
-    } else {
-        ops::finish_shortcut(r, true, round_rne::<E, M>, soft)
-    }
-}
-
-/// The scalar SoftFloat kernel in `(E, M)` on operands already rounded
-/// into it: where a guarded format's precise re-run of a binary op goes
-/// when its result lands in the subnormal window.
-#[inline(always)]
-fn soft2<const E: u32, const M: u32>(kind: OpKind, a: f64, b: f64) -> f64 {
-    ops::soft_op2(Format::new(E, M), RoundMode::NearestEven, kind, a, b)
-}
-
-/// Branchless RNE rounding for magnitudes whose rounded value stays in
-/// the target format's *normal* range: the classic add-half-and-truncate
-/// on the raw bit pattern (carry out of the mantissa bumps the biased
-/// exponent exactly as IEEE encoding requires). For anything the trick
-/// cannot serve exactly — non-finite input, a nonzero magnitude below
-/// the format's normal range (target-subnormal, variable shift), or a
-/// result past `emax` (overflow to infinity) — it *flags* `slow` instead
-/// of handling the case, and the caller re-runs that chunk through the
-/// precise [`round_rne`] path. ±0 passes through the fast path
-/// unchanged. The split keeps the hot loop free of data-dependent
-/// branches so it auto-vectorizes.
-#[inline(always)]
-fn fast_round<const E: u32, const M: u32>(x: f64, slow: &mut bool) -> f64 {
-    let drop = 52 - M;
-    let bias = (1i32 << (E - 1)) - 1;
-    let (emin, emax) = (1 - bias, bias);
-    let bits = x.to_bits();
-    let mag = bits & !(1u64 << 63);
-    let exp = ((bits >> 52) & 0x7FF) as i32 - 1023;
-    let lsb = (bits >> drop) & 1;
-    let rbits = bits.wrapping_add((1u64 << (drop - 1)) - 1 + lsb) & !((1u64 << drop) - 1);
-    let rexp = ((rbits >> 52) & 0x7FF) as i32 - 1023;
-    *slow |= (exp >= 1024) | ((exp < emin) & (mag != 0)) | (rexp > emax);
-    f64::from_bits(rbits)
-}
-
-/// [`bigfloat::kernel::is_tie_core`] for the fast tier's unflagged results: `x` in the
-/// format's normal range, where a tie is a fixed bit pattern below the
-/// kept mantissa. (Zero never matches; everything else [`fast_round`]
-/// flags by itself.)
-#[inline(always)]
-fn on_tie<const M: u32>(x: f64) -> bool {
-    let drop = 52 - M;
-    x.to_bits() & ((1u64 << drop) - 1) == 1u64 << (drop - 1)
-}
-
-/// Chunk size for the fast/precise split: small enough that one stray
-/// subnormal only re-runs a cacheline-scale stretch, large enough to
-/// amortize the flag check.
-const CHUNK: usize = 128;
-
-fn k_bin<const E: u32, const M: u32>(kind: OpKind, a: &[f64], b: &[f64], out: &mut [f64]) {
-    macro_rules! lp {
-        ($op:tt) => {{
-            let n = out.len();
-            let mut i0 = 0;
-            while i0 < n {
-                let i1 = (i0 + CHUNK).min(n);
-                let mut slow = false;
-                for ((o, &x), &y) in out[i0..i1].iter_mut().zip(&a[i0..i1]).zip(&b[i0..i1]) {
-                    let r = fast_round::<E, M>(x, &mut slow) $op fast_round::<E, M>(y, &mut slow);
-                    *o = fast_round::<E, M>(r, &mut slow);
-                }
-                if slow {
-                    for ((o, &x), &y) in out[i0..i1].iter_mut().zip(&a[i0..i1]).zip(&b[i0..i1]) {
-                        let (x, y) = (round_rne::<E, M>(x), round_rne::<E, M>(y));
-                        *o = finish_guarded::<E, M>(x $op y, || soft2::<E, M>(kind, x, y));
-                    }
-                }
-                i0 = i1;
-            }
-        }};
-    }
-    match kind {
-        OpKind::Add => lp!(+),
-        OpKind::Sub => lp!(-),
-        OpKind::Mul => lp!(*),
-        OpKind::Div => lp!(/),
-        _ => unreachable!("binary batch ops only"),
-    }
-}
-
-fn k_bin_s<const E: u32, const M: u32>(kind: OpKind, a: &[f64], s: f64, out: &mut [f64]) {
-    // Rounding is deterministic and idempotent, so the broadcast operand is
-    // rounded once up front — bit-identical to rounding it per element.
-    let rs = round_rne::<E, M>(s);
-    macro_rules! lp {
-        ($op:tt) => {{
-            let n = out.len();
-            let mut i0 = 0;
-            while i0 < n {
-                let i1 = (i0 + CHUNK).min(n);
-                let mut slow = false;
-                for (o, &x) in out[i0..i1].iter_mut().zip(&a[i0..i1]) {
-                    let r = fast_round::<E, M>(x, &mut slow) $op rs;
-                    *o = fast_round::<E, M>(r, &mut slow);
-                }
-                if slow {
-                    for (o, &x) in out[i0..i1].iter_mut().zip(&a[i0..i1]) {
-                        let x = round_rne::<E, M>(x);
-                        *o = finish_guarded::<E, M>(x $op rs, || soft2::<E, M>(kind, x, rs));
-                    }
-                }
-                i0 = i1;
-            }
-        }};
-    }
-    match kind {
-        OpKind::Add => lp!(+),
-        OpKind::Sub => lp!(-),
-        OpKind::Mul => lp!(*),
-        OpKind::Div => lp!(/),
-        _ => unreachable!("binary batch ops only"),
-    }
-}
-
-fn k_bin_rs<const E: u32, const M: u32>(kind: OpKind, s: f64, b: &[f64], out: &mut [f64]) {
-    let rs = round_rne::<E, M>(s);
-    macro_rules! lp {
-        ($op:tt) => {{
-            let n = out.len();
-            let mut i0 = 0;
-            while i0 < n {
-                let i1 = (i0 + CHUNK).min(n);
-                let mut slow = false;
-                for (o, &y) in out[i0..i1].iter_mut().zip(&b[i0..i1]) {
-                    let r = rs $op fast_round::<E, M>(y, &mut slow);
-                    *o = fast_round::<E, M>(r, &mut slow);
-                }
-                if slow {
-                    for (o, &y) in out[i0..i1].iter_mut().zip(&b[i0..i1]) {
-                        let y = round_rne::<E, M>(y);
-                        *o = finish_guarded::<E, M>(rs $op y, || soft2::<E, M>(kind, rs, y));
-                    }
-                }
-                i0 = i1;
-            }
-        }};
-    }
-    match kind {
-        OpKind::Add => lp!(+),
-        OpKind::Sub => lp!(-),
-        OpKind::Mul => lp!(*),
-        OpKind::Div => lp!(/),
-        _ => unreachable!("binary batch ops only"),
-    }
-}
-
-fn k_sqrt<const E: u32, const M: u32>(a: &[f64], out: &mut [f64]) {
-    let n = out.len();
-    let mut i0 = 0;
-    while i0 < n {
-        let i1 = (i0 + CHUNK).min(n);
-        let mut slow = false;
-        for (o, &x) in out[i0..i1].iter_mut().zip(&a[i0..i1]) {
-            let r = fast_round::<E, M>(x, &mut slow).sqrt();
-            *o = fast_round::<E, M>(r, &mut slow);
-        }
-        if slow {
-            for (o, &x) in out[i0..i1].iter_mut().zip(&a[i0..i1]) {
-                *o = finish::<E, M>(round_rne::<E, M>(x).sqrt());
-            }
-        }
-        i0 = i1;
-    }
-}
-
-fn k_fma<const E: u32, const M: u32>(a: &[f64], b: &[f64], c: &[f64], out: &mut [f64]) {
-    let n = out.len();
-    let mut i0 = 0;
-    while i0 < n {
-        let i1 = (i0 + CHUNK).min(n);
-        let mut slow = false;
-        for (((o, &x), &y), &z) in
-            out[i0..i1].iter_mut().zip(&a[i0..i1]).zip(&b[i0..i1]).zip(&c[i0..i1])
-        {
-            let r = fast_round::<E, M>(x, &mut slow)
-                .mul_add(fast_round::<E, M>(y, &mut slow), fast_round::<E, M>(z, &mut slow));
-            // A result on a format tie may hide the addend's tail (see
-            // `ops::fmt_fma`): the precise re-run takes it.
-            slow |= on_tie::<M>(r);
-            *o = fast_round::<E, M>(r, &mut slow);
-        }
-        if slow {
-            for (((o, &x), &y), &z) in
-                out[i0..i1].iter_mut().zip(&a[i0..i1]).zip(&b[i0..i1]).zip(&c[i0..i1])
-            {
-                let (x, y, z) = (round_rne::<E, M>(x), round_rne::<E, M>(y), round_rne::<E, M>(z));
-                let fmt = Format::new(E, M);
-                *o = ops::finish_fma(fmt, x.mul_add(y, z), round_rne::<E, M>, || {
-                    ops::soft_fma(fmt, RoundMode::NearestEven, x, y, z)
-                });
-            }
-        }
-        i0 = i1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fused WENO5 stencil kernels
+// Fused WENO5 stencil AST
 // ---------------------------------------------------------------------------
 //
 // The WENO5 combination is 65 dependent scalar ops per element — squares of
@@ -805,16 +465,9 @@ fn k_fma<const E: u32, const M: u32>(a: &[f64], b: &[f64], c: &[f64], out: &mut 
 // Dispatching each through the per-op path costs 65 TLS loads and counter
 // bumps per cell; fusing the whole AST into one batch call pays the
 // dispatch once and lets the monomorphized rounding constant-fold through
-// the entire chain. The AST below is written once, generic over a per-op
-// executor, so every tier (hardware, fast/precise monomorphized, generic
-// shortcut, per-element emulation, defensive mem-mode) evaluates *exactly*
-// the same operations in the same order as the scalar consumers.
-
-/// Per-op executor for the fused stencil kernels. Implementations mirror
-/// one dispatch tier's semantics for a single binary op.
-trait WenoExec {
-    fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64;
-}
+// the entire chain. Written once over the executor, so every tier
+// evaluates *exactly* the same operations in the same order as the scalar
+// consumers.
 
 /// The Jiang–Shu WENO5 combination, op-for-op identical to
 /// `hydro::recon::weno5` (INV_TAIL = false: final `/ asum`) and
@@ -822,7 +475,7 @@ trait WenoExec {
 /// `* inv`). Both `powi(2)` calls lower to a single self-multiply, exactly
 /// like `Tracked::powi`'s square-and-multiply chain.
 #[inline(always)]
-fn weno5_elem<X: WenoExec, const INV_TAIL: bool>(
+fn weno5_elem<X: Exec, const INV_TAIL: bool>(
     x: &mut X,
     v0: f64,
     v1: f64,
@@ -910,31 +563,80 @@ fn weno5_elem<X: WenoExec, const INV_TAIL: bool>(
 }
 
 /// Per-element op totals of [`weno5_elem`] (the `bool` is `INV_TAIL`):
-/// `(add, sub, mul, div)`. The bulk counter adds below use these so the
-/// session totals are exactly what the scalar consumer would have bumped.
+/// `(add, sub, mul, div)`. The bulk counter adds use these so the session
+/// totals are exactly what the scalar consumer would have bumped.
 const fn weno5_counts(inv_tail: bool) -> (u64, u64, u64, u64) {
     (19, 8, 34 + inv_tail as u64, 4)
 }
 
+// ---------------------------------------------------------------------------
+// Per-element executors, one per dispatch tier
+// ---------------------------------------------------------------------------
+
+/// One dispatch tier's semantics for a single op. The shapes call these
+/// with a constant op kind, so after inlining no per-element dispatch
+/// remains.
+trait Exec {
+    fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64;
+    fn sqrt(&mut self, a: f64) -> f64;
+    fn fma(&mut self, a: f64, b: f64, c: f64) -> f64;
+    fn math(&mut self, func: MathFn, a: f64) -> f64;
+}
+
 /// Hardware tier: plain `f64` ops, no rounding.
-struct HwExec;
-impl WenoExec for HwExec {
+struct Hw;
+impl Exec for Hw {
     #[inline(always)]
     fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64 {
         ops::raw2(kind, a, b)
+    }
+    #[inline(always)]
+    fn sqrt(&mut self, a: f64) -> f64 {
+        a.sqrt()
+    }
+    #[inline(always)]
+    fn fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
+        a.mul_add(b, c)
+    }
+    #[inline(always)]
+    fn math(&mut self, func: MathFn, a: f64) -> f64 {
+        func.eval_f64(a)
+    }
+}
+
+/// Hardware tier for the Native FP32 rung: the `f32` ops of the scalar
+/// Native path. A binary op runs in `f64` on the `f32` operands and rounds
+/// once more to `f32`: innocuous double rounding (`2 * 24 + 2 <= 53`), so
+/// bit-identical to the `f32` op.
+struct Hw32;
+impl Exec for Hw32 {
+    #[inline(always)]
+    fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64 {
+        ops::raw2(kind, (a as f32) as f64, (b as f32) as f64) as f32 as f64
+    }
+    #[inline(always)]
+    fn sqrt(&mut self, a: f64) -> f64 {
+        (a as f32).sqrt() as f64
+    }
+    #[inline(always)]
+    fn fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
+        (a as f32).mul_add(b as f32, c as f32) as f64
+    }
+    #[inline(always)]
+    fn math(&mut self, func: MathFn, a: f64) -> f64 {
+        func.eval_f64((a as f32) as f64) as f32 as f64
     }
 }
 
 /// Monomorphized fast tier: branchless [`fast_round`] around every operand
 /// and result, accumulating the shared `slow` flag. When the flag trips,
-/// the caller discards the element and re-runs it through [`PreciseExec`];
-/// when it doesn't, every intermediate is bit-identical to the precise
-/// chain (that is the fast-round contract the chunked binary kernels
-/// already rely on), so chaining is safe.
-struct FastExec<const E: u32, const M: u32> {
+/// the caller discards the chunk and re-runs it through [`Precise`]; when
+/// it doesn't, every intermediate is bit-identical to the precise chain
+/// (the fast-round contract), so chaining is safe.
+struct Fast<const E: u32, const M: u32> {
     slow: bool,
 }
-impl<const E: u32, const M: u32> WenoExec for FastExec<E, M> {
+impl<const E: u32, const M: u32> Exec for Fast<E, M> {
     #[inline(always)]
     fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64 {
         let r = ops::raw2(
@@ -944,184 +646,183 @@ impl<const E: u32, const M: u32> WenoExec for FastExec<E, M> {
         );
         fast_round::<E, M>(r, &mut self.slow)
     }
+    #[inline(always)]
+    fn sqrt(&mut self, a: f64) -> f64 {
+        let r = fast_round::<E, M>(a, &mut self.slow).sqrt();
+        fast_round::<E, M>(r, &mut self.slow)
+    }
+    #[inline(always)]
+    fn fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
+        let r = fast_round::<E, M>(a, &mut self.slow).mul_add(
+            fast_round::<E, M>(b, &mut self.slow),
+            fast_round::<E, M>(c, &mut self.slow),
+        );
+        // A result on a format tie may hide the addend's tail (see
+        // `ops::fmt_fma`): the precise re-run takes it.
+        self.slow |= on_tie::<M>(r);
+        fast_round::<E, M>(r, &mut self.slow)
+    }
+    #[inline(always)]
+    fn math(&mut self, func: MathFn, a: f64) -> f64 {
+        ops::emulate_math(soft::<E, M>(), func, a)
+    }
 }
 
 /// Monomorphized precise tier: the exact `round → op → finish` short-cut
 /// the scalar Soft path takes, subnormal-window guard included.
-struct PreciseExec<const E: u32, const M: u32>;
-impl<const E: u32, const M: u32> WenoExec for PreciseExec<E, M> {
+struct Precise<const E: u32, const M: u32>;
+impl<const E: u32, const M: u32> Exec for Precise<E, M> {
     #[inline(always)]
     fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64 {
         let (a, b) = (round_rne::<E, M>(a), round_rne::<E, M>(b));
-        finish_guarded::<E, M>(ops::raw2(kind, a, b), || soft2::<E, M>(kind, a, b))
+        finish_guarded::<E, M>(ops::raw2(kind, a, b), || {
+            ops::soft_op2(Format::new(E, M), RoundMode::NearestEven, kind, a, b)
+        })
     }
-}
-
-/// Generic-width short-cut tier: short-cut formats outside the static
-/// table.
-impl WenoExec for Generic {
     #[inline(always)]
-    fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64 {
-        self.op2(kind, self.round(a), self.round(b))
+    fn sqrt(&mut self, a: f64) -> f64 {
+        finish::<E, M>(round_rne::<E, M>(a).sqrt())
+    }
+    #[inline(always)]
+    fn fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
+        let (a, b, c) = (round_rne::<E, M>(a), round_rne::<E, M>(b), round_rne::<E, M>(c));
+        let fmt = Format::new(E, M);
+        ops::finish_fma(fmt, a.mul_add(b, c), round_rne::<E, M>, || {
+            ops::soft_fma(fmt, RoundMode::NearestEven, a, b, c)
+        })
+    }
+    #[inline(always)]
+    fn math(&mut self, func: MathFn, a: f64) -> f64 {
+        ops::emulate_math(soft::<E, M>(), func, a)
     }
 }
 
-/// Emulation tier: Native/Big paths, directed rounding, formats past the
-/// short-cut's bound — the same per-op [`ops::emulate2`] the scalar path
-/// calls, with the decision captured once.
-struct EmulExec(ops::Emul);
-impl WenoExec for EmulExec {
+/// Emulation tier: the Big path, directed rounding, formats past the
+/// short-cut's bound or outside the table — the same per-op emulation the
+/// scalar path calls, with the decision captured once.
+struct Emulate(ops::Emul);
+impl Exec for Emulate {
     #[inline(always)]
     fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64 {
         ops::emulate2(self.0, kind, a, b)
+    }
+    #[inline(always)]
+    fn sqrt(&mut self, a: f64) -> f64 {
+        ops::emulate_sqrt(self.0, a)
+    }
+    #[inline(always)]
+    fn fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
+        ops::emulate_fma(self.0, a, b, c)
+    }
+    #[inline(always)]
+    fn math(&mut self, func: MathFn, a: f64) -> f64 {
+        ops::emulate_math(self.0, func, a)
     }
 }
 
 /// Defensive mem-mode tier: full per-op scalar entry points (each op
 /// re-reads the dispatch and bumps its own counters), for callers that
 /// ignore the [`ready`] gate.
-struct OpsExec;
-impl WenoExec for OpsExec {
+struct Ops;
+impl Exec for Ops {
     #[inline(always)]
     fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64 {
         ops::op2(kind, a, b)
     }
-}
-
-/// Monomorphized fused WENO5 kernel: fast-rounded chain per element with a
-/// per-element precise re-run when any rounding in the chain trips the
-/// slow flag (element granularity, not chunk granularity — one subnormal
-/// intermediate re-runs 65 ops, not 128 elements' worth).
-fn k_weno5<const E: u32, const M: u32, const INV_TAIL: bool>(v: [&[f64]; 5], out: &mut [f64]) {
-    for (i, o) in out.iter_mut().enumerate() {
-        let mut fast = FastExec::<E, M> { slow: false };
-        let r =
-            weno5_elem::<_, INV_TAIL>(&mut fast, v[0][i], v[1][i], v[2][i], v[3][i], v[4][i]);
-        *o = if fast.slow {
-            weno5_elem::<_, INV_TAIL>(
-                &mut PreciseExec::<E, M>,
-                v[0][i],
-                v[1][i],
-                v[2][i],
-                v[3][i],
-                v[4][i],
-            )
-        } else {
-            r
-        };
+    #[inline(always)]
+    fn sqrt(&mut self, a: f64) -> f64 {
+        ops::op_sqrt(a)
+    }
+    #[inline(always)]
+    fn fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
+        ops::op_fma(a, b, c)
+    }
+    #[inline(always)]
+    fn math(&mut self, func: MathFn, a: f64) -> f64 {
+        ops::op_math(func, a)
     }
 }
 
-fn weno5_dispatch<const INV_TAIL: bool>(v: [&[f64]; 5], out: &mut [f64]) {
-    for s in &v {
-        assert_eq!(s.len(), out.len());
-    }
-    let n = out.len() as u64;
-    let (ca, cs, cm, cd) = weno5_counts(INV_TAIL);
-    FAST.with(|f| match f.dispatch.get() {
-        Dispatch::None | Dispatch::Inactive => {
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = weno5_elem::<_, INV_TAIL>(&mut HwExec, v[0][i], v[1][i], v[2][i], v[3][i], v[4][i]);
-            }
-        }
-        Dispatch::InactiveCount => {
-            f.full.bump_n(OpKind::Add, ca * n);
-            f.full.bump_n(OpKind::Sub, cs * n);
-            f.full.bump_n(OpKind::Mul, cm * n);
-            f.full.bump_n(OpKind::Div, cd * n);
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = weno5_elem::<_, INV_TAIL>(&mut HwExec, v[0][i], v[1][i], v[2][i], v[3][i], v[4][i]);
-            }
-        }
-        Dispatch::Op => {
-            f.trunc.bump_n(OpKind::Add, ca * n);
-            f.trunc.bump_n(OpKind::Sub, cs * n);
-            f.trunc.bump_n(OpKind::Mul, cm * n);
-            f.trunc.bump_n(OpKind::Div, cd * n);
-            if let Some(ks) = f.kernels.get() {
-                (if INV_TAIL { ks.weno5_adv } else { ks.weno5 })(v, out);
-            } else {
-                op_weno5_fallback::<INV_TAIL>(f, v, out);
-            }
-        }
-        Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount => {
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = weno5_elem::<_, INV_TAIL>(&mut OpsExec, v[0][i], v[1][i], v[2][i], v[3][i], v[4][i]);
-            }
-        }
-    })
+// ---------------------------------------------------------------------------
+// Monomorphized rounding
+// ---------------------------------------------------------------------------
+
+/// The op-mode decision a table entry stands for: the Soft path at `(E, M)`
+/// with round-to-nearest-even. Math functions have no monomorphized
+/// kernel; both table executors evaluate them through it.
+fn soft<const E: u32, const M: u32>() -> ops::Emul {
+    let fmt = Format::new(E, M);
+    ops::Emul { fmt, rm: RoundMode::NearestEven, path: EmulPath::Soft, dr: fmt.double_round() }
 }
 
-fn op_weno5_fallback<const INV_TAIL: bool>(f: &FastPath, v: [&[f64]; 5], out: &mut [f64]) {
-    let emul = f.emul.get();
-    if let Some(mut x) = Generic::of(emul) {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = weno5_elem::<_, INV_TAIL>(&mut x, v[0][i], v[1][i], v[2][i], v[3][i], v[4][i]);
-        }
+/// Whether `(E, M)` double-rounds innocuously for every result
+/// ([`DoubleRound::Safe`]). The table's guarded formats (`e11m20`) are
+/// not: their precise re-runs keep the scalar path's subnormal-window
+/// guard. Evaluated in `const` blocks, so strict formats' kernels carry
+/// no trace of the guard.
+const fn strict<const E: u32, const M: u32>() -> bool {
+    matches!(Format::new(E, M).double_round(), DoubleRound::Safe)
+}
+
+/// Finish one short-cut op: canonicalize hardware NaNs (x86's negative
+/// "indefinite" vs the soft kernels' positive quiet NaN), then the final
+/// rounding. Mirrors the scalar short-cut in [`crate::ops`] exactly; for
+/// `sqrt`, and for every op of a strict format, it is all of it.
+#[inline(always)]
+fn finish<const E: u32, const M: u32>(r: f64) -> f64 {
+    if r.is_nan() {
+        f64::NAN
     } else {
-        // Native included: `emulate2` funnels it to the same f32/FP64
-        // double-cast the scalar path uses.
-        let mut x = EmulExec(emul);
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = weno5_elem::<_, INV_TAIL>(&mut x, v[0][i], v[1][i], v[2][i], v[3][i], v[4][i]);
-        }
+        round_rne::<E, M>(r)
     }
 }
 
-macro_rules! kernel_set {
-    ($e:literal, $m:literal) => {{
-        const KS: KernelSet = KernelSet {
-            bin: k_bin::<$e, $m>,
-            bin_s: k_bin_s::<$e, $m>,
-            bin_rs: k_bin_rs::<$e, $m>,
-            sqrt: k_sqrt::<$e, $m>,
-            fma: k_fma::<$e, $m>,
-            weno5: k_weno5::<$e, $m, false>,
-            weno5_adv: k_weno5::<$e, $m, true>,
-        };
-        &KS
-    }};
-}
-
-/// The static dispatch table: the shipped format ladder (fp8 variants,
-/// fp16, bf16, tf32-shaped e8m10, fp32, the paper's e5m14, and the e11
-/// mantissa-truncation ladder the campaigns bisect, up to the default
-/// ladder's `e11m20`). Every entry double-rounds innocuously
-/// ([`DoubleRound::Safe`]) except `e11m20`, which is
-/// [`DoubleRound::Guarded`]: its fast tier already flags every
-/// `f64`-subnormal operand or result, and its precise re-runs keep the
-/// scalar guard. Short-cut formats outside the table use the
-/// generic-width loop instead.
-fn kernel_table(e: u32, m: u32) -> Option<&'static KernelSet> {
-    Some(match (e, m) {
-        (4, 3) => kernel_set!(4, 3),
-        (5, 2) => kernel_set!(5, 2),
-        (5, 10) => kernel_set!(5, 10),
-        (5, 14) => kernel_set!(5, 14),
-        (8, 7) => kernel_set!(8, 7),
-        (8, 10) => kernel_set!(8, 10),
-        (8, 23) => kernel_set!(8, 23),
-        (11, 4) => kernel_set!(11, 4),
-        (11, 6) => kernel_set!(11, 6),
-        (11, 8) => kernel_set!(11, 8),
-        (11, 10) => kernel_set!(11, 10),
-        (11, 12) => kernel_set!(11, 12),
-        (11, 14) => kernel_set!(11, 14),
-        (11, 16) => kernel_set!(11, 16),
-        (11, 20) => kernel_set!(11, 20),
-        _ => return None,
-    })
-}
-
-/// Resolve an op-mode decision to its monomorphized kernel set, if it
-/// takes the hardware short-cut (Soft path, round to nearest even, a
-/// format whose double rounding is innocuous or guarded) and the format
-/// is in the static table. Called from `ActiveCtx::publish`.
-pub(crate) fn kernels_for(emul: ops::Emul) -> Option<&'static KernelSet> {
-    if emul.dr == DoubleRound::Unsafe {
-        return None;
+/// [`finish`] with the guard: a guarded format re-runs a result in the
+/// `f64` subnormal window through `soft`, the scalar SoftFloat kernel on
+/// the same rounded operands ([`ops::finish_shortcut`]).
+#[inline(always)]
+fn finish_guarded<const E: u32, const M: u32>(r: f64, soft: impl FnOnce() -> f64) -> f64 {
+    if const { strict::<E, M>() } {
+        finish::<E, M>(r)
+    } else {
+        ops::finish_shortcut(r, true, round_rne::<E, M>, soft)
     }
-    kernel_table(emul.fmt.exp_bits(), emul.fmt.man_bits())
+}
+
+/// Branchless RNE rounding for magnitudes whose rounded value stays in
+/// the target format's *normal* range: the classic add-half-and-truncate
+/// on the raw bit pattern (carry out of the mantissa bumps the biased
+/// exponent exactly as IEEE encoding requires). For anything the trick
+/// cannot serve exactly — non-finite input, a nonzero magnitude below
+/// the format's normal range (target-subnormal, variable shift), or a
+/// result past `emax` (overflow to infinity) — it *flags* `slow` instead
+/// of handling the case, and the caller re-runs that chunk through the
+/// precise [`round_rne`] path. ±0 passes through the fast path
+/// unchanged. The split keeps the hot loop free of data-dependent
+/// branches.
+#[inline(always)]
+fn fast_round<const E: u32, const M: u32>(x: f64, slow: &mut bool) -> f64 {
+    let drop = 52 - M;
+    let bias = (1i32 << (E - 1)) - 1;
+    let (emin, emax) = (1 - bias, bias);
+    let bits = x.to_bits();
+    let mag = bits & !(1u64 << 63);
+    let exp = ((bits >> 52) & 0x7FF) as i32 - 1023;
+    let lsb = (bits >> drop) & 1;
+    let rbits = bits.wrapping_add((1u64 << (drop - 1)) - 1 + lsb) & !((1u64 << drop) - 1);
+    let rexp = ((rbits >> 52) & 0x7FF) as i32 - 1023;
+    *slow |= (exp >= 1024) | ((exp < emin) & (mag != 0)) | (rexp > emax);
+    f64::from_bits(rbits)
+}
+
+/// [`bigfloat::kernel::is_tie_core`] for the fast tier's unflagged results: `x` in the
+/// format's normal range, where a tie is a fixed bit pattern below the
+/// kept mantissa. (Zero never matches; everything else [`fast_round`]
+/// flags by itself.)
+#[inline(always)]
+fn on_tie<const M: u32>(x: f64) -> bool {
+    let drop = 52 - M;
+    x.to_bits() & ((1u64 << drop) - 1) == 1u64 << (drop - 1)
 }
 
 #[cfg(test)]
@@ -1171,7 +872,7 @@ mod tests {
             let _g = s.install();
             let mut out = vec![0.0; a.len()];
             for kind in [OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Div] {
-                bin(kind, &a, &b, &mut out);
+                batch_bin(kind, &a, &b, &mut out);
                 for i in 0..a.len() {
                     let want = crate::ops::op2(kind, a[i], b[i]);
                     assert_eq!(
@@ -1205,28 +906,183 @@ mod tests {
         assert_eq!(c.full.add, 4);
     }
 
+    /// One batch op shape, as the every-tier oracle drives it.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        Bin(OpKind),
+        /// Scalar broadcast on the right.
+        BinS(OpKind, f64),
+        /// Scalar broadcast on the left.
+        RBinS(OpKind, f64),
+        Sqrt,
+        Fma,
+        Weno5,
+        Weno5Adv,
+        Log10,
+    }
+
+    /// The public slice-by-slice binary op of `kind`.
+    fn batch_bin(kind: OpKind, a: &[f64], b: &[f64], out: &mut [f64]) {
+        match kind {
+            OpKind::Add => batch_add(a, b, out),
+            OpKind::Sub => batch_sub(a, b, out),
+            OpKind::Mul => batch_mul(a, b, out),
+            OpKind::Div => batch_div(a, b, out),
+            _ => unreachable!("binary batch ops only"),
+        }
+    }
+
+    /// `shape` over the operand columns through the public batch op.
+    fn shape_batch(shape: Shape, [a, b, c]: [&[f64]; 3], w: [&[f64]; 5], out: &mut [f64]) {
+        use OpKind::{Add, Div, Mul, Sub};
+        match shape {
+            Shape::Bin(k) => batch_bin(k, a, b, out),
+            Shape::BinS(Add, s) => batch_add_s(a, s, out),
+            Shape::BinS(Sub, s) => batch_sub_s(a, s, out),
+            Shape::BinS(Mul, s) => batch_mul_s(a, s, out),
+            Shape::BinS(Div, s) => batch_div_s(a, s, out),
+            Shape::RBinS(Add, s) => batch_radd_s(s, b, out),
+            Shape::RBinS(Mul, s) => batch_rmul_s(s, b, out),
+            Shape::RBinS(Div, s) => batch_rdiv_s(s, b, out),
+            Shape::Sqrt => batch_sqrt(a, out),
+            Shape::Fma => batch_fma(a, b, c, out),
+            Shape::Weno5 => batch_weno5(w[0], w[1], w[2], w[3], w[4], out),
+            Shape::Weno5Adv => batch_weno5_adv(w[0], w[1], w[2], w[3], w[4], out),
+            Shape::Log10 => batch_log10(a, out),
+            _ => unreachable!("no batch op for {shape:?}"),
+        }
+    }
+
+    /// `shape` element by element through the scalar per-op entry points.
+    fn shape_scalar(shape: Shape, [a, b, c]: [&[f64]; 3], w: [&[f64]; 5], out: &mut [f64]) {
+        for i in 0..out.len() {
+            out[i] = match shape {
+                Shape::Bin(k) => crate::ops::op2(k, a[i], b[i]),
+                Shape::BinS(k, s) => crate::ops::op2(k, a[i], s),
+                Shape::RBinS(k, s) => crate::ops::op2(k, s, b[i]),
+                Shape::Sqrt => crate::ops::op_sqrt(a[i]),
+                Shape::Fma => crate::ops::op_fma(a[i], b[i], c[i]),
+                Shape::Log10 => crate::ops::op_math(crate::ops::MathFn::Log10, a[i]),
+                Shape::Weno5 | Shape::Weno5Adv => continue,
+            };
+        }
+        match shape {
+            Shape::Weno5 => weno5_scalar::<false>(w, out),
+            Shape::Weno5Adv => weno5_scalar::<true>(w, out),
+            _ => {}
+        }
+    }
+
+    /// The every-tier oracle: each op shape (slice and broadcast binary
+    /// ops, sqrt, fma, both fused WENO5 tails, log10) under one config per
+    /// dispatch tier — the monomorphized table (fp16, e11m8, e11m12), its
+    /// guarded entry (e11m20), a short-cut format outside the table
+    /// (e11m22), a format past the short-cut bound (e11m30), Native FP32,
+    /// the Big path, a directed rounding mode, an inactive counting region
+    /// and mem-mode — must give the scalar path's bits lane for lane and
+    /// its counters exactly. Operands are raw random bit patterns mixed
+    /// with moderate values and hand-picked specials; 300 lanes span two
+    /// full chunks and a tail.
     #[test]
-    fn broadcast_variants_match_elementwise() {
-        let fmt = Format::new(11, 8);
-        let s = Session::new(Config::op_all(fmt)).unwrap();
-        let _g = s.install();
-        let a = [0.1, -7.25, 1e20, f64::NAN, 5e-310];
-        let k = 0.7;
-        let mut got = [0.0; 5];
-        batch_mul_s(&a, k, &mut got);
-        for i in 0..a.len() {
-            let want = crate::ops::op2(OpKind::Mul, a[i], k);
-            assert_eq!(got[i].to_bits(), want.to_bits());
+    fn every_tier_and_shape_matches_scalar_path() {
+        const N: usize = 300;
+        let specials = [
+            0.1, -7.25, 1e20, f64::NAN, 5e-310, 0.0, -0.0, f64::INFINITY, -f64::INFINITY,
+            f64::MIN_POSITIVE, 6e-5, 65504.0, 1e-300, -3.0,
+        ];
+        let mut state = 0xB47C_u64;
+        let mut column = || -> Vec<f64> {
+            let mut v = specials.to_vec();
+            while v.len() < N {
+                let r = splitmix(&mut state);
+                v.push(if r & 1 == 0 {
+                    f64::from_bits(splitmix(&mut state))
+                } else {
+                    ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e3
+                });
+            }
+            v
+        };
+        let (a, b, c) = (column(), column(), column());
+        let ops = [&a[..], &b[..], &c[..]];
+        let w = random_windows(N, 0xE5);
+        let win = |s: usize| &w[s..s + N];
+        let w5 = [win(0), win(1), win(2), win(3), win(4)];
+
+        let mut shapes = Vec::new();
+        for k in [OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Div] {
+            shapes.push(Shape::Bin(k));
+            for s in [0.7, 3e-6, -f64::INFINITY, f64::NAN] {
+                shapes.push(Shape::BinS(k, s));
+                if k != OpKind::Sub {
+                    shapes.push(Shape::RBinS(k, s));
+                }
+            }
         }
-        batch_rdiv_s(k, &a, &mut got);
-        for i in 0..a.len() {
-            let want = crate::ops::op2(OpKind::Div, k, a[i]);
-            assert_eq!(got[i].to_bits(), want.to_bits());
+        shapes.extend([Shape::Sqrt, Shape::Fma, Shape::Weno5, Shape::Weno5Adv, Shape::Log10]);
+
+        let e11m12 = Format::new(11, 12);
+        let mut directed = Config::op_all(e11m12);
+        directed.round = RoundMode::TowardZero;
+        let configs = [
+            ("fp16", Config::op_all(Format::FP16), false),
+            ("e11m8", Config::op_all(Format::new(11, 8)), false),
+            ("e11m12", Config::op_all(e11m12), false),
+            ("e11m20", Config::op_all(Format::new(11, 20)), false),
+            ("e11m22", Config::op_all(Format::new(11, 22)), false),
+            ("e11m30", Config::op_all(Format::new(11, 30)), false),
+            ("fp32-native", Config::op_all(Format::FP32), false),
+            ("e11m12-big", Config::op_all(e11m12).with_path(EmulPath::Big), false),
+            ("e11m12-rz", directed, false),
+            ("inactive", Config::op_functions(e11m12, ["K"]), false),
+            ("mem", Config::mem_functions(e11m12, ["K"], 1e-4), true),
+        ];
+        for (label, cfg, in_region) in &configs {
+            for &shape in &shapes {
+                let run = |batch: bool| {
+                    let s = Session::new(cfg.clone().with_counting()).unwrap();
+                    let g = s.install();
+                    let mut out = vec![0.0; N];
+                    {
+                        let _r = in_region.then(|| crate::context::region("K"));
+                        if batch {
+                            shape_batch(shape, ops, w5, &mut out);
+                        } else {
+                            shape_scalar(shape, ops, w5, &mut out);
+                        }
+                        // Mem-mode handles carry the slab epoch, which
+                        // differs between sessions; compare their values.
+                        for o in &mut out {
+                            *o = crate::ops::resolve(*o);
+                        }
+                    }
+                    drop(g);
+                    (out, s.counters())
+                };
+                let (got, got_c) = run(true);
+                let (want, want_c) = run(false);
+                for i in 0..N {
+                    assert_eq!(
+                        got[i].to_bits(),
+                        want[i].to_bits(),
+                        "{label} {shape:?} lane {i}: {:e} vs scalar {:e}",
+                        got[i],
+                        want[i]
+                    );
+                }
+                assert_eq!(got_c, want_c, "{label} {shape:?}: counters");
+                assert!(got_c.trunc.total() + got_c.full.total() > 0, "{label} {shape:?}: counted");
+            }
         }
-        batch_radd_s(k, &a, &mut got);
-        for i in 0..a.len() {
-            let want = crate::ops::op2(OpKind::Add, k, a[i]);
-            assert_eq!(got[i].to_bits(), want.to_bits());
+        // And with no session at all: plain hardware.
+        for &shape in &shapes {
+            let mut got = vec![0.0; N];
+            let mut want = vec![0.0; N];
+            shape_batch(shape, ops, w5, &mut got);
+            shape_scalar(shape, ops, w5, &mut want);
+            for i in 0..N {
+                assert_eq!(got[i].to_bits(), want[i].to_bits(), "no session {shape:?} lane {i}");
+            }
         }
     }
 
@@ -1234,7 +1090,7 @@ mod tests {
     /// element through the per-op scalar entry points.
     fn weno5_scalar<const INV_TAIL: bool>(v: [&[f64]; 5], out: &mut [f64]) {
         for (i, o) in out.iter_mut().enumerate() {
-            *o = weno5_elem::<_, INV_TAIL>(&mut OpsExec, v[0][i], v[1][i], v[2][i], v[3][i], v[4][i]);
+            *o = weno5_elem::<_, INV_TAIL>(&mut Ops, v[0][i], v[1][i], v[2][i], v[3][i], v[4][i]);
         }
     }
 
@@ -1261,16 +1117,16 @@ mod tests {
         let n = w.len() - 5;
         let win = |s: usize| &w[s..s + n];
         let v = [win(0), win(1), win(2), win(3), win(4)];
-        // Monomorphized table, generic-width fallback, and a directed
-        // rounding mode that forces per-element emulation — plus the
-        // no-session hardware tier.
+        // Monomorphized table, per-element emulation, and a directed
+        // rounding mode that forces it too — plus the no-session hardware
+        // tier.
         let mut configs = vec![
             Config::op_all(Format::FP16),
             Config::op_all(Format::new(11, 12)),
-            // Safe format outside the static table (generic-width
-            // short-cut), the guarded table format, a guarded format
-            // outside the table, and a wide format past the double-round
-            // bound (per-element emulation).
+            // Safe format outside the static table (per-element
+            // emulation on the short-cut), the guarded table format, a
+            // guarded format outside the table, and a wide format past
+            // the double-round bound (per-element emulation).
             Config::op_all(Format::new(11, 5)),
             Config::op_all(Format::new(11, 20)),
             Config::op_all(Format::new(11, 22)),
@@ -1384,18 +1240,56 @@ mod tests {
     }
 
     #[test]
-    fn ready_reflects_mode_and_force_toggle() {
-        assert!(ready(), "no session: batch loops are plain hardware");
+    fn ready_reflects_mode_and_force_pin() {
         {
+            let _pin = force_scalar(false);
+            assert!(ready(), "no session: batch loops are plain hardware");
             let s = Session::new(Config::op_all(Format::FP16)).unwrap();
             let _g = s.install();
             assert!(ready());
-            set_force_scalar(true);
-            assert!(!ready());
-            set_force_scalar(false);
         }
+        {
+            let s = Session::new(Config::op_all(Format::FP16)).unwrap();
+            let _g = s.install();
+            let _pin = force_scalar(true);
+            assert!(!ready());
+        }
+        let _pin = force_scalar(false);
         let s = Session::new(Config::mem_functions(Format::FP16, ["K"], 1e-6)).unwrap();
         let _g = s.install();
         assert!(!ready(), "mem-mode needs per-op source locations");
+    }
+
+    /// Two [`force_scalar`] holders run one after the other, never
+    /// interleaved, and a panic while pinned clears the flag and frees the
+    /// lock for the next holder.
+    #[test]
+    fn force_scalar_pins_serialize_and_clear_on_panic() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc;
+        static FIRST_DONE: AtomicBool = AtomicBool::new(false);
+        let (pinned, wait) = mpsc::channel();
+        let first = std::thread::spawn(move || {
+            let _pin = force_scalar(true);
+            pinned.send(()).unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(!ready(), "pinned to the scalar path on every thread");
+            FIRST_DONE.store(true, Ordering::SeqCst);
+        });
+        wait.recv().unwrap();
+        {
+            let _pin = force_scalar(false);
+            assert!(FIRST_DONE.load(Ordering::SeqCst), "the second pin waited for the first");
+            assert!(ready());
+        }
+        first.join().unwrap();
+
+        let unwound = std::panic::catch_unwind(|| {
+            let _pin = force_scalar(true);
+            panic!("a differential fails while pinned");
+        });
+        assert!(unwound.is_err());
+        let _lock = FORCE_SCALAR_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(!FORCE_SCALAR.load(Ordering::SeqCst), "the flag is clear after the unwind");
     }
 }

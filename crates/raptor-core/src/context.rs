@@ -277,12 +277,6 @@ pub(crate) struct FastPath {
     pub(crate) emul: Cell<Emul>,
     /// `format.storage_bytes()`, for the §3.4 memory model.
     pub(crate) fmt_bytes: Cell<u64>,
-    /// Monomorphized batch kernels for the cached op-mode decision, looked
-    /// up from the static format table at publish time. `Some` only when
-    /// `dispatch == Op` resolves to the Soft path with round-to-nearest-even
-    /// and a format in the shipped ladder whose double rounding through
-    /// `f64` is innocuous or guarded.
-    pub(crate) kernels: Cell<Option<&'static crate::batch::KernelSet>>,
     /// Per-thread op counts (truncated / full precision).
     pub(crate) trunc: CellCounts,
     pub(crate) full: CellCounts,
@@ -296,7 +290,6 @@ impl FastPath {
             dispatch: Cell::new(Dispatch::None),
             emul: Cell::new(Emul::FP64),
             fmt_bytes: Cell::new(8),
-            kernels: Cell::new(None),
             trunc: CellCounts::new(),
             full: CellCounts::new(),
             trunc_bytes: Cell::new(0),
@@ -397,10 +390,8 @@ impl ActiveCtx {
         };
         FAST.with(|f| {
             f.dispatch.set(d);
-            let emul = Emul::of(cfg);
-            f.emul.set(emul);
+            f.emul.set(Emul::of(cfg));
             f.fmt_bytes.set(cfg.format.storage_bytes() as u64);
-            f.kernels.set(if d == Dispatch::Op { crate::batch::kernels_for(emul) } else { None });
         });
     }
 }

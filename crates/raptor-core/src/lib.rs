@@ -115,15 +115,18 @@
 //! **Batch kernels.** Even the cached per-op path pays a thread-local
 //! load, a dispatch branch, and a counter bump *per operation*. The
 //! [`batch`] module retires that overhead for leaf-granular inner loops:
-//! `batch_add`/`batch_mul`/... read the decision cache once per slice,
-//! bulk-add counters once per call, and jump through a static table to a
-//! kernel monomorphized over the format's exponent/mantissa widths
-//! (const-generic instantiations of the short-cut above), so the rounding
-//! mask arithmetic constant-folds and the loop auto-vectorizes. Decisions
-//! the table can't serve (Big/Native paths, directed rounding, formats
-//! past the short-cut's bound such as `e11m30`) fall back to per-element
-//! emulation inside the same single dispatch — results are bit-identical
-//! to the scalar path in every tier.
+//! `batch_add`/`batch_mul`/... read the decision cache once per slice and
+//! bulk-add counters once per call. Each op shape is written once over a
+//! per-element executor and run by one dispatch skeleton, which picks one
+//! of four tiers: plain hardware (no session, inactive regions, the
+//! Native FP64/FP32 rungs); a fast/precise pair monomorphized over the
+//! format's exponent/mantissa widths for table formats on the short-cut
+//! above, where the rounding mask arithmetic constant-folds and the loop
+//! runs branch-free; per-element emulation through the scalar path's own
+//! functions for every other op-mode decision (Big path, directed
+//! rounding, formats past the short-cut's bound such as `e11m30` or
+//! outside the table); and defensive per-op calls under mem-mode. Results
+//! are bit-identical to the scalar path in every tier.
 //! Consumers gate on [`batch::ready`] and keep their scalar code as the
 //! mem-mode path and differential oracle.
 

@@ -61,7 +61,7 @@ pub enum MathFn {
 }
 
 impl MathFn {
-    fn eval_f64(self, x: f64) -> f64 {
+    pub(crate) fn eval_f64(self, x: f64) -> f64 {
         match self {
             MathFn::Exp => x.exp(),
             MathFn::Exp2 => x.exp2(),
@@ -512,8 +512,8 @@ pub(crate) fn emulate2(e: Emul, kind: OpKind, a: f64, b: f64) -> f64 {
 }
 
 /// The `Soft` path of [`emulate2`] on operands already rounded into
-/// `fmt`, with `dr` its [`shortcut`] tier (mem-mode's `Fmt` slots and the
-/// batch kernels' precise re-runs call it directly).
+/// `fmt`, with `dr` its [`shortcut`] tier (mem-mode's `Fmt` slots call it
+/// directly).
 #[inline(always)]
 pub(crate) fn fmt_op2(
     fmt: Format,

@@ -261,7 +261,7 @@ fn directed_rounding_preserves_zero_sign_on_cancellation() {
 
 /// The e11 formats whose short-cut is guarded ([`DoubleRound::Guarded`]):
 /// one in the batch kernels' static table (`e11m20`), the rest on the
-/// generic-width tier.
+/// per-element emulation tier.
 const GUARDED: [Format; 4] =
     [Format::new(11, 18), Format::new(11, 20), Format::new(11, 22), Format::new(11, 24)];
 
@@ -341,7 +341,7 @@ fn assert_matches_oracle(
 /// div, add and fma on format values land in `[2^-1074, 2^-1022]`, where
 /// f64 rounds to fewer than `2p + 2` bits and the guard must send them
 /// to the single-rounding kernel. Scalar and batch (table-served e11m20,
-/// generic-width e11m18/m22/m24) both match the naive oracle.
+/// per-element e11m18/m22/m24) both match the naive oracle.
 #[test]
 fn guarded_formats_match_naive_oracle_in_subnormal_window() {
     let mut rng = Rng(0x5B_D1E9_95A5_7E11);

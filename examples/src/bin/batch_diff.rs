@@ -1,8 +1,8 @@
 //! Batch-vs-scalar bit-identity smoke: run each batched consumer twice —
-//! once with `raptor_core::batch` slice kernels enabled (the default) and
-//! once with [`batch::set_force_scalar`] pinning every consumer to its
-//! per-op scalar path — then byte-compare every cell of every variable and
-//! the session op counters.
+//! once with `raptor_core::batch` slice kernels enabled and once with every
+//! consumer pinned to its per-op scalar path, each half under a
+//! [`batch::force_scalar`] pin — then byte-compare every cell of every
+//! variable and the session op counters.
 //!
 //! Five consumers are exercised both ways:
 //! - a tiny Sedov blast with PLM reconstruction (the element-wise sweep
@@ -32,12 +32,11 @@ use raptor_core::{batch, Config, Counters, Session, Tracked};
 /// One tiny Sedov run (max_level=2, 3 threads, a handful of steps) under
 /// an op-mode counting session; returns the final mesh and the counters.
 fn run_sedov(fmt: Format, recon: ReconKind, force_scalar: bool) -> (amr::Mesh, Counters) {
-    batch::set_force_scalar(force_scalar);
+    let _pin = batch::force_scalar(force_scalar);
     let mut sim = setup(Problem::Sedov, 2, 8, recon);
     let sess = Session::new(Config::op_files(fmt, ["Hydro"]).with_counting())
         .expect("valid config");
     sim.run::<Tracked>(0.02, 12, 3, &sess);
-    batch::set_force_scalar(false);
     (sim.mesh, sess.counters())
 }
 
@@ -46,13 +45,12 @@ fn run_sedov(fmt: Format, recon: ReconKind, force_scalar: bool) -> (amr::Mesh, C
 /// and the HLL middle flux (absent from the default-HLLC Sedov runs) goes
 /// through its per-component batch chain.
 fn run_sod_hll(fmt: Format, force_scalar: bool) -> (amr::Mesh, Counters) {
-    batch::set_force_scalar(force_scalar);
+    let _pin = batch::force_scalar(force_scalar);
     let mut sim = setup(Problem::Sod, 2, 8, ReconKind::Plm);
     sim.hydro.riemann = RiemannKind::Hll;
     let sess = Session::new(Config::op_files(fmt, ["Hydro"]).with_counting())
         .expect("valid config");
     sim.run::<Tracked>(0.02, 12, 3, &sess);
-    batch::set_force_scalar(false);
     (sim.mesh, sess.counters())
 }
 
@@ -78,7 +76,7 @@ fn bubble_grid() -> Grid {
 /// mixed-sign seeded velocities (both upwind partitions carry cells) and
 /// no AMR level map, so the batched advection/diffusion/CSF paths engage.
 fn run_bubble(fmt: Format, force_scalar: bool) -> (Grid, Counters) {
-    batch::set_force_scalar(force_scalar);
+    let _pin = batch::force_scalar(force_scalar);
     let mut g = bubble_grid();
     let params = InsParams::default();
     let sess = Session::new(Config::op_files(fmt, ["INS"]).with_counting())
@@ -87,7 +85,6 @@ fn run_bubble(fmt: Format, force_scalar: bool) -> (Grid, Counters) {
         let dt = compute_dt(&g, &params);
         step::<Tracked>(&mut g, &params, dt, None, &sess);
     }
-    batch::set_force_scalar(false);
     (g, sess.counters())
 }
 
@@ -95,7 +92,7 @@ fn run_bubble(fmt: Format, force_scalar: bool) -> (Grid, Counters) {
 /// from a distance function so the pseudo-time loop does real work: the
 /// sign-partitioned Godunov rows vs the per-cell generic loop.
 fn run_bubble_reinit(fmt: Format, force_scalar: bool) -> (Grid, Counters) {
-    batch::set_force_scalar(force_scalar);
+    let _pin = batch::force_scalar(force_scalar);
     let mut g = bubble_grid();
     for v in g.phi.iter_mut() {
         *v *= 2.5;
@@ -104,7 +101,6 @@ fn run_bubble_reinit(fmt: Format, force_scalar: bool) -> (Grid, Counters) {
     let sess = Session::new(Config::op_files(fmt, ["INS"]).with_counting())
         .expect("valid config");
     reinitialize::<Tracked>(&mut g, 12, &sess);
-    batch::set_force_scalar(false);
     (g, sess.counters())
 }
 
@@ -151,10 +147,10 @@ fn grid_diff(a: &Grid, b: &Grid) -> Option<String> {
 
 fn main() {
     let mut failed = false;
-    // e11m12 exercises the monomorphized kernel table; e11m20 its guarded
-    // entry, whose flagged chunks re-run through the subnormal-window
-    // guard; e11m30, off the double-rounding short-cut, the per-element
-    // fallback tier.
+    // Three formats across the op-mode tiers: e11m12 runs the
+    // monomorphized tier; e11m20 its guarded entry, whose flagged chunks
+    // re-run through the subnormal-window guard; e11m30, off the
+    // double-rounding short-cut, the per-element emulation tier.
     for (e, m) in [(11u32, 12u32), (11, 20), (11, 30)] {
         let fmt = Format::new(e, m);
         for recon in [ReconKind::Plm, ReconKind::Weno5] {
