@@ -12,7 +12,7 @@
 
 use bigfloat::Format;
 use raptor_bench::harness::{black_box, Harness};
-use raptor_core::{region, Config, EmulPath, Real, Session, Tracked};
+use raptor_core::{region, Arith, Config, EmulPath, Real, Session, Tracked};
 
 fn bench_dispatch(c: &mut Harness) {
     let fmt = Format::new(11, 12);
@@ -162,12 +162,13 @@ fn bench_dispatch(c: &mut Harness) {
 
     // Partitioned Riemann solver: per-interface cost of a whole line
     // through `riemann_flux_batch` (classification, compaction, and the
-    // fused HLL/HLLC chains under slice dispatch), against the per-op
-    // scalar solver on the same states — the pair behind the sod-hll
-    // overhead row.
+    // solver's own HLL/HLLC bodies at `Col`, one slice op per operator),
+    // against the per-op scalar solver on the same states — the pair
+    // behind the sod-hll overhead row.
     {
         use hydro::{riemann_flux, riemann_flux_batch, GammaLaw, Prim, RiemannKind};
-        use hydro::{RiemannScratch, C4, P4};
+        use hydro::RiemannScratch;
+        use raptor_core::batch::{self, Col};
         let eos = GammaLaw { gamma: 1.4 };
         for (flabel, bfmt) in [("e11m12", Format::new(11, 12)), ("fp16", Format::new(5, 10))] {
             let sess = Session::new(Config::op_all(bfmt)).unwrap();
@@ -176,25 +177,34 @@ fn bench_dispatch(c: &mut Harness) {
                 // Mixed population: strong drifts at the ends put lanes in
                 // the supersonic classes; the middle stays subsonic with
                 // both contact-speed signs.
-                let mut wl = P4::new();
-                let mut wr = P4::new();
-                wl.resize(n);
-                wr.resize(n);
+                let (mut wl, mut wr) = (Vec::new(), Vec::new());
                 for i in 0..n {
                     let t = i as f64 / n as f64;
                     let drift = if t < 0.2 { 8.0 } else if t > 0.8 { -8.0 } else { t - 0.5 };
-                    wl.rho[i] = 1.0 + 0.3 * (7.0 * t).sin();
-                    wl.vx[i] = drift;
-                    wl.vy[i] = 0.2 * (5.0 * t).cos();
-                    wl.p[i] = 1.0 + 0.4 * (3.0 * t).cos();
-                    wr.rho[i] = 0.5 + 0.2 * (9.0 * t).cos();
-                    wr.vx[i] = drift + 0.1;
-                    wr.vy[i] = -0.1 * (4.0 * t).sin();
-                    wr.p[i] = 0.6 + 0.3 * (6.0 * t).sin();
+                    wl.push(Prim {
+                        rho: 1.0 + 0.3 * (7.0 * t).sin(),
+                        vx: drift,
+                        vy: 0.2 * (5.0 * t).cos(),
+                        p: 1.0 + 0.4 * (3.0 * t).cos(),
+                    });
+                    wr.push(Prim {
+                        rho: 0.5 + 0.2 * (9.0 * t).cos(),
+                        vx: drift + 0.1,
+                        vy: -0.1 * (4.0 * t).sin(),
+                        p: 0.6 + 0.3 * (6.0 * t).sin(),
+                    });
                 }
-                let mut out = C4::new();
-                let mut rs = RiemannScratch::new();
-                let mut ws = Vec::new();
+                // The input columns live in an outer scope; each iteration
+                // runs in a scope of its own, so the arena stays bounded.
+                let _inputs = batch::scope(n);
+                let cols = |w: &[Prim<f64>]| {
+                    let c = |f: fn(&Prim<f64>) -> f64| {
+                        Col::from_slice(&w.iter().map(f).collect::<Vec<_>>())
+                    };
+                    Prim { rho: c(|w| w.rho), vx: c(|w| w.vx), vy: c(|w| w.vy), p: c(|w| w.p) }
+                };
+                let (cl, cr) = (cols(&wl), cols(&wr));
+                let mut rs = RiemannScratch::default();
                 for kind in [RiemannKind::Hll, RiemannKind::Hllc] {
                     let klabel = format!("{kind:?}").to_lowercase();
                     g.bench_per_element(
@@ -202,38 +212,23 @@ fn bench_dispatch(c: &mut Harness) {
                         n,
                         |b| {
                             b.iter(|| {
-                                riemann_flux_batch(
+                                let _iter = batch::scope(n);
+                                let f = riemann_flux_batch(
                                     kind,
                                     &eos,
                                     0,
-                                    black_box(&wl),
-                                    black_box(&wr),
-                                    &mut out,
+                                    black_box(cl),
+                                    black_box(cr),
                                     &mut rs,
-                                    &mut ws,
                                 );
-                                black_box(out.rho[0])
+                                f.rho.read(|v| black_box(v[0]))
                             })
                         },
                     );
                 }
                 if n == 64 {
-                    let tl: Vec<Prim<Tracked>> = (0..n)
-                        .map(|i| Prim {
-                            rho: Tracked::from_f64(wl.rho[i]),
-                            vx: Tracked::from_f64(wl.vx[i]),
-                            vy: Tracked::from_f64(wl.vy[i]),
-                            p: Tracked::from_f64(wl.p[i]),
-                        })
-                        .collect();
-                    let tr: Vec<Prim<Tracked>> = (0..n)
-                        .map(|i| Prim {
-                            rho: Tracked::from_f64(wr.rho[i]),
-                            vx: Tracked::from_f64(wr.vx[i]),
-                            vy: Tracked::from_f64(wr.vy[i]),
-                            p: Tracked::from_f64(wr.p[i]),
-                        })
-                        .collect();
+                    let tl: Vec<Prim<Tracked>> = wl.iter().map(|w| w.map(Tracked::from_f64)).collect();
+                    let tr: Vec<Prim<Tracked>> = wr.iter().map(|w| w.map(Tracked::from_f64)).collect();
                     for kind in [RiemannKind::Hll, RiemannKind::Hllc] {
                         let klabel = format!("{kind:?}").to_lowercase();
                         g.bench_per_element(

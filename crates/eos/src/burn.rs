@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn truncated_burn_diverges_from_reference() {
         use bigfloat::Format;
-        use raptor_core::{Config, Session, Tracked};
+        use raptor_core::{Arith, Config, Session, Tracked};
         let cfg = BurnCfg::default();
         // Partial-burn regime: rate*dt ~ O(1) so X lands mid-range and the
         // result is precision-sensitive (a completed burn saturates at

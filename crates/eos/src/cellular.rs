@@ -20,10 +20,8 @@ use crate::newton::{
 use crate::table::{EosTable, InterpScratch};
 use hydro::{Eos, HydroParams, ReconKind, RiemannKind};
 use amr::{BcSpec, Mesh, MeshParams};
-use raptor_core::batch::{
-    batch_add, batch_div, batch_mul, batch_mul_s, batch_radd_s, batch_sqrt,
-};
-use raptor_core::{region, Real, Session};
+use raptor_core::batch::{batch_add, batch_mul_s, Col};
+use raptor_core::{region, Arith, Real, Session};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Mesh variable index of the carbon mass fraction (after the 4 hydro
@@ -115,8 +113,6 @@ impl Default for TableHelmholtz {
 }
 
 impl Eos for TableHelmholtz {
-    type BatchScratch = HelmBatchScratch;
-
     fn pressure<R: Real>(&self, rho: R, eint: R) -> R {
         let _r = region("Eos/helmholtz");
         let t = self.invert(rho, eint).t;
@@ -144,118 +140,80 @@ impl Eos for TableHelmholtz {
 
     fn sound_speed<R: Real>(&self, rho: R, p: R) -> R {
         let _r = region("Eos/helmholtz");
-        // Effective Gamma1 from the local thermodynamics: Gamma1 ~
-        // 1 + p / (rho e); robust for the ion+radiation mixture.
         let eint = self.eint(rho, p);
-        let gamma1 = R::one() + p / (rho * eint);
-        (gamma1 * p / rho).sqrt()
+        gamma1_sound_speed(rho, p, eint)
     }
 
-    // The hydro-facing trait path batches too: `eint`'s bisection runs a
-    // *fixed* 60 iterations — the data-dependent comparison only selects
-    // which bound each lane updates, never how many ops run — so it is
-    // lockstep-batchable with exact per-lane selects, and `pressure`'s
-    // Newton inversion compacts its active set in
-    // [`invert_temperature_batch`], preserving per-cell convergence
-    // behaviour (and op counts) exactly. With `batch_supported() == true`
-    // the hydro sweep routes its pressure/sound-speed lookups through the
-    // slice kernels below; the scalar methods above remain the mem-mode
-    // path and the differential oracle.
-    fn batch_supported(&self) -> bool {
-        true
-    }
-
-    fn pressure_batch(
-        &self,
-        rho: &[f64],
-        eint: &[f64],
-        ws: &mut HelmBatchScratch,
-        out: &mut [f64],
-    ) {
+    // The column methods wrap the slice evaluators below: `eint`'s
+    // bisection runs a *fixed* 60 iterations — the data-dependent
+    // comparison only selects which bound each lane updates, never how
+    // many ops run — so it is lockstep-batchable with exact per-lane
+    // selects, and `pressure`'s Newton inversion compacts its active set
+    // in [`invert_temperature_batch`], preserving per-cell convergence
+    // behaviour (and op counts) exactly. The scalar methods above remain
+    // the mem-mode path and the differential oracle.
+    fn pressure_col(&self, rho: Col, eint: Col) -> Col {
         let _r = region("Eos/helmholtz");
-        let n = rho.len();
-        let none = NewtonResult { t: 0.0, iters: 0, converged: false, resid: 0.0 };
-        ws.results.clear();
-        ws.results.resize(n, none);
-        self.invert_batch(rho, eint, &mut ws.results, &mut ws.newton);
-        ws.t.resize(n, 0.0);
-        for k in 0..n {
-            ws.t[k] = ws.results[k].t;
-        }
-        self.table.pres_of_batch(rho, &ws.t, out, &mut ws.interp);
+        Col::new_with(|out| rho.read(|rho| eint.read(|eint| self.pressure_slices(rho, eint, out))))
     }
 
-    fn eint_batch(&self, rho: &[f64], p: &[f64], ws: &mut HelmBatchScratch, out: &mut [f64]) {
+    fn eint_col(&self, rho: Col, p: Col) -> Col {
         let _r = region("Eos/helmholtz");
-        let n = rho.len();
-        let (t_lo, t_hi) = self.table.t_bounds();
-        ws.lo.clear();
-        ws.lo.resize(n, t_lo);
-        ws.hi.clear();
-        ws.hi.resize(n, t_hi);
-        ws.mid.resize(n, 0.0);
-        ws.pm.resize(n, 0.0);
-        ws.a.resize(n, 0.0);
-        for _ in 0..60 {
-            // mid = (lo + hi) * half — same AST, so same two counted ops;
-            // the comparison is an exact, uncounted per-lane select.
-            batch_add(&ws.lo, &ws.hi, &mut ws.a);
-            batch_mul_s(&ws.a, 0.5, &mut ws.mid);
-            self.table.pres_of_batch(rho, &ws.mid, &mut ws.pm, &mut ws.interp);
-            for k in 0..n {
-                if ws.pm[k] < p[k] {
-                    ws.lo[k] = ws.mid[k];
-                } else {
-                    ws.hi[k] = ws.mid[k];
-                }
-            }
-        }
-        batch_add(&ws.lo, &ws.hi, &mut ws.a);
-        batch_mul_s(&ws.a, 0.5, &mut ws.mid);
-        self.table.eint_of_batch(rho, &ws.mid, out, &mut ws.interp);
+        Col::new_with(|out| rho.read(|rho| p.read(|p| self.eint_slices(rho, p, out))))
     }
 
-    fn sound_speed_batch(
-        &self,
-        rho: &[f64],
-        p: &[f64],
-        ws: &mut HelmBatchScratch,
-        out: &mut [f64],
-    ) {
+    fn sound_speed_col(&self, rho: Col, p: Col) -> Col {
         let _r = region("Eos/helmholtz");
-        let n = rho.len();
-        let mut eint = std::mem::take(&mut ws.eint);
-        eint.clear();
-        eint.resize(n, 0.0);
-        self.eint_batch(rho, p, ws, &mut eint);
-        ws.a.resize(n, 0.0);
-        ws.t.resize(n, 0.0);
-        // gamma1 = 1 + p/(rho*eint); c = sqrt(gamma1*p/rho)
-        batch_mul(rho, &eint, &mut ws.a);
-        batch_div(p, &ws.a, &mut ws.t);
-        batch_radd_s(1.0, &ws.t, &mut ws.a);
-        batch_mul(&ws.a, p, &mut ws.t);
-        batch_div(&ws.t, rho, &mut ws.a);
-        batch_sqrt(&ws.a, out);
-        ws.eint = eint;
+        let eint = self.eint_col(rho, p);
+        gamma1_sound_speed(rho, p, eint)
     }
 }
 
-/// Reusable scratch for [`TableHelmholtz`]'s slice-shaped `Eos` methods:
-/// Newton active-set state, bilinear-interpolation lane buffers, and the
-/// bisection bound/midpoint slices.
-#[derive(Default)]
-pub struct HelmBatchScratch {
-    newton: NewtonScratch,
-    interp: InterpScratch,
-    results: Vec<NewtonResult<f64>>,
-    t: Vec<f64>,
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    mid: Vec<f64>,
-    pm: Vec<f64>,
-    a: Vec<f64>,
-    eint: Vec<f64>,
+/// Adiabatic sound speed with the effective Gamma1 of the local
+/// thermodynamics, `Gamma1 ~ 1 + p / (rho e)`: robust for the
+/// ion+radiation mixture.
+fn gamma1_sound_speed<R: Arith>(rho: R, p: R, eint: R) -> R {
+    let gamma1 = R::one() + p / (rho * eint);
+    (gamma1 * p / rho).sqrt()
+}
+
+impl TableHelmholtz {
+    /// [`Eos::pressure`] over slices: batched Newton inversion, then the
+    /// table's pressure lookup.
+    fn pressure_slices(&self, rho: &[f64], eint: &[f64], out: &mut [f64]) {
+        let n = rho.len();
+        let none = NewtonResult { t: 0.0, iters: 0, converged: false, resid: 0.0 };
+        let mut results = vec![none; n];
+        self.invert_batch(rho, eint, &mut results, &mut NewtonScratch::default());
+        let t: Vec<f64> = results.iter().map(|r| r.t).collect();
+        self.table.pres_of_batch(rho, &t, out, &mut InterpScratch::default());
+    }
+
+    /// [`Eos::eint`] over slices: the 60-step bisection in lockstep.
+    fn eint_slices(&self, rho: &[f64], p: &[f64], out: &mut [f64]) {
+        let n = rho.len();
+        let (t_lo, t_hi) = self.table.t_bounds();
+        let (mut lo, mut hi) = (vec![t_lo; n], vec![t_hi; n]);
+        let (mut mid, mut pm, mut a) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let interp = &mut InterpScratch::default();
+        for _ in 0..60 {
+            // mid = (lo + hi) * half — same AST, so same two counted ops;
+            // the comparison is an exact, uncounted per-lane select.
+            batch_add(&lo, &hi, &mut a);
+            batch_mul_s(&a, 0.5, &mut mid);
+            self.table.pres_of_batch(rho, &mid, &mut pm, interp);
+            for k in 0..n {
+                if pm[k] < p[k] {
+                    lo[k] = mid[k];
+                } else {
+                    hi[k] = mid[k];
+                }
+            }
+        }
+        batch_add(&lo, &hi, &mut a);
+        batch_mul_s(&a, 0.5, &mut mid);
+        self.table.eint_of_batch(rho, &mid, out, interp);
+    }
 }
 
 /// Cellular simulation state.
@@ -517,10 +475,9 @@ mod tests {
         }
     }
 
-    /// With `batch_supported() == true` the hydro sweep routes its
-    /// pressure/sound-speed lookups through the slice-shaped trait
-    /// methods (Newton inversion, fixed-iteration pressure bisection,
-    /// bilinear table lookups). That path must reproduce the per-cell
+    /// The batch hydro sweep routes its pressure/sound-speed lookups
+    /// through the `Col` trait methods (Newton inversion, fixed-iteration
+    /// pressure bisection, bilinear table lookups). That path must reproduce the per-cell
     /// scalar trait calls bit for bit with exact counter parity, both
     /// when the Eos region is *inside* the truncation scope and when it
     /// is outside it (Hydro scope → the table ops bulk-count as

@@ -19,8 +19,6 @@ pub mod newton;
 pub mod table;
 
 pub use burn::{burn_cell, rate, BurnCfg, BurnResult};
-pub use cellular::{
-    setup_cellular, Cellular, CellularInit, HelmBatchScratch, TableHelmholtz, XCARBON,
-};
+pub use cellular::{setup_cellular, Cellular, CellularInit, TableHelmholtz, XCARBON};
 pub use newton::{invert_temperature, NewtonCfg, NewtonResult};
 pub use table::{model_eint, model_pres, EosTable};

@@ -274,7 +274,7 @@ mod tests {
     use super::*;
     use crate::table::model_eint;
     use bigfloat::Format;
-    use raptor_core::{Config, Session, Tracked};
+    use raptor_core::{Arith, Config, Session, Tracked};
 
     #[test]
     fn full_precision_converges_quadratically() {

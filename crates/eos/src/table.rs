@@ -390,7 +390,7 @@ mod tests {
     #[test]
     fn batch_interp_bit_identical_and_counter_parity() {
         use bigfloat::Format;
-        use raptor_core::{Config, RoundMode, Session, Tracked};
+        use raptor_core::{Arith, Config, RoundMode, Session, Tracked};
         let tab = EosTable::cellular_default();
         let n = 40;
         let rho: Vec<f64> = (0..n)
@@ -465,7 +465,7 @@ mod tests {
     #[test]
     fn truncated_interpolation_is_coarser() {
         use bigfloat::Format;
-        use raptor_core::{Config, Session, Tracked};
+        use raptor_core::{Arith, Config, Session, Tracked};
         let tab = EosTable::cellular_default();
         let full: f64 = tab.eint_of(2.5e6, 3.1e8);
         let sess = Session::new(Config::op_all(Format::new(11, 8))).unwrap();

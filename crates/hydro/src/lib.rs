@@ -9,7 +9,10 @@
 //!
 //! Every kernel is generic over [`raptor_core::Real`]: instantiate with
 //! `f64` for the reference run and [`raptor_core::Tracked`] for the
-//! instrumented run.
+//! instrumented run. The straight-line ones (state conversions, fluxes,
+//! the Riemann solvers' branch bodies) need only [`raptor_core::Arith`],
+//! so the instrumented sweep also runs them on whole columns
+//! ([`raptor_core::batch::Col`]).
 
 #![forbid(unsafe_code)]
 
@@ -27,7 +30,7 @@ pub use riemann::{
     hll_flux, hllc_flux, riemann_flux, riemann_flux_batch, RiemannKind, RiemannScratch,
 };
 pub use state::{
-    cons_to_prim, physical_flux, physical_flux_batch, prim_to_cons, prim_to_cons_batch, Cons,
-    Eos, Floors, GammaLaw, Prim, Tmp, C4, P4, DENS, ENER, MOMX, MOMY, NVAR,
+    cons_to_prim, physical_flux, prim_to_cons, Cols, Cons, Eos, EosView, Floors, GammaLaw, Prim,
+    DENS, ENER, MOMX, MOMY, NVAR,
 };
 pub use sweep::{compute_dt, step, sweep_axis, HydroParams, Layout};

@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn generic_matches_f64_with_tracked_untruncated() {
-        use raptor_core::Tracked;
+        use raptor_core::{Arith, Tracked};
         let u = [0.3f64, 0.7, 1.1, 0.9, 0.2, 0.4];
         let (l, r) = weno5_interface(u);
         let ut = u.map(Tracked::from_f64);

@@ -5,7 +5,8 @@
 //! trait so the Cellular workload can plug in the table-based Helmholtz
 //! substitute from the `eos` crate (paper §4.2, Hypothesis 2).
 
-use raptor_core::{batch, Real};
+use raptor_core::batch::Col;
+use raptor_core::{Arith, Real};
 
 /// Index of the density variable in mesh storage.
 pub const DENS: usize = 0;
@@ -20,7 +21,7 @@ pub const NVAR: usize = 4;
 
 /// Conserved state.
 #[derive(Clone, Copy, Debug)]
-pub struct Cons<R: Real> {
+pub struct Cons<R> {
     /// Mass density.
     pub rho: R,
     /// x-momentum density.
@@ -33,7 +34,7 @@ pub struct Cons<R: Real> {
 
 /// Primitive state.
 #[derive(Clone, Copy, Debug)]
-pub struct Prim<R: Real> {
+pub struct Prim<R> {
     /// Mass density.
     pub rho: R,
     /// x-velocity.
@@ -46,55 +47,63 @@ pub struct Prim<R: Real> {
 
 /// Equation of state abstraction (Flash-X `Eos` unit).
 ///
-/// Besides the scalar evaluators, an EOS may opt into *batch* evaluation
-/// ([`Eos::batch_supported`]): slice-shaped variants that route through
-/// [`raptor_core::batch`], letting the hydro sweep retire per-op dispatch
-/// for whole blocks at a time. A batch implementation must execute exactly the
-/// same operation sequence as its scalar counterpart (same ops, same
-/// order per element, same regions pushed) so results stay bit-identical
-/// and operation counts stay exactly equal between the two paths.
-///
-/// Each implementation names its own reusable workspace type
-/// ([`Eos::BatchScratch`]): a plain `Vec<f64>` suffices for the closed-form
-/// gamma law, while the tabulated Helmholtz EOS carries Newton/interp
-/// scratch and a bisection state. Callers build it with `Default` and
-/// thread one instance through a whole sweep; the evaluators size it
-/// internally.
+/// The three evaluators come twice: at any [`Real`] (the scalar path,
+/// where an implementation may branch on its data), and at [`Col`], whole
+/// columns at once for the hydro sweep's batch path. Both must run the
+/// same operations per element, in the same regions, so the two paths
+/// stay bit-identical with equal op counts. A closed-form EOS writes its
+/// formulas once over [`Arith`] and instantiates them at both; an
+/// iterative one wraps its slice-shaped evaluators.
 pub trait Eos: Sync + Send {
-    /// Reusable workspace for the slice-shaped evaluators. Built by the
-    /// caller via `Default`, resized internally by the implementation.
-    type BatchScratch: Default;
-
     /// Pressure from density and specific internal energy.
     fn pressure<R: Real>(&self, rho: R, eint: R) -> R;
     /// Specific internal energy from density and pressure.
     fn eint<R: Real>(&self, rho: R, p: R) -> R;
     /// Adiabatic sound speed from density and pressure.
     fn sound_speed<R: Real>(&self, rho: R, p: R) -> R;
+    /// [`Eos::pressure`] over columns.
+    fn pressure_col(&self, rho: Col, eint: Col) -> Col;
+    /// [`Eos::eint`] over columns.
+    fn eint_col(&self, rho: Col, p: Col) -> Col;
+    /// [`Eos::sound_speed`] over columns.
+    fn sound_speed_col(&self, rho: Col, p: Col) -> Col;
+}
 
-    /// Whether the slice-shaped evaluators below are implemented. When
-    /// `false` (the default) callers must stay on the scalar path.
-    fn batch_supported(&self) -> bool {
-        false
+/// An EOS as the [`Arith`]-generic kernels see it at one value type: every
+/// [`Eos`] at a [`Real`], and an [`Eos`] wrapped in [`Cols`] at [`Col`].
+pub trait EosView<R> {
+    /// Pressure from density and specific internal energy.
+    fn pressure(&self, rho: R, eint: R) -> R;
+    /// Specific internal energy from density and pressure.
+    fn eint(&self, rho: R, p: R) -> R;
+    /// Adiabatic sound speed from density and pressure.
+    fn sound_speed(&self, rho: R, p: R) -> R;
+}
+
+impl<R: Real, E: Eos> EosView<R> for E {
+    fn pressure(&self, rho: R, eint: R) -> R {
+        Eos::pressure(self, rho, eint)
     }
-
-    /// Slice variant of [`Eos::pressure`]. `out` must be the same length
-    /// as the inputs. Only called when [`Eos::batch_supported`] is true.
-    fn pressure_batch(&self, rho: &[f64], eint: &[f64], ws: &mut Self::BatchScratch, out: &mut [f64]) {
-        let _ = (rho, eint, ws, out);
-        unimplemented!("EOS does not provide batch kernels; gate on batch_supported()")
+    fn eint(&self, rho: R, p: R) -> R {
+        Eos::eint(self, rho, p)
     }
-
-    /// Slice variant of [`Eos::eint`].
-    fn eint_batch(&self, rho: &[f64], p: &[f64], ws: &mut Self::BatchScratch, out: &mut [f64]) {
-        let _ = (rho, p, ws, out);
-        unimplemented!("EOS does not provide batch kernels; gate on batch_supported()")
+    fn sound_speed(&self, rho: R, p: R) -> R {
+        Eos::sound_speed(self, rho, p)
     }
+}
 
-    /// Slice variant of [`Eos::sound_speed`].
-    fn sound_speed_batch(&self, rho: &[f64], p: &[f64], ws: &mut Self::BatchScratch, out: &mut [f64]) {
-        let _ = (rho, p, ws, out);
-        unimplemented!("EOS does not provide batch kernels; gate on batch_supported()")
+/// An [`Eos`] viewed at [`Col`] through its column methods.
+pub struct Cols<'a, E>(pub &'a E);
+
+impl<E: Eos> EosView<Col> for Cols<'_, E> {
+    fn pressure(&self, rho: Col, eint: Col) -> Col {
+        self.0.pressure_col(rho, eint)
+    }
+    fn eint(&self, rho: Col, p: Col) -> Col {
+        self.0.eint_col(rho, p)
+    }
+    fn sound_speed(&self, rho: Col, p: Col) -> Col {
+        self.0.sound_speed_col(rho, p)
     }
 }
 
@@ -111,46 +120,43 @@ impl Default for GammaLaw {
     }
 }
 
-impl Eos for GammaLaw {
-    type BatchScratch = Vec<f64>;
-
+/// The gamma law's formulas, once for both [`Eos`] instantiations.
+impl GammaLaw {
     #[inline]
-    fn pressure<R: Real>(&self, rho: R, eint: R) -> R {
+    fn p_of<R: Arith>(&self, rho: R, eint: R) -> R {
         R::from_f64(self.gamma - 1.0) * rho * eint
     }
     #[inline]
-    fn eint<R: Real>(&self, rho: R, p: R) -> R {
+    fn eint_of<R: Arith>(&self, rho: R, p: R) -> R {
         p / (R::from_f64(self.gamma - 1.0) * rho)
     }
     #[inline]
-    fn sound_speed<R: Real>(&self, rho: R, p: R) -> R {
+    fn c_of<R: Arith>(&self, rho: R, p: R) -> R {
         (R::from_f64(self.gamma) * p / rho).sqrt()
     }
+}
 
-    fn batch_supported(&self) -> bool {
-        true
+impl Eos for GammaLaw {
+    #[inline]
+    fn pressure<R: Real>(&self, rho: R, eint: R) -> R {
+        self.p_of(rho, eint)
     }
-
-    // The batch variants mirror the scalar ASTs op for op: `(g-1)*rho` is
-    // one broadcast multiply, etc., so values and operation counts are
-    // identical to a per-element scalar evaluation.
-    fn pressure_batch(&self, rho: &[f64], eint: &[f64], ws: &mut Vec<f64>, out: &mut [f64]) {
-        ws.resize(out.len(), 0.0);
-        batch::batch_rmul_s(self.gamma - 1.0, rho, ws);
-        batch::batch_mul(ws, eint, out);
+    #[inline]
+    fn eint<R: Real>(&self, rho: R, p: R) -> R {
+        self.eint_of(rho, p)
     }
-
-    fn eint_batch(&self, rho: &[f64], p: &[f64], ws: &mut Vec<f64>, out: &mut [f64]) {
-        ws.resize(out.len(), 0.0);
-        batch::batch_rmul_s(self.gamma - 1.0, rho, ws);
-        batch::batch_div(p, ws, out);
+    #[inline]
+    fn sound_speed<R: Real>(&self, rho: R, p: R) -> R {
+        self.c_of(rho, p)
     }
-
-    fn sound_speed_batch(&self, rho: &[f64], p: &[f64], ws: &mut Vec<f64>, out: &mut [f64]) {
-        ws.resize(out.len(), 0.0);
-        batch::batch_rmul_s(self.gamma, p, out);
-        batch::batch_div(out, rho, ws);
-        batch::batch_sqrt(ws, out);
+    fn pressure_col(&self, rho: Col, eint: Col) -> Col {
+        self.p_of(rho, eint)
+    }
+    fn eint_col(&self, rho: Col, p: Col) -> Col {
+        self.eint_of(rho, p)
+    }
+    fn sound_speed_col(&self, rho: Col, p: Col) -> Col {
+        self.c_of(rho, p)
     }
 }
 
@@ -173,7 +179,7 @@ impl Default for Floors {
 
 /// Convert conserved to primitive, applying floors.
 #[inline]
-pub fn cons_to_prim<R: Real, E: Eos>(u: Cons<R>, eos: &E, fl: &Floors) -> Prim<R> {
+pub fn cons_to_prim<R: Arith, E: EosView<R>>(u: Cons<R>, eos: &E, fl: &Floors) -> Prim<R> {
     let rho = u.rho.max(R::from_f64(fl.small_rho));
     let vx = u.mx / rho;
     let vy = u.my / rho;
@@ -185,7 +191,7 @@ pub fn cons_to_prim<R: Real, E: Eos>(u: Cons<R>, eos: &E, fl: &Floors) -> Prim<R
 
 /// Convert primitive to conserved.
 #[inline]
-pub fn prim_to_cons<R: Real, E: Eos>(w: Prim<R>, eos: &E) -> Cons<R> {
+pub fn prim_to_cons<R: Arith, E: EosView<R>>(w: Prim<R>, eos: &E) -> Cons<R> {
     let eint = eos.eint(w.rho, w.p);
     let ke = R::half() * w.rho * (w.vx * w.vx + w.vy * w.vy);
     Cons { rho: w.rho, mx: w.rho * w.vx, my: w.rho * w.vy, e: w.rho * eint + ke }
@@ -193,7 +199,7 @@ pub fn prim_to_cons<R: Real, E: Eos>(w: Prim<R>, eos: &E) -> Cons<R> {
 
 /// Physical flux of the Euler equations along an axis (0 = x, 1 = y).
 #[inline]
-pub fn physical_flux<R: Real, E: Eos>(w: Prim<R>, eos: &E, axis: usize) -> Cons<R> {
+pub fn physical_flux<R: Arith, E: EosView<R>>(w: Prim<R>, eos: &E, axis: usize) -> Cons<R> {
     let u = prim_to_cons(w, eos);
     match axis {
         0 => Cons {
@@ -211,7 +217,7 @@ pub fn physical_flux<R: Real, E: Eos>(w: Prim<R>, eos: &E, axis: usize) -> Cons<
     }
 }
 
-impl<R: Real> Cons<R> {
+impl<R: Arith> Cons<R> {
     /// Component-wise addition.
     #[inline]
     pub fn add(self, o: Cons<R>) -> Cons<R> {
@@ -231,151 +237,38 @@ impl<R: Real> Cons<R> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Slice-shaped state (structure-of-arrays lines for the batch kernels)
-// ---------------------------------------------------------------------------
-
-/// Four primitive-component arrays in structure-of-arrays form, the unit
-/// of work for the batch kernels: in the sweep, every line of one block
-/// laid end to end (or a compacted subset of them).
-#[derive(Default)]
-pub struct P4 {
-    /// Densities.
-    pub rho: Vec<f64>,
-    /// x-velocities.
-    pub vx: Vec<f64>,
-    /// y-velocities.
-    pub vy: Vec<f64>,
-    /// Pressures.
-    pub p: Vec<f64>,
-}
-
-/// Four conserved-component arrays (see [`P4`]).
-#[derive(Default)]
-pub struct C4 {
-    /// Mass densities.
-    pub rho: Vec<f64>,
-    /// x-momentum densities.
-    pub mx: Vec<f64>,
-    /// y-momentum densities.
-    pub my: Vec<f64>,
-    /// Total energy densities.
-    pub e: Vec<f64>,
-}
-
-impl P4 {
-    /// Empty storage (alias of `Default`, kept for call-site symmetry).
-    pub fn new() -> P4 {
-        P4::default()
+impl<R> Cons<R> {
+    /// Apply `f` to every component.
+    pub fn map<S>(self, mut f: impl FnMut(R) -> S) -> Cons<S> {
+        Cons { rho: f(self.rho), mx: f(self.mx), my: f(self.my), e: f(self.e) }
     }
-    /// Resize every component array to `n` elements.
-    pub fn resize(&mut self, n: usize) {
-        self.rho.resize(n, 0.0);
-        self.vx.resize(n, 0.0);
-        self.vy.resize(n, 0.0);
-        self.p.resize(n, 0.0);
+
+    /// The components, in field order.
+    pub fn to_array(self) -> [R; 4] {
+        [self.rho, self.mx, self.my, self.e]
+    }
+
+    /// Inverse of [`Cons::to_array`].
+    pub fn from_array([rho, mx, my, e]: [R; 4]) -> Cons<R> {
+        Cons { rho, mx, my, e }
     }
 }
 
-impl C4 {
-    /// Empty storage.
-    pub fn new() -> C4 {
-        C4::default()
+impl<R> Prim<R> {
+    /// Apply `f` to every component.
+    pub fn map<S>(self, mut f: impl FnMut(R) -> S) -> Prim<S> {
+        Prim { rho: f(self.rho), vx: f(self.vx), vy: f(self.vy), p: f(self.p) }
     }
-    /// Resize every component array to `n` elements.
-    pub fn resize(&mut self, n: usize) {
-        self.rho.resize(n, 0.0);
-        self.mx.resize(n, 0.0);
-        self.my.resize(n, 0.0);
-        self.e.resize(n, 0.0);
-    }
-}
 
-/// Five-slot temporary slice pool (resized once per stage, reused across
-/// stages and blocks) shared by the batch sweep stages and the partitioned Riemann
-/// solver.
-#[derive(Default)]
-pub struct Tmp {
-    /// Scratch slot.
-    pub a: Vec<f64>,
-    /// Scratch slot.
-    pub b: Vec<f64>,
-    /// Scratch slot.
-    pub c: Vec<f64>,
-    /// Scratch slot.
-    pub d: Vec<f64>,
-    /// Scratch slot.
-    pub e: Vec<f64>,
-}
-
-impl Tmp {
-    /// Empty pool.
-    pub fn new() -> Tmp {
-        Tmp::default()
+    /// The components, in field order.
+    pub fn to_array(self) -> [R; 4] {
+        [self.rho, self.vx, self.vy, self.p]
     }
-    /// Resize every slot to `n` elements.
-    pub fn resize(&mut self, n: usize) {
-        self.a.resize(n, 0.0);
-        self.b.resize(n, 0.0);
-        self.c.resize(n, 0.0);
-        self.d.resize(n, 0.0);
-        self.e.resize(n, 0.0);
-    }
-}
 
-/// Batch [`prim_to_cons`]: same AST as the scalar version
-/// (`eint = eos.eint(rho, p)`, `ke = 0.5*rho*(vx²+vy²)`, then the four
-/// conserved components), one slice op per node.
-pub fn prim_to_cons_batch<E: Eos>(
-    eos: &E,
-    w: &P4,
-    out: &mut C4,
-    t: &mut Tmp,
-    ws: &mut E::BatchScratch,
-) {
-    let n = w.rho.len();
-    out.resize(n);
-    t.resize(n);
-    eos.eint_batch(&w.rho, &w.p, ws, &mut t.b); // eint -> t.b
-    batch::batch_rmul_s(0.5, &w.rho, &mut t.c); // half*rho
-    batch::batch_mul(&w.vx, &w.vx, &mut t.d);
-    batch::batch_mul(&w.vy, &w.vy, &mut t.e);
-    batch::batch_add(&t.d, &t.e, &mut t.a);
-    batch::batch_mul(&t.c, &t.a, &mut t.d); // ke -> t.d
-    out.rho.copy_from_slice(&w.rho);
-    batch::batch_mul(&w.rho, &w.vx, &mut out.mx);
-    batch::batch_mul(&w.rho, &w.vy, &mut out.my);
-    batch::batch_mul(&w.rho, &t.b, &mut t.c); // rho*eint
-    batch::batch_add(&t.c, &t.d, &mut out.e);
-}
-
-/// Batch [`physical_flux`]: [`prim_to_cons_batch`] (into `ucons`) plus the
-/// axis flux tail.
-pub fn physical_flux_batch<E: Eos>(
-    eos: &E,
-    w: &P4,
-    axis: usize,
-    ucons: &mut C4,
-    out: &mut C4,
-    t: &mut Tmp,
-    ws: &mut E::BatchScratch,
-) {
-    prim_to_cons_batch(eos, w, ucons, t, ws);
-    let n = w.rho.len();
-    out.resize(n);
-    let vn = if axis == 0 { &w.vx } else { &w.vy };
-    batch::batch_mul(&ucons.rho, vn, &mut out.rho);
-    if axis == 0 {
-        batch::batch_mul(&ucons.mx, vn, &mut t.a);
-        batch::batch_add(&t.a, &w.p, &mut out.mx);
-        batch::batch_mul(&ucons.my, vn, &mut out.my);
-    } else {
-        batch::batch_mul(&ucons.mx, vn, &mut out.mx);
-        batch::batch_mul(&ucons.my, vn, &mut t.a);
-        batch::batch_add(&t.a, &w.p, &mut out.my);
+    /// Inverse of [`Prim::to_array`].
+    pub fn from_array([rho, vx, vy, p]: [R; 4]) -> Prim<R> {
+        Prim { rho, vx, vy, p }
     }
-    batch::batch_add(&ucons.e, &w.p, &mut t.b);
-    batch::batch_mul(&t.b, vn, &mut out.e);
 }
 
 #[cfg(test)]
@@ -398,7 +291,7 @@ mod tests {
     #[test]
     fn sound_speed_ideal_gas() {
         let eos = GammaLaw { gamma: 1.4 };
-        let c: f64 = eos.sound_speed(1.0, 1.0);
+        let c: f64 = Eos::sound_speed(&eos, 1.0, 1.0);
         assert!((c - 1.4f64.sqrt()).abs() < 1e-15);
     }
 
@@ -432,69 +325,68 @@ mod tests {
         assert_eq!(physical_flux(w, &eos, 1).rho, -2.0);
     }
 
-    /// Differential twins required by the batch-pairing lint rule: the
-    /// `GammaLaw` slice evaluators must reproduce their scalar twins bit
-    /// for bit on plain f64 — the batch tier's contract with Tracked
-    /// dispatch (see `crates/raptor-lint`).
+    /// The column evaluators against their scalar twins on plain f64 (no
+    /// session: the hardware tier): the `GammaLaw` `Col` methods must
+    /// reproduce the scalar ones bit for bit — the batch tier's contract
+    /// with Tracked dispatch.
     #[test]
     fn eos_batch_twins_bit_identical_to_scalar() {
         let eos = GammaLaw { gamma: 1.4 };
         let n = 17;
         let rho: Vec<f64> = (0..n).map(|k| 0.3 + 0.11 * k as f64).collect();
         let val: Vec<f64> = (0..n).map(|k| 0.8 + 0.07 * k as f64).collect();
-        let mut ws: Vec<f64> = Vec::new();
-        let mut out = vec![0.0; n];
-        eos.pressure_batch(&rho, &val, &mut ws, &mut out);
-        for k in 0..n {
-            assert_eq!(out[k].to_bits(), eos.pressure::<f64>(rho[k], val[k]).to_bits());
-        }
-        eos.eint_batch(&rho, &val, &mut ws, &mut out);
-        for k in 0..n {
-            assert_eq!(out[k].to_bits(), eos.eint::<f64>(rho[k], val[k]).to_bits());
-        }
-        eos.sound_speed_batch(&rho, &val, &mut ws, &mut out);
-        for k in 0..n {
-            assert_eq!(out[k].to_bits(), eos.sound_speed::<f64>(rho[k], val[k]).to_bits());
-        }
+        let _cols = raptor_core::batch::scope(n);
+        let (r, v) = (Col::from_slice(&rho), Col::from_slice(&val));
+        eos.pressure_col(r, v).read(|out| {
+            for k in 0..n {
+                assert_eq!(out[k].to_bits(), Eos::pressure(&eos, rho[k], val[k]).to_bits());
+            }
+        });
+        eos.eint_col(r, v).read(|out| {
+            for k in 0..n {
+                assert_eq!(out[k].to_bits(), Eos::eint(&eos, rho[k], val[k]).to_bits());
+            }
+        });
+        eos.sound_speed_col(r, v).read(|out| {
+            for k in 0..n {
+                assert_eq!(out[k].to_bits(), Eos::sound_speed(&eos, rho[k], val[k]).to_bits());
+            }
+        });
     }
 
-    /// Batch-pairing twins for the conversion layer: `prim_to_cons_batch`
-    /// and `physical_flux_batch` against per-element scalar conversions.
+    /// The conversion layer at `Col`: `prim_to_cons` and `physical_flux`
+    /// over columns against per-element scalar conversions.
     #[test]
     fn conversion_batch_twins_bit_identical_to_scalar() {
         let eos = GammaLaw { gamma: 1.4 };
         let n = 23;
-        let mut w = P4::new();
-        w.resize(n);
-        for k in 0..n {
+        let prim = |k: usize| {
             let x = k as f64;
-            w.rho[k] = 0.4 + 0.13 * x;
-            w.vx[k] = (0.7 * x).sin();
-            w.vy[k] = (0.4 * x).cos() - 0.5;
-            w.p[k] = 0.9 + 0.08 * x;
-        }
-        let mut u = C4::new();
-        let mut t = Tmp::new();
-        let mut ws: Vec<f64> = Vec::new();
-        prim_to_cons_batch(&eos, &w, &mut u, &mut t, &mut ws);
-        for k in 0..n {
-            let s = prim_to_cons(Prim { rho: w.rho[k], vx: w.vx[k], vy: w.vy[k], p: w.p[k] }, &eos);
-            assert_eq!(u.rho[k].to_bits(), s.rho.to_bits(), "rho k={k}");
-            assert_eq!(u.mx[k].to_bits(), s.mx.to_bits(), "mx k={k}");
-            assert_eq!(u.my[k].to_bits(), s.my.to_bits(), "my k={k}");
-            assert_eq!(u.e[k].to_bits(), s.e.to_bits(), "e k={k}");
-        }
-        let mut f = C4::new();
-        for axis in [0usize, 1] {
-            physical_flux_batch(&eos, &w, axis, &mut u, &mut f, &mut t, &mut ws);
-            for k in 0..n {
-                let wk = Prim { rho: w.rho[k], vx: w.vx[k], vy: w.vy[k], p: w.p[k] };
-                let s = physical_flux(wk, &eos, axis);
-                assert_eq!(f.rho[k].to_bits(), s.rho.to_bits(), "rho axis={axis} k={k}");
-                assert_eq!(f.mx[k].to_bits(), s.mx.to_bits(), "mx axis={axis} k={k}");
-                assert_eq!(f.my[k].to_bits(), s.my.to_bits(), "my axis={axis} k={k}");
-                assert_eq!(f.e[k].to_bits(), s.e.to_bits(), "e axis={axis} k={k}");
+            Prim { rho: 0.4 + 0.13 * x, vx: (0.7 * x).sin(), vy: (0.4 * x).cos() - 0.5, p: 0.9 + 0.08 * x }
+        };
+        let _cols = raptor_core::batch::scope(n);
+        let col = |f: fn(Prim<f64>) -> f64| Col::new_with(|o| (0..n).for_each(|k| o[k] = f(prim(k))));
+        let w = Prim { rho: col(|w| w.rho), vx: col(|w| w.vx), vy: col(|w| w.vy), p: col(|w| w.p) };
+        let check = |got: Cons<Col>, want: &dyn Fn(Prim<f64>) -> Cons<f64>, what: &str| {
+            for (c, name) in [(got.rho, "rho"), (got.mx, "mx"), (got.my, "my"), (got.e, "e")] {
+                c.read(|v| {
+                    for k in 0..n {
+                        let s = want(prim(k));
+                        let s = match name {
+                            "rho" => s.rho,
+                            "mx" => s.mx,
+                            "my" => s.my,
+                            _ => s.e,
+                        };
+                        assert_eq!(v[k].to_bits(), s.to_bits(), "{what} {name} k={k}");
+                    }
+                });
             }
+        };
+        check(prim_to_cons(w, &Cols(&eos)), &|p| prim_to_cons(p, &eos), "prim_to_cons");
+        for axis in [0usize, 1] {
+            let got = physical_flux(w, &Cols(&eos), axis);
+            check(got, &|p| physical_flux(p, &eos, axis), &format!("flux axis={axis}"));
         }
     }
 }

@@ -18,12 +18,10 @@
 
 use crate::recon::{plm_interface, weno5_interface, ReconKind};
 use crate::riemann::{riemann_flux, riemann_flux_batch, RiemannKind, RiemannScratch};
-use crate::state::{cons_to_prim, Cons, Eos, Floors, Prim, Tmp, C4, P4, DENS, ENER, MOMX, MOMY};
+use crate::state::{cons_to_prim, Cols, Cons, Eos, Floors, Prim, DENS, ENER, MOMX, MOMY};
 use amr::{fill_guards, par_leaves, BcSpec, Block, LeafGeom, Mesh};
-use raptor_core::batch::{
-    batch_add, batch_div, batch_mul, batch_mul_s, batch_rmul_s, batch_sub, batch_weno5,
-};
-use raptor_core::{count_field_values, region, set_level, Mode, Real, Session};
+use raptor_core::batch::{self, batch_add, batch_rmul_s, batch_sub, batch_weno5, Col};
+use raptor_core::{count_field_values, region, set_level, Arith, Mode, Real, Session};
 use std::cell::RefCell;
 
 /// Hydro solver configuration.
@@ -166,17 +164,12 @@ pub fn sweep_axis<R: Real, E: Eos>(
     // slab is cleared per block after results are materialized, which also
     // merges its flag statistics into the session (the sweep barrier).
     let mem_mode = session.config().mode == Mode::Mem;
-    // Batch-kernel rewrite of the sweep: only for the instrumented build
-    // (the f64 reference build keeps its scalar loops), for PLM and WENO5
-    // (the latter through the fused `batch_weno5` stencil kernel), and
-    // only when the EOS ships slice kernels. `batch::ready()` is checked
+    // The batch sweep runs in the instrumented build only (the f64
+    // reference build keeps its scalar loops). `batch::ready()` is checked
     // per block *after* the session is installed — it rejects mem-mode
-    // sessions, whose per-op source-location attribution a slice loop
-    // cannot reproduce, and the `batch::force_scalar` differential-testing
-    // pin.
-    let use_batch = R::IS_TRACKED
-        && matches!(params.recon, ReconKind::Plm | ReconKind::Weno5)
-        && eos.batch_supported();
+    // sessions, whose per-op source-location attribution a column op
+    // cannot reproduce, and the `batch::force_scalar` differential pin.
+    let use_batch = R::IS_TRACKED;
     let kernel = |geom: LeafGeom, block: &mut Block| {
         let _guard = session.install();
         set_level(Some(geom.level));
@@ -264,40 +257,21 @@ fn sweep_block<R: Real, E: Eos>(
 // Batch-specialized sweep (op-mode fast path)
 // ---------------------------------------------------------------------------
 //
-// The same update as `sweep_block`, rewritten with `raptor_core::batch`
-// slice ops that each span a whole block — every line of one leaf at once:
-// the truncation decision is read once per call instead of once per FP
-// operation, counters are bulk-added, and the monomorphized kernels
-// auto-vectorize. Each stage gathers the block's lines into line-major SoA
-// slices (cells `c*l + a`, interfaces `c*k + f`, interior cells
-// `c*n_along + a` for cross line `c`), so a stage is one region entry and
-// one batch call per AST node, however many lines the block has. Every
-// batch op is element-wise, so concatenating lines changes no value and no
-// count. The scalar path above remains the differential oracle — this path
-// must execute *exactly* the operations it executes, per element,
-// including recomputed subexpressions (the scalar AST evaluates `u2 - u1`
-// twice in PLM, `(s - un)` three times in HLLC), so observables stay
-// bit-identical and op counts exactly equal.
-//
-// Data-dependent branches (supersonic upwinding, the HLLC `sm >= 0` split)
-// are handled by `riemann::riemann_flux_batch`, which partitions interfaces
-// and runs each branch's batch ops on a compacted index set, mirroring
-// which ops the scalar path would have run per interface (the
-// interface-partition invariant — see `crate::riemann`). Comparisons and
-// min/max/floor selections are exact, uncounted operations in the scalar
-// path and stay plain f64 selects here. The SoA containers (`P4`, `C4`,
-// `Tmp`) and the batch prim/flux helpers live in `crate::state`; all the
-// sweep's scratch is parked per worker thread and reused across blocks.
-
-/// `Tracked::max(v, f)` as an in-place select: `if f > v { f } else { v }`
-/// (keeps NaN `v`, exactly like the scalar floor).
-fn floor_sel(v: &mut [f64], f: f64) {
-    for x in v.iter_mut() {
-        if f > *x {
-            *x = f;
-        }
-    }
-}
+// The same update as `sweep_block`, with every stage run once over every
+// line of a block. Each stage gathers the block's lines into line-major
+// columns (cells `c*l + a`, interfaces `c*k + f`, interior cells
+// `c*n_along + a` for cross line `c`) and runs the scalar path's own
+// source on them: `cons_to_prim`, the Riemann solver's branch bodies
+// (partitioned by `riemann::riemann_flux_batch`) and the `Cons` update,
+// instantiated at `raptor_core::batch::Col`, where each operator is one
+// batch op over the column — one truncation decision read, one bulk
+// count, a monomorphized loop. Every op is element-wise, so values stay
+// bit-identical to the scalar path and op counts exactly equal, by
+// construction. Reconstruction is still a slice transcription: PLM
+// recomputes `u2 - u1` as its scalar AST does, and WENO5 is the fused
+// `batch_weno5` stencil; its minmod and floor selections are exact,
+// uncounted operations, as in the scalar path. The scalar path above
+// remains the mem-mode path and the differential oracle.
 
 /// Elementwise minmod *selection* (the slopes are already computed and
 /// counted; the scalar minmod's comparisons and `abs` are exact/uncounted).
@@ -333,19 +307,20 @@ fn gather_windows(w: &[f64], l: usize, k: usize, off: usize, win: &mut [Vec<f64>
 /// Batch PLM over the four stencil windows of one component (window `s`
 /// holds cell `ng+f-2+s` of every interface `f`). Slope `u2-u1` is
 /// computed twice, matching the scalar AST's operation count exactly.
-fn plm_b(win: &[Vec<f64>], t: &mut Tmp, ol: &mut [f64], or_: &mut [f64]) {
-    t.resize(ol.len());
+fn plm_b(win: &[Vec<f64>], t: &mut [Vec<f64>; 5], ol: &mut [f64], or_: &mut [f64]) {
+    t.iter_mut().for_each(|v| v.resize(ol.len(), 0.0));
+    let [ta, tb, tc, td, te] = t;
     let [u0, u1, u2, u3] = [&win[0], &win[1], &win[2], &win[3]];
-    batch_sub(u1, u0, &mut t.a);
-    batch_sub(u2, u1, &mut t.b);
-    minmod_sel(&t.a, &t.b, &mut t.c); // sl
-    batch_sub(u2, u1, &mut t.a); // recomputed, as in the scalar AST
-    batch_sub(u3, u2, &mut t.b);
-    minmod_sel(&t.a, &t.b, &mut t.d); // sr
-    batch_rmul_s(0.5, &t.c, &mut t.e);
-    batch_add(u1, &t.e, ol);
-    batch_rmul_s(0.5, &t.d, &mut t.e);
-    batch_sub(u2, &t.e, or_);
+    batch_sub(u1, u0, ta);
+    batch_sub(u2, u1, tb);
+    minmod_sel(ta, tb, tc); // sl
+    batch_sub(u2, u1, ta); // recomputed, as in the scalar AST
+    batch_sub(u3, u2, tb);
+    minmod_sel(ta, tb, td); // sr
+    batch_rmul_s(0.5, tc, te);
+    batch_add(u1, te, ol);
+    batch_rmul_s(0.5, td, te);
+    batch_sub(u2, te, or_);
 }
 
 /// Batch WENO5 over the six stencil windows of one component (window `s`
@@ -358,24 +333,16 @@ fn weno5_b(win: &[Vec<f64>], ol: &mut [f64], or_: &mut [f64]) {
     batch_weno5(&win[5], &win[4], &win[3], &win[2], &win[1], or_);
 }
 
-/// All scratch for the batch sweep of one block. Parked per worker thread
-/// in [`BATCH_BUFS`] and reused across blocks and sweeps: every stage
-/// resizes (or clears and refills) what it reads before reading it, so
-/// nothing carries over from a block of another shape.
+/// Slice scratch of the batch sweep, parked per worker thread in
+/// [`BATCH_BUFS`] and reused across blocks and sweeps; every stage resizes
+/// or refills what it reads. The columns themselves live in the thread's
+/// `Col` arena, which keeps its capacity the same way.
 #[derive(Default)]
 struct BatchBufs {
-    /// Conserved padded lines, line-major (`c*l + a`).
-    ucons: C4,
-    /// Primitive padded lines, line-major (`c*l + a`).
-    prim: P4,
     /// Stencil windows of one component, interface-major (`c*k + f`).
     win: [Vec<f64>; 6],
-    /// Left/right interface states, interface-major.
-    wl: P4,
-    wr: P4,
-    /// Interface fluxes, interface-major.
-    flux: C4,
-    t: Tmp,
+    /// PLM temporaries.
+    t: [Vec<f64>; 5],
     rs: RiemannScratch,
 }
 
@@ -384,6 +351,13 @@ thread_local! {
     /// at exit (the take-and-put-back idiom of `amr::par`'s leaf work
     /// buffer), so its capacity survives every later block on this thread.
     static BATCH_BUFS: RefCell<BatchBufs> = RefCell::new(BatchBufs::default());
+}
+
+/// Two new columns, written together by `f`.
+fn col_pair(f: impl FnOnce(&mut [f64], &mut [f64])) -> (Col, Col) {
+    let mut right = None;
+    let left = Col::new_with(|l| right = Some(Col::new_with(|r| f(l, r))));
+    (left, right.expect("written by new_with"))
 }
 
 /// Directional update of one block through the batch kernels, each stage
@@ -403,108 +377,75 @@ fn sweep_block_batch<E: Eos>(
     let ng = lay.ng;
     let l = n_along + 2 * ng; // padded line length
     let k = n_along + 1; // interfaces per line
-    let (n_cells, n_iface, n_int) = (n_cross * l, n_cross * k, n_cross * n_along);
     // Flat `data` index of padded cell `a` along interior cross line `c`.
     let at = |var: usize, c: usize, a: usize| -> usize {
         if axis == 0 { lay.at(var, a, c + ng) } else { lay.at(var, c + ng, a) }
     };
-    let dt_h = dt / h;
+    // The conserved columns of `n` cells per line from padded cell `a0` on:
+    // element `c*n + a` is cell `a0 + a` of line `c`.
+    let load = |data: &[f64], a0: usize, n: usize| {
+        let vars = Cons { rho: DENS, mx: MOMX, my: MOMY, e: ENER };
+        vars.map(|var| {
+            Col::new_with(|o| {
+                for (c, line) in o.chunks_exact_mut(n).enumerate() {
+                    line.iter_mut().enumerate().for_each(|(a, x)| *x = data[at(var, c, a0 + a)]);
+                }
+            })
+        })
+    };
     let mut bufs = BATCH_BUFS.with(|b| std::mem::take(&mut *b.borrow_mut()));
     let b = &mut bufs;
-    let ws = &mut E::BatchScratch::default();
     // ---- Hydro/eos: primitive recovery over every padded line ----
-    {
+    let _cells = batch::scope(n_cross * l);
+    let prim = {
         let _r = region("Hydro/eos");
-        b.ucons.resize(n_cells);
-        b.prim.resize(n_cells);
-        b.t.resize(n_cells);
-        for c in 0..n_cross {
-            for a in 0..l {
-                let x = c * l + a;
-                b.ucons.rho[x] = data[at(DENS, c, a)];
-                b.ucons.mx[x] = data[at(MOMX, c, a)];
-                b.ucons.my[x] = data[at(MOMY, c, a)];
-                b.ucons.e[x] = data[at(ENER, c, a)];
-            }
-        }
-        b.prim.rho.copy_from_slice(&b.ucons.rho);
-        floor_sel(&mut b.prim.rho, params.floors.small_rho);
-        batch_div(&b.ucons.mx, &b.prim.rho, &mut b.prim.vx);
-        batch_div(&b.ucons.my, &b.prim.rho, &mut b.prim.vy);
-        batch_rmul_s(0.5, &b.prim.rho, &mut b.t.a);
-        batch_mul(&b.prim.vx, &b.prim.vx, &mut b.t.b);
-        batch_mul(&b.prim.vy, &b.prim.vy, &mut b.t.c);
-        batch_add(&b.t.b, &b.t.c, &mut b.t.d);
-        batch_mul(&b.t.a, &b.t.d, &mut b.t.b); // ke
-        batch_sub(&b.ucons.e, &b.t.b, &mut b.t.c);
-        batch_div(&b.t.c, &b.prim.rho, &mut b.t.d); // eint
-        eos.pressure_batch(&b.prim.rho, &b.t.d, ws, &mut b.prim.p);
-        floor_sel(&mut b.prim.p, params.floors.small_p);
-    }
+        let u = load(data, 0, l);
+        cons_to_prim(u, &Cols(eos), &params.floors)
+    };
     // ---- Hydro/recon: interface states, component-wise ----
-    {
+    let _ifaces = batch::scope(n_cross * k);
+    let (wl, wr) = {
         let _r = region("Hydro/recon");
-        b.wl.resize(n_iface);
-        b.wr.resize(n_iface);
-        let comps = [
-            (&b.prim.rho, &mut b.wl.rho, &mut b.wr.rho),
-            (&b.prim.vx, &mut b.wl.vx, &mut b.wr.vx),
-            (&b.prim.vy, &mut b.wl.vy, &mut b.wr.vy),
-            (&b.prim.p, &mut b.wl.p, &mut b.wr.p),
-        ];
-        for (w, ol, or_) in comps {
-            match params.recon {
-                ReconKind::Plm => {
-                    let win = &mut b.win[..4];
-                    gather_windows(w, l, k, ng - 2, win);
-                    plm_b(win, &mut b.t, ol, or_);
-                }
-                ReconKind::Weno5 => {
-                    let win = &mut b.win[..6];
-                    gather_windows(w, l, k, ng - 3, win);
-                    weno5_b(win, ol, or_);
-                }
-            }
-        }
-        // assemble() floors (fixed 1e-12, independent of params.floors)
-        floor_sel(&mut b.wl.rho, 1e-12);
-        floor_sel(&mut b.wl.p, 1e-12);
-        floor_sel(&mut b.wr.rho, 1e-12);
-        floor_sel(&mut b.wr.p, 1e-12);
-    }
+        let mut recon = |w: Col| {
+            let off = ng - params.recon.guard_cells();
+            let win = &mut b.win[..2 * params.recon.guard_cells()];
+            w.read(|w| gather_windows(w, l, k, off, win));
+            col_pair(|ol, or_| match params.recon {
+                ReconKind::Plm => plm_b(win, &mut b.t, ol, or_),
+                ReconKind::Weno5 => weno5_b(win, ol, or_),
+            })
+        };
+        let sides = prim.map(&mut recon);
+        (floor_state(sides.map(|s| s.0)), floor_state(sides.map(|s| s.1)))
+    };
     // ---- Hydro/riemann: partitioned batch solver over every interface ----
-    {
+    let flux = {
         let _r = region("Hydro/riemann");
-        riemann_flux_batch(params.riemann, eos, axis, &b.wl, &b.wr, &mut b.flux, &mut b.rs, ws);
-    }
+        riemann_flux_batch(params.riemann, eos, axis, wl, wr, &mut b.rs)
+    };
     // ---- Hydro/update: conservative update of every interior cell ----
     {
         let _r = region("Hydro/update");
-        b.t.resize(n_int);
-        let comps = [
-            (&b.flux.rho, &b.ucons.rho, DENS),
-            (&b.flux.mx, &b.ucons.mx, MOMX),
-            (&b.flux.my, &b.ucons.my, MOMY),
-            (&b.flux.e, &b.ucons.e, ENER),
-        ];
-        for (fc, uc, var) in comps {
-            // t.a = flux right of each cell, t.b = flux left, t.c = u.
-            for c in 0..n_cross {
-                for a in 0..n_along {
-                    let x = c * n_along + a;
-                    b.t.a[x] = fc[c * k + a + 1];
-                    b.t.b[x] = fc[c * k + a];
-                    b.t.c[x] = uc[c * l + ng + a];
+        let _interior = batch::scope(n_cross * n_along);
+        // The fluxes left (`off` 0) and right (`off` 1) of every cell.
+        let side = |f: Col, off: usize| {
+            Col::new_with(|o| {
+                f.read(|f| {
+                    for (c, line) in o.chunks_exact_mut(n_along).enumerate() {
+                        line.copy_from_slice(&f[c * k + off..][..n_along]);
+                    }
+                })
+            })
+        };
+        let u = load(data, ng, n_along);
+        let df = flux.map(|f| side(f, 1)).sub(flux.map(|f| side(f, 0)));
+        let unew = u.sub(df.scale(Col::from_f64(dt / h)));
+        for (col, var) in [(unew.rho, DENS), (unew.mx, MOMX), (unew.my, MOMY), (unew.e, ENER)] {
+            col.read(|v| {
+                for (c, line) in v.chunks_exact(n_along).enumerate() {
+                    line.iter().enumerate().for_each(|(a, &x)| data[at(var, c, ng + a)] = x);
                 }
-            }
-            batch_sub(&b.t.a, &b.t.b, &mut b.t.d);
-            batch_mul_s(&b.t.d, dt_h, &mut b.t.e);
-            batch_sub(&b.t.c, &b.t.e, &mut b.t.a);
-            for c in 0..n_cross {
-                for a in 0..n_along {
-                    data[at(var, c, a + ng)] = b.t.a[c * n_along + a];
-                }
-            }
+            });
         }
     }
     BATCH_BUFS.with(|b| *b.borrow_mut() = bufs);
@@ -560,13 +501,15 @@ fn component<R: Real>(w: Prim<R>, sel: usize) -> R {
 
 #[inline]
 fn assemble<R: Real>(vals: [[R; 2]; 4], side: usize) -> Prim<R> {
+    floor_state(Prim { rho: vals[0][side], vx: vals[1][side], vy: vals[2][side], p: vals[3][side] })
+}
+
+/// The reconstructed states' fixed density and pressure floors (exact
+/// selections, independent of `params.floors`).
+#[inline]
+fn floor_state<R: Arith>(w: Prim<R>) -> Prim<R> {
     let tiny = R::from_f64(1e-12);
-    Prim {
-        rho: vals[0][side].max(tiny),
-        vx: vals[1][side],
-        vy: vals[2][side],
-        p: vals[3][side].max(tiny),
-    }
+    Prim { rho: w.rho.max(tiny), vx: w.vx, vy: w.vy, p: w.p.max(tiny) }
 }
 
 #[cfg(test)]
@@ -766,17 +709,17 @@ mod tests {
     fn assert_batch_matches_scalar(
         build: &dyn Fn() -> Mesh,
         params: HydroParams,
-        fmt: bigfloat::Format,
+        cfg: &raptor_core::Config,
         threads: usize,
         label: &str,
     ) {
-        use raptor_core::{batch, Config, Tracked};
+        use raptor_core::{batch, Tracked};
         let eos = GammaLaw::default();
         let bc = BcSpec::all_outflow(4);
         let run = |force_scalar: bool| {
             let _pin = batch::force_scalar(force_scalar);
             let mut m = build();
-            let sess = Session::new(Config::op_files(fmt, ["Hydro"]).with_counting()).unwrap();
+            let sess = Session::new(cfg.clone().with_counting()).unwrap();
             for s in 0..4 {
                 let dt = compute_dt::<f64, _>(&m, &eos, &params);
                 step::<Tracked, _>(&mut m, &bc, &eos, &params, dt, threads, &sess, s % 2 == 1);
@@ -848,7 +791,8 @@ mod tests {
                     m
                 };
                 let label = format!("{recon:?} {fmt:?} {kind:?} 8x{ny} {vx_name}");
-                assert_batch_matches_scalar(&build, params, fmt, 3, &label);
+                let cfg = raptor_core::Config::op_files(fmt, ["Hydro"]);
+                assert_batch_matches_scalar(&build, params, &cfg, 3, &label);
             }
         }
     }
@@ -870,9 +814,118 @@ mod tests {
                 m
             };
             let label = format!("{recon:?} 8x{ny} after a different shape");
-            assert_batch_matches_scalar(&build, params, fmt, 1, &label);
-            let parked = BATCH_BUFS.with(|b| b.borrow().ucons.rho.capacity());
+            let cfg = raptor_core::Config::op_files(fmt, ["Hydro"]);
+            assert_batch_matches_scalar(&build, params, &cfg, 1, &label);
+            let parked = BATCH_BUFS.with(|b| b.borrow().win[0].capacity());
             assert!(parked > 0, "the batch scratch stays parked on this thread ({label})");
+        }
+    }
+
+    /// SplitMix64 finalizer: a well-mixed 64-bit hash of `x`.
+    fn splitmix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Random cell states from `seed`: log-density and log-pressure swing
+    /// over six decades (1e-3 to 1e3) along random-phase waves, plus
+    /// per-cell noise; the x-velocity swings between Mach -3 and 3, so
+    /// both directions are supersonic somewhere. Two kinds of cell hit
+    /// the floors once truncated: densities near `small_rho`, and cold
+    /// cells whose internal energy is a 1e-7 sliver of the kinetic
+    /// energy, so a truncated `e - ke` drops to zero or below and the
+    /// pressure floors to `small_p`.
+    fn init_random(m: &mut Mesh, seed: u64, fl: Floors) {
+        use std::f64::consts::TAU;
+        let eos = GammaLaw::default();
+        let phase = |k: u64| TAU * (splitmix(seed ^ k) >> 11) as f64 / (1u64 << 53) as f64;
+        let (p1, p2, p3) = (phase(1), phase(2), phase(3));
+        m.fill_initial(|x, y, var| {
+            let mut s = seed ^ x.to_bits() ^ y.to_bits().rotate_left(29);
+            let mut unit = || {
+                s = splitmix(s);
+                (s >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let kind = unit();
+            let mut rho = 10f64.powf(3.0 * (TAU * x + p1).sin() + 0.2 * unit());
+            let mut p = 10f64.powf(3.0 * (TAU * y + p2).cos() + 0.2 * unit());
+            let c = (1.4 * p / rho).sqrt();
+            let vy = 0.5 * (2.0 * unit() - 1.0) * c;
+            let vx = (3.0 * (TAU * (x + y) + p3).sin() + 0.3 * unit()) * c;
+            if kind < 0.08 {
+                rho = fl.small_rho * (0.5 + 1.5 * unit());
+            } else if kind < 0.16 {
+                p = 1e-7 * rho * vx * vx;
+            }
+            let u = prim_to_cons(Prim { rho, vx, vy, p }, &eos);
+            [u.rho, u.mx, u.my, u.e][var]
+        });
+    }
+
+    /// The batch sweep against the scalar oracle on random blocks
+    /// ([`init_random`]), under the configurations no other hydro
+    /// differential covers — a short-cut format outside the kernel table
+    /// (e11m22, per-element emulation), the Big path, a directed rounding
+    /// mode and the Native FP32 rung (`Auto` resolves FP32 to it) — plus
+    /// the table's e11m12 and guarded e11m20, with both Riemann solvers
+    /// and both reconstructions. Bits and counters must match exactly.
+    #[test]
+    fn random_states_batch_bit_identical_to_scalar() {
+        use bigfloat::{Format, RoundMode};
+        use raptor_core::{Config, EmulPath};
+        let e11m12 = Format::new(11, 12);
+        let mut toward_zero = Config::op_files(e11m12, ["Hydro"]);
+        toward_zero.round = RoundMode::TowardZero;
+        let configs = [
+            ("e11m12", Config::op_files(e11m12, ["Hydro"])),
+            ("e11m20", Config::op_files(Format::new(11, 20), ["Hydro"])),
+            ("e11m22", Config::op_files(Format::new(11, 22), ["Hydro"])),
+            ("e11m12-big", Config::op_files(e11m12, ["Hydro"]).with_path(EmulPath::Big)),
+            ("e11m12-rz", toward_zero),
+            ("fp32-auto", Config::op_files(Format::FP32, ["Hydro"])),
+        ];
+        assert_eq!(configs[5].1.resolved_path(), EmulPath::Native);
+        // Floors well above the default 1e-12, so floored cells sit a
+        // decade or so below their neighbours rather than ten.
+        let floors = Floors { small_rho: 1e-4, small_p: 1e-4 };
+        // Coverage: truncated primitive recovery floors both density and
+        // pressure somewhere on the initial blocks.
+        {
+            use raptor_core::Tracked;
+            let mut m = mesh_sized(ReconKind::Plm, 8, 8);
+            init_random(&mut m, 0x5EED, floors);
+            let lay = Layout::of(&m);
+            let sess = Session::new(configs[0].1.clone()).unwrap();
+            let _g = sess.install();
+            let _r = region("Hydro");
+            let (mut n_rho, mut n_p) = (0, 0);
+            for idx in m.leaves() {
+                for j in 0..lay.ny {
+                    for i in 0..lay.nx {
+                        let u = load_cons::<Tracked>(&m.block(idx).data, &lay, i + lay.ng, j + lay.ng);
+                        let w = cons_to_prim(u, &GammaLaw::default(), &floors);
+                        n_rho += (w.rho.to_f64() == floors.small_rho) as usize;
+                        n_p += (w.p.to_f64() == floors.small_p) as usize;
+                    }
+                }
+            }
+            assert!(n_rho > 0 && n_p > 0, "floored cells: rho {n_rho}, p {n_p}");
+        }
+        for (seed, (name, cfg)) in configs.iter().enumerate() {
+            for recon in [ReconKind::Plm, ReconKind::Weno5] {
+                for kind in [RiemannKind::Hllc, RiemannKind::Hll] {
+                    let params = HydroParams { riemann: kind, recon, floors, ..Default::default() };
+                    let build = || {
+                        let mut m = mesh_sized(recon, 8, 8);
+                        init_random(&mut m, 0x5EED + seed as u64, floors);
+                        m
+                    };
+                    let label = format!("random {name} {recon:?} {kind:?}");
+                    assert_batch_matches_scalar(&build, params, cfg, 2, &label);
+                }
+            }
         }
     }
 

@@ -382,7 +382,7 @@ mod tests {
         // full-precision; results are deterministic and identical across
         // repeated runs (the §3.6 compatibility claim).
         use bigfloat::Format;
-        use raptor_core::{Config, Real, Session, Tracked};
+        use raptor_core::{Arith, Config, Real, Session, Tracked};
         let run_once = || {
             run(4, |c| {
                 let sess = Session::new(Config::op_all(Format::new(11, 8))).unwrap();
@@ -413,7 +413,7 @@ mod tests {
         // The paper's recipe: implement the reduction as user code and
         // truncate it with RAPTOR.
         use bigfloat::Format;
-        use raptor_core::{Config, Real, Session, Tracked};
+        use raptor_core::{Arith, Config, Real, Session, Tracked};
         let res = run(4, |c| {
             let local = [1.0 / (c.rank() + 3) as f64];
             let sess =

@@ -44,6 +44,14 @@
 //!    attribute.
 //!
 //! All slices must have equal length; the functions panic otherwise.
+//!
+//! ## Columns
+//!
+//! [`Col`] puts the same ops behind the scalar operators: a `Copy` handle
+//! to a column in a per-thread arena that implements [`Arith`], so a
+//! kernel written once over `Arith` and instantiated at `Col` runs each
+//! of its operators as one slice op over the whole column. Columns live
+//! in a [`scope`] that fixes their length and frees them on drop.
 
 use crate::config::EmulPath;
 use crate::context::{Dispatch, FAST};
@@ -51,6 +59,9 @@ use crate::counters::OpKind;
 use crate::ops::{self, MathFn};
 use bigfloat::kernel::round_rne;
 use bigfloat::{DoubleRound, Format, RoundMode};
+use crate::real::Arith;
+use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -194,6 +205,271 @@ pub fn batch_weno5_adv(v0: &[f64], v1: &[f64], v2: &[f64], v3: &[f64], v4: &[f64
 /// counter add instead of per-element TLS traffic.
 pub fn batch_log10(a: &[f64], out: &mut [f64]) {
     run(Log10(a), out)
+}
+
+// ---------------------------------------------------------------------------
+// Columns: the slice ops behind the scalar operators
+// ---------------------------------------------------------------------------
+
+/// A column of values for kernels written once over [`Arith`]: a `Copy`
+/// handle to a slot in the current thread's arena, or one value broadcast
+/// to every element ([`Arith::from_f64`]). Each operator is one batch op
+/// over the whole column — one `FastPath` read, one bulk count — so a
+/// scalar kernel instantiated at `Col` runs the batch tier with exactly
+/// the scalar path's values and op counts, element by element.
+/// `min`/`max` are the exact selects [`Tracked`](crate::Tracked) makes.
+///
+/// Columns live in a [`scope`], whose length every column in it shares
+/// (an op between two broadcasts yields a full column and counts one op
+/// per element). An op on a column from an ended scope panics, and so
+/// does an op whose operands' lengths differ from the scope's.
+#[derive(Clone, Copy, Debug)]
+pub struct Col(Repr);
+
+#[derive(Clone, Copy, Debug)]
+enum Repr {
+    Bcast(f64),
+    Slot { idx: u32, epoch: u32 },
+}
+
+/// The per-thread column arena: slots keep their capacity across scopes,
+/// like the batch consumers' parked scratch.
+struct Arena {
+    /// Slot buffers with the epoch of their current allocation.
+    slots: Vec<(Vec<f64>, u32)>,
+    /// Slots allocated by the open scopes.
+    used: usize,
+    /// Bumped whenever a scope ends, so its handles go stale.
+    epoch: u32,
+    /// Open scopes, innermost last: (first slot, length).
+    scopes: Vec<(usize, usize)>,
+}
+
+thread_local! {
+    static ARENA: RefCell<Arena> =
+        const { RefCell::new(Arena { slots: Vec::new(), used: 0, epoch: 0, scopes: Vec::new() }) };
+}
+
+/// A column operand: an arena slot or a broadcast value.
+enum Operand<'a> {
+    S(&'a [f64]),
+    B(f64),
+}
+
+impl Arena {
+    fn len(&self) -> usize {
+        self.scopes.last().expect("Col used outside a batch::scope").1
+    }
+
+    /// A new column written by `f` from this arena's view of the operands.
+    #[inline]
+    fn op(&mut self, f: impl FnOnce(&Arena, &mut [f64])) -> Col {
+        let (col, mut buf) = self.alloc();
+        f(self, &mut buf);
+        self.put(col, buf)
+    }
+
+    /// Take the buffer of a fresh slot, sized to the scope.
+    fn alloc(&mut self) -> (Col, Vec<f64>) {
+        let (n, idx, epoch) = (self.len(), self.used, self.epoch);
+        if idx == self.slots.len() {
+            self.slots.push(Default::default());
+        }
+        self.used += 1;
+        let slot = &mut self.slots[idx];
+        slot.1 = epoch;
+        let mut buf = std::mem::take(&mut slot.0);
+        buf.resize(n, 0.0);
+        (Col(Repr::Slot { idx: idx as u32, epoch }), buf)
+    }
+
+    /// Return an allocated slot's buffer.
+    fn put(&mut self, col: Col, buf: Vec<f64>) -> Col {
+        if let Repr::Slot { idx, .. } = col.0 {
+            self.slots[idx as usize].0 = buf;
+        }
+        col
+    }
+
+    fn operand(&self, c: Col) -> Operand<'_> {
+        match c.0 {
+            Repr::Bcast(x) => Operand::B(x),
+            Repr::Slot { idx, epoch } => match self.slots.get(idx as usize) {
+                Some((v, e)) if (idx as usize) < self.used && *e == epoch => Operand::S(v),
+                _ => panic!("stale Col: its batch::scope has ended"),
+            },
+        }
+    }
+}
+
+/// Scope guard for [`Col`]s, from [`scope`]: on drop it frees every slot
+/// allocated since it was opened and turns their handles stale.
+#[must_use = "columns live only as long as the guard"]
+pub struct ColScope {
+    depth: usize,
+    _thread: PhantomData<*const ()>,
+}
+
+/// Open a [`Col`] scope of length `n` on this thread. Scopes nest; ending
+/// one ends every scope opened inside it.
+pub fn scope(n: usize) -> ColScope {
+    ARENA.with(|a| {
+        let mut a = a.borrow_mut();
+        let used = a.used;
+        a.scopes.push((used, n));
+        ColScope { depth: a.scopes.len(), _thread: PhantomData }
+    })
+}
+
+impl Drop for ColScope {
+    /// Ends this scope and any still open inside it (a leaked guard's).
+    fn drop(&mut self) {
+        let _ = ARENA.try_with(|a| {
+            if let Ok(mut a) = a.try_borrow_mut() {
+                if let Some(&(mark, _)) = a.scopes.get(self.depth - 1) {
+                    a.used = mark;
+                    a.scopes.truncate(self.depth - 1);
+                    a.epoch = a.epoch.wrapping_add(1);
+                }
+            }
+        });
+    }
+}
+
+/// Columns of the current scope holding each of `cols`' elements at `idx`
+/// (as many as the scope's length).
+pub fn gather<const K: usize>(cols: [Col; K], idx: &[usize]) -> [Col; K] {
+    ARENA.with(|a| {
+        let mut a = a.borrow_mut();
+        cols.map(|c| {
+            a.op(|ar, out| {
+                assert_eq!(idx.len(), out.len());
+                match ar.operand(c) {
+                    Operand::S(v) => out.iter_mut().zip(idx).for_each(|(o, &i)| *o = v[i]),
+                    Operand::B(x) => out.fill(x),
+                }
+            })
+        })
+    })
+}
+
+impl Col {
+    /// A new column of the scope's length, written by `f`.
+    pub fn new_with(f: impl FnOnce(&mut [f64])) -> Col {
+        let (col, mut buf) = ARENA.with(|a| a.borrow_mut().alloc());
+        f(&mut buf);
+        ARENA.with(|a| a.borrow_mut().put(col, buf))
+    }
+
+    /// A new column holding `xs`.
+    pub fn from_slice(xs: &[f64]) -> Col {
+        Col::op(|_, out| out.copy_from_slice(xs))
+    }
+
+    /// Run `f` on the column's values (a broadcast reads as a full
+    /// column). `f` must not run column ops itself.
+    pub fn read<T>(self, f: impl FnOnce(&[f64]) -> T) -> T {
+        ARENA.with(|a| {
+            let a = a.borrow();
+            match a.operand(self) {
+                Operand::S(v) => f(v),
+                Operand::B(x) => f(&vec![x; a.len()]),
+            }
+        })
+    }
+
+    /// A new column from the arena's view of the operands.
+    #[inline]
+    fn op(f: impl FnOnce(&Arena, &mut [f64])) -> Col {
+        ARENA.with(|a| a.borrow_mut().op(f))
+    }
+}
+
+/// `$body` with `$x`, `$y` bound to `$a`'s and `$b`'s operands, each
+/// arm monomorphized on the slice-or-broadcast shapes.
+macro_rules! with_operands {
+    ($ar:expr, $a:expr, $b:expr, |$x:ident, $y:ident| $body:expr) => {{
+        use Operand::{B, S};
+        match ($ar.operand($a), $ar.operand($b)) {
+            (S($x), S($y)) => $body,
+            (S($x), B($y)) => $body,
+            (B($x), S($y)) => $body,
+            (B($x), B($y)) => $body,
+        }
+    }};
+}
+
+fn col_bin<const K: u8>(a: Col, b: Col) -> Col {
+    Col::op(|ar, out| with_operands!(ar, a, b, |x, y| run(Bin::<K, _, _>(x, y), out)))
+}
+
+/// The exact selections of `Tracked::min`/`max`: `b` where it is below
+/// (`MAX`: above) `a`, else `a`, so ties and NaNs keep `a`. Uncounted.
+fn col_select<const MAX: bool>(a: Col, b: Col) -> Col {
+    fn select<const MAX: bool>(a: impl Arg, b: impl Arg, out: &mut [f64]) {
+        a.check(out.len());
+        b.check(out.len());
+        for (i, o) in out.iter_mut().enumerate() {
+            let (x, y) = (a.at(i), b.at(i));
+            *o = if (MAX && y > x) || (!MAX && y < x) { y } else { x };
+        }
+    }
+    Col::op(|ar, out| with_operands!(ar, a, b, |x, y| select::<MAX>(x, y, out)))
+}
+
+macro_rules! col_ops {
+    ($($op:ident $f:ident $assign:ident $af:ident $k:ident;)*) => {$(
+        impl core::ops::$op for Col {
+            type Output = Col;
+            fn $f(self, rhs: Col) -> Col {
+                col_bin::<$k>(self, rhs)
+            }
+        }
+        impl core::ops::$assign for Col {
+            fn $af(&mut self, rhs: Col) {
+                *self = col_bin::<$k>(*self, rhs);
+            }
+        }
+    )*};
+}
+
+col_ops! {
+    Add add AddAssign add_assign ADD;
+    Sub sub SubAssign sub_assign SUB;
+    Mul mul MulAssign mul_assign MUL;
+    Div div DivAssign div_assign DIV;
+}
+
+impl core::ops::Neg for Col {
+    type Output = Col;
+    /// Exact sign flip, uncounted like [`Tracked`](crate::Tracked)'s.
+    fn neg(self) -> Col {
+        Col::op(|ar, out| match ar.operand(self) {
+            Operand::S(v) => {
+                v.check(out.len());
+                out.iter_mut().zip(v).for_each(|(o, x)| *o = -x);
+            }
+            Operand::B(x) => out.fill(-x),
+        })
+    }
+}
+
+impl Arith for Col {
+    fn from_f64(x: f64) -> Col {
+        Col(Repr::Bcast(x))
+    }
+    fn sqrt(self) -> Col {
+        Col::op(|ar, out| match ar.operand(self) {
+            Operand::S(x) => run(Sqrt(x), out),
+            Operand::B(x) => run(Sqrt(x), out),
+        })
+    }
+    fn min(self, other: Col) -> Col {
+        col_select::<false>(self, other)
+    }
+    fn max(self, other: Col) -> Col {
+        col_select::<true>(self, other)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -375,19 +651,19 @@ impl<const K: u8, A: Arg, B: Arg> Shape for Bin<K, A, B> {
 }
 
 #[derive(Clone, Copy)]
-struct Sqrt<'a>(&'a [f64]);
+struct Sqrt<A>(A);
 
-impl Shape for Sqrt<'_> {
+impl<A: Arg> Shape for Sqrt<A> {
     const COUNTS: &'static [(OpKind, u64)] = &[(OpKind::Sqrt, 1)];
     fn check(self, n: usize) {
         self.0.check(n);
     }
     fn window(self, r: Range<usize>) -> Self {
-        Sqrt(&self.0[r])
+        Sqrt(self.0.window(r))
     }
     #[inline(always)]
     fn elem<X: Exec>(self, x: &mut X, i: usize) -> f64 {
-        x.sqrt(self.0[i])
+        x.sqrt(self.0.at(i))
     }
 }
 
@@ -1236,6 +1512,147 @@ mod tests {
             // One bulk count for the batch call + one per-element bump each
             // from the oracle loop.
             assert_eq!(s.counters().trunc.math, 2 * a.len() as u64);
+        }
+    }
+
+    /// The four column-operand shapes of a binary op: (slice, slice),
+    /// (slice, broadcast), (broadcast, slice), (broadcast, broadcast).
+    const COL_SHAPES: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
+
+    /// Every `Col` operator against its slice op, bit for bit and with
+    /// equal counters, on each dispatch tier: hardware (no session), the
+    /// monomorphized table (e11m12), per-element emulation (e11m30) and
+    /// mem-mode. A broadcast operand is compared against a slice filled
+    /// with its value.
+    #[test]
+    fn col_ops_match_slice_ops_on_every_tier() {
+        const N: usize = 7;
+        let a = [0.3, -1.7, 1e-310, 2.5e8, f64::NAN, -0.0, 7.0];
+        let b = [1.1, 3.0, -2.0, 1e-5, 0.5, 4.0, -0.0];
+        let (sa, sb) = (1.0 / 3.0, -2.75);
+        let tiers = [
+            None,
+            Some(Config::op_all(Format::new(11, 12))),
+            Some(Config::op_all(Format::new(11, 30))),
+            Some(Config::mem_functions(Format::new(11, 12), ["K"], 1e-4)),
+        ];
+        let kinds = [OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Div];
+        for cfg in &tiers {
+            // `via_col`: one run of every shape, returning resolved values.
+            let run = |via_col: bool| {
+                let sess = cfg.clone().map(|c| Session::new(c.with_counting()).unwrap());
+                let g = sess.as_ref().map(Session::install);
+                let _r = crate::context::region("K");
+                let mut got = Vec::new();
+                let _cols = scope(N);
+                let arg = |bcast: bool, v: &[f64; N], x: f64| if bcast { vec![x; N] } else { v.to_vec() };
+                for kind in kinds {
+                    for (ba, bb) in COL_SHAPES {
+                        let (x, y) = (arg(ba, &a, sa), arg(bb, &b, sb));
+                        let mut out = vec![0.0; N];
+                        if via_col {
+                            let col = |bcast: bool, v: &[f64], s: f64| {
+                                if bcast { Col::from_f64(s) } else { Col::from_slice(v) }
+                            };
+                            let (p, q) = (col(ba, &x, sa), col(bb, &y, sb));
+                            let r = match kind {
+                                OpKind::Add => p + q,
+                                OpKind::Sub => p - q,
+                                OpKind::Mul => p * q,
+                                _ => p / q,
+                            };
+                            r.read(|v| out.copy_from_slice(v));
+                        } else {
+                            batch_bin(kind, &x, &y, &mut out);
+                        }
+                        got.extend(out);
+                    }
+                }
+                for bcast in [false, true] {
+                    let x = arg(bcast, &a, 2.0);
+                    let mut out = vec![0.0; N];
+                    if via_col {
+                        let c = if bcast { Col::from_f64(2.0) } else { Col::from_slice(&x) };
+                        c.sqrt().read(|v| out.copy_from_slice(v));
+                    } else {
+                        batch_sqrt(&x, &mut out);
+                    }
+                    got.extend(out);
+                }
+                // Mem-mode handles carry the slab epoch, which differs
+                // between sessions; compare their values.
+                let got: Vec<u64> = got.iter().map(|&x| crate::ops::resolve(x).to_bits()).collect();
+                drop(_r);
+                drop(g);
+                (got, sess.map(|s| s.counters()))
+            };
+            let (col, col_c) = run(true);
+            let (slice, slice_c) = run(false);
+            assert_eq!(col, slice, "{cfg:?}: values");
+            assert_eq!(col_c, slice_c, "{cfg:?}: counters");
+        }
+    }
+
+    /// An op between two broadcasts yields a full column and counts one op
+    /// per element of the scope.
+    #[test]
+    fn col_broadcast_pair_counts_one_op_per_element() {
+        let s = Session::new(Config::op_all(Format::FP16).with_counting()).unwrap();
+        let g = s.install();
+        let _cols = scope(5);
+        let r = Col::from_f64(1.5) * Col::from_f64(3.0);
+        r.read(|v| assert_eq!(v, &[4.5; 5]));
+        drop(g);
+        assert_eq!(s.counters().trunc.mul, 5);
+        assert_eq!(s.counters().trunc.total(), 5);
+    }
+
+    /// A column used after its scope ended panics, whether or not its slot
+    /// has been handed out again.
+    #[test]
+    fn stale_col_panics() {
+        use std::panic::catch_unwind;
+        let old = {
+            let _cols = scope(3);
+            Col::from_slice(&[1.0, 2.0, 3.0])
+        };
+        let _cols = scope(3);
+        assert!(catch_unwind(|| old + old).is_err(), "slot not yet reused");
+        let _fresh = Col::from_slice(&[4.0, 5.0, 6.0]);
+        assert!(catch_unwind(|| old.read(|v| v[0])).is_err(), "slot reused");
+    }
+
+    /// Operands must have the scope's length.
+    #[test]
+    fn col_length_mismatch_panics() {
+        use std::panic::catch_unwind;
+        let _outer = scope(4);
+        let four = Col::from_slice(&[1.0; 4]);
+        let _inner = scope(3);
+        assert!(catch_unwind(|| four + Col::from_f64(1.0)).is_err());
+        assert!(catch_unwind(|| four.max(Col::from_f64(1.0))).is_err());
+        assert!(catch_unwind(|| Col::from_slice(&[1.0; 2])).is_err());
+    }
+
+    /// `min`/`max` are `Tracked`'s exact selections: the left operand
+    /// wins ties (so `-0.0` vs `0.0` keeps the left zero) and NaNs on
+    /// either side.
+    #[test]
+    fn col_min_max_keep_the_left_operand_on_ties_and_nan() {
+        use crate::real::Tracked;
+        let a = [1.0, 0.0, -0.0, f64::NAN, 2.0, f64::NAN, 3.0];
+        let b = [1.0, -0.0, 0.0, 1.0, f64::NAN, f64::NAN, -3.0];
+        let _cols = scope(a.len());
+        let (ca, cb) = (Col::from_slice(&a), Col::from_slice(&b));
+        for max in [false, true] {
+            let got = if max { ca.max(cb) } else { ca.min(cb) };
+            got.read(|v| {
+                for i in 0..a.len() {
+                    let (x, y) = (Tracked(a[i]), Tracked(b[i]));
+                    let want = if max { x.max(y) } else { x.min(y) };
+                    assert_eq!(v[i].to_bits(), want.0.to_bits(), "max={max} lane {i}");
+                }
+            });
         }
     }
 

@@ -722,12 +722,12 @@ mod tests {
     #[test]
     fn passthrough_matches_f64_bit_for_bit() {
         let kernel = |x: crate::Tracked| {
-            use crate::Real;
+            use crate::Arith;
             (x * x + crate::Tracked::from_f64(0.3)).sqrt() / crate::Tracked::from_f64(1.7)
         };
         let s = Session::passthrough();
         let _g = s.install();
-        use crate::Real;
+        use crate::{Arith, Real};
         let got = kernel(crate::Tracked::from_f64(0.9)).to_f64();
         let want = ((0.9f64 * 0.9 + 0.3).sqrt()) / 1.7;
         assert_eq!(got.to_bits(), want.to_bits());

@@ -10,14 +10,16 @@
 //! runtime; this reproduction expresses the same semantics through a
 //! generic numeric type:
 //!
-//! * write kernels generic over [`Real`];
+//! * write kernels generic over [`Real`] — or over its arithmetic core
+//!   [`Arith`] when they never branch on their data;
 //! * instantiate with `f64` for the reference build, with [`Tracked`] for
-//!   the instrumented build;
+//!   the instrumented build, and an [`Arith`] kernel also with
+//!   [`batch::Col`] to run it over whole columns through the batch tier;
 //! * describe *what* to truncate with a [`Config`] (format, scope, mode,
 //!   AMR-level cutoff, exclusions) and run under a [`Session`].
 //!
 //! ```
-//! use raptor_core::{Config, Real, Session, Tracked, region};
+//! use raptor_core::{Arith, Config, Real, Session, Tracked, region};
 //! use bigfloat::Format;
 //!
 //! fn kernel<R: Real>(x: R) -> R {
@@ -149,7 +151,7 @@ pub use counters::{Counters, OpCounts, OpKind};
 pub use json::Json;
 pub use memmode::{LocReport, LocStats, SrcLoc};
 pub use ops::{MathFn, SignOp};
-pub use real::{Real, Tracked};
+pub use real::{Arith, Real, Tracked};
 pub use report::{FlagRow, Report};
 
 // Re-export the numeric substrate for convenience.

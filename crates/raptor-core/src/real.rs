@@ -13,20 +13,13 @@ use crate::ops::{self, MathFn};
 use crate::counters::OpKind;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// Abstract real-number type for numerical kernels.
-///
-/// Implemented by `f64` (reference) and [`Tracked`] (instrumented).
-pub trait Real:
+/// The arithmetic core of [`Real`]: what a straight-line kernel needs —
+/// the four operators, negation, `sqrt`, exact `min`/`max` selections and
+/// lifted constants — and nothing that inspects a value. Without
+/// `PartialOrd` a kernel cannot branch on its data, so the same source
+/// also runs on whole columns at once ([`crate::batch::Col`]).
+pub trait Arith:
     Copy
-    + Clone
-    + core::fmt::Debug
-    + core::fmt::Display
-    + Default
-    + PartialEq
-    + PartialOrd
-    + Send
-    + Sync
-    + 'static
     + Add<Output = Self>
     + Sub<Output = Self>
     + Mul<Output = Self>
@@ -37,6 +30,53 @@ pub trait Real:
     + MulAssign
     + DivAssign
 {
+    /// Lift a constant. In a truncated region the constant participates in
+    /// truncated arithmetic like any other operand.
+    fn from_f64(x: f64) -> Self;
+    /// Square root (instrumented op).
+    fn sqrt(self) -> Self;
+    /// Minimum (exact selection).
+    fn min(self, other: Self) -> Self;
+    /// Maximum (exact selection).
+    fn max(self, other: Self) -> Self;
+
+    /// Additive identity.
+    #[inline]
+    fn zero() -> Self {
+        Self::from_f64(0.0)
+    }
+    /// Multiplicative identity.
+    #[inline]
+    fn one() -> Self {
+        Self::from_f64(1.0)
+    }
+    /// Convenience: `0.5`.
+    #[inline]
+    fn half() -> Self {
+        Self::from_f64(0.5)
+    }
+    /// Convenience: `2.0`.
+    #[inline]
+    fn two() -> Self {
+        Self::from_f64(2.0)
+    }
+}
+
+/// Abstract real-number type for numerical kernels: [`Arith`] plus
+/// comparisons, the math library and conversion back to `f64`.
+///
+/// Implemented by `f64` (reference) and [`Tracked`] (instrumented).
+pub trait Real:
+    Arith
+    + core::fmt::Debug
+    + core::fmt::Display
+    + Default
+    + PartialEq
+    + PartialOrd
+    + Send
+    + Sync
+    + 'static
+{
     /// Whether this instantiation routes through the RAPTOR runtime.
     /// `false` for the `f64` reference build, `true` for [`Tracked`].
     /// Lets kernels gate batch-call rewrites (`crate::batch`) to the
@@ -44,20 +84,11 @@ pub trait Real:
     /// reference build keeps its scalar loops and the constant folds away.
     const IS_TRACKED: bool = false;
 
-    /// Lift a constant. In a truncated region the constant participates in
-    /// truncated arithmetic like any other operand.
-    fn from_f64(x: f64) -> Self;
     /// Lower to `f64`, resolving mem-mode handles to their truncated value.
     fn to_f64(self) -> f64;
 
-    /// Square root (instrumented op).
-    fn sqrt(self) -> Self;
     /// Absolute value (exact sign operation).
     fn abs(self) -> Self;
-    /// Minimum (exact selection).
-    fn min(self, other: Self) -> Self;
-    /// Maximum (exact selection).
-    fn max(self, other: Self) -> Self;
     /// Integer power via repeated multiplication (each counted).
     fn powi(self, n: i32) -> Self;
     /// Real power (math-library call).
@@ -88,45 +119,16 @@ pub trait Real:
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// Copy `sign`'s sign onto `self` (exact).
     fn copysign(self, sign: Self) -> Self;
-
-    /// Additive identity.
-    #[inline]
-    fn zero() -> Self {
-        Self::from_f64(0.0)
-    }
-    /// Multiplicative identity.
-    #[inline]
-    fn one() -> Self {
-        Self::from_f64(1.0)
-    }
-    /// Convenience: `0.5`.
-    #[inline]
-    fn half() -> Self {
-        Self::from_f64(0.5)
-    }
-    /// Convenience: `2.0`.
-    #[inline]
-    fn two() -> Self {
-        Self::from_f64(2.0)
-    }
 }
 
-impl Real for f64 {
+impl Arith for f64 {
     #[inline]
     fn from_f64(x: f64) -> Self {
         x
     }
     #[inline]
-    fn to_f64(self) -> f64 {
-        self
-    }
-    #[inline]
     fn sqrt(self) -> Self {
         f64::sqrt(self)
-    }
-    #[inline]
-    fn abs(self) -> Self {
-        f64::abs(self)
     }
     #[inline]
     fn min(self, other: Self) -> Self {
@@ -135,6 +137,17 @@ impl Real for f64 {
     #[inline]
     fn max(self, other: Self) -> Self {
         f64::max(self, other)
+    }
+}
+
+impl Real for f64 {
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self
+    }
+    #[inline]
+    fn abs(self) -> Self {
+        f64::abs(self)
     }
     #[inline]
     fn powi(self, n: i32) -> Self {
@@ -362,26 +375,15 @@ impl core::fmt::Display for Tracked {
 
 use crate::ops::SignOp;
 
-impl Real for Tracked {
-    const IS_TRACKED: bool = true;
-
+impl Arith for Tracked {
     #[inline(always)]
     fn from_f64(x: f64) -> Self {
         Tracked(x)
-    }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        ops::resolve(self.0)
     }
     #[inline]
     #[track_caller]
     fn sqrt(self) -> Self {
         Tracked(ops::op_sqrt(self.0))
-    }
-    #[inline]
-    #[track_caller]
-    fn abs(self) -> Self {
-        Tracked(ops::op_sign(self.0, SignOp::Abs))
     }
     #[inline]
     fn min(self, other: Self) -> Self {
@@ -400,6 +402,20 @@ impl Real for Tracked {
         } else {
             self
         }
+    }
+}
+
+impl Real for Tracked {
+    const IS_TRACKED: bool = true;
+
+    #[inline(always)]
+    fn to_f64(self) -> f64 {
+        ops::resolve(self.0)
+    }
+    #[inline]
+    #[track_caller]
+    fn abs(self) -> Self {
+        Tracked(ops::op_sign(self.0, SignOp::Abs))
     }
     #[inline]
     #[track_caller]

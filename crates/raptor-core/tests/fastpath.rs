@@ -8,7 +8,7 @@
 //! (normals, format-subnormal range, overflow boundary, exact ties).
 
 use bigfloat::{DoubleRound, Format, RoundMode};
-use raptor_core::{batch, Config, EmulPath, OpKind, Real, Session, Tracked};
+use raptor_core::{batch, Arith, Config, EmulPath, OpKind, Real, Session, Tracked};
 
 /// SplitMix64: deterministic, well-distributed 64-bit stream.
 struct Rng(u64);

@@ -4,7 +4,7 @@
 //! [`batch::force_scalar`] pin — then byte-compare every cell of every
 //! variable and the session op counters.
 //!
-//! Five consumers are exercised both ways:
+//! Six consumers are exercised both ways:
 //! - a tiny Sedov blast with PLM reconstruction (the element-wise sweep
 //!   chains),
 //! - the same blast with WENO5 reconstruction (the fused five-point
@@ -14,7 +14,10 @@
 //! - a tiny two-phase bubble step loop (fused WENO5 upwind advection,
 //!   diffusion, and the row-sliced CSF curvature),
 //! - the same bubble grid through level-set reinitialization pseudo-time
-//!   iterations (the sign-partitioned Godunov Hamiltonian rows).
+//!   iterations (the sign-partitioned Godunov Hamiltonian rows),
+//! - a tiny Cellular detonation (the hydro sweep through the tabulated
+//!   Helmholtz EOS's column methods — lockstep bisection, batched Newton
+//!   — and the burn's batched Newton inversions).
 //!
 //! ```sh
 //! cargo run --release -p raptor-examples --bin batch_diff
@@ -25,6 +28,7 @@
 //! is an *optimization*, never a semantic change.
 
 use bigfloat::Format;
+use eos::{setup_cellular, CellularInit};
 use hydro::{setup, Problem, ReconKind, RiemannKind};
 use incomp::{compute_dt, reinitialize, step, Grid, InsParams};
 use raptor_core::{batch, Config, Counters, Session, Tracked};
@@ -52,6 +56,21 @@ fn run_sod_hll(fmt: Format, force_scalar: bool) -> (amr::Mesh, Counters) {
         .expect("valid config");
     sim.run::<Tracked>(0.02, 12, 3, &sess);
     (sim.mesh, sess.counters())
+}
+
+/// A few steps of the Cellular detonation with both the hydro sweep and
+/// the EOS truncated: the sweep's pressure and sound-speed columns go
+/// through `TableHelmholtz`'s column methods, and the burn's temperature
+/// inversions through the batched Newton. Returns the mesh, the counters
+/// and the Newton statistics `(calls, failures, mean iterations)`.
+fn run_cellular(fmt: Format, force_scalar: bool) -> (amr::Mesh, Counters, (u64, u64, u64)) {
+    let _pin = batch::force_scalar(force_scalar);
+    let mut sim = setup_cellular(2, 8, CellularInit::default());
+    let sess = Session::new(Config::op_files(fmt, ["Hydro", "Eos"]).with_counting())
+        .expect("valid config");
+    sim.run::<Tracked>(3, &sess);
+    let (calls, fails, mean) = sim.eos.stats();
+    (sim.mesh, sess.counters(), (calls, fails, mean.to_bits()))
 }
 
 /// Seeded two-phase grid shared by the bubble and reinit runs.
@@ -177,6 +196,15 @@ fn main() {
         let (grid_s, count_s) = run_bubble_reinit(fmt, true);
         let label = format!("bubble-reinit {fmt}").to_lowercase();
         if !report(&label, grid_diff(&grid_b, &grid_s), count_b, count_s) {
+            failed = true;
+        }
+        let (mesh_b, count_b, stats_b) = run_cellular(fmt, false);
+        let (mesh_s, count_s, stats_s) = run_cellular(fmt, true);
+        let label = format!("cellular {fmt}").to_lowercase();
+        let diff = amr::bitwise_diff(&mesh_b, &mesh_s).or_else(|| {
+            (stats_b != stats_s).then(|| format!("Newton stats {stats_b:?} vs {stats_s:?}"))
+        });
+        if !report(&label, diff, count_b, count_s) {
             failed = true;
         }
     }

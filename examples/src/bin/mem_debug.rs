@@ -9,7 +9,7 @@
 //! ```
 
 use bigfloat::Format;
-use raptor_core::{region, Config, Real, Session, Tracked};
+use raptor_core::{region, Arith, Config, Real, Session, Tracked};
 
 /// Numerically naive quadratic-root kernel: the textbook cancellation.
 fn smaller_root<R: Real>(a: R, b: R, c: R) -> R {

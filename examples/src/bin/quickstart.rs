@@ -8,7 +8,7 @@
 //! a target format, run, inspect errors and op counts.
 
 use bigfloat::Format;
-use raptor_core::{region, Config, Real, Session, Tracked};
+use raptor_core::{region, Arith, Config, Real, Session, Tracked};
 
 /// A little iterative kernel: Newton's method for the cube root.
 fn cbrt_newton<R: Real>(a: R, iters: usize) -> R {

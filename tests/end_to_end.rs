@@ -4,7 +4,7 @@ use raptor_rs::*;
 
 use bigfloat::Format;
 use hydro::{Problem, ReconKind, DENS};
-use raptor_core::{Config, Real, Session, Tracked};
+use raptor_core::{Arith, Config, Real, Session, Tracked};
 
 /// §3.2 + §6.1 in one breath: truncate a full application run, confirm the
 /// error ladder and the op accounting are consistent.
