@@ -4,6 +4,7 @@
 
 use bigfloat::Format;
 use raptor_bench::harness::{black_box, Harness};
+use eos::TableView;
 use hydro::{Problem, ReconKind};
 use raptor_core::{Config, Session, Tracked};
 

@@ -14,13 +14,11 @@
 //! candidate for reducing precision").
 
 use crate::burn::{burn_cell, BurnCfg};
-use crate::newton::{
-    invert_temperature, invert_temperature_batch, NewtonCfg, NewtonResult, NewtonScratch,
-};
-use crate::table::{EosTable, InterpScratch};
+use crate::newton::{invert_temperature, invert_temperature_batch, NewtonCfg, NewtonResult};
+use crate::table::{EosTable, TableCols, TableView};
 use hydro::{Eos, HydroParams, ReconKind, RiemannKind};
 use amr::{BcSpec, Mesh, MeshParams};
-use raptor_core::batch::{batch_add, batch_mul_s, Col};
+use raptor_core::batch::{self, Col};
 use raptor_core::{region, Arith, Real, Session};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -77,29 +75,26 @@ impl TableHelmholtz {
     fn invert<R: Real>(&self, rho: R, eint: R) -> NewtonResult<R> {
         let guess = R::from_f64(3e8);
         let r = invert_temperature(&self.table, rho, eint, guess, &self.newton);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.iters.fetch_add(r.iters as u64, Ordering::Relaxed);
-        if !r.converged {
-            self.failures.fetch_add(1, Ordering::Relaxed);
-        }
+        self.record(std::slice::from_ref(&r));
         r
     }
 
-    /// Batched counterpart of `invert`: one Newton lockstep over a slice
-    /// of `(rho, eint)` states via [`invert_temperature_batch`], with the
-    /// same per-inversion statistics accumulated in bulk.
-    pub fn invert_batch(
-        &self,
-        rho: &[f64],
-        eint: &[f64],
-        out: &mut [NewtonResult<f64>],
-        ws: &mut NewtonScratch,
-    ) {
-        invert_temperature_batch(&self.table, rho, eint, 3e8, &self.newton, out, ws);
-        self.calls.fetch_add(rho.len() as u64, Ordering::Relaxed);
-        let iters: u64 = out.iter().map(|r| r.iters as u64).sum();
+    /// Batched counterpart of `invert`: one Newton lockstep over the
+    /// `(rho, eint)` columns of the current scope via
+    /// [`invert_temperature_batch`], with the same per-inversion
+    /// statistics accumulated in bulk.
+    pub fn invert_batch(&self, rho: Col, eint: Col) -> Vec<NewtonResult<f64>> {
+        let out = invert_temperature_batch(&self.table, rho, eint, 3e8, &self.newton);
+        self.record(&out);
+        out
+    }
+
+    /// Add inversions to the statistics.
+    fn record<R: Real>(&self, results: &[NewtonResult<R>]) {
+        self.calls.fetch_add(results.len() as u64, Ordering::Relaxed);
+        let iters: u64 = results.iter().map(|r| r.iters as u64).sum();
         self.iters.fetch_add(iters, Ordering::Relaxed);
-        let fails = out.iter().filter(|r| !r.converged).count() as u64;
+        let fails = results.iter().filter(|r| !r.converged).count() as u64;
         if fails > 0 {
             self.failures.fetch_add(fails, Ordering::Relaxed);
         }
@@ -121,21 +116,20 @@ impl Eos for TableHelmholtz {
 
     fn eint<R: Real>(&self, rho: R, p: R) -> R {
         let _r = region("Eos/helmholtz");
-        // Invert p(rho, T) = p via Newton on the pressure interpolant,
-        // then evaluate e. A coarse bisection seed keeps it robust.
+        // Invert p(rho, T) = p by bisection on the pressure interpolant,
+        // then evaluate e.
         let (t_lo, t_hi) = self.table.t_bounds();
         let mut lo = R::from_f64(t_lo);
         let mut hi = R::from_f64(t_hi);
-        for _ in 0..60 {
-            let mid = (lo + hi) * R::half();
+        for _ in 0..BISECT_STEPS {
+            let mid = midpoint(lo, hi);
             if self.table.pres_of(rho, mid) < p {
                 lo = mid;
             } else {
                 hi = mid;
             }
         }
-        let t = (lo + hi) * R::half();
-        self.table.eint_of(rho, t)
+        self.table.eint_of(rho, midpoint(lo, hi))
     }
 
     fn sound_speed<R: Real>(&self, rho: R, p: R) -> R {
@@ -144,22 +138,47 @@ impl Eos for TableHelmholtz {
         gamma1_sound_speed(rho, p, eint)
     }
 
-    // The column methods wrap the slice evaluators below: `eint`'s
-    // bisection runs a *fixed* 60 iterations — the data-dependent
-    // comparison only selects which bound each lane updates, never how
-    // many ops run — so it is lockstep-batchable with exact per-lane
-    // selects, and `pressure`'s Newton inversion compacts its active set
-    // in [`invert_temperature_batch`], preserving per-cell convergence
-    // behaviour (and op counts) exactly. The scalar methods above remain
-    // the mem-mode path and the differential oracle.
+    // The column methods run the same source at `Col`. `pressure`'s
+    // Newton inversion compacts its active set in
+    // [`invert_temperature_batch`], preserving per-cell convergence
+    // behaviour (and op counts) exactly. `eint`'s bisection runs a *fixed*
+    // number of steps — the data-dependent comparison only selects which
+    // bound each lane updates, never how many ops run — so it runs in
+    // lockstep, each step in its own scope, with `pm < p` one exact
+    // per-lane select. The scalar methods above remain the mem-mode path
+    // and the differential oracle.
     fn pressure_col(&self, rho: Col, eint: Col) -> Col {
         let _r = region("Eos/helmholtz");
-        Col::new_with(|out| rho.read(|rho| eint.read(|eint| self.pressure_slices(rho, eint, out))))
+        let t = self.invert_batch(rho, eint);
+        let t = Col::new_with(|o| o.iter_mut().zip(&t).for_each(|(o, r)| *o = r.t));
+        TableCols(&self.table).pres_of(rho, t)
     }
 
     fn eint_col(&self, rho: Col, p: Col) -> Col {
         let _r = region("Eos/helmholtz");
-        Col::new_with(|out| rho.read(|rho| p.read(|p| self.eint_slices(rho, p, out))))
+        let table = TableCols(&self.table);
+        let (t_lo, t_hi) = self.table.t_bounds();
+        let n = rho.read(<[f64]>::len);
+        let (mut lo, mut hi) = (vec![t_lo; n], vec![t_hi; n]);
+        for _ in 0..BISECT_STEPS {
+            let _step = batch::scope(n);
+            let mid = midpoint(Col::from_slice(&lo), Col::from_slice(&hi));
+            let pm = table.pres_of(rho, mid);
+            mid.read(|mid| {
+                pm.read(|pm| {
+                    p.read(|p| {
+                        for k in 0..n {
+                            if pm[k] < p[k] {
+                                lo[k] = mid[k];
+                            } else {
+                                hi[k] = mid[k];
+                            }
+                        }
+                    })
+                })
+            });
+        }
+        table.eint_of(rho, midpoint(Col::from_slice(&lo), Col::from_slice(&hi)))
     }
 
     fn sound_speed_col(&self, rho: Col, p: Col) -> Col {
@@ -169,51 +188,21 @@ impl Eos for TableHelmholtz {
     }
 }
 
+/// Bisection steps of [`TableHelmholtz`]'s `eint`.
+const BISECT_STEPS: usize = 60;
+
+/// The bisection midpoint `(lo + hi) / 2`.
+#[inline]
+fn midpoint<R: Arith>(lo: R, hi: R) -> R {
+    (lo + hi) * R::half()
+}
+
 /// Adiabatic sound speed with the effective Gamma1 of the local
 /// thermodynamics, `Gamma1 ~ 1 + p / (rho e)`: robust for the
 /// ion+radiation mixture.
 fn gamma1_sound_speed<R: Arith>(rho: R, p: R, eint: R) -> R {
     let gamma1 = R::one() + p / (rho * eint);
     (gamma1 * p / rho).sqrt()
-}
-
-impl TableHelmholtz {
-    /// [`Eos::pressure`] over slices: batched Newton inversion, then the
-    /// table's pressure lookup.
-    fn pressure_slices(&self, rho: &[f64], eint: &[f64], out: &mut [f64]) {
-        let n = rho.len();
-        let none = NewtonResult { t: 0.0, iters: 0, converged: false, resid: 0.0 };
-        let mut results = vec![none; n];
-        self.invert_batch(rho, eint, &mut results, &mut NewtonScratch::default());
-        let t: Vec<f64> = results.iter().map(|r| r.t).collect();
-        self.table.pres_of_batch(rho, &t, out, &mut InterpScratch::default());
-    }
-
-    /// [`Eos::eint`] over slices: the 60-step bisection in lockstep.
-    fn eint_slices(&self, rho: &[f64], p: &[f64], out: &mut [f64]) {
-        let n = rho.len();
-        let (t_lo, t_hi) = self.table.t_bounds();
-        let (mut lo, mut hi) = (vec![t_lo; n], vec![t_hi; n]);
-        let (mut mid, mut pm, mut a) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let interp = &mut InterpScratch::default();
-        for _ in 0..60 {
-            // mid = (lo + hi) * half — same AST, so same two counted ops;
-            // the comparison is an exact, uncounted per-lane select.
-            batch_add(&lo, &hi, &mut a);
-            batch_mul_s(&a, 0.5, &mut mid);
-            self.table.pres_of_batch(rho, &mid, &mut pm, interp);
-            for k in 0..n {
-                if pm[k] < p[k] {
-                    lo[k] = mid[k];
-                } else {
-                    hi[k] = mid[k];
-                }
-            }
-        }
-        batch_add(&lo, &hi, &mut a);
-        batch_mul_s(&a, 0.5, &mut mid);
-        self.table.eint_of_batch(rho, &mid, out, interp);
-    }
 }
 
 /// Cellular simulation state.
@@ -320,69 +309,55 @@ impl Cellular {
 
     /// Apply the burn network cell-by-cell (the `Burn` module).
     ///
-    /// On instrumented op-mode runs the per-cell Newton temperature
-    /// inversions batch row by row through
-    /// [`TableHelmholtz::invert_batch`] — the plain-`f64` state prep and
-    /// the stiff `burn_cell` integration stay scalar, so the fast path is
-    /// bit- and counter-identical to the per-cell loop (the mem-mode path
-    /// and differential oracle).
+    /// On instrumented op-mode runs the Newton temperature inversions of
+    /// a whole block run as one [`TableHelmholtz::invert_batch`] — the
+    /// plain-`f64` state prep and the stiff `burn_cell` integration stay
+    /// scalar, so the fast path is bit- and counter-identical to the
+    /// per-cell loop (the mem-mode path and differential oracle).
     // lint: allow(native-float, lift/store boundary: mesh arrays are plain f64; ke/eint prep and the energy-release writeback bracket the Tracked burn_cell and EOS inversion)
     fn burn_sweep<R: Real>(&mut self, dt: f64, session: &Session) {
         let lay = hydro::Layout::of(&self.mesh);
         let eos = &self.eos;
         let burn = self.burn;
         let mesh = &mut self.mesh;
+        // The padded coordinates of every interior cell of a block.
+        let cells: Vec<(usize, usize)> = (0..lay.ny)
+            .flat_map(|j| (0..lay.nx).map(move |i| (i + lay.ng, j + lay.ng)))
+            .collect();
+        // Density and specific internal energy of a cell.
+        let state = |d: &[f64], (pi, pj): (usize, usize)| {
+            let rho = d[lay.at(hydro::DENS, pi, pj)];
+            let ener = d[lay.at(hydro::ENER, pi, pj)];
+            let mx = d[lay.at(hydro::MOMX, pi, pj)];
+            let my = d[lay.at(hydro::MOMY, pi, pj)];
+            let ke = 0.5 * (mx * mx + my * my) / rho;
+            let eint = (ener - ke) / rho;
+            (rho, eint.max(1e-30))
+        };
+        // Burn a cell at temperature `t` and release its energy.
+        let burn_at = |d: &mut [f64], (pi, pj): (usize, usize), rho: f64, t: f64| {
+            let x = d[lay.at(XCARBON, pi, pj)];
+            let r = burn_cell::<R>(&burn, R::from_f64(x), R::from_f64(t), dt);
+            d[lay.at(XCARBON, pi, pj)] = Real::to_f64(r.x);
+            d[lay.at(hydro::ENER, pi, pj)] += rho * Real::to_f64(r.de);
+        };
         amr::seq_leaves(mesh, |_geom, blk| {
             let _g = session.install();
             let _r = region("Burn");
-            if R::IS_TRACKED && raptor_core::batch::ready() {
-                let mut ws = NewtonScratch::default();
-                let mut rho_row = vec![0.0; lay.nx];
-                let mut eint_row = vec![0.0; lay.nx];
-                let none = NewtonResult { t: 0.0, iters: 0, converged: false, resid: 0.0 };
-                let mut res_row = vec![none; lay.nx];
-                for j in 0..lay.ny {
-                    for i in 0..lay.nx {
-                        let (pi, pj) = (i + lay.ng, j + lay.ng);
-                        let rho = blk.data[lay.at(hydro::DENS, pi, pj)];
-                        let ener = blk.data[lay.at(hydro::ENER, pi, pj)];
-                        let mx = blk.data[lay.at(hydro::MOMX, pi, pj)];
-                        let my = blk.data[lay.at(hydro::MOMY, pi, pj)];
-                        let ke = 0.5 * (mx * mx + my * my) / rho;
-                        let eint = (ener - ke) / rho;
-                        rho_row[i] = rho;
-                        eint_row[i] = eint.max(1e-30);
-                    }
-                    eos.invert_batch(&rho_row, &eint_row, &mut res_row, &mut ws);
-                    for i in 0..lay.nx {
-                        let (pi, pj) = (i + lay.ng, j + lay.ng);
-                        let ener = blk.data[lay.at(hydro::ENER, pi, pj)];
-                        let rho = rho_row[i];
-                        let x = blk.data[lay.at(XCARBON, pi, pj)];
-                        let t = res_row[i].t;
-                        let r = burn_cell::<R>(&burn, R::from_f64(x), R::from_f64(t), dt);
-                        blk.data[lay.at(XCARBON, pi, pj)] = Real::to_f64(r.x);
-                        blk.data[lay.at(hydro::ENER, pi, pj)] = ener + rho * Real::to_f64(r.de);
-                    }
+            let d = &mut blk.data;
+            if R::IS_TRACKED && batch::ready() {
+                let (rho, eint): (Vec<f64>, Vec<f64>) = cells.iter().map(|&c| state(d, c)).unzip();
+                let _cols = batch::scope(cells.len());
+                let res = eos.invert_batch(Col::from_slice(&rho), Col::from_slice(&eint));
+                for ((&c, &rho), r) in cells.iter().zip(&rho).zip(&res) {
+                    burn_at(d, c, rho, r.t);
                 }
-                return;
-            }
-            for j in 0..lay.ny {
-                for i in 0..lay.nx {
-                    let (pi, pj) = (i + lay.ng, j + lay.ng);
-                    let rho = blk.data[lay.at(hydro::DENS, pi, pj)];
-                    let ener = blk.data[lay.at(hydro::ENER, pi, pj)];
-                    let mx = blk.data[lay.at(hydro::MOMX, pi, pj)];
-                    let my = blk.data[lay.at(hydro::MOMY, pi, pj)];
-                    let x = blk.data[lay.at(XCARBON, pi, pj)];
-                    let ke = 0.5 * (mx * mx + my * my) / rho;
-                    let eint = (ener - ke) / rho;
-                    let eint = eint.max(1e-30);
+            } else {
+                for &c in &cells {
+                    let (rho, eint) = state(d, c);
                     // Temperature via the (possibly truncated) EOS.
-                    let t: f64 = Real::to_f64(eos.invert(R::from_f64(rho), R::from_f64(eint)).t);
-                    let r = burn_cell::<R>(&burn, R::from_f64(x), R::from_f64(t), dt);
-                    blk.data[lay.at(XCARBON, pi, pj)] = Real::to_f64(r.x);
-                    blk.data[lay.at(hydro::ENER, pi, pj)] = ener + rho * Real::to_f64(r.de);
+                    let t = Real::to_f64(eos.invert(R::from_f64(rho), R::from_f64(eint)).t);
+                    burn_at(d, c, rho, t);
                 }
             }
         });
@@ -436,42 +411,114 @@ mod tests {
         );
     }
 
-    /// The row-batched burn-sweep inversion must reproduce the per-cell
+    /// The Cellular workload on a seeded random state at rest: smooth
+    /// log-waves of density and temperature plus noise, past every edge
+    /// of the table (rho ~ 1e3.2..1e9.8, T ~ 1e6.2..1e10.8), with energies
+    /// from the analytic model. Some energy targets therefore lie below
+    /// the table's energy at `t_lo` and some above its energy at `t_hi`:
+    /// their Newton iterates cross those bounds, and they never converge.
+    fn random_cellular(seed: u64) -> Cellular {
+        use crate::table::model_eint;
+        use crate::table::tests::splitmix;
+        let mut sim = setup_cellular(2, 8, CellularInit::default());
+        sim.mesh.fill_initial(|x, y, var| {
+            let mut s = seed ^ x.to_bits() ^ y.to_bits().rotate_left(29);
+            let mut unit = || (splitmix(&mut s) >> 11) as f64 / (1u64 << 53) as f64;
+            let rho = 10f64.powf(6.5 + 3.0 * (2.1 * x + 0.3).sin() + 0.3 * (unit() - 0.5));
+            let t = 10f64.powf(8.5 + 2.0 * (1.7 * x + 2.9 * y).cos() + 0.3 * (unit() - 0.5));
+            let xc = unit();
+            match var {
+                hydro::DENS => rho,
+                hydro::MOMX | hydro::MOMY => 0.0,
+                hydro::ENER => rho * model_eint(rho, t),
+                _ => xc,
+            }
+        });
+        // Coverage: densities off both ends of the table, energy targets
+        // beyond its range at both temperature bounds.
+        let tab = &sim.eos.table;
+        let (t_lo, t_hi) = tab.t_bounds();
+        let (lr0, lr1) = (tab.lrho[0], tab.lrho[tab.lrho.len() - 1]);
+        let lay = hydro::Layout::of(&sim.mesh);
+        let (mut rho_lo, mut rho_hi, mut e_lo, mut e_hi) = (0, 0, 0, 0);
+        for idx in sim.mesh.leaves() {
+            let d = &sim.mesh.block(idx).data;
+            for j in lay.ng..lay.ng + lay.ny {
+                for i in lay.ng..lay.ng + lay.nx {
+                    let rho = d[lay.at(hydro::DENS, i, j)];
+                    let e = d[lay.at(hydro::ENER, i, j)] / rho;
+                    rho_lo += (rho.log10() < lr0) as usize;
+                    rho_hi += (rho.log10() > lr1) as usize;
+                    e_lo += (e < tab.eint_of(rho, t_lo)) as usize;
+                    e_hi += (e > tab.eint_of(rho, t_hi)) as usize;
+                }
+            }
+        }
+        assert!(
+            rho_lo > 0 && rho_hi > 0 && e_lo > 0 && e_hi > 0,
+            "coverage: rho below/above {rho_lo}/{rho_hi}, e below/above {e_lo}/{e_hi}"
+        );
+        sim
+    }
+
+    /// Run `steps` Cellular steps on a fresh copy of `build()` under a
+    /// counting session of `cfg`, once pinned to the scalar path and once
+    /// on the batch tier: meshes bit-identical, counters and Newton
+    /// statistics equal. Returns the counters and `(calls, failures)`.
+    fn assert_cellular_batch_matches_scalar(
+        build: &dyn Fn() -> Cellular,
+        cfg: &raptor_core::Config,
+        steps: usize,
+        label: &str,
+    ) -> (raptor_core::Counters, (u64, u64)) {
+        use raptor_core::{batch, Tracked};
+        let run = |force_scalar: bool| {
+            let _pin = batch::force_scalar(force_scalar);
+            let mut sim = build();
+            let sess = Session::new(cfg.clone().with_counting()).unwrap();
+            sim.run::<Tracked>(steps, &sess);
+            let stats = sim.eos.stats();
+            (sim, sess.counters(), stats)
+        };
+        let (ss, cs, sts) = run(true);
+        let (sb, cb, stb) = run(false);
+        assert_eq!(
+            amr::bitwise_diff(&ss.mesh, &sb.mesh),
+            None,
+            "{label}: meshes must be bit-identical"
+        );
+        assert_eq!(cs, cb, "{label}: op counters must match exactly");
+        assert_eq!(sts.0, stb.0, "{label}: inversion calls");
+        assert_eq!(sts.1, stb.1, "{label}: inversion failures");
+        assert_eq!(sts.2.to_bits(), stb.2.to_bits(), "{label}: mean iterations");
+        (cs, (sts.0, sts.1))
+    }
+
+    /// The batched burn-sweep inversion must reproduce the per-cell
     /// scalar sweep bit for bit — mesh bytes, op counters, and Newton
-    /// statistics — at a converging format and at one where most
-    /// inversions exhaust the iteration cap (so the active-set compaction
-    /// and failure accounting are both exercised).
+    /// statistics — at a converging format (e11m48), at one where most
+    /// inversions exhaust the iteration cap (e11m20, so the active-set
+    /// compaction and failure accounting are both exercised), and under
+    /// every differential configuration on the seeded random state, whose
+    /// out-of-table cells never converge.
     #[test]
     fn batch_burn_inversion_bit_identical_to_scalar() {
+        use crate::table::tests::differential_configs;
         use bigfloat::Format;
-        use raptor_core::{batch, Config, Tracked};
+        use raptor_core::Config;
+        let eos_only = |fmt: Format| Config::op_files(fmt, ["Eos"]);
+        let default = || setup_cellular(2, 8, CellularInit::default());
         for mant in [48u32, 20] {
-            let fmt = Format::new(11, mant);
-            let run = |force_scalar: bool| {
-                let _pin = batch::force_scalar(force_scalar);
-                let mut sim = setup_cellular(2, 8, CellularInit::default());
-                let sess =
-                    Session::new(Config::op_files(fmt, ["Eos"]).with_counting()).unwrap();
-                sim.run::<Tracked>(3, &sess);
-                let stats = sim.eos.stats();
-                (sim, sess.counters(), stats)
-            };
-            let (ss, cs, sts) = run(true);
-            let (sb, cb, stb) = run(false);
-            assert_eq!(
-                amr::bitwise_diff(&ss.mesh, &sb.mesh),
-                None,
-                "mant {mant}: meshes must be bit-identical"
-            );
-            assert_eq!(cs, cb, "mant {mant}: op counters must match exactly");
-            assert_eq!(sts.0, stb.0, "mant {mant}: inversion calls");
-            assert_eq!(sts.1, stb.1, "mant {mant}: inversion failures");
-            assert_eq!(
-                sts.2.to_bits(),
-                stb.2.to_bits(),
-                "mant {mant}: mean iterations"
-            );
-            assert!(cs.trunc.math > 0, "mant {mant}: table log10s counted");
+            let label = format!("default e11m{mant}");
+            let (cs, _) = assert_cellular_batch_matches_scalar(&default, &eos_only(Format::new(11, mant)), 3, &label);
+            assert!(cs.trunc.math > 0, "{label}: table log10s counted");
+        }
+        for (name, cfg) in differential_configs(eos_only) {
+            let label = format!("random {name}");
+            let (cs, (calls, fails)) =
+                assert_cellular_batch_matches_scalar(&|| random_cellular(0xCE11), &cfg, 2, &label);
+            assert!(cs.trunc.math > 0, "{label}: table log10s counted");
+            assert!(fails > 0 && fails < calls, "{label}: {fails} of {calls} inversions fail");
         }
     }
 
@@ -481,38 +528,28 @@ mod tests {
     /// scalar trait calls bit for bit with exact counter parity, both
     /// when the Eos region is *inside* the truncation scope and when it
     /// is outside it (Hydro scope → the table ops bulk-count as
-    /// full-precision via `InactiveCount`).
+    /// full-precision via `InactiveCount`), and under every differential
+    /// configuration (Eos and Hydro truncated) on the seeded random state.
     #[test]
     fn batch_eos_trait_path_bit_identical_to_scalar() {
+        use crate::table::tests::differential_configs;
         use bigfloat::Format;
-        use raptor_core::{batch, Config, Tracked};
+        use raptor_core::Config;
         let cases: [(&[&str], Format); 2] = [
             (&["Hydro"], Format::new(11, 12)),
             (&["Eos", "Hydro"], Format::new(11, 48)),
         ];
+        let default = || setup_cellular(2, 8, CellularInit::default());
         for (scope, fmt) in cases {
-            let run = |force_scalar: bool| {
-                let _pin = batch::force_scalar(force_scalar);
-                let mut sim = setup_cellular(2, 8, CellularInit::default());
-                let sess = Session::new(
-                    Config::op_files(fmt, scope.iter().copied()).with_counting(),
-                )
-                .unwrap();
-                sim.run::<Tracked>(2, &sess);
-                let stats = sim.eos.stats();
-                (sim, sess.counters(), stats)
-            };
-            let (ss, cs, sts) = run(true);
-            let (sb, cb, stb) = run(false);
-            assert_eq!(
-                amr::bitwise_diff(&ss.mesh, &sb.mesh),
-                None,
-                "{scope:?}: meshes must be bit-identical"
-            );
-            assert_eq!(cs, cb, "{scope:?}: op counters must match exactly");
-            assert_eq!(sts.0, stb.0, "{scope:?}: inversion calls");
-            assert_eq!(sts.1, stb.1, "{scope:?}: inversion failures");
-            assert_eq!(sts.2.to_bits(), stb.2.to_bits(), "{scope:?}: mean iterations");
+            let cfg = Config::op_files(fmt, scope.iter().copied());
+            assert_cellular_batch_matches_scalar(&default, &cfg, 2, &format!("default {scope:?}"));
+        }
+        let both = |fmt: Format| Config::op_files(fmt, ["Eos", "Hydro"]);
+        for (name, cfg) in differential_configs(both) {
+            let label = format!("random {name}");
+            let (_, (calls, fails)) =
+                assert_cellular_batch_matches_scalar(&|| random_cellular(0x7AB1E), &cfg, 1, &label);
+            assert!(fails > 0 && fails < calls, "{label}: {fails} of {calls} inversions fail");
         }
     }
 
@@ -532,7 +569,6 @@ mod tests {
     /// path, including the bulk inversion-statistics accounting.
     #[test]
     fn invert_batch_matches_scalar_invert() {
-        use crate::newton::{NewtonResult, NewtonScratch};
         let scalar_eos = TableHelmholtz::new();
         let batch_eos = TableHelmholtz::new();
         let n = 16;
@@ -540,10 +576,8 @@ mod tests {
         let t_true: Vec<f64> = (0..n).map(|k| 2e8 * (1.0 + 0.31 * k as f64)).collect();
         let eint: Vec<f64> =
             (0..n).map(|k| scalar_eos.table.eint_of(rho[k], t_true[k])).collect();
-        let mut out =
-            vec![NewtonResult { t: 0.0f64, iters: 0, converged: false, resid: 0.0 }; n];
-        let mut ws = NewtonScratch::default();
-        batch_eos.invert_batch(&rho, &eint, &mut out, &mut ws);
+        let _cols = batch::scope(n);
+        let out = batch_eos.invert_batch(Col::from_slice(&rho), Col::from_slice(&eint));
         for k in 0..n {
             let r = scalar_eos.invert(rho[k], eint[k]);
             assert_eq!(out[k].t.to_bits(), r.t.to_bits(), "t k={k}");

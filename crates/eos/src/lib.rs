@@ -21,4 +21,4 @@ pub mod table;
 pub use burn::{burn_cell, rate, BurnCfg, BurnResult};
 pub use cellular::{setup_cellular, Cellular, CellularInit, TableHelmholtz, XCARBON};
 pub use newton::{invert_temperature, NewtonCfg, NewtonResult};
-pub use table::{model_eint, model_pres, EosTable};
+pub use table::{model_eint, model_pres, EosTable, TableCols, TableView};

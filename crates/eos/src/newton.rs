@@ -11,9 +11,9 @@
 //! the iteration cap does not help (§6.1), which is exactly the behaviour
 //! this module reproduces.
 
-use crate::table::{DeDtScratch, EosTable, InterpScratch};
-use raptor_core::batch::{batch_add_s, batch_div, batch_mul_s, batch_sub};
-use raptor_core::{region, Real};
+use crate::table::{EosTable, TableCols, TableView};
+use raptor_core::batch::{self, Col};
+use raptor_core::{region, Arith, Real};
 
 /// Newton solver configuration.
 #[derive(Clone, Copy, Debug)]
@@ -45,6 +45,27 @@ pub struct NewtonResult<R: Real> {
     pub resid: f64,
 }
 
+/// The Newton residual at `t`: `diff = e(rho, t) - e_target` and the
+/// relative residual `diff / e_target` (before its exact `abs`).
+#[inline]
+fn residual<R: Arith>(table: &impl TableView<R>, rho: R, e_target: R, t: R) -> (R, R) {
+    let diff = table.eint_of(rho, t) - e_target;
+    (diff, diff / e_target)
+}
+
+/// The undamped Newton update `t - diff / (de/dT)`.
+#[inline]
+fn newton_update<R: Arith>(table: &impl TableView<R>, rho: R, t: R, diff: R) -> R {
+    t - diff / table.de_dt(rho, t)
+}
+
+/// The damped update toward a table bound the raw update crossed:
+/// halfway from `t` to `bound`.
+#[inline]
+fn damped<R: Arith>(t: R, bound: f64) -> R {
+    (t + R::from_f64(bound)) * R::half()
+}
+
 /// Invert `e(rho, T) = e_target` for T starting from `t_guess`.
 ///
 /// Runs inside the `Eos/newton` region so EOS-module truncation (the
@@ -62,211 +83,96 @@ pub fn invert_temperature<R: Real>(
     let tol = R::from_f64(cfg.tol);
     let mut resid = f64::MAX;
     for it in 0..cfg.max_iter {
-        let e = table.eint_of(rho, t);
-        let diff = e - e_target;
-        let rel = (diff / e_target).abs();
+        let (diff, rel) = residual(table, rho, e_target, t);
+        let rel = rel.abs();
         resid = rel.to_f64();
         if rel < tol {
             return NewtonResult { t, iters: it, converged: true, resid };
         }
-        let dedt = table.de_dt(rho, t);
-        let step = diff / dedt;
         // Damped update, clamped to the table range.
-        let mut t_new = t - step;
-        let half = R::half();
+        let mut t_new = newton_update(table, rho, t, diff);
         if t_new.to_f64() <= t_lo {
-            t_new = (t + R::from_f64(t_lo)) * half;
+            t_new = damped(t, t_lo);
         }
         if t_new.to_f64() >= t_hi {
-            t_new = (t + R::from_f64(t_hi)) * half;
+            t_new = damped(t, t_hi);
         }
         t = t_new;
     }
     NewtonResult { t, iters: cfg.max_iter, converged: false, resid }
 }
 
-/// Scratch buffers for [`invert_temperature_batch`], reused across calls.
-#[derive(Default)]
-pub struct NewtonScratch {
-    rho_a: Vec<f64>,
-    e_a: Vec<f64>,
-    t_a: Vec<f64>,
-    e_v: Vec<f64>,
-    diff: Vec<f64>,
-    rel: Vec<f64>,
-    dedt: Vec<f64>,
-    stepv: Vec<f64>,
-    t_new: Vec<f64>,
-    cl_idx: Vec<usize>,
-    cl_t: Vec<f64>,
-    cl_a: Vec<f64>,
-    cl_b: Vec<f64>,
-    interp: InterpScratch,
-    dedt_ws: DeDtScratch,
-}
-
-impl NewtonScratch {
-    fn resize(&mut self, n: usize) {
-        for v in [
-            &mut self.rho_a,
-            &mut self.e_a,
-            &mut self.t_a,
-            &mut self.e_v,
-            &mut self.diff,
-            &mut self.rel,
-            &mut self.dedt,
-            &mut self.stepv,
-            &mut self.t_new,
-        ] {
-            v.resize(n, 0.0);
-        }
-    }
-}
-
-/// The scalar damped-clamp update `t_new = (t + bound) * 1/2`, applied
-/// only to the cells whose raw `t_new` crosses `bound` (the same plain
-/// `f64` comparison the scalar path makes on the resolved iterate). Both
-/// tracked ops run only for the clamped subset, preserving counter parity.
-#[allow(clippy::too_many_arguments)]
-fn clamp_half(
-    t_orig: &[f64],
-    t_new: &mut [f64],
-    bound: f64,
-    low: bool,
-    idx: &mut Vec<usize>,
-    g: &mut Vec<f64>,
-    a: &mut Vec<f64>,
-    b: &mut Vec<f64>,
-) {
-    idx.clear();
-    for (z, &tn) in t_new.iter().enumerate() {
-        if (low && tn <= bound) || (!low && tn >= bound) {
-            idx.push(z);
-        }
-    }
-    if idx.is_empty() {
-        return;
-    }
-    let k = idx.len();
-    g.resize(k, 0.0);
-    a.resize(k, 0.0);
-    b.resize(k, 0.0);
-    for (w, &z) in idx.iter().enumerate() {
-        g[w] = t_orig[z];
-    }
-    batch_add_s(&g[..k], bound, &mut a[..k]);
-    batch_mul_s(&a[..k], 0.5, &mut b[..k]);
-    for (w, &z) in idx.iter().enumerate() {
-        t_new[z] = b[w];
-    }
-}
-
-/// Batched counterpart of [`invert_temperature`]: one Newton lockstep over
-/// slices of `(rho, e_target)` states, bit- and counter-identical to
-/// calling the scalar inversion per element under the tracked type.
+/// Batched counterpart of [`invert_temperature`] over the `(rho,
+/// e_target)` columns of the current [`batch::scope`]: element `k` of the
+/// result is the scalar inversion of state `k` under the tracked type,
+/// bit for bit and with exactly its op counts.
 ///
-/// Cells march in lockstep through the iteration; the only per-cell
+/// Cells march in lockstep through the iteration, each iteration in its
+/// own nested scope over the cells still active; the only per-cell
 /// control flow in the scalar loop is *when a cell stops* (convergence)
 /// and the two range clamps, so the active set compacts as cells converge
-/// and the clamp arithmetic runs gather/scatter on the crossing subset.
-/// Per iteration the active cells evaluate the batched interpolant,
-/// residual, derivative, and update with exactly the scalar op AST; a
+/// and each clamp runs on the subset whose update crossed its bound. A
 /// cell that converges at iteration `it` has performed precisely the ops
 /// the scalar early-return performs.
 pub fn invert_temperature_batch(
     table: &EosTable,
-    rho: &[f64],
-    e_target: &[f64],
+    rho: Col,
+    e_target: Col,
     t_guess: f64,
     cfg: &NewtonCfg,
-    out: &mut [NewtonResult<f64>],
-    ws: &mut NewtonScratch,
-) {
-    let n = rho.len();
-    assert_eq!(e_target.len(), n);
-    assert_eq!(out.len(), n);
+) -> Vec<NewtonResult<f64>> {
     let _r = region("Eos/newton");
+    let view = TableCols(table);
     let (t_lo, t_hi) = table.t_bounds();
-    let mut t_cur = vec![t_guess; n];
-    let mut resid = vec![f64::MAX; n];
+    let n = rho.read(<[f64]>::len);
+    let unfinished = NewtonResult { t: t_guess, iters: cfg.max_iter, converged: false, resid: f64::MAX };
+    let mut out = vec![unfinished; n];
+    // Cells that never converge keep `unfinished`'s flags.
     let mut active: Vec<usize> = (0..n).collect();
     for it in 0..cfg.max_iter {
-        if active.is_empty() {
-            break;
-        }
-        let m = active.len();
-        ws.resize(m);
-        for (z, &c) in active.iter().enumerate() {
-            ws.rho_a[z] = rho[c];
-            ws.e_a[z] = e_target[c];
-            ws.t_a[z] = t_cur[c];
-        }
-        table.eint_of_batch(&ws.rho_a, &ws.t_a, &mut ws.e_v, &mut ws.interp);
-        batch_sub(&ws.e_v, &ws.e_a, &mut ws.diff);
-        batch_div(&ws.diff, &ws.e_a, &mut ws.rel);
+        let _iter = batch::scope(active.len());
+        let [rho_a, e_a] = batch::gather([rho, e_target], &active);
+        let t = Col::new_with(|o| o.iter_mut().zip(&active).for_each(|(o, &c)| *o = out[c].t));
+        let (diff, rel) = residual(&view, rho_a, e_a, t);
         // Convergence partition: `|rel| < tol` exactly as the scalar test
         // (abs and compare are exact and uncounted; NaN stays active).
-        let mut still: Vec<usize> = Vec::with_capacity(m);
-        for z in 0..m {
-            let r = ws.rel[z].abs();
-            let c = active[z];
-            resid[c] = r;
-            if r < cfg.tol {
-                out[c] = NewtonResult { t: t_cur[c], iters: it, converged: true, resid: r };
-            } else {
-                still.push(z);
+        let mut still = Vec::with_capacity(active.len());
+        rel.read(|rel| {
+            for (z, (&c, r)) in active.iter().zip(rel).enumerate() {
+                out[c].resid = r.abs();
+                if out[c].resid < cfg.tol {
+                    out[c].iters = it;
+                    out[c].converged = true;
+                } else {
+                    still.push(z);
+                }
             }
-        }
-        if still.len() < m {
-            for (w, &z) in still.iter().enumerate() {
-                ws.rho_a[w] = ws.rho_a[z];
-                ws.t_a[w] = ws.t_a[z];
-                ws.diff[w] = ws.diff[z];
-            }
-            active = still.iter().map(|&z| active[z]).collect();
-        }
-        let m = active.len();
-        if m == 0 {
+        });
+        if still.is_empty() {
             break;
         }
-        table.de_dt_batch(&ws.rho_a[..m], &ws.t_a[..m], &mut ws.dedt[..m], &mut ws.dedt_ws);
-        batch_div(&ws.diff[..m], &ws.dedt[..m], &mut ws.stepv[..m]);
-        batch_sub(&ws.t_a[..m], &ws.stepv[..m], &mut ws.t_new[..m]);
-        // Damped update, clamped to the table range — low clamp first on
-        // the raw update, then the high clamp on the (possibly low-
-        // clamped) iterate, both halving toward the *original* t.
-        clamp_half(
-            &ws.t_a[..m],
-            &mut ws.t_new[..m],
-            t_lo,
-            true,
-            &mut ws.cl_idx,
-            &mut ws.cl_t,
-            &mut ws.cl_a,
-            &mut ws.cl_b,
-        );
-        clamp_half(
-            &ws.t_a[..m],
-            &mut ws.t_new[..m],
-            t_hi,
-            false,
-            &mut ws.cl_idx,
-            &mut ws.cl_t,
-            &mut ws.cl_a,
-            &mut ws.cl_b,
-        );
-        for (z, &c) in active.iter().enumerate() {
-            t_cur[c] = ws.t_new[z];
+        let still_scope = (still.len() < active.len()).then(|| batch::scope(still.len()));
+        let [rho_a, t, diff] =
+            if still_scope.is_some() { batch::gather([rho_a, t, diff], &still) } else { [rho_a, t, diff] };
+        active = still.iter().map(|&z| active[z]).collect();
+        newton_update(&view, rho_a, t, diff)
+            .read(|v| active.iter().zip(v).for_each(|(&c, &x)| out[c].t = x));
+        // The range clamps: the low one on the raw update, then the high
+        // one on the (possibly low-clamped) iterate, both halving toward
+        // this iteration's `t`.
+        for (bound, low) in [(t_lo, true), (t_hi, false)] {
+            let crossed: Vec<usize> = (0..active.len())
+                .filter(|&z| if low { out[active[z]].t <= bound } else { out[active[z]].t >= bound })
+                .collect();
+            if crossed.is_empty() {
+                continue;
+            }
+            let _clamp = batch::scope(crossed.len());
+            let [t] = batch::gather([t], &crossed);
+            damped(t, bound).read(|v| crossed.iter().zip(v).for_each(|(&z, &x)| out[active[z]].t = x));
         }
     }
-    for &c in &active {
-        out[c] = NewtonResult {
-            t: t_cur[c],
-            iters: cfg.max_iter,
-            converged: false,
-            resid: resid[c],
-        };
-    }
+    out
 }
 
 #[cfg(test)]
@@ -406,10 +312,8 @@ mod tests {
         let rho: Vec<f64> = (0..n).map(|k| 10f64.powf(5.0 + 0.1 * (k % 10) as f64)).collect();
         let t_true: Vec<f64> = (0..n).map(|k| 10f64.powf(7.5 + 0.08 * k as f64)).collect();
         let e: Vec<f64> = (0..n).map(|k| tab.eint_of(rho[k], t_true[k])).collect();
-        let mut out =
-            vec![NewtonResult { t: 0.0f64, iters: 0, converged: false, resid: 0.0 }; n];
-        let mut ws = NewtonScratch::default();
-        invert_temperature_batch(&tab, &rho, &e, 1e8, &cfg, &mut out, &mut ws);
+        let _cols = raptor_core::batch::scope(n);
+        let out = invert_temperature_batch(&tab, Col::from_slice(&rho), Col::from_slice(&e), 1e8, &cfg);
         for k in 0..n {
             let r = invert_temperature(&tab, rho[k], e[k], 1e8, &cfg);
             assert_eq!(out[k].t.to_bits(), r.t.to_bits(), "t k={k}");

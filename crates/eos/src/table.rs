@@ -19,11 +19,8 @@
 //! values are used — like the real Helmholtz table, the interpolant is the
 //! ground truth the solver sees.
 
-use raptor_core::batch::{
-    batch_add, batch_div, batch_div_s, batch_log10, batch_mul, batch_mul_s, batch_rmul_s,
-    batch_sub,
-};
-use raptor_core::Real;
+use raptor_core::batch::Col;
+use raptor_core::{Arith, Real};
 
 /// Ideal-gas constant over mean molecular weight (erg / (g K), mu = 1).
 pub const GAS_CONST: f64 = 8.314e7;
@@ -95,63 +92,37 @@ impl EosTable {
         EosTable::generate((1e4, 1e9), (1e7, 1e10), 61, 61)
     }
 
-    // lint: allow(native-float, index/fraction locate on the fixed log grid: table geometry; the bilinear blend in interp is Tracked)
-    fn grid_pos(grid: &[f64], v: f64) -> (usize, f64) {
+    // lint: allow(native-float, index locate on the fixed log grid: table geometry; the bilinear blend is Tracked)
+    fn grid_index(grid: &[f64], v: f64) -> usize {
         let n = grid.len();
         let lo = grid[0];
         let hi = grid[n - 1];
         let step = (hi - lo) / (n - 1) as f64;
         let f = ((v - lo) / step).clamp(0.0, (n - 1) as f64 - 1e-9);
-        let i = (f as usize).min(n - 2);
-        (i, f - i as f64)
+        (f as usize).min(n - 2)
     }
 
-    /// Bilinear interpolation of a tabulated quantity at (ρ, T), performed
-    /// in the instrumented number type `R` — every arithmetic operation of
-    /// the table lookup is visible to (and truncatable by) RAPTOR, exactly
-    /// like the compiled Helmholtz interpolation kernels.
-    fn interp<R: Real>(&self, table: &[f64], rho: R, t: R) -> R {
-        // Log-grid coordinates: the logs themselves are computed in R.
-        let lr = rho.log10();
-        let lt = t.log10();
-        let (ir, fr) = Self::grid_pos(&self.lrho, lr.to_f64());
-        let (it, ft) = Self::grid_pos(&self.ltemp, lt.to_f64());
-        let nrho = self.lrho.len();
-        let v00 = R::from_f64(table[it * nrho + ir]);
-        let v01 = R::from_f64(table[it * nrho + ir + 1]);
-        let v10 = R::from_f64(table[(it + 1) * nrho + ir]);
-        let v11 = R::from_f64(table[(it + 1) * nrho + ir + 1]);
-        // Fractional offsets recomputed in R from the R-valued logs so the
-        // interpolation weights carry truncation error like the original.
-        let gr0 = R::from_f64(self.lrho[ir]);
+    /// The grid cell of the log coordinates `(lr, lt)`: its corner values
+    /// in `vals` (`v00, v01, v10, v11`) and its grid origin (`gr0, gt0`).
+    fn cell(&self, vals: &[f64], lr: f64, lt: f64) -> [f64; 6] {
+        let ir = Self::grid_index(&self.lrho, lr);
+        let it = Self::grid_index(&self.ltemp, lt);
+        let at = |it: usize, ir: usize| vals[it * self.lrho.len() + ir];
+        [at(it, ir), at(it, ir + 1), at(it + 1, ir), at(it + 1, ir + 1), self.lrho[ir], self.ltemp[it]]
+    }
+
+    /// The bilinear blend of a located query: weights from the `R`-valued
+    /// logs (so they carry truncation error like the original kernels),
+    /// clamped to `[0, 1]` by exact selects, then the corner sums.
+    fn blend<R: Arith>(&self, s: Stencil<R>) -> R {
         let gr_step = R::from_f64(self.lrho[1] - self.lrho[0]);
-        let gt0 = R::from_f64(self.ltemp[it]);
         let gt_step = R::from_f64(self.ltemp[1] - self.ltemp[0]);
-        let wr = ((lr - gr0) / gr_step).max(R::zero()).min(R::one());
-        let wt = ((lt - gt0) / gt_step).max(R::zero()).min(R::one());
-        let _ = (fr, ft);
+        let wr = ((s.lr - s.gr0) / gr_step).max(R::zero()).min(R::one());
+        let wt = ((s.lt - s.gt0) / gt_step).max(R::zero()).min(R::one());
+        let [v00, v01, v10, v11] = s.v;
         let lo = v00 + (v01 - v00) * wr;
         let hi = v10 + (v11 - v10) * wr;
         lo + (hi - lo) * wt
-    }
-
-    /// Interpolated specific internal energy e(ρ, T).
-    pub fn eint_of<R: Real>(&self, rho: R, t: R) -> R {
-        self.interp(&self.e, rho, t)
-    }
-
-    /// Interpolated pressure p(ρ, T).
-    pub fn pres_of<R: Real>(&self, rho: R, t: R) -> R {
-        self.interp(&self.p, rho, t)
-    }
-
-    /// Discrete temperature derivative of e at (ρ, T): central difference
-    /// of the interpolant (what a table-based Newton iteration uses).
-    pub fn de_dt<R: Real>(&self, rho: R, t: R) -> R {
-        let h = t * R::from_f64(1e-4);
-        let ep = self.eint_of(rho, t + h);
-        let em = self.eint_of(rho, t - h);
-        (ep - em) / (R::two() * h)
     }
 
     /// Temperature bounds of the table.
@@ -159,181 +130,102 @@ impl EosTable {
     pub fn t_bounds(&self) -> (f64, f64) {
         (10f64.powf(self.ltemp[0]), 10f64.powf(*self.ltemp.last().unwrap()))
     }
+}
 
-    /// Batched bilinear interpolation over raw `f64` slices: the exact op
-    /// AST of [`Self::interp`] per element (2 log10, then the corner
-    /// weighted sums), evaluated slice-at-a-time through
-    /// [`raptor_core::batch`]. The corner gather and the `clamp01` weight
-    /// selects are exact and uncounted, like the scalar `max`/`min` pair.
-    fn interp_batch(
-        &self,
-        table: &[f64],
-        rho: &[f64],
-        t: &[f64],
-        out: &mut [f64],
-        ws: &mut InterpScratch,
-    ) {
-        let n = rho.len();
-        assert_eq!(t.len(), n);
-        assert_eq!(out.len(), n);
-        ws.resize(n);
-        batch_log10(rho, &mut ws.lr);
-        batch_log10(t, &mut ws.lt);
-        let nrho = self.lrho.len();
-        for k in 0..n {
-            let (ir, _) = Self::grid_pos(&self.lrho, ws.lr[k]);
-            let (it, _) = Self::grid_pos(&self.ltemp, ws.lt[k]);
-            ws.v00[k] = table[it * nrho + ir];
-            ws.v01[k] = table[it * nrho + ir + 1];
-            ws.v10[k] = table[(it + 1) * nrho + ir];
-            ws.v11[k] = table[(it + 1) * nrho + ir + 1];
-            ws.gr0[k] = self.lrho[ir];
-            ws.gt0[k] = self.ltemp[it];
-        }
-        let gr_step = self.lrho[1] - self.lrho[0];
-        let gt_step = self.ltemp[1] - self.ltemp[0];
-        batch_sub(&ws.lr, &ws.gr0, &mut ws.t1);
-        batch_div_s(&ws.t1, gr_step, &mut ws.wr);
-        clamp01(&mut ws.wr);
-        batch_sub(&ws.lt, &ws.gt0, &mut ws.t1);
-        batch_div_s(&ws.t1, gt_step, &mut ws.wt);
-        clamp01(&mut ws.wt);
-        // lo = v00 + (v01 - v00) * wr ; hi = v10 + (v11 - v10) * wr.
-        batch_sub(&ws.v01, &ws.v00, &mut ws.t1);
-        batch_mul(&ws.t1, &ws.wr, &mut ws.t2);
-        batch_add(&ws.v00, &ws.t2, &mut ws.lo);
-        batch_sub(&ws.v11, &ws.v10, &mut ws.t1);
-        batch_mul(&ws.t1, &ws.wr, &mut ws.t2);
-        batch_add(&ws.v10, &ws.t2, &mut ws.hi);
-        // out = lo + (hi - lo) * wt.
-        batch_sub(&ws.hi, &ws.lo, &mut ws.t1);
-        batch_mul(&ws.t1, &ws.wt, &mut ws.t2);
-        batch_add(&ws.lo, &ws.t2, out);
+/// A query located on the table: its log coordinates, the four corner
+/// values of its grid cell (`[v00, v01, v10, v11]`) and the cell's grid
+/// origin, ready for the bilinear blend.
+pub struct Stencil<R> {
+    lr: R,
+    lt: R,
+    v: [R; 4],
+    gr0: R,
+    gt0: R,
+}
+
+/// The table as the [`Arith`]-generic kernels see it at one value type:
+/// [`EosTable`] itself at every [`Real`], one query at a time, and
+/// [`TableCols`] at [`Col`], a whole column of queries at once. Only the
+/// locate step differs; the interpolation, the derivative and the Newton
+/// arithmetic on top of it are written once.
+pub trait TableView<R: Arith> {
+    /// The table.
+    fn table(&self) -> &EosTable;
+
+    /// Locate `(rho, T)` for a lookup in `vals`: `log10` of both in `R`,
+    /// then the corner and grid-origin gather.
+    fn locate(&self, vals: &[f64], rho: R, t: R) -> Stencil<R>;
+
+    /// Bilinear interpolation of a tabulated quantity at (ρ, T) in the
+    /// value type `R` — every arithmetic operation of the table lookup is
+    /// visible to (and truncatable by) RAPTOR, exactly like the compiled
+    /// Helmholtz interpolation kernels.
+    fn interp(&self, vals: &[f64], rho: R, t: R) -> R {
+        self.table().blend(self.locate(vals, rho, t))
     }
 
-    /// Batched [`Self::eint_of`]: bit- and counter-identical to the scalar
-    /// interpolation per element under the tracked number type.
-    pub fn eint_of_batch(&self, rho: &[f64], t: &[f64], out: &mut [f64], ws: &mut InterpScratch) {
-        self.interp_batch(&self.e, rho, t, out, ws);
+    /// Interpolated specific internal energy e(ρ, T).
+    fn eint_of(&self, rho: R, t: R) -> R {
+        self.interp(&self.table().e, rho, t)
     }
 
-    /// Batched [`Self::pres_of`].
-    pub fn pres_of_batch(&self, rho: &[f64], t: &[f64], out: &mut [f64], ws: &mut InterpScratch) {
-        self.interp_batch(&self.p, rho, t, out, ws);
+    /// Interpolated pressure p(ρ, T).
+    fn pres_of(&self, rho: R, t: R) -> R {
+        self.interp(&self.table().p, rho, t)
     }
 
-    /// Batched [`Self::de_dt`]: the central-difference derivative with the
-    /// scalar op AST per element (`h = t * 1e-4`, two interpolations at
-    /// `t ± h`, `(ep - em) / (2 h)`).
-    pub fn de_dt_batch(&self, rho: &[f64], t: &[f64], out: &mut [f64], ws: &mut DeDtScratch) {
-        let n = rho.len();
-        assert_eq!(t.len(), n);
-        assert_eq!(out.len(), n);
-        ws.resize(n);
-        batch_mul_s(t, 1e-4, &mut ws.h);
-        batch_add(t, &ws.h, &mut ws.tp);
-        batch_sub(t, &ws.h, &mut ws.tm);
-        self.interp_batch(&self.e, rho, &ws.tp, &mut ws.ep, &mut ws.interp);
-        self.interp_batch(&self.e, rho, &ws.tm, &mut ws.em, &mut ws.interp);
-        batch_sub(&ws.ep, &ws.em, &mut ws.num);
-        batch_rmul_s(2.0, &ws.h, &mut ws.den);
-        batch_div(&ws.num, &ws.den, out);
+    /// Discrete temperature derivative of e at (ρ, T): central difference
+    /// of the interpolant (what a table-based Newton iteration uses).
+    fn de_dt(&self, rho: R, t: R) -> R {
+        let h = t * R::from_f64(1e-4);
+        let ep = self.eint_of(rho, t + h);
+        let em = self.eint_of(rho, t - h);
+        (ep - em) / (R::two() * h)
     }
 }
 
-/// The scalar AST's `.max(0).min(1)` weight clamp: exact, uncounted
-/// selects (a NaN weight passes through unchanged, as in the scalar pair).
-// Written as the scalar path's two selects, not `f64::clamp`, so the
-// comparison order stays literally identical to the oracle loop.
-#[allow(clippy::manual_clamp)]
-fn clamp01(w: &mut [f64]) {
-    for x in w.iter_mut() {
-        if 0.0 > *x {
-            *x = 0.0;
-        }
-        if 1.0 < *x {
-            *x = 1.0;
-        }
+impl<R: Real> TableView<R> for EosTable {
+    fn table(&self) -> &EosTable {
+        self
+    }
+
+    fn locate(&self, vals: &[f64], rho: R, t: R) -> Stencil<R> {
+        let lr = rho.log10();
+        let lt = t.log10();
+        let [v00, v01, v10, v11, gr0, gt0] = self.cell(vals, lr.to_f64(), lt.to_f64()).map(R::from_f64);
+        Stencil { lr, lt, v: [v00, v01, v10, v11], gr0, gt0 }
     }
 }
 
-/// Scratch buffers for [`EosTable::eint_of_batch`] /
-/// [`EosTable::pres_of_batch`] — reused across calls so the per-row fast
-/// path allocates nothing in steady state.
-#[derive(Default)]
-pub struct InterpScratch {
-    lr: Vec<f64>,
-    lt: Vec<f64>,
-    v00: Vec<f64>,
-    v01: Vec<f64>,
-    v10: Vec<f64>,
-    v11: Vec<f64>,
-    gr0: Vec<f64>,
-    gt0: Vec<f64>,
-    wr: Vec<f64>,
-    wt: Vec<f64>,
-    t1: Vec<f64>,
-    t2: Vec<f64>,
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-}
+/// An [`EosTable`] viewed at [`Col`]: each query of the current column
+/// scope is located in one pass over the columns.
+pub struct TableCols<'a>(pub &'a EosTable);
 
-impl InterpScratch {
-    fn resize(&mut self, n: usize) {
-        for v in [
-            &mut self.lr,
-            &mut self.lt,
-            &mut self.v00,
-            &mut self.v01,
-            &mut self.v10,
-            &mut self.v11,
-            &mut self.gr0,
-            &mut self.gt0,
-            &mut self.wr,
-            &mut self.wt,
-            &mut self.t1,
-            &mut self.t2,
-            &mut self.lo,
-            &mut self.hi,
-        ] {
-            v.resize(n, 0.0);
-        }
+impl TableView<Col> for TableCols<'_> {
+    fn table(&self) -> &EosTable {
+        self.0
     }
-}
 
-/// Scratch buffers for [`EosTable::de_dt_batch`].
-#[derive(Default)]
-pub struct DeDtScratch {
-    h: Vec<f64>,
-    tp: Vec<f64>,
-    tm: Vec<f64>,
-    ep: Vec<f64>,
-    em: Vec<f64>,
-    num: Vec<f64>,
-    den: Vec<f64>,
-    /// Inner interpolation scratch (field-disjoint from the buffers above
-    /// so the two `interp_batch` calls borrow-split).
-    interp: InterpScratch,
-}
-
-impl DeDtScratch {
-    fn resize(&mut self, n: usize) {
-        for v in [
-            &mut self.h,
-            &mut self.tp,
-            &mut self.tm,
-            &mut self.ep,
-            &mut self.em,
-            &mut self.num,
-            &mut self.den,
-        ] {
-            v.resize(n, 0.0);
-        }
+    fn locate(&self, vals: &[f64], rho: Col, t: Col) -> Stencil<Col> {
+        let lr = rho.log10();
+        let lt = t.log10();
+        let [v00, v01, v10, v11, gr0, gt0] = Col::new_many(|mut cols: [&mut [f64]; 6]| {
+            lr.read(|lr| {
+                lt.read(|lt| {
+                    for (k, (&r, &t)) in lr.iter().zip(lt).enumerate() {
+                        for (col, x) in cols.iter_mut().zip(self.0.cell(vals, r, t)) {
+                            col[k] = x;
+                        }
+                    }
+                })
+            })
+        });
+        Stencil { lr, lt, v: [v00, v01, v10, v11], gr0, gt0 }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -379,37 +271,72 @@ mod tests {
         assert!(e_hi.is_finite() && e_hi > 0.0);
     }
 
+    /// The batch-vs-scalar configurations, each built by `op` from its
+    /// format: e5m10,
+    /// the per-element fallback e11m30, and the hydro sweep differential's
+    /// six — the table's e11m12 and guarded e11m20, e11m22 (a short-cut
+    /// format outside the table), e11m12 on the Big path, e11m12 rounding
+    /// toward zero (which also bypasses the double-rounding short-cut),
+    /// and FP32 through `Auto` (the Native rung).
+    pub(crate) fn differential_configs(
+        op: impl Fn(raptor_core::Format) -> raptor_core::Config,
+    ) -> Vec<(&'static str, raptor_core::Config)> {
+        use raptor_core::{EmulPath, Format, RoundMode};
+        let e11m12 = Format::new(11, 12);
+        let mut toward_zero = op(e11m12);
+        toward_zero.round = RoundMode::TowardZero;
+        let configs = vec![
+            ("e5m10", op(Format::new(5, 10))),
+            ("e11m12", op(e11m12)),
+            ("e11m20", op(Format::new(11, 20))),
+            ("e11m22", op(Format::new(11, 22))),
+            ("e11m30", op(Format::new(11, 30))),
+            ("e11m12-big", op(e11m12).with_path(EmulPath::Big)),
+            ("e11m12-rz", toward_zero),
+            ("fp32-auto", op(Format::FP32)),
+        ];
+        assert_eq!(configs[7].1.resolved_path(), EmulPath::Native);
+        configs
+    }
+
+    pub(crate) fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    }
+
     /// Tentpole bit-identity for the EOS consumer layer: the batched
     /// interpolation and central-difference derivative must match the
-    /// scalar ASTs bit for bit and op count for op count — across
-    /// kernel-table formats (one of them the guarded (11,20)), a wide
-    /// format that takes the per-element fallback tier ((11,30)), and
-    /// directed rounding (which also bypasses the double-rounding
-    /// shortcut). Sample states run past both table edges
-    /// so the clamped weight selects are exercised.
+    /// scalar ASTs bit for bit and op count for op count under every
+    /// differential configuration. A ramp and a seeded log-uniform cloud
+    /// of states run past every table edge, so the weights clamp at 0 and
+    /// at 1 on both axes.
     #[test]
     fn batch_interp_bit_identical_and_counter_parity() {
-        use bigfloat::Format;
-        use raptor_core::{Arith, Config, RoundMode, Session, Tracked};
+        use raptor_core::{Arith, Session, Tracked};
         let tab = EosTable::cellular_default();
-        let n = 40;
-        let rho: Vec<f64> = (0..n)
-            .map(|k| 10f64.powf(3.0 + 0.2 * k as f64 / 1.0) * (1.0 + 0.013 * k as f64))
-            .collect();
-        let t: Vec<f64> = (0..n)
-            .map(|k| 10f64.powf(6.5 + 0.12 * k as f64) * (1.0 + 0.007 * k as f64))
-            .collect();
-        let mut directed = Config::op_all(Format::new(11, 12));
-        directed.round = RoundMode::TowardZero;
-        let configs = vec![
-            Config::op_all(Format::new(5, 10)),
-            Config::op_all(Format::new(11, 12)),
-            Config::op_all(Format::new(11, 20)),
-            Config::op_all(Format::new(11, 30)),
-            directed,
-        ];
-        for cfg in configs {
-            let fmt = cfg.format;
+        let (mut rho, mut t): (Vec<f64>, Vec<f64>) = (0..40)
+            .map(|k| {
+                let k = k as f64;
+                (10f64.powf(3.0 + 0.2 * k) * (1.0 + 0.013 * k), 10f64.powf(6.5 + 0.12 * k) * (1.0 + 0.007 * k))
+            })
+            .unzip();
+        let mut s = 0xE05u64;
+        let mut unit = || (splitmix(&mut s) >> 11) as f64 / (1u64 << 53) as f64;
+        for _ in 0..60 {
+            rho.push(10f64.powf(3.0 + 7.0 * unit()));
+            t.push(10f64.powf(6.0 + 5.0 * unit()));
+        }
+        let n = rho.len();
+        // Coverage: below and above the grid on both axes.
+        for (name, v, grid) in [("rho", &rho, &tab.lrho), ("T", &t, &tab.ltemp)] {
+            let (lo, hi) = (grid[0], grid[grid.len() - 1]);
+            assert!(v.iter().any(|x| x.log10() < lo), "{name}: below the table");
+            assert!(v.iter().any(|x| x.log10() > hi), "{name}: above the table");
+        }
+        for (name, cfg) in differential_configs(raptor_core::Config::op_all) {
             // Scalar reference: per-element tracked interpolation.
             let sess_s = Session::new(cfg.clone().with_counting()).unwrap();
             let (want_e, want_d) = {
@@ -428,37 +355,35 @@ mod tests {
             };
             // Batched run under an identical fresh session.
             let sess_b = Session::new(cfg.with_counting()).unwrap();
-            let mut got_e = vec![0.0; n];
-            let mut got_d = vec![0.0; n];
-            {
+            let (got_e, got_d) = {
                 let _g = sess_b.install();
-                let mut iws = InterpScratch::default();
-                let mut dws = DeDtScratch::default();
-                tab.eint_of_batch(&rho, &t, &mut got_e, &mut iws);
-                tab.de_dt_batch(&rho, &t, &mut got_d, &mut dws);
-            }
+                let _cols = raptor_core::batch::scope(n);
+                let (rho, t) = (Col::from_slice(&rho), Col::from_slice(&t));
+                let view = TableCols(&tab);
+                (view.eint_of(rho, t).read(<[f64]>::to_vec), view.de_dt(rho, t).read(<[f64]>::to_vec))
+            };
             for k in 0..n {
                 assert_eq!(
                     got_e[k].to_bits(),
                     want_e[k].to_bits(),
-                    "{fmt:?} eint lane {k}: {} vs {}",
+                    "{name} eint lane {k}: {} vs {}",
                     got_e[k],
                     want_e[k]
                 );
                 assert_eq!(
                     got_d[k].to_bits(),
                     want_d[k].to_bits(),
-                    "{fmt:?} de_dt lane {k}: {} vs {}",
+                    "{name} de_dt lane {k}: {} vs {}",
                     got_d[k],
                     want_d[k]
                 );
             }
             let (cs, cb) = (sess_s.counters(), sess_b.counters());
-            assert_eq!(cs, cb, "{fmt:?}: op counters must match exactly");
+            assert_eq!(cs, cb, "{name}: op counters must match exactly");
             // eint: 2 log10s per element; de_dt: 4 more inside the two
             // interpolations at t ± h.
-            assert_eq!(cb.trunc.math, 6 * n as u64, "{fmt:?}: log10 census");
-            assert!(cb.trunc.div > 0, "{fmt:?}: weight divisions counted");
+            assert_eq!(cb.trunc.math, 6 * n as u64, "{name}: log10 census");
+            assert!(cb.trunc.div > 0, "{name}: weight divisions counted");
         }
     }
 
@@ -476,10 +401,10 @@ mod tests {
         assert!(rel < 1e-1, "but not wildly: {rel}");
     }
 
-    /// Batch-pairing twin: `pres_of_batch` against scalar `pres_of`, bit
-    /// for bit per element, including clamped off-table states.
+    /// Column twin: `pres_of` at `Col` against scalar `pres_of`, bit for
+    /// bit per element, including clamped off-table states.
     #[test]
-    fn pres_of_batch_bit_identical_to_scalar() {
+    fn pres_of_cols_bit_identical_to_scalar() {
         let tab = EosTable::cellular_default();
         let n = 33;
         let rho: Vec<f64> = (0..n)
@@ -488,9 +413,8 @@ mod tests {
         let t: Vec<f64> = (0..n)
             .map(|k| 10f64.powf(6.5 + 0.12 * k as f64) * (1.0 + 0.007 * k as f64))
             .collect();
-        let mut out = vec![0.0; n];
-        let mut ws = InterpScratch::default();
-        tab.pres_of_batch(&rho, &t, &mut out, &mut ws);
+        let _cols = raptor_core::batch::scope(n);
+        let out = TableCols(&tab).pres_of(Col::from_slice(&rho), Col::from_slice(&t)).read(<[f64]>::to_vec);
         for k in 0..n {
             let want: f64 = tab.pres_of(rho[k], t[k]);
             assert_eq!(out[k].to_bits(), want.to_bits(), "k={k}");

@@ -353,13 +353,6 @@ thread_local! {
     static BATCH_BUFS: RefCell<BatchBufs> = RefCell::new(BatchBufs::default());
 }
 
-/// Two new columns, written together by `f`.
-fn col_pair(f: impl FnOnce(&mut [f64], &mut [f64])) -> (Col, Col) {
-    let mut right = None;
-    let left = Col::new_with(|l| right = Some(Col::new_with(|r| f(l, r))));
-    (left, right.expect("written by new_with"))
-}
-
 /// Directional update of one block through the batch kernels, each stage
 /// once over every line of the block. Semantics (values, op counts, region
 /// scoping) are identical to `sweep_block` instantiated with `Tracked`
@@ -410,13 +403,13 @@ fn sweep_block_batch<E: Eos>(
             let off = ng - params.recon.guard_cells();
             let win = &mut b.win[..2 * params.recon.guard_cells()];
             w.read(|w| gather_windows(w, l, k, off, win));
-            col_pair(|ol, or_| match params.recon {
+            Col::new_many(|[ol, or_]| match params.recon {
                 ReconKind::Plm => plm_b(win, &mut b.t, ol, or_),
                 ReconKind::Weno5 => weno5_b(win, ol, or_),
             })
         };
         let sides = prim.map(&mut recon);
-        (floor_state(sides.map(|s| s.0)), floor_state(sides.map(|s| s.1)))
+        (floor_state(sides.map(|s| s[0])), floor_state(sides.map(|s| s[1])))
     };
     // ---- Hydro/riemann: partitioned batch solver over every interface ----
     let flux = {

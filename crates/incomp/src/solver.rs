@@ -14,7 +14,8 @@
 //! never truncates.
 
 use crate::mg::{Field, Poisson};
-use raptor_core::{region, set_level, Real, Session};
+use raptor_core::batch::{self, Col};
+use raptor_core::{region, set_level, Arith, Real, Session};
 
 /// Uniform grid with ghost layers carrying the flow state.
 #[derive(Clone, Debug)]
@@ -220,6 +221,26 @@ fn weno5_core<R: Real>(v1: R, v2: R, v3: R, v4: R, v5: R) -> R {
     (a1 * p1 + a2 * p2 + a3 * p3) * inv
 }
 
+/// Upwind first difference `(f[k+1] - f[k]) / h`, written with the
+/// reciprocal `inv_h`.
+#[inline]
+fn diff_quot<R: Arith>(lo: R, hi: R, inv_h: R) -> R {
+    (hi - lo) * inv_h
+}
+
+/// The advection term `uc * df/dx + vc * df/dy` of one field.
+#[inline]
+fn advect<R: Arith>(uc: R, vc: R, dx: R, dy: R) -> R {
+    uc * dx + vc * dy
+}
+
+/// Padded flat index of the cell `k` cells along `axis` from interior
+/// cell (i, j).
+#[inline]
+fn along(grid: &Grid, i: isize, j: isize, axis: usize, k: isize) -> usize {
+    if axis == 0 { grid.at(i + k, j) } else { grid.at(i, j + k) }
+}
+
 /// Upwind WENO5 derivative of a padded scalar field at interior cell
 /// (i, j) along `axis`, choosing the stencil by the sign of `wind`.
 #[inline]
@@ -232,11 +253,8 @@ fn weno5_deriv<R: Real>(
     wind: R,
     inv_h: R,
 ) -> R {
-    let get = |k: isize| -> R {
-        let idx = if axis == 0 { grid.at(i + k, j) } else { grid.at(i, j + k) };
-        R::from_f64(f[idx])
-    };
-    let d = |k: isize| (get(k + 1) - get(k)) * inv_h;
+    let get = |k: isize| R::from_f64(f[along(grid, i, j, axis, k)]);
+    let d = |k: isize| diff_quot(get(k), get(k + 1), inv_h);
     if wind >= R::zero() {
         // Left-biased: differences at k = -3..1.
         weno5_core(d(-3), d(-2), d(-1), d(0), d(1))
@@ -244,6 +262,31 @@ fn weno5_deriv<R: Real>(
         // Right-biased: mirrored.
         weno5_core(d(2), d(1), d(0), d(-1), d(-2))
     }
+}
+
+/// The five-point stencil's offsets: centre, east, west, north, south.
+const FIVE: [(isize, isize); 5] = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)];
+
+/// The viscous term of one velocity component at a cell: the
+/// harmonic-face Laplacian of its stencil `[c, e, w, n, s]` (face
+/// viscosities `[mu_e, mu_w, mu_n, mu_s]`), times `scale = inv_re / rho`.
+#[inline]
+fn viscous<R: Arith>([c, e, w, n, s]: [R; 5], [mu_e, mu_w, mu_n, mu_s]: [R; 4], inv_h2: R, scale: R) -> R {
+    (mu_e * (e - c) - mu_w * (c - w) + mu_n * (n - c) - mu_s * (c - s)) * inv_h2 * scale
+}
+
+/// Harmonic-mean face viscosities `[mu_e, mu_w, mu_n, mu_s]` and the
+/// density of interior cell (i, j): untracked coefficient prep. At a
+/// 100:1 contrast the arithmetic mean pairs a large face mu with a tiny
+/// cell rho, yielding an effective diffusivity far above the explicit
+/// stability bound; the harmonic mean is dominated by the smaller side and
+/// keeps nu_eff <= 2 nu_phase.
+// lint: allow(native-float, smoothed-property coefficient prep: feeds from_f64 lifts and stays untracked (DESIGN.md))
+fn viscous_coeffs(grid: &Grid, params: &InsParams, eps: f64, i: isize, j: isize) -> ([f64; 4], f64) {
+    let mu_at = |(di, dj): (isize, isize)| viscosity(params, grid.phi[grid.at(i + di, j + dj)], eps);
+    let harm = |a: f64, b: f64| 2.0 * a * b / (a + b);
+    let mu = [FIVE[1], FIVE[2], FIVE[3], FIVE[4]].map(|o| harm(mu_at(FIVE[0]), mu_at(o)));
+    (mu, density(params, grid.phi[grid.at(i, j)], eps))
 }
 
 /// One fractional-step update. `level_map[j * nx + i]` gives the AMR level
@@ -276,15 +319,14 @@ pub fn step<R: Real>(
     {
         let _r = region("INS/advection");
         // Batch fast path: the WENO5 upwind derivative is data-dependent
-        // only through the wind *sign*, so a row partitions into a
-        // plus-wind and a minus-wind set per axis; each set runs its
-        // branch's exact op chain through the fused `batch_weno5_adv`
-        // kernel. Like diffusion, this requires one shared truncation
-        // decision (no AMR level map); the scalar loop below stays as the
-        // mem-mode path and the differential oracle.
+        // only through the wind *sign*, so the interior partitions into a
+        // plus-wind and a minus-wind set per axis, and each set runs its
+        // branch's source at `Col`. Like diffusion, this requires one
+        // shared truncation decision (no AMR level map); the scalar loop
+        // below stays as the mem-mode path and the differential oracle.
         let use_batch = R::IS_TRACKED && level_map.is_none();
         if use_batch && raptor_core::batch::ready() {
-            advection_batch(grid, dt, 1.0 / h, &mut us, &mut vs, &mut phin);
+            advection_cols(grid, dt, 1.0 / h, &mut us, &mut vs, &mut phin);
         } else {
             for j in 0..ny {
                 for i in 0..nx {
@@ -298,9 +340,9 @@ pub fn step<R: Real>(
                     let dvdy = weno5_deriv(grid, &grid.v, ii, jj, 1, vc, inv_h);
                     let dpx = weno5_deriv(grid, &grid.phi, ii, jj, 0, uc, inv_h);
                     let dpy = weno5_deriv(grid, &grid.phi, ii, jj, 1, vc, inv_h);
-                    let adv_u = uc * dudx + vc * dudy;
-                    let adv_v = uc * dvdx + vc * dvdy;
-                    let adv_p = uc * dpx + vc * dpy;
+                    let adv_u = advect(uc, vc, dudx, dudy);
+                    let adv_v = advect(uc, vc, dvdx, dvdy);
+                    let adv_p = advect(uc, vc, dpx, dpy);
                     let k = j * nx + i;
                     us[k] = Real::to_f64(adv_u);
                     vs[k] = Real::to_f64(adv_v);
@@ -316,18 +358,17 @@ pub fn step<R: Real>(
     let mut diff_v = vec![0.0; n_int];
     {
         let _r = region("INS/diffusion");
-        // Batch-kernel fast path: the five-point stencil has no per-cell
-        // control flow, so when every cell shares one truncation decision
-        // (no AMR level map) the instrumented build evaluates it row by
-        // row through `raptor_core::batch` — one dispatch per slice
-        // instead of per op, same ops in the same order, bit-identical
-        // results (the scalar loop below is the reference AST and the
-        // mem-mode / level-mapped path). `ready()` is checked inside the
-        // region so mem-mode sessions and the differential-test toggle
-        // fall through to scalar.
+        // Batch fast path: the five-point stencil has no per-cell control
+        // flow, so when every cell shares one truncation decision (no AMR
+        // level map) the instrumented build runs `viscous` at `Col` over
+        // the whole interior — one dispatch per op instead of per cell
+        // and op, same ops per cell, bit-identical results (the scalar
+        // loop below is the mem-mode / level-mapped path). `ready()` is
+        // checked inside the region so mem-mode sessions and the
+        // differential-test toggle fall through to scalar.
         let use_batch = R::IS_TRACKED && level_map.is_none();
         if use_batch && raptor_core::batch::ready() {
-            diffusion_batch(grid, params, eps, &mut diff_u, &mut diff_v);
+            diffusion_cols(grid, params, eps, &mut diff_u, &mut diff_v);
         } else {
             let inv_re = R::from_f64(1.0 / params.re);
             let inv_h2 = R::from_f64(1.0 / (h * h));
@@ -335,33 +376,13 @@ pub fn step<R: Real>(
                 for i in 0..nx {
                     set_level(lvl(i, j));
                     let (ii, jj) = (i as isize, j as isize);
-                    let mu_at = |di: isize, dj: isize| -> f64 {
-                        viscosity(params, grid.phi[grid.at(ii + di, jj + dj)], eps)
-                    };
-                    let rho_c = density(params, grid.phi[grid.at(ii, jj)], eps);
-                    // Harmonic-mean face viscosity: at a 100:1 contrast the
-                    // arithmetic mean pairs a large face mu with a tiny cell
-                    // rho, yielding an effective diffusivity far above the
-                    // explicit stability bound; the harmonic mean is dominated
-                    // by the smaller side and keeps nu_eff <= 2 nu_phase.
-                    let harm = |a: f64, b: f64| 2.0 * a * b / (a + b);
-                    let mu_e = R::from_f64(harm(mu_at(0, 0), mu_at(1, 0)));
-                    let mu_w = R::from_f64(harm(mu_at(0, 0), mu_at(-1, 0)));
-                    let mu_n = R::from_f64(harm(mu_at(0, 0), mu_at(0, 1)));
-                    let mu_s = R::from_f64(harm(mu_at(0, 0), mu_at(0, -1)));
-                    let lap = |f: &[f64]| -> R {
-                        let c = R::from_f64(f[grid.at(ii, jj)]);
-                        let e = R::from_f64(f[grid.at(ii + 1, jj)]);
-                        let w = R::from_f64(f[grid.at(ii - 1, jj)]);
-                        let n = R::from_f64(f[grid.at(ii, jj + 1)]);
-                        let s = R::from_f64(f[grid.at(ii, jj - 1)]);
-                        (mu_e * (e - c) - mu_w * (c - w) + mu_n * (n - c) - mu_s * (c - s))
-                            * inv_h2
-                    };
+                    let (mu, rho_c) = viscous_coeffs(grid, params, eps, ii, jj);
+                    let mu = mu.map(R::from_f64);
+                    let stencil = |f: &[f64]| FIVE.map(|(di, dj)| R::from_f64(f[grid.at(ii + di, jj + dj)]));
                     let k = j * nx + i;
                     let scale = inv_re / R::from_f64(rho_c);
-                    diff_u[k] = Real::to_f64(lap(&grid.u) * scale);
-                    diff_v[k] = Real::to_f64(lap(&grid.v) * scale);
+                    diff_u[k] = Real::to_f64(viscous(stencil(&grid.u), mu, inv_h2, scale));
+                    diff_v[k] = Real::to_f64(viscous(stencil(&grid.v), mu, inv_h2, scale));
                 }
             }
             set_level(None);
@@ -543,232 +564,102 @@ pub fn step<R: Real>(
     grid.apply_bcs();
 }
 
-/// Row-sliced batch evaluation of the viscous terms: bit-identical to the
-/// scalar diffusion loop in [`step`] (same operations, same order per
-/// cell) but with one truncation-dispatch per row slice instead of per
-/// op. Face viscosities, densities, and harmonic means are plain-`f64`
-/// coefficient prep in both paths and stay untracked here too.
-fn diffusion_batch(
-    grid: &Grid,
-    params: &InsParams,
-    eps: f64,
-    diff_u: &mut [f64],
-    diff_v: &mut [f64],
-) {
-    use raptor_core::batch::{batch_add, batch_mul, batch_mul_s, batch_rdiv_s, batch_sub};
-    let (nx, ny) = (grid.nx, grid.ny);
-    let h = grid.h;
-    let inv_re = 1.0 / params.re;
-    let inv_h2 = 1.0 / (h * h);
-    let harm = |a: f64, b: f64| 2.0 * a * b / (a + b);
-    // Untracked per-row coefficients.
-    let mut mu_e = vec![0.0; nx];
-    let mut mu_w = vec![0.0; nx];
-    let mut mu_n = vec![0.0; nx];
-    let mut mu_s = vec![0.0; nx];
-    let mut rho = vec![0.0; nx];
-    let mut scale = vec![0.0; nx];
-    // Stencil rows and scratch.
-    let mut rc = vec![0.0; nx];
-    let mut re_ = vec![0.0; nx];
-    let mut rw = vec![0.0; nx];
-    let mut rn = vec![0.0; nx];
-    let mut rs = vec![0.0; nx];
-    let mut t = vec![0.0; nx];
-    let mut pa = vec![0.0; nx];
-    let mut pb = vec![0.0; nx];
-    let mut acc = vec![0.0; nx];
-    let mut acc2 = vec![0.0; nx];
-    for j in 0..ny {
-        let jj = j as isize;
-        for i in 0..nx {
-            let ii = i as isize;
-            let mu_at = |di: isize, dj: isize| -> f64 {
-                viscosity(params, grid.phi[grid.at(ii + di, jj + dj)], eps)
-            };
-            let mu_c = mu_at(0, 0);
-            mu_e[i] = harm(mu_c, mu_at(1, 0));
-            mu_w[i] = harm(mu_c, mu_at(-1, 0));
-            mu_n[i] = harm(mu_c, mu_at(0, 1));
-            mu_s[i] = harm(mu_c, mu_at(0, -1));
-            rho[i] = density(params, grid.phi[grid.at(ii, jj)], eps);
+/// Column of `f` at every interior cell, offset by `(di, dj)`, in
+/// row-major interior order.
+fn interior_col(grid: &Grid, f: &[f64], (di, dj): (isize, isize)) -> Col {
+    let nx = grid.nx;
+    Col::new_with(|o| {
+        for (k, x) in o.iter_mut().enumerate() {
+            *x = f[grid.at((k % nx) as isize + di, (k / nx) as isize + dj)];
         }
-        // scale = inv_re / rho_c (one tracked div per cell, as in scalar).
-        batch_rdiv_s(inv_re, &rho, &mut scale);
-        let out_row = j * nx..(j + 1) * nx;
-        for (f, out) in [(&grid.u, &mut diff_u[out_row.clone()]), (&grid.v, &mut diff_v[out_row])]
-        {
-            for i in 0..nx {
-                let ii = i as isize;
-                rc[i] = f[grid.at(ii, jj)];
-                re_[i] = f[grid.at(ii + 1, jj)];
-                rw[i] = f[grid.at(ii - 1, jj)];
-                rn[i] = f[grid.at(ii, jj + 1)];
-                rs[i] = f[grid.at(ii, jj - 1)];
-            }
-            // (mu_e*(e-c) - mu_w*(c-w) + mu_n*(n-c) - mu_s*(c-s)) * inv_h2
-            batch_sub(&re_, &rc, &mut t);
-            batch_mul(&mu_e, &t, &mut pa);
-            batch_sub(&rc, &rw, &mut t);
-            batch_mul(&mu_w, &t, &mut pb);
-            batch_sub(&pa, &pb, &mut acc);
-            batch_sub(&rn, &rc, &mut t);
-            batch_mul(&mu_n, &t, &mut pb);
-            batch_add(&acc, &pb, &mut acc2);
-            batch_sub(&rc, &rs, &mut t);
-            batch_mul(&mu_s, &t, &mut pb);
-            batch_sub(&acc2, &pb, &mut acc);
-            batch_mul_s(&acc, inv_h2, &mut t);
-            // lap * scale
-            batch_mul(&t, &scale, out);
-        }
+    })
+}
+
+/// The scalar diffusion loop of [`step`] at `Col`, over the whole
+/// interior in one scope: bit- and counter-identical per cell. The face
+/// viscosities and densities are the same untracked prep.
+fn diffusion_cols(grid: &Grid, params: &InsParams, eps: f64, diff_u: &mut [f64], diff_v: &mut [f64]) {
+    let nx = grid.nx;
+    let _cols = batch::scope(nx * grid.ny);
+    let coeffs: Vec<([f64; 4], f64)> = (0..diff_u.len())
+        .map(|k| viscous_coeffs(grid, params, eps, (k % nx) as isize, (k / nx) as isize))
+        .collect();
+    let mu: [Col; 4] = std::array::from_fn(|m| {
+        Col::new_with(|o| o.iter_mut().zip(&coeffs).for_each(|(o, c)| *o = c.0[m]))
+    });
+    let rho = Col::new_with(|o| o.iter_mut().zip(&coeffs).for_each(|(o, c)| *o = c.1));
+    let inv_h2 = Col::from_f64(1.0 / (grid.h * grid.h));
+    let scale = Col::from_f64(1.0 / params.re) / rho;
+    for (f, out) in [(&grid.u, diff_u), (&grid.v, diff_v)] {
+        let stencil = FIVE.map(|o| interior_col(grid, f, o));
+        viscous(stencil, mu, inv_h2, scale).read(|v| out.copy_from_slice(v));
     }
 }
 
-/// Gather/difference scratch for [`advection_batch`], reused across rows.
-#[derive(Default)]
-struct AdvScratch {
-    g: [Vec<f64>; 6],
-    d: [Vec<f64>; 5],
-    t: Vec<f64>,
-    res: Vec<f64>,
-}
-
-/// Fused WENO5 upwind derivative for one wind-sign partition of a row:
-/// gathers the six stencil values per cell, forms the five tracked first
-/// differences, and runs the whole nonlinear combination through
-/// [`raptor_core::batch::batch_weno5_adv`]. `left_biased` selects the
-/// same stencil (and argument order) as the scalar [`weno5_deriv`]
-/// branches; ops run *only* for the partition's cells, so counter totals
-/// match the scalar loop exactly.
-#[allow(clippy::too_many_arguments)]
-fn weno5_deriv_part(
-    grid: &Grid,
-    f: &[f64],
-    j: usize,
-    axis: usize,
-    part: &[usize],
-    left_biased: bool,
-    inv_h: f64,
-    ws: &mut AdvScratch,
-    out_row: &mut [f64],
-) {
-    use raptor_core::batch::{batch_mul_s, batch_sub, batch_weno5_adv};
-    let m = part.len();
-    if m == 0 {
-        return;
-    }
+/// [`weno5_deriv`] along `axis` for the interior cells `class` (row-major
+/// interior indices) whose wind has one sign, in the current scope: the
+/// stencil's five difference quotients, then the fused WENO5 combination
+/// ([`batch::weno5_adv`], whose oracle is [`weno5_core`]) in the branch's
+/// argument order.
+fn weno5_deriv_cols(grid: &Grid, f: &[f64], axis: usize, class: &[usize], left_biased: bool, inv_h: Col) -> Col {
     // Left-biased stencils read offsets -3..=2, right-biased -2..=3.
     let base: isize = if left_biased { -3 } else { -2 };
-    for (s, gs) in ws.g.iter_mut().enumerate() {
-        let k = base + s as isize;
-        gs.clear();
-        gs.extend(part.iter().map(|&i| {
-            let idx = if axis == 0 {
-                grid.at(i as isize + k, j as isize)
-            } else {
-                grid.at(i as isize, j as isize + k)
-            };
-            f[idx]
-        }));
-    }
-    ws.t.resize(m, 0.0);
-    ws.res.resize(m, 0.0);
-    // d(k) = (get(k+1) - get(k)) * inv_h, five consecutive differences.
-    for s in 0..5 {
-        ws.d[s].resize(m, 0.0);
-        batch_sub(&ws.g[s + 1], &ws.g[s], &mut ws.t);
-        batch_mul_s(&ws.t, inv_h, &mut ws.d[s]);
-    }
+    let nx = grid.nx;
+    let g: [Col; 6] = std::array::from_fn(|s| {
+        Col::new_with(|o| {
+            for (x, &k) in o.iter_mut().zip(class) {
+                *x = f[along(grid, (k % nx) as isize, (k / nx) as isize, axis, base + s as isize)];
+            }
+        })
+    });
+    let [d0, d1, d2, d3, d4]: [Col; 5] = std::array::from_fn(|s| diff_quot(g[s], g[s + 1], inv_h));
     if left_biased {
-        batch_weno5_adv(&ws.d[0], &ws.d[1], &ws.d[2], &ws.d[3], &ws.d[4], &mut ws.res);
+        batch::weno5_adv([d0, d1, d2, d3, d4])
     } else {
-        // Mirrored: weno5_core(d(2), d(1), d(0), d(-1), d(-2)).
-        batch_weno5_adv(&ws.d[4], &ws.d[3], &ws.d[2], &ws.d[1], &ws.d[0], &mut ws.res);
-    }
-    for (z, &i) in part.iter().enumerate() {
-        out_row[i] = ws.res[z];
+        batch::weno5_adv([d4, d3, d2, d1, d0])
     }
 }
 
-/// Row-granular batch evaluation of the advection terms: bit- and
-/// counter-identical to the scalar loop in [`step`]. Each row is
-/// partitioned by wind sign per axis (the only data-dependent control
-/// flow in [`weno5_deriv`]), each partition's derivative goes through the
-/// fused stencil kernel, and the final `uc*d/dx + vc*d/dy` combinations
-/// run as row slices. The level-set update tail stays plain `f64` like
-/// the scalar path.
-fn advection_batch(
-    grid: &Grid,
-    dt: f64,
-    inv_h: f64,
-    us: &mut [f64],
-    vs: &mut [f64],
-    phin: &mut [f64],
-) {
-    use raptor_core::batch::{batch_add, batch_mul};
-    let (nx, ny, ng) = (grid.nx, grid.ny, grid.ng);
-    let stride = nx + 2 * ng;
-    let mut ws = AdvScratch::default();
-    let mut px: Vec<usize> = Vec::with_capacity(nx);
-    let mut mx: Vec<usize> = Vec::with_capacity(nx);
-    let mut py: Vec<usize> = Vec::with_capacity(nx);
-    let mut my: Vec<usize> = Vec::with_capacity(nx);
-    let mut dudx = vec![0.0; nx];
-    let mut dudy = vec![0.0; nx];
-    let mut dvdx = vec![0.0; nx];
-    let mut dvdy = vec![0.0; nx];
-    let mut dpx = vec![0.0; nx];
-    let mut dpy = vec![0.0; nx];
-    let mut t1 = vec![0.0; nx];
-    let mut t2 = vec![0.0; nx];
-    let mut ap = vec![0.0; nx];
-    for j in 0..ny {
-        let row0 = (j + ng) * stride + ng;
-        let uc = &grid.u[row0..row0 + nx];
-        let vc = &grid.v[row0..row0 + nx];
-        px.clear();
-        mx.clear();
-        py.clear();
-        my.clear();
-        for i in 0..nx {
-            // Same predicate as the scalar `wind >= 0` (NaN upwinds right).
-            if uc[i] >= 0.0 {
-                px.push(i);
-            } else {
-                mx.push(i);
+/// The scalar advection loop of [`step`] at `Col`, over the whole
+/// interior in one scope: bit- and counter-identical per cell. Each
+/// axis's wind-sign classes (the only data-dependent control flow in
+/// [`weno5_deriv`]) run in nested scopes; the level-set update tail stays
+/// plain `f64` like the scalar path.
+// lint: allow(native-float, the level-set update tail is untracked in the scalar loop too)
+fn advection_cols(grid: &Grid, dt: f64, inv_h: f64, us: &mut [f64], vs: &mut [f64], phin: &mut [f64]) {
+    let n = us.len();
+    let _cols = batch::scope(n);
+    let (uc, vc) = (interior_col(grid, &grid.u, FIVE[0]), interior_col(grid, &grid.v, FIVE[0]));
+    // Same predicate as the scalar `wind >= 0` (NaN upwinds right).
+    let classes = |wind: Col| -> [Vec<usize>; 2] {
+        wind.read(|w| {
+            let (plus, minus) = (0..n).partition(|&k| w[k] >= 0.0);
+            [plus, minus]
+        })
+    };
+    let (cx, cy) = (classes(uc), classes(vc));
+    let inv_h = Col::from_f64(inv_h);
+    let deriv = |f: &[f64], axis: usize, classes: &[Vec<usize>; 2]| {
+        let mut d = vec![0.0; n];
+        for (class, left_biased) in classes.iter().zip([true, false]) {
+            if class.is_empty() {
+                continue;
             }
-            if vc[i] >= 0.0 {
-                py.push(i);
-            } else {
-                my.push(i);
-            }
+            let _class = batch::scope(class.len());
+            weno5_deriv_cols(grid, f, axis, class, left_biased, inv_h)
+                .read(|v| class.iter().zip(v).for_each(|(&k, &x)| d[k] = x));
         }
-        for (f, outx, outy) in [
-            (&grid.u, &mut dudx, &mut dudy),
-            (&grid.v, &mut dvdx, &mut dvdy),
-            (&grid.phi, &mut dpx, &mut dpy),
-        ] {
-            weno5_deriv_part(grid, f, j, 0, &px, true, inv_h, &mut ws, outx);
-            weno5_deriv_part(grid, f, j, 0, &mx, false, inv_h, &mut ws, outx);
-            weno5_deriv_part(grid, f, j, 1, &py, true, inv_h, &mut ws, outy);
-            weno5_deriv_part(grid, f, j, 1, &my, false, inv_h, &mut ws, outy);
+        Col::from_slice(&d)
+    };
+    let adv = |f: &[f64]| advect(uc, vc, deriv(f, 0, &cx), deriv(f, 1, &cy));
+    adv(&grid.u).read(|v| us.copy_from_slice(v));
+    adv(&grid.v).read(|v| vs.copy_from_slice(v));
+    let phi = &grid.phi;
+    adv(phi).read(|v| {
+        for (k, (p, &a)) in phin.iter_mut().zip(v).enumerate() {
+            *p = phi[grid.at((k % grid.nx) as isize, (k / grid.nx) as isize)] - dt * a;
         }
-        let out = j * nx..(j + 1) * nx;
-        // adv = uc * d/dx + vc * d/dy, per advected field.
-        batch_mul(uc, &dudx, &mut t1);
-        batch_mul(vc, &dudy, &mut t2);
-        batch_add(&t1, &t2, &mut us[out.clone()]);
-        batch_mul(uc, &dvdx, &mut t1);
-        batch_mul(vc, &dvdy, &mut t2);
-        batch_add(&t1, &t2, &mut vs[out]);
-        batch_mul(uc, &dpx, &mut t1);
-        batch_mul(vc, &dpy, &mut t2);
-        batch_add(&t1, &t2, &mut ap);
-        for i in 0..nx {
-            phin[j * nx + i] = grid.phi[row0 + i] - dt * ap[i];
-        }
-    }
+    });
 }
 
 /// Row-sliced CSF curvature: evaluates [`curvature`]'s exact plain-`f64`
@@ -817,9 +708,9 @@ pub fn curvature(grid: &Grid, i: isize, j: isize, h: f64) -> f64 {
 /// Instrumented in the `INS/levelset` region: instantiate with `f64` for
 /// the reference run and [`raptor_core::Tracked`] under an installed
 /// session to truncate/count the Hamiltonian's operations. Tracked
-/// op-mode runs take the row-sliced batch path below (sign partition on
-/// `s` with exact per-lane selects); mem-mode and forced-scalar runs stay
-/// on the per-cell generic loop, which remains the differential oracle.
+/// op-mode runs take the `Col` path over the whole interior (sign
+/// partition on `s`); mem-mode and forced-scalar runs stay on the
+/// per-cell generic loop, which remains the differential oracle.
 /// The pseudo-time buffer is allocated once and reused across iterations.
 // lint: allow(native-float, pseudo-time step and buffer plumbing; the upwind stencil math is Tracked in reinit_cells)
 pub fn reinitialize<R: Real>(grid: &mut Grid, iters: usize, session: &Session) {
@@ -828,11 +719,10 @@ pub fn reinitialize<R: Real>(grid: &mut Grid, iters: usize, session: &Session) {
     let (nx, ny) = (grid.nx, grid.ny);
     let dtau = 0.5 * grid.h;
     let mut new_phi = vec![0.0; nx * ny];
-    let mut ws = ReinitScratch::default();
     for _ in 0..iters {
         grid.apply_bcs();
         if R::IS_TRACKED && raptor_core::batch::ready() {
-            reinit_rows_batch(grid, dtau, &mut new_phi, &mut ws);
+            reinit_cols(grid, dtau, &mut new_phi);
         } else {
             reinit_cells::<R>(grid, dtau, &mut new_phi);
         }
@@ -846,6 +736,42 @@ pub fn reinitialize<R: Real>(grid: &mut Grid, iters: usize, session: &Session) {
     grid.apply_bcs();
 }
 
+/// The smoothed sign `c / sqrt(c^2 + h^2)` of the level set at a cell.
+#[inline]
+fn level_sign<R: Arith>(c: R, h2: R) -> R {
+    c / (c * c + h2).sqrt()
+}
+
+/// One-sided differences `[dxm, dxp, dym, dyp]` of the stencil
+/// `[c, e, w, n, s]`.
+#[inline]
+fn one_sided<R: Arith>([c, e, w, n, s]: [R; 5], h: R) -> [R; 4] {
+    [(c - w) / h, (e - c) / h, (c - s) / h, (n - c) / h]
+}
+
+/// Godunov's squared upwind gradients `(a, b)` where `s >= 0`.
+#[inline]
+fn godunov_rising<R: Arith>([dxm, dxp, dym, dyp]: [R; 4]) -> (R, R) {
+    let z = R::zero();
+    let sq = |x: R| x * x;
+    (sq(dxm.max(z)).max(sq(dxp.min(z))), sq(dym.max(z)).max(sq(dyp.min(z))))
+}
+
+/// Godunov's squared upwind gradients `(a, b)` where `s < 0`.
+#[inline]
+fn godunov_falling<R: Arith>([dxm, dxp, dym, dyp]: [R; 4]) -> (R, R) {
+    let z = R::zero();
+    let sq = |x: R| x * x;
+    (sq(dxm.min(z)).max(sq(dxp.max(z))), sq(dym.min(z)).max(sq(dyp.max(z))))
+}
+
+/// The pseudo-time update `c - dtau * s * (sqrt(a + b) - 1)`.
+#[inline]
+fn reinit_update<R: Arith>(c: R, s: R, (a, b): (R, R), dtau: R) -> R {
+    let grad = (a + b).sqrt();
+    c - dtau * s * (grad - R::one())
+}
+
 /// Per-cell Godunov Hamiltonian update (one pseudo-time iteration) into
 /// `new_phi` — the scalar path and batch oracle.
 fn reinit_cells<R: Real>(grid: &Grid, dtau: f64, new_phi: &mut [f64]) {
@@ -853,132 +779,41 @@ fn reinit_cells<R: Real>(grid: &Grid, dtau: f64, new_phi: &mut [f64]) {
     let h = R::from_f64(grid.h);
     let h2 = R::from_f64(grid.h * grid.h);
     let dtau_r = R::from_f64(dtau);
-    let z = R::zero();
     for j in 0..ny {
         for i in 0..nx {
             let (ii, jj) = (i as isize, j as isize);
-            let c = R::from_f64(grid.phi[grid.at(ii, jj)]);
-            let s = c / (c * c + h2).sqrt();
-            let dxm = (c - R::from_f64(grid.phi[grid.at(ii - 1, jj)])) / h;
-            let dxp = (R::from_f64(grid.phi[grid.at(ii + 1, jj)]) - c) / h;
-            let dym = (c - R::from_f64(grid.phi[grid.at(ii, jj - 1)])) / h;
-            let dyp = (R::from_f64(grid.phi[grid.at(ii, jj + 1)]) - c) / h;
+            let st = FIVE.map(|(di, dj)| R::from_f64(grid.phi[grid.at(ii + di, jj + dj)]));
+            let s = level_sign(st[0], h2);
+            let d = one_sided(st, h);
             // Godunov scheme.
-            let (a, b) = if s >= z {
-                (dxm.max(z).powi(2).max(dxp.min(z).powi(2)),
-                 dym.max(z).powi(2).max(dyp.min(z).powi(2)))
-            } else {
-                (dxm.min(z).powi(2).max(dxp.max(z).powi(2)),
-                 dym.min(z).powi(2).max(dyp.max(z).powi(2)))
-            };
-            let grad = (a + b).sqrt();
-            new_phi[j * nx + i] = (c - dtau_r * s * (grad - R::one())).to_f64();
+            let ab = if s >= R::zero() { godunov_rising(d) } else { godunov_falling(d) };
+            new_phi[j * nx + i] = reinit_update(st[0], s, ab, dtau_r).to_f64();
         }
     }
 }
 
-/// Row-slice buffers for the batch reinitialization path.
-#[derive(Default)]
-struct ReinitScratch {
-    sgn: Vec<f64>,
-    dxm: Vec<f64>,
-    dxp: Vec<f64>,
-    dym: Vec<f64>,
-    dyp: Vec<f64>,
-    x1: Vec<f64>,
-    x2: Vec<f64>,
-    y1: Vec<f64>,
-    y2: Vec<f64>,
-    q1: Vec<f64>,
-    q2: Vec<f64>,
-    a: Vec<f64>,
-    b: Vec<f64>,
-    t1: Vec<f64>,
-    t2: Vec<f64>,
-}
-
-impl ReinitScratch {
-    fn resize(&mut self, n: usize) {
-        for v in [
-            &mut self.sgn, &mut self.dxm, &mut self.dxp, &mut self.dym, &mut self.dyp,
-            &mut self.x1, &mut self.x2, &mut self.y1, &mut self.y2, &mut self.q1,
-            &mut self.q2, &mut self.a, &mut self.b, &mut self.t1, &mut self.t2,
-        ] {
-            v.resize(n, 0.0);
+/// [`reinit_cells`] at `Col`, over the whole interior in one scope: each
+/// sign class of `s` runs its Godunov body in a nested scope, so per cell
+/// the ops are exactly the scalar loop's.
+fn reinit_cols(grid: &Grid, dtau: f64, new_phi: &mut [f64]) {
+    let _cols = batch::scope(new_phi.len());
+    let st = FIVE.map(|o| interior_col(grid, &grid.phi, o));
+    let s = level_sign(st[0], Col::from_f64(grid.h * grid.h));
+    let d = one_sided(st, Col::from_f64(grid.h));
+    let classes: [Vec<usize>; 2] = s.read(|s| {
+        let (rising, falling) = (0..s.len()).partition(|&k| s[k] >= 0.0);
+        [rising, falling]
+    });
+    for (class, rising) in classes.iter().zip([true, false]) {
+        if class.is_empty() {
+            continue;
         }
-    }
-}
-
-/// One pseudo-time iteration over whole interior rows through the batch
-/// slice kernels. Per cell the op AST is exactly `reinit_cells`'s —
-/// including the four Godunov squarings as counted muls — while the sign
-/// of `s` and the upwind `max(·,0)`/`min(·,0)`/outer-max choices are
-/// exact, uncounted per-lane selects, mirroring the scalar `Tracked`
-/// comparisons.
-fn reinit_rows_batch(grid: &Grid, dtau: f64, new_phi: &mut [f64], ws: &mut ReinitScratch) {
-    use raptor_core::batch::{
-        batch_add, batch_add_s, batch_div, batch_div_s, batch_mul, batch_rmul_s, batch_sqrt,
-        batch_sub, batch_sub_s,
-    };
-    let (nx, ny, ng) = (grid.nx, grid.ny, grid.ng);
-    let stride = nx + 2 * ng;
-    let h = grid.h;
-    ws.resize(nx);
-    for j in 0..ny {
-        let base = (j + ng) * stride + ng;
-        let c = &grid.phi[base..base + nx];
-        let west = &grid.phi[base - 1..base - 1 + nx];
-        let east = &grid.phi[base + 1..base + 1 + nx];
-        let south = &grid.phi[base - stride..base - stride + nx];
-        let north = &grid.phi[base + stride..base + stride + nx];
-        let out = &mut new_phi[j * nx..(j + 1) * nx];
-        // s = c / sqrt(c*c + h*h)
-        batch_mul(c, c, &mut ws.t1);
-        batch_add_s(&ws.t1, h * h, &mut ws.t2);
-        batch_sqrt(&ws.t2, &mut ws.t1);
-        batch_div(c, &ws.t1, &mut ws.sgn);
-        // One-sided differences.
-        batch_sub(c, west, &mut ws.t1);
-        batch_div_s(&ws.t1, h, &mut ws.dxm);
-        batch_sub(east, c, &mut ws.t1);
-        batch_div_s(&ws.t1, h, &mut ws.dxp);
-        batch_sub(c, south, &mut ws.t1);
-        batch_div_s(&ws.t1, h, &mut ws.dym);
-        batch_sub(north, c, &mut ws.t1);
-        batch_div_s(&ws.t1, h, &mut ws.dyp);
-        // Godunov sign partition: upwind selects per lane.
-        for i in 0..nx {
-            let max0 = |v: f64| if 0.0 > v { 0.0 } else { v };
-            let min0 = |v: f64| if 0.0 < v { 0.0 } else { v };
-            if ws.sgn[i] >= 0.0 {
-                ws.x1[i] = max0(ws.dxm[i]);
-                ws.x2[i] = min0(ws.dxp[i]);
-                ws.y1[i] = max0(ws.dym[i]);
-                ws.y2[i] = min0(ws.dyp[i]);
-            } else {
-                ws.x1[i] = min0(ws.dxm[i]);
-                ws.x2[i] = max0(ws.dxp[i]);
-                ws.y1[i] = min0(ws.dym[i]);
-                ws.y2[i] = max0(ws.dyp[i]);
-            }
-        }
-        batch_mul(&ws.x1, &ws.x1, &mut ws.q1);
-        batch_mul(&ws.x2, &ws.x2, &mut ws.q2);
-        for i in 0..nx {
-            ws.a[i] = if ws.q2[i] > ws.q1[i] { ws.q2[i] } else { ws.q1[i] };
-        }
-        batch_mul(&ws.y1, &ws.y1, &mut ws.q1);
-        batch_mul(&ws.y2, &ws.y2, &mut ws.q2);
-        for i in 0..nx {
-            ws.b[i] = if ws.q2[i] > ws.q1[i] { ws.q2[i] } else { ws.q1[i] };
-        }
-        // grad = sqrt(a + b); phi_new = c - dtau*s*(grad - 1)
-        batch_add(&ws.a, &ws.b, &mut ws.t1);
-        batch_sqrt(&ws.t1, &mut ws.t2);
-        batch_sub_s(&ws.t2, 1.0, &mut ws.t1);
-        batch_rmul_s(dtau, &ws.sgn, &mut ws.t2);
-        batch_mul(&ws.t2, &ws.t1, &mut ws.a);
-        batch_sub(c, &ws.a, out);
+        let _class = batch::scope(class.len());
+        let [c, s, dxm, dxp, dym, dyp] = batch::gather([st[0], s, d[0], d[1], d[2], d[3]], class);
+        let d = [dxm, dxp, dym, dyp];
+        let ab = if rising { godunov_rising(d) } else { godunov_falling(d) };
+        reinit_update(c, s, ab, Col::from_f64(dtau))
+            .read(|v| class.iter().zip(v).for_each(|(&k, &x)| new_phi[k] = x));
     }
 }
 
@@ -1010,6 +845,7 @@ pub fn compute_dt(grid: &Grid, params: &InsParams) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raptor_core::{batch, Config, Counters, EmulPath, Format, RoundMode, Tracked};
 
     fn circle_grid(nx: usize, ny: usize) -> Grid {
         let h = 2.0 / nx as f64;
@@ -1112,48 +948,126 @@ mod tests {
         assert!(divmax < 5.0, "divergence {divmax}");
     }
 
-    /// The batched diffusion operator must match the scalar loop bit for
-    /// bit and op count for op count — across two table-served formats
-    /// ((11,10) and the guarded (11,20)) and the per-element fallback
-    /// format ((11,30), past the short-cut bound). (The quiescent bubble has zero
-    /// initial velocity, so this run leans on diffusion/CSF; the seeded
-    /// advection test below stresses the upwind partitions.)
-    #[test]
-    fn batch_diffusion_bit_identical_to_scalar() {
-        use bigfloat::Format;
-        use raptor_core::{batch, Config, Tracked};
-        for fmt in [Format::new(11, 10), Format::new(11, 20), Format::new(11, 30)] {
-            let run = |force_scalar: bool| {
-                let _pin = batch::force_scalar(force_scalar);
-                let mut g = circle_grid(24, 24);
-                let params = InsParams::default();
-                let sess = Session::new(
-                    Config::op_files(fmt, ["INS"]).with_counting(),
-                )
-                .unwrap();
-                for _ in 0..3 {
-                    let dt = compute_dt(&g, &params);
-                    step::<Tracked>(&mut g, &params, dt, None, &sess);
-                }
-                (g, sess.counters())
-            };
-            let (gs, cs) = run(true);
-            let (gb, cb) = run(false);
-            for (name, a, b) in [
-                ("u", &gs.u, &gb.u),
-                ("v", &gs.v, &gb.v),
-                ("phi", &gs.phi, &gb.phi),
-            ] {
-                for (k, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{fmt:?} field {name} index {k}: {x:e} vs {y:e}"
-                    );
+    /// The batch-vs-scalar configurations: e11m10 and the per-element
+    /// fallback e11m30 (past the short-cut bound), plus the hydro sweep
+    /// differential's six — the table's e11m12 and guarded e11m20, e11m22
+    /// (a short-cut format outside the table), e11m12 on the Big path,
+    /// e11m12 rounding toward zero, and FP32 through `Auto` (the Native
+    /// rung).
+    fn differential_configs() -> Vec<(&'static str, Config)> {
+        let e11m12 = Format::new(11, 12);
+        let ins = |fmt: Format| Config::op_files(fmt, ["INS"]);
+        let mut toward_zero = ins(e11m12);
+        toward_zero.round = RoundMode::TowardZero;
+        let configs = vec![
+            ("e11m10", ins(Format::new(11, 10))),
+            ("e11m12", ins(e11m12)),
+            ("e11m20", ins(Format::new(11, 20))),
+            ("e11m22", ins(Format::new(11, 22))),
+            ("e11m30", ins(Format::new(11, 30))),
+            ("e11m12-big", ins(e11m12).with_path(EmulPath::Big)),
+            ("e11m12-rz", toward_zero),
+            ("fp32-auto", ins(Format::FP32)),
+        ];
+        assert_eq!(configs[7].1.resolved_path(), EmulPath::Native);
+        configs
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    }
+
+    /// A seeded two-phase grid: the circle's level set plus noise (`phi`
+    /// of both signs, so the 1000:1 density contrast runs through the
+    /// stencils), and random winds of both signs on both axes, a few of
+    /// them exactly `+0.0` or `-0.0` (which upwind like positive winds).
+    fn random_grid(seed: u64) -> Grid {
+        let n = 20;
+        let mut g = circle_grid(n, n);
+        let mut s = seed;
+        let mut unit = || (splitmix(&mut s) >> 11) as f64 / (1u64 << 53) as f64;
+        for j in 0..n {
+            for i in 0..n {
+                let c = g.at(i as isize, j as isize);
+                g.phi[c] += 0.3 * (unit() - 0.5);
+                for f in [&mut g.u, &mut g.v] {
+                    let kind = unit();
+                    f[c] = if kind < 0.1 {
+                        0.0
+                    } else if kind < 0.2 {
+                        -0.0
+                    } else {
+                        0.6 * (unit() - 0.5)
+                    };
                 }
             }
-            assert_eq!(cs, cb, "{fmt:?}: op counters must match exactly");
-            assert!(cs.trunc.div > 0, "{fmt:?}: diffusion divs counted");
+        }
+        g.apply_bcs();
+        // Coverage: every wind class on both axes, both phases.
+        let interior: Vec<usize> =
+            (0..n * n).map(|k| g.at((k % n) as isize, (k / n) as isize)).collect();
+        for (name, f) in [("u", &g.u), ("v", &g.v)] {
+            let has = |p: fn(f64) -> bool| interior.iter().any(|&c| p(f[c]));
+            assert!(has(|x| x.to_bits() == 0), "{name}: a +0.0 wind");
+            assert!(has(|x| x.to_bits() == (-0.0f64).to_bits()), "{name}: a -0.0 wind");
+            assert!(has(|x| x > 0.0) && has(|x| x < 0.0), "{name}: both signs");
+        }
+        assert!(interior.iter().any(|&c| g.phi[c] > 0.0) && interior.iter().any(|&c| g.phi[c] < 0.0));
+        g
+    }
+
+    /// Run `drive` on a copy of `grid` under a fresh counting session of
+    /// `cfg`, once pinned to the scalar path and once on the batch tier;
+    /// the velocity and level-set fields must match bit for bit and the op
+    /// counters exactly. Returns the counters.
+    fn assert_batch_matches_scalar(
+        cfg: &Config,
+        grid: &Grid,
+        label: &str,
+        drive: impl Fn(&mut Grid, &Session),
+    ) -> Counters {
+        let run = |force_scalar: bool| {
+            let _pin = batch::force_scalar(force_scalar);
+            let mut g = grid.clone();
+            let sess = Session::new(cfg.clone().with_counting()).unwrap();
+            drive(&mut g, &sess);
+            (g, sess.counters())
+        };
+        let (gs, cs) = run(true);
+        let (gb, cb) = run(false);
+        for (name, a, b) in [("u", &gs.u, &gb.u), ("v", &gs.v, &gb.v), ("phi", &gs.phi, &gb.phi)] {
+            for (k, (x, y)) in a.iter().zip(b.iter()).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "{label} field {name} index {k}: {x:e} vs {y:e}");
+            }
+        }
+        assert_eq!(cs, cb, "{label}: op counters must match exactly");
+        cs
+    }
+
+    /// Three steps of the solver without a level map (the batch gate).
+    fn three_steps(g: &mut Grid, sess: &Session) {
+        let params = InsParams::default();
+        for _ in 0..3 {
+            let dt = compute_dt(g, &params);
+            step::<Tracked>(g, &params, dt, None, sess);
+        }
+    }
+
+    /// The batched diffusion operator must match the scalar loop bit for
+    /// bit and op count for op count under every differential
+    /// configuration. The quiescent bubble has zero initial velocity, so
+    /// its run leans on diffusion/CSF; the seeded random grid adds winds.
+    #[test]
+    fn batch_diffusion_bit_identical_to_scalar() {
+        for (name, cfg) in differential_configs() {
+            for (what, grid) in [("circle", circle_grid(24, 24)), ("random", random_grid(0xD1FF))] {
+                let cs = assert_batch_matches_scalar(&cfg, &grid, &format!("{name} {what}"), three_steps);
+                assert!(cs.trunc.div > 0, "{name} {what}: diffusion divs counted");
+            }
         }
     }
 
@@ -1175,96 +1089,49 @@ mod tests {
     /// The batched advection path (wind-partitioned fused WENO5) and the
     /// row-sliced CSF curvature must match the scalar loops bit for bit
     /// and op count for op count. Velocities are seeded with both signs in
-    /// both axes so all four upwind partitions carry cells, across two
-    /// kernel-table formats (one of them the guarded (11,20)) and the
-    /// per-element fallback format (11,30).
+    /// both axes so all four upwind partitions carry cells: a smooth
+    /// field, and the seeded random grid with exact `±0.0` winds.
     #[test]
     fn batch_advection_and_csf_bit_identical_to_scalar() {
-        use bigfloat::Format;
-        use raptor_core::{batch, Config, Tracked};
-        for fmt in [Format::new(11, 10), Format::new(11, 20), Format::new(11, 30)] {
-            let run = |force_scalar: bool| {
-                let _pin = batch::force_scalar(force_scalar);
-                let mut g = circle_grid(24, 24);
-                for j in 0..24 {
-                    for i in 0..24 {
-                        let (x, y) = g.xy(i, j);
-                        let c = g.at(i as isize, j as isize);
-                        g.u[c] = 0.3 * (3.1 * x).sin() * (2.3 * y + 0.4).cos();
-                        g.v[c] = -0.2 * (2.7 * y).sin() * (1.9 * x - 0.2).cos();
-                    }
-                }
-                g.apply_bcs();
-                let params = InsParams::default();
-                let sess = Session::new(
-                    Config::op_files(fmt, ["INS"]).with_counting(),
-                )
-                .unwrap();
-                for _ in 0..3 {
-                    let dt = compute_dt(&g, &params);
-                    step::<Tracked>(&mut g, &params, dt, None, &sess);
-                }
-                (g, sess.counters())
-            };
-            let (gs, cs) = run(true);
-            let (gb, cb) = run(false);
-            for (name, a, b) in [
-                ("u", &gs.u, &gb.u),
-                ("v", &gs.v, &gb.v),
-                ("phi", &gs.phi, &gb.phi),
-            ] {
-                for (k, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{fmt:?} field {name} index {k}: {x:e} vs {y:e}"
-                    );
-                }
+        let mut smooth = circle_grid(24, 24);
+        for j in 0..24 {
+            for i in 0..24 {
+                let (x, y) = smooth.xy(i, j);
+                let c = smooth.at(i as isize, j as isize);
+                smooth.u[c] = 0.3 * (3.1 * x).sin() * (2.3 * y + 0.4).cos();
+                smooth.v[c] = -0.2 * (2.7 * y).sin() * (1.9 * x - 0.2).cos();
             }
-            assert_eq!(cs, cb, "{fmt:?}: op counters must match exactly");
-            assert!(cs.trunc.div > 0, "{fmt:?}: advection divs counted");
-            assert!(cs.trunc.mul > 0, "{fmt:?}: advection muls counted");
+        }
+        smooth.apply_bcs();
+        for (name, cfg) in differential_configs() {
+            for (what, grid) in [("smooth", &smooth), ("random", &random_grid(0xADF3C7))] {
+                let cs = assert_batch_matches_scalar(&cfg, grid, &format!("{name} {what}"), three_steps);
+                assert!(cs.trunc.div > 0, "{name} {what}: advection divs counted");
+                assert!(cs.trunc.mul > 0, "{name} {what}: advection muls counted");
+            }
         }
     }
 
-    /// The row-sliced batch reinitialization must reproduce the per-cell
-    /// generic loop bit for bit with exact op-counter parity, at a format
-    /// that perturbs the Hamiltonian ((11,10)), at the guarded table
-    /// format (11,20) and at the emulation fallback ((11,30)). A ×2.5
-    /// distortion keeps `phi` away from a
-    /// fixed point so both signs of `s` (and all upwind selects) are
-    /// exercised through all 12 pseudo-time iterations.
+    /// The batch reinitialization must reproduce the per-cell generic loop
+    /// bit for bit with exact op-counter parity under every differential
+    /// configuration. A ×2.5 distortion keeps `phi` away from a fixed
+    /// point so both signs of `s` (and all upwind selects) are exercised
+    /// through all 12 pseudo-time iterations, on the circle and on the
+    /// seeded random grid.
     #[test]
     fn batch_reinit_bit_identical_to_scalar() {
-        use bigfloat::Format;
-        use raptor_core::{batch, Config, Tracked};
-        for fmt in [Format::new(11, 10), Format::new(11, 20), Format::new(11, 30)] {
-            let run = |force_scalar: bool| {
-                let _pin = batch::force_scalar(force_scalar);
-                let mut g = circle_grid(24, 24);
-                for v in g.phi.iter_mut() {
+        for (name, cfg) in differential_configs() {
+            for (what, mut grid) in [("circle", circle_grid(24, 24)), ("random", random_grid(0x5E1))] {
+                for v in grid.phi.iter_mut() {
                     *v *= 2.5;
                 }
-                g.apply_bcs();
-                let sess = Session::new(
-                    Config::op_files(fmt, ["INS"]).with_counting(),
-                )
-                .unwrap();
-                reinitialize::<Tracked>(&mut g, 12, &sess);
-                (g, sess.counters())
-            };
-            let (gs, cs) = run(true);
-            let (gb, cb) = run(false);
-            for (k, (x, y)) in gs.phi.iter().zip(gb.phi.iter()).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{fmt:?} phi index {k}: {x:e} vs {y:e}"
-                );
+                grid.apply_bcs();
+                let cs = assert_batch_matches_scalar(&cfg, &grid, &format!("{name} {what}"), |g, sess| {
+                    reinitialize::<Tracked>(g, 12, sess)
+                });
+                assert!(cs.trunc.sqrt > 0, "{name} {what}: Hamiltonian sqrts counted");
+                assert!(cs.trunc.mul > 0, "{name} {what}: Godunov squarings counted");
             }
-            assert_eq!(cs, cb, "{fmt:?}: op counters must match exactly");
-            assert!(cs.trunc.sqrt > 0, "{fmt:?}: Hamiltonian sqrts counted");
-            assert!(cs.trunc.mul > 0, "{fmt:?}: Godunov squarings counted");
         }
     }
 

@@ -356,9 +356,21 @@ pub fn gather<const K: usize>(cols: [Col; K], idx: &[usize]) -> [Col; K] {
 impl Col {
     /// A new column of the scope's length, written by `f`.
     pub fn new_with(f: impl FnOnce(&mut [f64])) -> Col {
-        let (col, mut buf) = ARENA.with(|a| a.borrow_mut().alloc());
-        f(&mut buf);
-        ARENA.with(|a| a.borrow_mut().put(col, buf))
+        let [col] = Col::new_many(|[o]| f(o));
+        col
+    }
+
+    /// `K` new columns of the scope's length, written together by `f`.
+    pub fn new_many<const K: usize>(f: impl FnOnce([&mut [f64]; K])) -> [Col; K] {
+        let mut bufs: [(Col, Vec<f64>); K] = ARENA.with(|a| {
+            let mut a = a.borrow_mut();
+            std::array::from_fn(|_| a.alloc())
+        });
+        f(bufs.each_mut().map(|(_, buf)| &mut buf[..]));
+        ARENA.with(|a| {
+            let mut a = a.borrow_mut();
+            bufs.map(|(col, buf)| a.put(col, buf))
+        })
     }
 
     /// A new column holding `xs`.
@@ -375,6 +387,14 @@ impl Col {
                 Operand::S(v) => f(v),
                 Operand::B(x) => f(&vec![x; a.len()]),
             }
+        })
+    }
+
+    /// `log10` of every element: one [`batch_log10`] over the column.
+    pub fn log10(self) -> Col {
+        Col::op(|ar, out| match ar.operand(self) {
+            Operand::S(x) => run(Log10(x), out),
+            Operand::B(x) => run(Log10(x), out),
         })
     }
 
@@ -452,6 +472,20 @@ impl core::ops::Neg for Col {
             Operand::B(x) => out.fill(-x),
         })
     }
+}
+
+/// [`batch_weno5_adv`] over columns: `incomp`'s fused upwind WENO5
+/// combination of five first differences (a broadcast operand reads as a
+/// full column).
+pub fn weno5_adv(v: [Col; 5]) -> Col {
+    Col::op(|ar, out| {
+        let n = out.len();
+        let cols = v.map(|c| match ar.operand(c) {
+            Operand::S(s) => std::borrow::Cow::Borrowed(s),
+            Operand::B(x) => std::borrow::Cow::Owned(vec![x; n]),
+        });
+        run(Weno5::<true>(cols.each_ref().map(|c| &c[..])), out)
+    })
 }
 
 impl Arith for Col {
@@ -687,19 +721,19 @@ impl Shape for Fma<'_> {
 }
 
 #[derive(Clone, Copy)]
-struct Log10<'a>(&'a [f64]);
+struct Log10<A>(A);
 
-impl Shape for Log10<'_> {
+impl<A: Arg> Shape for Log10<A> {
     const COUNTS: &'static [(OpKind, u64)] = &[(OpKind::Math, 1)];
     fn check(self, n: usize) {
         self.0.check(n);
     }
     fn window(self, r: Range<usize>) -> Self {
-        Log10(&self.0[r])
+        Log10(self.0.window(r))
     }
     #[inline(always)]
     fn elem<X: Exec>(self, x: &mut X, i: usize) -> f64 {
-        x.math(MathFn::Log10, self.0[i])
+        x.math(MathFn::Log10, self.0.at(i))
     }
 }
 
@@ -1519,10 +1553,10 @@ mod tests {
     /// (slice, broadcast), (broadcast, slice), (broadcast, broadcast).
     const COL_SHAPES: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
 
-    /// Every `Col` operator against its slice op, bit for bit and with
-    /// equal counters, on each dispatch tier: hardware (no session), the
-    /// monomorphized table (e11m12), per-element emulation (e11m30) and
-    /// mem-mode. A broadcast operand is compared against a slice filled
+    /// Every `Col` operator, `Col::log10` and [`weno5_adv`] against their
+    /// slice ops, bit for bit and with equal counters, on each dispatch
+    /// tier: hardware (no session), the monomorphized table (e11m12),
+    /// per-element emulation (e11m30) and mem-mode. A broadcast operand is compared against a slice filled
     /// with its value.
     #[test]
     fn col_ops_match_slice_ops_on_every_tier() {
@@ -1576,6 +1610,33 @@ mod tests {
                         c.sqrt().read(|v| out.copy_from_slice(v));
                     } else {
                         batch_sqrt(&x, &mut out);
+                    }
+                    got.extend(out);
+                }
+                for bcast in [false, true] {
+                    let x = arg(bcast, &a, 2.0);
+                    let mut out = vec![0.0; N];
+                    if via_col {
+                        let c = if bcast { Col::from_f64(2.0) } else { Col::from_slice(&x) };
+                        c.log10().read(|v| out.copy_from_slice(v));
+                    } else {
+                        batch_log10(&x, &mut out);
+                    }
+                    got.extend(out);
+                }
+                // The fused WENO5 entry, with its middle operand a slice
+                // and a broadcast.
+                let c = [2.0, -0.25, 0.125, 1e3, -4.0, 0.0, 0.5];
+                let d = [-1.0, 0.75, 1e-3, 9.0, 0.0, -2.0, 3.5];
+                for bcast in [false, true] {
+                    let mid = arg(bcast, &c, 0.625);
+                    let mut out = vec![0.0; N];
+                    if via_col {
+                        let v2 = if bcast { Col::from_f64(0.625) } else { Col::from_slice(&mid) };
+                        let [v0, v1, v3, v4] = [&a, &b, &d, &a].map(|v| Col::from_slice(v));
+                        weno5_adv([v0, v1, v2, v3, v4]).read(|v| out.copy_from_slice(v));
+                    } else {
+                        batch_weno5_adv(&a, &b, &mid, &d, &a, &mut out);
                     }
                     got.extend(out);
                 }

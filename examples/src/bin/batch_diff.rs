@@ -4,7 +4,7 @@
 //! [`batch::force_scalar`] pin — then byte-compare every cell of every
 //! variable and the session op counters.
 //!
-//! Six consumers are exercised both ways:
+//! Seven consumers are exercised both ways:
 //! - a tiny Sedov blast with PLM reconstruction (the element-wise sweep
 //!   chains),
 //! - the same blast with WENO5 reconstruction (the fused five-point
@@ -14,10 +14,13 @@
 //! - a tiny two-phase bubble step loop (fused WENO5 upwind advection,
 //!   diffusion, and the row-sliced CSF curvature),
 //! - the same bubble grid through level-set reinitialization pseudo-time
-//!   iterations (the sign-partitioned Godunov Hamiltonian rows),
+//!   iterations (the sign-partitioned Godunov Hamiltonian),
+//! - the rising bubble through `Bubble::run`, the path the registry's
+//!   bubble scenarios take: level-mapped steps (advection and diffusion
+//!   per cell), batched reinitialization and AMR shadow-mesh regrids,
 //! - a tiny Cellular detonation (the hydro sweep through the tabulated
 //!   Helmholtz EOS's column methods — lockstep bisection, batched Newton
-//!   — and the burn's batched Newton inversions).
+//!   — and the burn's block-wide batched Newton inversions).
 //!
 //! ```sh
 //! cargo run --release -p raptor-examples --bin batch_diff
@@ -30,7 +33,7 @@
 use bigfloat::Format;
 use eos::{setup_cellular, CellularInit};
 use hydro::{setup, Problem, ReconKind, RiemannKind};
-use incomp::{compute_dt, reinitialize, step, Grid, InsParams};
+use incomp::{compute_dt, reinitialize, setup_bubble, step, Grid, InsParams};
 use raptor_core::{batch, Config, Counters, Session, Tracked};
 
 /// One tiny Sedov run (max_level=2, 3 threads, a handful of steps) under
@@ -109,7 +112,8 @@ fn run_bubble(fmt: Format, force_scalar: bool) -> (Grid, Counters) {
 
 /// Level-set reinitialization on the seeded bubble grid, distorted away
 /// from a distance function so the pseudo-time loop does real work: the
-/// sign-partitioned Godunov rows vs the per-cell generic loop.
+/// sign-partitioned Godunov Hamiltonian on columns vs the per-cell
+/// generic loop.
 fn run_bubble_reinit(fmt: Format, force_scalar: bool) -> (Grid, Counters) {
     let _pin = batch::force_scalar(force_scalar);
     let mut g = bubble_grid();
@@ -121,6 +125,19 @@ fn run_bubble_reinit(fmt: Format, force_scalar: bool) -> (Grid, Counters) {
         .expect("valid config");
     reinitialize::<Tracked>(&mut g, 12, &sess);
     (g, sess.counters())
+}
+
+/// Ten steps of the rising bubble through `Bubble::run`, as the registry
+/// scenarios drive it: every step passes the AMR level map (so advection
+/// and diffusion run per cell), and every fifth step reinitializes the
+/// level set (batched) and regrids the shadow mesh.
+fn run_bubble_amr(fmt: Format, force_scalar: bool) -> (Grid, Counters) {
+    let _pin = batch::force_scalar(force_scalar);
+    let mut sim = setup_bubble(16, 2, InsParams::default());
+    let sess = Session::new(Config::op_files(fmt, ["INS"]).with_counting())
+        .expect("valid config");
+    sim.run::<Tracked>(1.0, 10, &sess);
+    (sim.grid, sess.counters())
 }
 
 /// Compare one consumer's batch and scalar runs; print the verdict line
@@ -195,6 +212,12 @@ fn main() {
         let (grid_b, count_b) = run_bubble_reinit(fmt, false);
         let (grid_s, count_s) = run_bubble_reinit(fmt, true);
         let label = format!("bubble-reinit {fmt}").to_lowercase();
+        if !report(&label, grid_diff(&grid_b, &grid_s), count_b, count_s) {
+            failed = true;
+        }
+        let (grid_b, count_b) = run_bubble_amr(fmt, false);
+        let (grid_s, count_s) = run_bubble_amr(fmt, true);
+        let label = format!("bubble-amr {fmt}").to_lowercase();
         if !report(&label, grid_diff(&grid_b, &grid_s), count_b, count_s) {
             failed = true;
         }
