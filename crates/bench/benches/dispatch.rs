@@ -4,8 +4,8 @@
 //! Covers the matrix the ISSUE names: op-mode (naive `Big` and optimised
 //! `Soft` paths), mem-mode, and counting-only (an inactive region with
 //! full-op counting), plus the no-session passthrough floor — and
-//! per-element rows for the `raptor_core::batch` slice kernels, which
-//! amortize that dispatch over whole slices.
+//! per-element rows for the `raptor_core::batch` column ops, which
+//! amortize that dispatch over whole columns.
 //!
 //! Set `RAPTOR_BENCH_JSON=path.json` to capture the numbers; compare two
 //! revisions by running each back to back on the same machine.
@@ -66,12 +66,14 @@ fn bench_dispatch(c: &mut Harness) {
         });
     }
 
-    // Batch kernels: per-element cost of op-mode slice ops through the
+    // Batch kernels: per-element cost of op-mode `Col` ops through the
     // monomorphized fast path — one dispatch + one bulk counter add per
-    // slice instead of per op. Reported per element so the rows compare
-    // directly against the scalar opmode_soft_* rows above.
+    // column instead of per op. Reported per element so the rows compare
+    // directly against the scalar opmode_soft_* rows above. The input
+    // columns live in an outer scope; each iteration runs in a scope of
+    // its own, so the arena stays bounded.
     {
-        use raptor_core::batch::{batch_add, batch_fma};
+        use raptor_core::batch::{self, Col};
         for (flabel, bfmt) in [
             ("e11m12", Format::new(11, 12)),
             ("fp16", Format::new(5, 10)),
@@ -82,20 +84,15 @@ fn bench_dispatch(c: &mut Harness) {
             let sess = Session::new(Config::op_all(bfmt)).unwrap();
             let _g = sess.install();
             for n in [64usize, 4096] {
-                let a: Vec<f64> = (0..n).map(|i| 0.1 + i as f64 * 1e-3).collect();
-                let bv: Vec<f64> = (0..n).map(|i| 0.7 + i as f64 * 1e-3).collect();
-                let cv: Vec<f64> = (0..n).map(|i| 1.3 - i as f64 * 1e-4).collect();
-                let mut out = vec![0.0; n];
-                g.bench_per_element(&format!("batch_add_{flabel}_{n}"), n, |b| {
+                let _inputs = batch::scope(n);
+                let ramp = |x0: f64| {
+                    Col::from_slice(&(0..n).map(|i| x0 + i as f64 * 1e-3).collect::<Vec<_>>())
+                };
+                let (a, bv) = (ramp(0.1), ramp(0.7));
+                g.bench_per_element(&format!("col_add_{flabel}_{n}"), n, |b| {
                     b.iter(|| {
-                        batch_add(black_box(&a), black_box(&bv), &mut out);
-                        black_box(out[0])
-                    })
-                });
-                g.bench_per_element(&format!("batch_fma_{flabel}_{n}"), n, |b| {
-                    b.iter(|| {
-                        batch_fma(black_box(&a), black_box(&bv), black_box(&cv), &mut out);
-                        black_box(out[0])
+                        let _iter = batch::scope(n);
+                        (black_box(a) + black_box(bv)).read(|v| black_box(v[0]))
                     })
                 });
             }
@@ -108,7 +105,7 @@ fn bench_dispatch(c: &mut Harness) {
     // reconstruction on the same windows: the path the fused kernel
     // retired.
     {
-        use raptor_core::batch::batch_weno5;
+        use raptor_core::batch::{self, Col};
         for (flabel, bfmt) in [
             ("e11m12", Format::new(11, 12)),
             ("fp16", Format::new(5, 10)),
@@ -122,18 +119,12 @@ fn bench_dispatch(c: &mut Harness) {
                 let w: Vec<f64> = (0..n + 4)
                     .map(|i| (i as f64 * 0.37).sin() * (1.0 + 0.2 * (i as f64 * 0.11).cos()))
                     .collect();
-                let mut out = vec![0.0; n];
-                g.bench_per_element(&format!("batch_weno5_{flabel}_{n}"), n, |b| {
+                let _inputs = batch::scope(n);
+                let v = [0, 1, 2, 3, 4].map(|s| Col::from_slice(&w[s..s + n]));
+                g.bench_per_element(&format!("col_weno5_{flabel}_{n}"), n, |b| {
                     b.iter(|| {
-                        batch_weno5(
-                            black_box(&w[0..n]),
-                            black_box(&w[1..n + 1]),
-                            black_box(&w[2..n + 2]),
-                            black_box(&w[3..n + 3]),
-                            black_box(&w[4..n + 4]),
-                            &mut out,
-                        );
-                        black_box(out[0])
+                        let _iter = batch::scope(n);
+                        batch::weno5(black_box(v)).read(|v| black_box(v[0]))
                     })
                 });
             }
@@ -162,7 +153,7 @@ fn bench_dispatch(c: &mut Harness) {
 
     // Partitioned Riemann solver: per-interface cost of a whole line
     // through `riemann_flux_batch` (classification, compaction, and the
-    // solver's own HLL/HLLC bodies at `Col`, one slice op per operator),
+    // solver's own HLL/HLLC bodies at `Col`, one batch op per operator),
     // against the per-op scalar solver on the same states — the pair
     // behind the sod-hll overhead row.
     {

@@ -3,8 +3,19 @@
 //!
 //! Reconstruction is the `Hydro/recon` region for RAPTOR scoping — the
 //! module the Table 2 experiment fences in and out of truncation.
+//!
+//! Each scheme is written once and runs on both sweep paths. The scalar
+//! sweep calls [`plm_interface`] or [`weno5_interface`] per interface and
+//! component, at `f64` or [`raptor_core::Tracked`]. The batch sweep builds
+//! each component's stencil windows as [`raptor_core::batch::Col`]
+//! columns over a whole block and runs [`plm_interface`] on them: it is
+//! generic over [`Arith`], and its limiter is [`Arith::minmod`], an exact
+//! selection that counts no op. [`weno5`] needs `powi`, so it stays on
+//! [`Real`] as the scalar oracle of the fused column stencil the batch
+//! sweep calls, [`raptor_core::batch::weno5`], which evaluates the same
+//! op AST per element.
 
-use raptor_core::Real;
+use raptor_core::{Arith, Real};
 
 /// Reconstruction scheme.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,30 +36,19 @@ impl ReconKind {
     }
 }
 
-/// Minmod of two slopes.
-#[inline]
-fn minmod<R: Real>(a: R, b: R) -> R {
-    let z = R::zero();
-    if (a > z && b > z) || (a < z && b < z) {
-        if a.abs() < b.abs() {
-            a
-        } else {
-            b
-        }
-    } else {
-        z
-    }
-}
-
 /// PLM: left/right states at interface i+1/2 from cells `[i-1, i, i+1, i+2]`.
 ///
-/// `u` is a window of 4 cell values centred on the interface.
+/// `u` is a window of 4 cell values centred on the interface. Each side's
+/// slope is the minmod of its two one-sided differences: the one smaller
+/// in magnitude when both have one sign, else zero, so the limited
+/// reconstruction creates no new extrema (`l0`, `l1`: the left state's
+/// differences; `r0`, `r1`: the right state's).
 #[inline]
-pub fn plm_interface<R: Real>(u: [R; 4]) -> (R, R) {
-    let sl = minmod(u[1] - u[0], u[2] - u[1]);
-    let sr = minmod(u[2] - u[1], u[3] - u[2]);
-    let left = u[1] + R::half() * sl;
-    let right = u[2] - R::half() * sr;
+pub fn plm_interface<R: Arith>(u: [R; 4]) -> (R, R) {
+    let (l0, l1) = (u[1] - u[0], u[2] - u[1]);
+    let (r0, r1) = (u[2] - u[1], u[3] - u[2]);
+    let left = u[1] + R::half() * l0.minmod(l1);
+    let right = u[2] - R::half() * r0.minmod(r1);
     (left, right)
 }
 
@@ -56,9 +56,9 @@ pub fn plm_interface<R: Real>(u: [R; 4]) -> (R, R) {
 /// five upwind-biased cells `[i-2, i-1, i, i+1, i+2]` (Jiang–Shu weights,
 /// coefficient set shared with `incomp` via [`raptor_core::weno`]).
 ///
-/// This is the scalar oracle for [`raptor_core::batch::batch_weno5`]: the
-/// fused kernel evaluates exactly this op AST per element, so the batch
-/// sweep is bit-identical and counter-identical to this loop.
+/// This is the scalar oracle for [`raptor_core::batch::weno5`]: the fused
+/// kernel evaluates exactly this op AST per element, so the batch sweep
+/// is bit-identical and counter-identical to this loop.
 #[inline]
 pub fn weno5<R: Real>(v: [R; 5]) -> R {
     use raptor_core::weno as w;
@@ -147,13 +147,14 @@ mod tests {
     /// session), where any drift in either expression shows up.
     #[test]
     fn batch_kernel_matches_scalar_weno5_bitwise() {
+        use raptor_core::batch::{self, Col};
         let w: Vec<f64> = (0..37)
             .map(|i| (i as f64 * 0.71).sin() * (1.0 + 0.3 * (i as f64 * 1.3).cos()))
             .collect();
         let n = w.len() - 5;
-        let win = |s: usize| &w[s..s + n];
-        let mut out = vec![0.0; n];
-        raptor_core::batch::batch_weno5(win(0), win(1), win(2), win(3), win(4), &mut out);
+        let _cols = batch::scope(n);
+        let v = [0, 1, 2, 3, 4].map(|s| Col::from_slice(&w[s..s + n]));
+        let out = batch::weno5(v).read(<[f64]>::to_vec);
         for i in 0..n {
             let want = weno5([w[i], w[i + 1], w[i + 2], w[i + 3], w[i + 4]]);
             assert_eq!(out[i].to_bits(), want.to_bits(), "lane {i}");

@@ -149,6 +149,14 @@ pub struct RiemannScratch {
     out: [Vec<f64>; 4],
 }
 
+impl RiemannScratch {
+    /// Capacity held by the flux columns, for the scratch-reuse tests.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.out[0].capacity()
+    }
+}
+
 /// A state's columns at `idx` ([`batch::gather`]).
 fn gather_prim(w: Prim<Col>, idx: &[usize]) -> Prim<Col> {
     Prim::from_array(batch::gather(w.to_array(), idx))

@@ -20,7 +20,7 @@ use crate::recon::{plm_interface, weno5_interface, ReconKind};
 use crate::riemann::{riemann_flux, riemann_flux_batch, RiemannKind, RiemannScratch};
 use crate::state::{cons_to_prim, Cols, Cons, Eos, Floors, Prim, DENS, ENER, MOMX, MOMY};
 use amr::{fill_guards, par_leaves, BcSpec, Block, LeafGeom, Mesh};
-use raptor_core::batch::{self, batch_add, batch_rmul_s, batch_sub, batch_weno5, Col};
+use raptor_core::batch::{self, Col};
 use raptor_core::{count_field_values, region, set_level, Arith, Mode, Real, Session};
 use std::cell::RefCell;
 
@@ -231,7 +231,7 @@ fn sweep_block<R: Real, E: Eos>(
             let ci = ng + f; // right cell of the interface
             let (wl, wr) = {
                 let _r = region("Hydro/recon");
-                reconstruct(&line, ci, params.recon, axis)
+                reconstruct(&line, ci, params.recon)
             };
             let flux = {
                 let _r = region("Hydro/riemann");
@@ -261,96 +261,42 @@ fn sweep_block<R: Real, E: Eos>(
 // line of a block. Each stage gathers the block's lines into line-major
 // columns (cells `c*l + a`, interfaces `c*k + f`, interior cells
 // `c*n_along + a` for cross line `c`) and runs the scalar path's own
-// source on them: `cons_to_prim`, the Riemann solver's branch bodies
-// (partitioned by `riemann::riemann_flux_batch`) and the `Cons` update,
-// instantiated at `raptor_core::batch::Col`, where each operator is one
-// batch op over the column — one truncation decision read, one bulk
-// count, a monomorphized loop. Every op is element-wise, so values stay
-// bit-identical to the scalar path and op counts exactly equal, by
-// construction. Reconstruction is still a slice transcription: PLM
-// recomputes `u2 - u1` as its scalar AST does, and WENO5 is the fused
-// `batch_weno5` stencil; its minmod and floor selections are exact,
-// uncounted operations, as in the scalar path. The scalar path above
-// remains the mem-mode path and the differential oracle.
-
-/// Elementwise minmod *selection* (the slopes are already computed and
-/// counted; the scalar minmod's comparisons and `abs` are exact/uncounted).
-fn minmod_sel(a: &[f64], b: &[f64], out: &mut [f64]) {
-    for i in 0..out.len() {
-        let (x, y) = (a[i], b[i]);
-        out[i] = if (x > 0.0 && y > 0.0) || (x < 0.0 && y < 0.0) {
-            if x.abs() < y.abs() {
-                x
-            } else {
-                y
-            }
-        } else {
-            0.0
-        };
-    }
-}
-
-/// Stencil windows of one line-major component array (`n_cross` lines of
-/// `l` padded cells): `win[s][c*k + f] = w[c*l + off + s + f]` for
-/// interfaces `f = 0..k` of line `c`. Padding between lines never becomes
-/// an interface, so the batch calls over the windows run exactly the
-/// scalar sweep's interfaces.
-fn gather_windows(w: &[f64], l: usize, k: usize, off: usize, win: &mut [Vec<f64>]) {
-    for (s, ws) in win.iter_mut().enumerate() {
-        ws.clear();
-        for line in w.chunks_exact(l) {
-            ws.extend_from_slice(&line[off + s..off + s + k]);
-        }
-    }
-}
-
-/// Batch PLM over the four stencil windows of one component (window `s`
-/// holds cell `ng+f-2+s` of every interface `f`). Slope `u2-u1` is
-/// computed twice, matching the scalar AST's operation count exactly.
-fn plm_b(win: &[Vec<f64>], t: &mut [Vec<f64>; 5], ol: &mut [f64], or_: &mut [f64]) {
-    t.iter_mut().for_each(|v| v.resize(ol.len(), 0.0));
-    let [ta, tb, tc, td, te] = t;
-    let [u0, u1, u2, u3] = [&win[0], &win[1], &win[2], &win[3]];
-    batch_sub(u1, u0, ta);
-    batch_sub(u2, u1, tb);
-    minmod_sel(ta, tb, tc); // sl
-    batch_sub(u2, u1, ta); // recomputed, as in the scalar AST
-    batch_sub(u3, u2, tb);
-    minmod_sel(ta, tb, td); // sr
-    batch_rmul_s(0.5, tc, te);
-    batch_add(u1, te, ol);
-    batch_rmul_s(0.5, td, te);
-    batch_sub(u2, te, or_);
-}
-
-/// Batch WENO5 over the six stencil windows of one component (window `s`
-/// holds cell `ng+f-3+s` of every interface `f`): the left state comes
-/// from the five upwind cells, the right state from the mirrored stencil,
-/// exactly like the scalar `recon::weno5_interface`. The whole nonlinear
-/// combination is one fused [`batch_weno5`] call per side.
-fn weno5_b(win: &[Vec<f64>], ol: &mut [f64], or_: &mut [f64]) {
-    batch_weno5(&win[0], &win[1], &win[2], &win[3], &win[4], ol);
-    batch_weno5(&win[5], &win[4], &win[3], &win[2], &win[1], or_);
-}
-
-/// Slice scratch of the batch sweep, parked per worker thread in
-/// [`BATCH_BUFS`] and reused across blocks and sweeps; every stage resizes
-/// or refills what it reads. The columns themselves live in the thread's
-/// `Col` arena, which keeps its capacity the same way.
-#[derive(Default)]
-struct BatchBufs {
-    /// Stencil windows of one component, interface-major (`c*k + f`).
-    win: [Vec<f64>; 6],
-    /// PLM temporaries.
-    t: [Vec<f64>; 5],
-    rs: RiemannScratch,
-}
+// source on them: `cons_to_prim`, `plm_interface` (WENO5 is the fused
+// `batch::weno5` stencil, whose scalar oracle is `recon::weno5`), the
+// Riemann solver's branch bodies (partitioned by
+// `riemann::riemann_flux_batch`) and the `Cons` update, instantiated at
+// `raptor_core::batch::Col`, where each operator is one batch op over the
+// column — one truncation decision read, one bulk count, a monomorphized
+// loop. Every op is element-wise, so values stay bit-identical to the
+// scalar path and op counts exactly equal, by construction; the minmod
+// and floor selections are exact, uncounted operations, as in the scalar
+// path. The scalar path above remains the mem-mode path and the
+// differential oracle.
 
 thread_local! {
-    /// Per-worker batch-sweep scratch: taken at block entry and put back
-    /// at exit (the take-and-put-back idiom of `amr::par`'s leaf work
-    /// buffer), so its capacity survives every later block on this thread.
-    static BATCH_BUFS: RefCell<BatchBufs> = RefCell::new(BatchBufs::default());
+    /// Per-worker Riemann scratch: taken at block entry and put back at
+    /// exit (the take-and-put-back idiom of `amr::par`'s leaf work
+    /// buffer), so its capacity survives every later block on this
+    /// thread. The columns themselves live in the thread's `Col` arena,
+    /// which keeps its capacity the same way.
+    static BATCH_SCRATCH: RefCell<RiemannScratch> = RefCell::new(RiemannScratch::default());
+}
+
+/// The `S` stencil windows of every interface, from one line-major column
+/// of `l` padded cells per line: window `s` holds `w[c*l + off + s + f]`
+/// at interface `c*k + f` of line `c`. Padding between lines never
+/// becomes an interface, so column ops over the windows run exactly the
+/// scalar sweep's interfaces.
+fn windows<const S: usize>(w: Col, l: usize, k: usize, off: usize) -> [Col; S] {
+    Col::new_many(|outs| {
+        w.read(|w| {
+            for (s, o) in outs.into_iter().enumerate() {
+                for (line, win) in w.chunks_exact(l).zip(o.chunks_exact_mut(k)) {
+                    win.copy_from_slice(&line[off + s..][..k]);
+                }
+            }
+        })
+    })
 }
 
 /// Directional update of one block through the batch kernels, each stage
@@ -386,8 +332,7 @@ fn sweep_block_batch<E: Eos>(
             })
         })
     };
-    let mut bufs = BATCH_BUFS.with(|b| std::mem::take(&mut *b.borrow_mut()));
-    let b = &mut bufs;
+    let mut rs = BATCH_SCRATCH.with(|b| std::mem::take(&mut *b.borrow_mut()));
     // ---- Hydro/eos: primitive recovery over every padded line ----
     let _cells = batch::scope(n_cross * l);
     let prim = {
@@ -399,22 +344,22 @@ fn sweep_block_batch<E: Eos>(
     let _ifaces = batch::scope(n_cross * k);
     let (wl, wr) = {
         let _r = region("Hydro/recon");
-        let mut recon = |w: Col| {
-            let off = ng - params.recon.guard_cells();
-            let win = &mut b.win[..2 * params.recon.guard_cells()];
-            w.read(|w| gather_windows(w, l, k, off, win));
-            Col::new_many(|[ol, or_]| match params.recon {
-                ReconKind::Plm => plm_b(win, &mut b.t, ol, or_),
-                ReconKind::Weno5 => weno5_b(win, ol, or_),
-            })
-        };
-        let sides = prim.map(&mut recon);
-        (floor_state(sides.map(|s| s[0])), floor_state(sides.map(|s| s[1])))
+        let off = ng - params.recon.guard_cells();
+        let sides = prim.map(|w| match params.recon {
+            ReconKind::Plm => plm_interface(windows::<4>(w, l, k, off)),
+            ReconKind::Weno5 => {
+                // The left state from the five upwind cells, the right
+                // from the mirrored stencil, as in `weno5_interface`.
+                let [u0, u1, u2, u3, u4, u5] = windows::<6>(w, l, k, off);
+                (batch::weno5([u0, u1, u2, u3, u4]), batch::weno5([u5, u4, u3, u2, u1]))
+            }
+        });
+        (floor_state(sides.map(|s| s.0)), floor_state(sides.map(|s| s.1)))
     };
     // ---- Hydro/riemann: partitioned batch solver over every interface ----
     let flux = {
         let _r = region("Hydro/riemann");
-        riemann_flux_batch(params.riemann, eos, axis, wl, wr, &mut b.rs)
+        riemann_flux_batch(params.riemann, eos, axis, wl, wr, &mut rs)
     };
     // ---- Hydro/update: conservative update of every interior cell ----
     {
@@ -432,7 +377,9 @@ fn sweep_block_batch<E: Eos>(
         };
         let u = load(data, ng, n_along);
         let df = flux.map(|f| side(f, 1)).sub(flux.map(|f| side(f, 0)));
-        let unew = u.sub(df.scale(Col::from_f64(dt / h)));
+        // lint: allow(native-float, dt/h is the per-sweep CFL ratio lifted once at the kernel boundary)
+        let dt_h = Col::from_f64(dt / h);
+        let unew = u.sub(df.scale(dt_h));
         for (col, var) in [(unew.rho, DENS), (unew.mx, MOMX), (unew.my, MOMY), (unew.e, ENER)] {
             col.read(|v| {
                 for (c, line) in v.chunks_exact(n_along).enumerate() {
@@ -441,18 +388,13 @@ fn sweep_block_batch<E: Eos>(
             });
         }
     }
-    BATCH_BUFS.with(|b| *b.borrow_mut() = bufs);
+    BATCH_SCRATCH.with(|b| *b.borrow_mut() = rs);
 }
 
 /// Reconstruct left/right primitive states at the interface left of padded
 /// cell `ci`.
 #[inline]
-fn reconstruct<R: Real>(
-    line: &[Prim<R>],
-    ci: usize,
-    kind: ReconKind,
-    _axis: usize,
-) -> (Prim<R>, Prim<R>) {
+fn reconstruct<R: Real>(line: &[Prim<R>], ci: usize, kind: ReconKind) -> (Prim<R>, Prim<R>) {
     match kind {
         ReconKind::Plm => {
             let get = |k: usize, sel: usize| component(line[ci - 2 + k], sel);
@@ -790,8 +732,9 @@ mod tests {
         }
     }
 
-    /// The per-worker batch scratch is reused across blocks of different
-    /// shapes on one thread: WENO5 (`ng` 3, 8x8), then PLM (`ng` 2, 8x6),
+    /// The per-worker batch scratch (the parked Riemann scratch and the
+    /// `Col` arena) is reused across blocks of different shapes on one
+    /// thread: WENO5 (`ng` 3, 8x8), then PLM (`ng` 2, 8x6),
     /// then WENO5 again, all on the calling thread (`threads` 1), each
     /// checked bit for bit against the scalar oracle. Stale lengths or
     /// values left by the previous shape would break the match.
@@ -809,7 +752,7 @@ mod tests {
             let label = format!("{recon:?} 8x{ny} after a different shape");
             let cfg = raptor_core::Config::op_files(fmt, ["Hydro"]);
             assert_batch_matches_scalar(&build, params, &cfg, 1, &label);
-            let parked = BATCH_BUFS.with(|b| b.borrow().win[0].capacity());
+            let parked = BATCH_SCRATCH.with(|b| b.borrow().capacity());
             assert!(parked > 0, "the batch scratch stays parked on this thread ({label})");
         }
     }

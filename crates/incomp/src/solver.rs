@@ -197,9 +197,9 @@ pub fn viscosity(params: &InsParams, phi: f64, eps: f64) -> f64 {
 ///
 /// The tail differs from the hydro variant — `inv = 1/asum` then a
 /// multiply, rather than a direct division — which is why the fused batch
-/// kernel ships both as [`raptor_core::batch::batch_weno5_adv`] and
-/// [`raptor_core::batch::batch_weno5`]: this function is the scalar oracle
-/// for the former, op AST for op AST.
+/// kernel ships both as [`raptor_core::batch::weno5_adv`] and
+/// [`raptor_core::batch::weno5`]: this function is the scalar oracle for
+/// the former, op AST for op AST.
 #[inline]
 fn weno5_core<R: Real>(v1: R, v2: R, v3: R, v4: R, v5: R) -> R {
     use raptor_core::weno as w;

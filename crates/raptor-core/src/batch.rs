@@ -1,22 +1,25 @@
-//! Batch-specialized emulation kernels: slice-shaped ops that read the
-//! published [`FastPath`](crate::context) decision **once per call**, then
-//! run the whole slice through one tier's executor — no per-element TLS
+//! Batch-specialized emulation kernels behind [`Col`]: a kernel written
+//! once over [`Arith`] and instantiated at `Col` runs each of its
+//! operators as one batch op over a whole column, which reads the
+//! published [`FastPath`](crate::context) decision **once per op**, then
+//! runs every element through one tier's executor — no per-element TLS
 //! load, no per-element dispatch branch, no per-element counter bump.
 //!
 //! This is the RAPTOR answer to what r2vm's DBT does for instruction
 //! dispatch: the scalar [`crate::ops`] entry points are the interpreter
 //! slow path (kept verbatim as the differential oracle); a leaf's worth of
-//! cells goes through `batch_add`/`batch_mul`/... instead. Counters are
-//! bulk-added once per call ([`CellCounts::bump_n`](crate::counters)), so
-//! totals are *exactly* what the scalar path would have produced.
+//! cells goes through `Col` instead. Counters are bulk-added once per op
+//! ([`CellCounts::bump_n`](crate::counters)), so totals are *exactly*
+//! what the scalar path would have produced.
 //!
-//! Each op shape — binary with slice or broadcast operands, `sqrt`, `fma`,
-//! the fused WENO5 stencils, `log10` — is written once, as the scalar op
-//! AST over a per-element executor (`Exec`), and every shape runs
-//! through one dispatch skeleton (`run`). The skeleton picks the
-//! executor; the op kind and operand shape are type parameters, fixed
-//! outside the element loop, so the fast chunk loop is branch-free
-//! straight-line code per element.
+//! Each op shape — binary with slice or broadcast operands, `sqrt`,
+//! `log10`, the fused WENO5 stencils ([`weno5`], [`weno5_adv`]) — is
+//! written once, as the scalar op AST over a per-element executor
+//! (`Exec`), and every shape runs through one dispatch skeleton (`run`).
+//! The skeleton picks the executor; the op kind and operand shape are
+//! type parameters, fixed outside the element loop, so the fast chunk
+//! loop is branch-free straight-line code per element. The exact
+//! selections (`min`, `max`, `minmod`, negation) are uncounted lane loops.
 //!
 //! ## Dispatch tiers (fastest first)
 //!
@@ -43,15 +46,11 @@
 //!    mem-mode needs per-op source locations, which a batch call cannot
 //!    attribute.
 //!
-//! All slices must have equal length; the functions panic otherwise.
-//!
 //! ## Columns
 //!
-//! [`Col`] puts the same ops behind the scalar operators: a `Copy` handle
-//! to a column in a per-thread arena that implements [`Arith`], so a
-//! kernel written once over `Arith` and instantiated at `Col` runs each
-//! of its operators as one slice op over the whole column. Columns live
-//! in a [`scope`] that fixes their length and frees them on drop.
+//! A [`Col`] is a `Copy` handle to a column in a per-thread arena, or a
+//! broadcast value. Columns live in a [`scope`] that fixes their length
+//! and frees them on drop; an operand of another length panics.
 
 use crate::config::EmulPath;
 use crate::context::{Dispatch, FAST};
@@ -115,100 +114,7 @@ pub fn ready() -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Public slice ops
-// ---------------------------------------------------------------------------
-
-/// `out[i] = a[i] + b[i]` under the current truncation decision.
-pub fn batch_add(a: &[f64], b: &[f64], out: &mut [f64]) {
-    run(Bin::<ADD, _, _>(a, b), out)
-}
-
-/// `out[i] = a[i] - b[i]` under the current truncation decision.
-pub fn batch_sub(a: &[f64], b: &[f64], out: &mut [f64]) {
-    run(Bin::<SUB, _, _>(a, b), out)
-}
-
-/// `out[i] = a[i] * b[i]` under the current truncation decision.
-pub fn batch_mul(a: &[f64], b: &[f64], out: &mut [f64]) {
-    run(Bin::<MUL, _, _>(a, b), out)
-}
-
-/// `out[i] = a[i] / b[i]` under the current truncation decision.
-pub fn batch_div(a: &[f64], b: &[f64], out: &mut [f64]) {
-    run(Bin::<DIV, _, _>(a, b), out)
-}
-
-/// `out[i] = a[i] + s` (scalar broadcast on the right).
-pub fn batch_add_s(a: &[f64], s: f64, out: &mut [f64]) {
-    run(Bin::<ADD, _, _>(a, s), out)
-}
-
-/// `out[i] = a[i] - s` (scalar broadcast on the right).
-pub fn batch_sub_s(a: &[f64], s: f64, out: &mut [f64]) {
-    run(Bin::<SUB, _, _>(a, s), out)
-}
-
-/// `out[i] = a[i] * s` (scalar broadcast on the right).
-pub fn batch_mul_s(a: &[f64], s: f64, out: &mut [f64]) {
-    run(Bin::<MUL, _, _>(a, s), out)
-}
-
-/// `out[i] = a[i] / s` (scalar broadcast on the right).
-pub fn batch_div_s(a: &[f64], s: f64, out: &mut [f64]) {
-    run(Bin::<DIV, _, _>(a, s), out)
-}
-
-/// `out[i] = s + b[i]` (scalar broadcast on the left).
-pub fn batch_radd_s(s: f64, b: &[f64], out: &mut [f64]) {
-    run(Bin::<ADD, _, _>(s, b), out)
-}
-
-/// `out[i] = s * b[i]` (scalar broadcast on the left).
-pub fn batch_rmul_s(s: f64, b: &[f64], out: &mut [f64]) {
-    run(Bin::<MUL, _, _>(s, b), out)
-}
-
-/// `out[i] = s / b[i]` (scalar broadcast on the left).
-pub fn batch_rdiv_s(s: f64, b: &[f64], out: &mut [f64]) {
-    run(Bin::<DIV, _, _>(s, b), out)
-}
-
-/// `out[i] = sqrt(a[i])` under the current truncation decision.
-pub fn batch_sqrt(a: &[f64], out: &mut [f64]) {
-    run(Sqrt(a), out)
-}
-
-/// `out[i] = fma(a[i], b[i], c[i])` under the current truncation decision.
-pub fn batch_fma(a: &[f64], b: &[f64], c: &[f64], out: &mut [f64]) {
-    run(Fma(a, b, c), out)
-}
-
-/// Fused Jiang–Shu WENO5 over five stencil slices: `out[i]` is exactly what
-/// `hydro::recon::weno5([v0[i], v1[i], v2[i], v3[i], v4[i]])` computes on
-/// the scalar path — same op AST per element (19 adds, 8 subs, 34 muls,
-/// 4 divs), one `FastPath` read and one bulk counter add per call.
-pub fn batch_weno5(v0: &[f64], v1: &[f64], v2: &[f64], v3: &[f64], v4: &[f64], out: &mut [f64]) {
-    run(Weno5::<false>([v0, v1, v2, v3, v4]), out)
-}
-
-/// Fused WENO5, `incomp::solver::weno5_core` variant: the combination ends
-/// in `inv = 1 / asum; .. * inv` instead of a direct division (19 adds,
-/// 8 subs, 35 muls, 4 divs per element). Bit- and counter-identical to the
-/// incomp scalar AST.
-pub fn batch_weno5_adv(v0: &[f64], v1: &[f64], v2: &[f64], v3: &[f64], v4: &[f64], out: &mut [f64]) {
-    run(Weno5::<true>([v0, v1, v2, v3, v4]), out)
-}
-
-/// `out[i] = log10(a[i])` under the current truncation decision. The
-/// SoftFloat evaluation dominates the cost, which every op-mode tier pays
-/// per element; the win here is one dispatch read and one bulk `Math`
-/// counter add instead of per-element TLS traffic.
-pub fn batch_log10(a: &[f64], out: &mut [f64]) {
-    run(Log10(a), out)
-}
-
-// ---------------------------------------------------------------------------
-// Columns: the slice ops behind the scalar operators
+// Columns: the batch ops behind the scalar operators
 // ---------------------------------------------------------------------------
 
 /// A column of values for kernels written once over [`Arith`]: a `Copy`
@@ -217,7 +123,7 @@ pub fn batch_log10(a: &[f64], out: &mut [f64]) {
 /// over the whole column — one `FastPath` read, one bulk count — so a
 /// scalar kernel instantiated at `Col` runs the batch tier with exactly
 /// the scalar path's values and op counts, element by element.
-/// `min`/`max` are the exact selects [`Tracked`](crate::Tracked) makes.
+/// `min`/`max`/`minmod` are the exact selects [`Tracked`](crate::Tracked) makes.
 ///
 /// Columns live in a [`scope`], whose length every column in it shares
 /// (an op between two broadcasts yields a full column and counts one op
@@ -390,7 +296,7 @@ impl Col {
         })
     }
 
-    /// `log10` of every element: one [`batch_log10`] over the column.
+    /// `log10` of every element, in one batch op.
     pub fn log10(self) -> Col {
         Col::op(|ar, out| match ar.operand(self) {
             Operand::S(x) => run(Log10(x), out),
@@ -423,18 +329,16 @@ fn col_bin<const K: u8>(a: Col, b: Col) -> Col {
     Col::op(|ar, out| with_operands!(ar, a, b, |x, y| run(Bin::<K, _, _>(x, y), out)))
 }
 
-/// The exact selections of `Tracked::min`/`max`: `b` where it is below
-/// (`MAX`: above) `a`, else `a`, so ties and NaNs keep `a`. Uncounted.
-fn col_select<const MAX: bool>(a: Col, b: Col) -> Col {
-    fn select<const MAX: bool>(a: impl Arg, b: impl Arg, out: &mut [f64]) {
+/// `f` lane by lane: an exact selection, uncounted like `Tracked`'s.
+fn col_select<F: Fn(f64, f64) -> f64 + Copy>(a: Col, b: Col, f: F) -> Col {
+    fn lanes<F: Fn(f64, f64) -> f64>(a: impl Arg, b: impl Arg, f: F, out: &mut [f64]) {
         a.check(out.len());
         b.check(out.len());
         for (i, o) in out.iter_mut().enumerate() {
-            let (x, y) = (a.at(i), b.at(i));
-            *o = if (MAX && y > x) || (!MAX && y < x) { y } else { x };
+            *o = f(a.at(i), b.at(i));
         }
     }
-    Col::op(|ar, out| with_operands!(ar, a, b, |x, y| select::<MAX>(x, y, out)))
+    Col::op(|ar, out| with_operands!(ar, a, b, |x, y| lanes(x, y, f, out)))
 }
 
 macro_rules! col_ops {
@@ -474,17 +378,30 @@ impl core::ops::Neg for Col {
     }
 }
 
-/// [`batch_weno5_adv`] over columns: `incomp`'s fused upwind WENO5
-/// combination of five first differences (a broadcast operand reads as a
-/// full column).
+/// The fused Jiang–Shu WENO5 stencil over five columns: lane `i` is
+/// exactly what `hydro::recon::weno5([v0[i], .., v4[i]])` computes on the
+/// scalar path — the same op AST (19 adds, 8 subs, 34 muls, 4 divs), in
+/// one batch op. A broadcast operand reads as a full column.
+pub fn weno5(v: [Col; 5]) -> Col {
+    weno5_col::<false>(v)
+}
+
+/// [`weno5`] with `incomp::solver::weno5_core`'s tail: the combination
+/// ends in `inv = 1 / asum; .. * inv` instead of a direct division (one
+/// more mul per lane), for its upwind combination of five first
+/// differences.
 pub fn weno5_adv(v: [Col; 5]) -> Col {
+    weno5_col::<true>(v)
+}
+
+fn weno5_col<const INV_TAIL: bool>(v: [Col; 5]) -> Col {
     Col::op(|ar, out| {
         let n = out.len();
         let cols = v.map(|c| match ar.operand(c) {
             Operand::S(s) => std::borrow::Cow::Borrowed(s),
             Operand::B(x) => std::borrow::Cow::Owned(vec![x; n]),
         });
-        run(Weno5::<true>(cols.each_ref().map(|c| &c[..])), out)
+        run(Weno5::<INV_TAIL>(cols.each_ref().map(|c| &c[..])), out)
     })
 }
 
@@ -498,11 +415,17 @@ impl Arith for Col {
             Operand::B(x) => run(Sqrt(x), out),
         })
     }
+    /// `other` where it is below `self`, else `self`: ties and NaNs keep
+    /// `self`, as `Tracked::min` does.
     fn min(self, other: Col) -> Col {
-        col_select::<false>(self, other)
+        col_select(self, other, |x, y| if y < x { y } else { x })
     }
+    /// `other` where it is above `self`, else `self`.
     fn max(self, other: Col) -> Col {
-        col_select::<true>(self, other)
+        col_select(self, other, |x, y| if y > x { y } else { x })
+    }
+    fn minmod(self, other: Col) -> Col {
+        col_select(self, other, crate::real::minmod)
     }
 }
 
@@ -702,25 +625,6 @@ impl<A: Arg> Shape for Sqrt<A> {
 }
 
 #[derive(Clone, Copy)]
-struct Fma<'a>(&'a [f64], &'a [f64], &'a [f64]);
-
-impl Shape for Fma<'_> {
-    const COUNTS: &'static [(OpKind, u64)] = &[(OpKind::Fma, 1)];
-    fn check(self, n: usize) {
-        self.0.check(n);
-        self.1.check(n);
-        self.2.check(n);
-    }
-    fn window(self, r: Range<usize>) -> Self {
-        Fma(&self.0[r.clone()], &self.1[r.clone()], &self.2[r])
-    }
-    #[inline(always)]
-    fn elem<X: Exec>(self, x: &mut X, i: usize) -> f64 {
-        x.fma(self.0[i], self.1[i], self.2[i])
-    }
-}
-
-#[derive(Clone, Copy)]
 struct Log10<A>(A);
 
 impl<A: Arg> Shape for Log10<A> {
@@ -889,7 +793,6 @@ const fn weno5_counts(inv_tail: bool) -> (u64, u64, u64, u64) {
 trait Exec {
     fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64;
     fn sqrt(&mut self, a: f64) -> f64;
-    fn fma(&mut self, a: f64, b: f64, c: f64) -> f64;
     fn math(&mut self, func: MathFn, a: f64) -> f64;
 }
 
@@ -903,10 +806,6 @@ impl Exec for Hw {
     #[inline(always)]
     fn sqrt(&mut self, a: f64) -> f64 {
         a.sqrt()
-    }
-    #[inline(always)]
-    fn fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
-        a.mul_add(b, c)
     }
     #[inline(always)]
     fn math(&mut self, func: MathFn, a: f64) -> f64 {
@@ -927,10 +826,6 @@ impl Exec for Hw32 {
     #[inline(always)]
     fn sqrt(&mut self, a: f64) -> f64 {
         (a as f32).sqrt() as f64
-    }
-    #[inline(always)]
-    fn fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
-        (a as f32).mul_add(b as f32, c as f32) as f64
     }
     #[inline(always)]
     fn math(&mut self, func: MathFn, a: f64) -> f64 {
@@ -962,17 +857,6 @@ impl<const E: u32, const M: u32> Exec for Fast<E, M> {
         fast_round::<E, M>(r, &mut self.slow)
     }
     #[inline(always)]
-    fn fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
-        let r = fast_round::<E, M>(a, &mut self.slow).mul_add(
-            fast_round::<E, M>(b, &mut self.slow),
-            fast_round::<E, M>(c, &mut self.slow),
-        );
-        // A result on a format tie may hide the addend's tail (see
-        // `ops::fmt_fma`): the precise re-run takes it.
-        self.slow |= on_tie::<M>(r);
-        fast_round::<E, M>(r, &mut self.slow)
-    }
-    #[inline(always)]
     fn math(&mut self, func: MathFn, a: f64) -> f64 {
         ops::emulate_math(soft::<E, M>(), func, a)
     }
@@ -994,14 +878,6 @@ impl<const E: u32, const M: u32> Exec for Precise<E, M> {
         finish::<E, M>(round_rne::<E, M>(a).sqrt())
     }
     #[inline(always)]
-    fn fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
-        let (a, b, c) = (round_rne::<E, M>(a), round_rne::<E, M>(b), round_rne::<E, M>(c));
-        let fmt = Format::new(E, M);
-        ops::finish_fma(fmt, a.mul_add(b, c), round_rne::<E, M>, || {
-            ops::soft_fma(fmt, RoundMode::NearestEven, a, b, c)
-        })
-    }
-    #[inline(always)]
     fn math(&mut self, func: MathFn, a: f64) -> f64 {
         ops::emulate_math(soft::<E, M>(), func, a)
     }
@@ -1021,10 +897,6 @@ impl Exec for Emulate {
         ops::emulate_sqrt(self.0, a)
     }
     #[inline(always)]
-    fn fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
-        ops::emulate_fma(self.0, a, b, c)
-    }
-    #[inline(always)]
     fn math(&mut self, func: MathFn, a: f64) -> f64 {
         ops::emulate_math(self.0, func, a)
     }
@@ -1042,10 +914,6 @@ impl Exec for Ops {
     #[inline(always)]
     fn sqrt(&mut self, a: f64) -> f64 {
         ops::op_sqrt(a)
-    }
-    #[inline(always)]
-    fn fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
-        ops::op_fma(a, b, c)
     }
     #[inline(always)]
     fn math(&mut self, func: MathFn, a: f64) -> f64 {
@@ -1125,16 +993,6 @@ fn fast_round<const E: u32, const M: u32>(x: f64, slow: &mut bool) -> f64 {
     f64::from_bits(rbits)
 }
 
-/// [`bigfloat::kernel::is_tie_core`] for the fast tier's unflagged results: `x` in the
-/// format's normal range, where a tie is a fixed bit pattern below the
-/// kept mantissa. (Zero never matches; everything else [`fast_round`]
-/// flags by itself.)
-#[inline(always)]
-fn on_tie<const M: u32>(x: f64) -> bool {
-    let drop = 52 - M;
-    x.to_bits() & ((1u64 << drop) - 1) == 1u64 << (drop - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1150,15 +1008,40 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    /// `f`'s column, built in a scope of length `n`, as a vector.
+    fn eval_col(n: usize, f: impl FnOnce() -> Col) -> Vec<f64> {
+        let _cols = scope(n);
+        f().read(<[f64]>::to_vec)
+    }
+
+    /// `a ⊙ b` for the binary op `kind`, through the `Col` operators.
+    fn bin_op(kind: OpKind, a: Col, b: Col) -> Col {
+        match kind {
+            OpKind::Add => a + b,
+            OpKind::Sub => a - b,
+            OpKind::Mul => a * b,
+            OpKind::Div => a / b,
+            _ => unreachable!("binary ops only"),
+        }
+    }
+
+    /// [`weno5_adv`] if `adv`, else [`weno5`].
+    fn weno5_of(adv: bool, v: [Col; 5]) -> Col {
+        if adv {
+            weno5_adv(v)
+        } else {
+            weno5(v)
+        }
+    }
+
     #[test]
     fn no_session_is_hardware() {
         let a = [0.1, 0.2, 0.3];
         let b = [1.0, 2.0, 3.0];
-        let mut out = [0.0; 3];
-        batch_add(&a, &b, &mut out);
-        assert_eq!(out, [0.1 + 1.0, 0.2 + 2.0, 0.3 + 3.0]);
-        batch_sqrt(&b, &mut out);
-        assert_eq!(out[1], 2f64.sqrt());
+        let sum = eval_col(3, || Col::from_slice(&a) + Col::from_slice(&b));
+        assert_eq!(sum, [0.1 + 1.0, 0.2 + 2.0, 0.3 + 3.0]);
+        let root = eval_col(3, || Col::from_slice(&b).sqrt());
+        assert_eq!(root[1], 2f64.sqrt());
     }
 
     #[test]
@@ -1180,9 +1063,10 @@ mod tests {
         for fmt in formats {
             let s = Session::new(Config::op_all(fmt)).unwrap();
             let _g = s.install();
-            let mut out = vec![0.0; a.len()];
             for kind in [OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Div] {
-                batch_bin(kind, &a, &b, &mut out);
+                let out = eval_col(a.len(), || {
+                    bin_op(kind, Col::from_slice(&a), Col::from_slice(&b))
+                });
                 for i in 0..a.len() {
                     let want = crate::ops::op2(kind, a[i], b[i]);
                     assert_eq!(
@@ -1204,95 +1088,101 @@ mod tests {
         let g = s.install();
         let a = [1.0, 2.0, 3.0, 4.0];
         let b = [0.5; 4];
-        let mut out = [0.0; 4];
         {
             let _r = crate::context::region("K");
-            batch_mul(&a, &b, &mut out); // 4 trunc muls
+            eval_col(4, || Col::from_slice(&a) * Col::from_slice(&b)); // 4 trunc muls
         }
-        batch_add(&a, &b, &mut out); // 4 full adds (counted, inactive)
+        // 4 full adds (counted, inactive)
+        eval_col(4, || Col::from_slice(&a) + Col::from_slice(&b));
         drop(g);
         let c = s.counters();
         assert_eq!(c.trunc.mul, 4);
         assert_eq!(c.full.add, 4);
     }
 
+    /// An operand in the every-tier oracle: column `a` or `b`, or a
+    /// broadcast value.
+    #[derive(Clone, Copy, Debug)]
+    enum In {
+        A,
+        B,
+        S(f64),
+    }
+
     /// One batch op shape, as the every-tier oracle drives it.
     #[derive(Clone, Copy, Debug)]
     enum Shape {
-        Bin(OpKind),
-        /// Scalar broadcast on the right.
-        BinS(OpKind, f64),
-        /// Scalar broadcast on the left.
-        RBinS(OpKind, f64),
-        Sqrt,
-        Fma,
-        Weno5,
-        Weno5Adv,
-        Log10,
+        Bin(OpKind, In, In),
+        Sqrt(In),
+        Log10(In),
+        Minmod(In, In),
+        /// A fused WENO5 stencil over the five windows (`adv`: the
+        /// [`weno5_adv`] tail), its middle operand broadcast if given.
+        Weno5 { adv: bool, mid: Option<f64> },
     }
 
-    /// The public slice-by-slice binary op of `kind`.
-    fn batch_bin(kind: OpKind, a: &[f64], b: &[f64], out: &mut [f64]) {
-        match kind {
-            OpKind::Add => batch_add(a, b, out),
-            OpKind::Sub => batch_sub(a, b, out),
-            OpKind::Mul => batch_mul(a, b, out),
-            OpKind::Div => batch_div(a, b, out),
-            _ => unreachable!("binary batch ops only"),
-        }
-    }
-
-    /// `shape` over the operand columns through the public batch op.
-    fn shape_batch(shape: Shape, [a, b, c]: [&[f64]; 3], w: [&[f64]; 5], out: &mut [f64]) {
-        use OpKind::{Add, Div, Mul, Sub};
-        match shape {
-            Shape::Bin(k) => batch_bin(k, a, b, out),
-            Shape::BinS(Add, s) => batch_add_s(a, s, out),
-            Shape::BinS(Sub, s) => batch_sub_s(a, s, out),
-            Shape::BinS(Mul, s) => batch_mul_s(a, s, out),
-            Shape::BinS(Div, s) => batch_div_s(a, s, out),
-            Shape::RBinS(Add, s) => batch_radd_s(s, b, out),
-            Shape::RBinS(Mul, s) => batch_rmul_s(s, b, out),
-            Shape::RBinS(Div, s) => batch_rdiv_s(s, b, out),
-            Shape::Sqrt => batch_sqrt(a, out),
-            Shape::Fma => batch_fma(a, b, c, out),
-            Shape::Weno5 => batch_weno5(w[0], w[1], w[2], w[3], w[4], out),
-            Shape::Weno5Adv => batch_weno5_adv(w[0], w[1], w[2], w[3], w[4], out),
-            Shape::Log10 => batch_log10(a, out),
-            _ => unreachable!("no batch op for {shape:?}"),
-        }
-    }
-
-    /// `shape` element by element through the scalar per-op entry points.
-    fn shape_scalar(shape: Shape, [a, b, c]: [&[f64]; 3], w: [&[f64]; 5], out: &mut [f64]) {
-        for i in 0..out.len() {
-            out[i] = match shape {
-                Shape::Bin(k) => crate::ops::op2(k, a[i], b[i]),
-                Shape::BinS(k, s) => crate::ops::op2(k, a[i], s),
-                Shape::RBinS(k, s) => crate::ops::op2(k, s, b[i]),
-                Shape::Sqrt => crate::ops::op_sqrt(a[i]),
-                Shape::Fma => crate::ops::op_fma(a[i], b[i], c[i]),
-                Shape::Log10 => crate::ops::op_math(crate::ops::MathFn::Log10, a[i]),
-                Shape::Weno5 | Shape::Weno5Adv => continue,
+    /// `shape` over the operand columns through `Col`, in one scope.
+    fn shape_col(shape: Shape, [a, b]: [&[f64]; 2], w: [&[f64]; 5]) -> Vec<f64> {
+        eval_col(a.len(), || {
+            let col = |x: In| match x {
+                In::A => Col::from_slice(a),
+                In::B => Col::from_slice(b),
+                In::S(s) => Col::from_f64(s),
             };
-        }
-        match shape {
-            Shape::Weno5 => weno5_scalar::<false>(w, out),
-            Shape::Weno5Adv => weno5_scalar::<true>(w, out),
-            _ => {}
-        }
+            match shape {
+                Shape::Bin(k, x, y) => bin_op(k, col(x), col(y)),
+                Shape::Sqrt(x) => col(x).sqrt(),
+                Shape::Log10(x) => col(x).log10(),
+                Shape::Minmod(x, y) => col(x).minmod(col(y)),
+                Shape::Weno5 { adv, mid } => {
+                    let mut v = w.map(Col::from_slice);
+                    if let Some(m) = mid {
+                        v[2] = Col::from_f64(m);
+                    }
+                    weno5_of(adv, v)
+                }
+            }
+        })
     }
 
-    /// The every-tier oracle: each op shape (slice and broadcast binary
-    /// ops, sqrt, fma, both fused WENO5 tails, log10) under one config per
-    /// dispatch tier — the monomorphized table (fp16, e11m8, e11m12), its
-    /// guarded entry (e11m20), a short-cut format outside the table
-    /// (e11m22), a format past the short-cut bound (e11m30), Native FP32,
-    /// the Big path, a directed rounding mode, an inactive counting region
-    /// and mem-mode — must give the scalar path's bits lane for lane and
-    /// its counters exactly. Operands are raw random bit patterns mixed
-    /// with moderate values and hand-picked specials; 300 lanes span two
-    /// full chunks and a tail.
+    /// `shape` element by element through the scalar per-op entry points
+    /// (`minmod` through `Tracked`'s).
+    fn shape_scalar(shape: Shape, [a, b]: [&[f64]; 2], w: [&[f64]; 5]) -> Vec<f64> {
+        use crate::real::Tracked;
+        (0..a.len())
+            .map(|i| {
+                let at = |x: In| match x {
+                    In::A => a[i],
+                    In::B => b[i],
+                    In::S(s) => s,
+                };
+                match shape {
+                    Shape::Bin(k, x, y) => crate::ops::op2(k, at(x), at(y)),
+                    Shape::Sqrt(x) => crate::ops::op_sqrt(at(x)),
+                    Shape::Log10(x) => crate::ops::op_math(MathFn::Log10, at(x)),
+                    Shape::Minmod(x, y) => Tracked(at(x)).minmod(Tracked(at(y))).0,
+                    Shape::Weno5 { adv, mid } => weno5_lane(
+                        adv,
+                        [w[0][i], w[1][i], mid.unwrap_or(w[2][i]), w[3][i], w[4][i]],
+                    ),
+                }
+            })
+            .collect()
+    }
+
+    /// The every-tier oracle: each op shape through `Col` (the four binary
+    /// ops on slice⊙slice, slice⊙broadcast, broadcast⊙slice and
+    /// broadcast⊙broadcast operands; sqrt and log10 of a slice and of a
+    /// broadcast; minmod; both fused WENO5 tails with a slice or broadcast
+    /// middle operand) under one config per dispatch tier — the
+    /// monomorphized table (fp16, e11m8, e11m12), its guarded entry
+    /// (e11m20), a short-cut format outside the table (e11m22), a format
+    /// past the short-cut bound (e11m30), Native FP32, the Big path, a
+    /// directed rounding mode, an inactive counting region and mem-mode —
+    /// and with no session must give the scalar path's bits lane for lane
+    /// and its counters exactly (minmod counts nothing on either). Operands
+    /// are raw random bit patterns mixed with moderate values and
+    /// hand-picked specials; 300 lanes span two full chunks and a tail.
     #[test]
     fn every_tier_and_shape_matches_scalar_path() {
         const N: usize = 300;
@@ -1313,23 +1203,34 @@ mod tests {
             }
             v
         };
-        let (a, b, c) = (column(), column(), column());
-        let ops = [&a[..], &b[..], &c[..]];
+        let (a, b) = (column(), column());
+        let ops = [&a[..], &b[..]];
         let w = random_windows(N, 0xE5);
         let win = |s: usize| &w[s..s + N];
         let w5 = [win(0), win(1), win(2), win(3), win(4)];
 
         let mut shapes = Vec::new();
         for k in [OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Div] {
-            shapes.push(Shape::Bin(k));
+            shapes.push(Shape::Bin(k, In::A, In::B));
             for s in [0.7, 3e-6, -f64::INFINITY, f64::NAN] {
-                shapes.push(Shape::BinS(k, s));
-                if k != OpKind::Sub {
-                    shapes.push(Shape::RBinS(k, s));
-                }
+                shapes.push(Shape::Bin(k, In::A, In::S(s)));
+                shapes.push(Shape::Bin(k, In::S(s), In::B));
+                shapes.push(Shape::Bin(k, In::S(s), In::S(-2.5)));
             }
         }
-        shapes.extend([Shape::Sqrt, Shape::Fma, Shape::Weno5, Shape::Weno5Adv, Shape::Log10]);
+        for x in [In::A, In::S(2.0)] {
+            shapes.extend([Shape::Sqrt(x), Shape::Log10(x)]);
+        }
+        shapes.extend([
+            Shape::Minmod(In::A, In::B),
+            Shape::Minmod(In::A, In::S(0.5)),
+            Shape::Minmod(In::S(-0.5), In::B),
+        ]);
+        for adv in [false, true] {
+            for mid in [None, Some(0.625)] {
+                shapes.push(Shape::Weno5 { adv, mid });
+            }
+        }
 
         let e11m12 = Format::new(11, 12);
         let mut directed = Config::op_all(e11m12);
@@ -1349,23 +1250,20 @@ mod tests {
         ];
         for (label, cfg, in_region) in &configs {
             for &shape in &shapes {
-                let run = |batch: bool| {
+                let run = |col: bool| {
                     let s = Session::new(cfg.clone().with_counting()).unwrap();
                     let g = s.install();
-                    let mut out = vec![0.0; N];
-                    {
+                    let out: Vec<f64> = {
                         let _r = in_region.then(|| crate::context::region("K"));
-                        if batch {
-                            shape_batch(shape, ops, w5, &mut out);
+                        let out = if col {
+                            shape_col(shape, ops, w5)
                         } else {
-                            shape_scalar(shape, ops, w5, &mut out);
-                        }
+                            shape_scalar(shape, ops, w5)
+                        };
                         // Mem-mode handles carry the slab epoch, which
                         // differs between sessions; compare their values.
-                        for o in &mut out {
-                            *o = crate::ops::resolve(*o);
-                        }
-                    }
+                        out.into_iter().map(crate::ops::resolve).collect()
+                    };
                     drop(g);
                     (out, s.counters())
                 };
@@ -1381,27 +1279,36 @@ mod tests {
                     );
                 }
                 assert_eq!(got_c, want_c, "{label} {shape:?}: counters");
-                assert!(got_c.trunc.total() + got_c.full.total() > 0, "{label} {shape:?}: counted");
+                let counted = got_c.trunc.total() + got_c.full.total();
+                if matches!(shape, Shape::Minmod(..)) {
+                    assert_eq!(counted, 0, "{label} {shape:?}: an exact selection");
+                } else {
+                    assert!(counted > 0, "{label} {shape:?}: counted");
+                }
             }
         }
         // And with no session at all: plain hardware.
         for &shape in &shapes {
-            let mut got = vec![0.0; N];
-            let mut want = vec![0.0; N];
-            shape_batch(shape, ops, w5, &mut got);
-            shape_scalar(shape, ops, w5, &mut want);
+            let (got, want) = (shape_col(shape, ops, w5), shape_scalar(shape, ops, w5));
             for i in 0..N {
                 assert_eq!(got[i].to_bits(), want[i].to_bits(), "no session {shape:?} lane {i}");
             }
         }
     }
 
-    /// Scalar oracle for the fused kernels: the same AST element by
-    /// element through the per-op scalar entry points.
-    fn weno5_scalar<const INV_TAIL: bool>(v: [&[f64]; 5], out: &mut [f64]) {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = weno5_elem::<_, INV_TAIL>(&mut Ops, v[0][i], v[1][i], v[2][i], v[3][i], v[4][i]);
+    /// Scalar oracle for the fused kernels: the same AST on one lane
+    /// through the per-op scalar entry points.
+    fn weno5_lane(adv: bool, [v0, v1, v2, v3, v4]: [f64; 5]) -> f64 {
+        if adv {
+            weno5_elem::<_, true>(&mut Ops, v0, v1, v2, v3, v4)
+        } else {
+            weno5_elem::<_, false>(&mut Ops, v0, v1, v2, v3, v4)
         }
+    }
+
+    /// [`weno5_lane`] over five windows.
+    fn weno5_scalar(adv: bool, v: [&[f64]; 5]) -> Vec<f64> {
+        (0..v[0].len()).map(|i| weno5_lane(adv, v.map(|w| w[i]))).collect()
     }
 
     fn random_windows(n: usize, seed: u64) -> Vec<f64> {
@@ -1448,23 +1355,16 @@ mod tests {
         for cfg in configs {
             let s = Session::new(cfg).unwrap();
             let _g = s.install();
-            let mut got = vec![0.0; n];
-            let mut want = vec![0.0; n];
-            batch_weno5(v[0], v[1], v[2], v[3], v[4], &mut got);
-            weno5_scalar::<false>(v, &mut want);
-            for i in 0..n {
-                assert_eq!(got[i].to_bits(), want[i].to_bits(), "hydro tail, lane {i}");
-            }
-            batch_weno5_adv(v[0], v[1], v[2], v[3], v[4], &mut got);
-            weno5_scalar::<true>(v, &mut want);
-            for i in 0..n {
-                assert_eq!(got[i].to_bits(), want[i].to_bits(), "incomp tail, lane {i}");
+            for (adv, tail) in [(false, "hydro"), (true, "incomp")] {
+                let got = eval_col(n, || weno5_of(adv, v.map(Col::from_slice)));
+                let want = weno5_scalar(adv, v);
+                for i in 0..n {
+                    assert_eq!(got[i].to_bits(), want[i].to_bits(), "{tail} tail, lane {i}");
+                }
             }
         }
-        let mut hw = vec![0.0; n];
-        let mut hw_want = vec![0.0; n];
-        batch_weno5(v[0], v[1], v[2], v[3], v[4], &mut hw);
-        weno5_scalar::<false>(v, &mut hw_want);
+        let hw = eval_col(n, || weno5(v.map(Col::from_slice)));
+        let hw_want = weno5_scalar(false, v);
         for i in 0..n {
             assert_eq!(hw[i].to_bits(), hw_want[i].to_bits(), "hardware tier, lane {i}");
         }
@@ -1476,36 +1376,32 @@ mod tests {
         let n = w.len() - 5;
         let win = |s: usize| &w[s..s + n];
         let v = [win(0), win(1), win(2), win(3), win(4)];
-        let run = |fused: bool, inv_tail: bool| {
+        let run = |fused: bool, adv: bool| {
             let s = Session::new(Config::op_functions(Format::FP16, ["K"]).with_counting())
                 .unwrap();
             let g = s.install();
-            let mut out = vec![0.0; n];
+            let once = || {
+                if fused {
+                    eval_col(n, || weno5_of(adv, v.map(Col::from_slice)))
+                } else {
+                    weno5_scalar(adv, v)
+                }
+            };
             {
                 let _r = crate::context::region("K");
-                match (fused, inv_tail) {
-                    (true, false) => batch_weno5(v[0], v[1], v[2], v[3], v[4], &mut out),
-                    (true, true) => batch_weno5_adv(v[0], v[1], v[2], v[3], v[4], &mut out),
-                    (false, false) => weno5_scalar::<false>(v, &mut out),
-                    (false, true) => weno5_scalar::<true>(v, &mut out),
-                }
+                once();
             }
             // An inactive fused call must bulk-count full ops like the
             // scalar chain would.
-            match (fused, inv_tail) {
-                (true, false) => batch_weno5(v[0], v[1], v[2], v[3], v[4], &mut out),
-                (true, true) => batch_weno5_adv(v[0], v[1], v[2], v[3], v[4], &mut out),
-                (false, false) => weno5_scalar::<false>(v, &mut out),
-                (false, true) => weno5_scalar::<true>(v, &mut out),
-            }
+            once();
             drop(g);
             s.counters()
         };
-        for inv_tail in [false, true] {
-            let fused = run(true, inv_tail);
-            let scalar = run(false, inv_tail);
-            assert_eq!(fused, scalar, "inv_tail={inv_tail}");
-            let (ca, cs, cm, cd) = weno5_counts(inv_tail);
+        for adv in [false, true] {
+            let fused = run(true, adv);
+            let scalar = run(false, adv);
+            assert_eq!(fused, scalar, "adv={adv}");
+            let (ca, cs, cm, cd) = weno5_counts(adv);
             assert_eq!(fused.trunc.add, ca * n as u64);
             assert_eq!(fused.trunc.sub, cs * n as u64);
             assert_eq!(fused.trunc.mul, cm * n as u64);
@@ -1515,7 +1411,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_log10_matches_scalar_and_counts() {
+    fn col_log10_matches_scalar_and_counts() {
         let mut state = 3u64;
         let a: Vec<f64> = (0..129)
             .map(|i| {
@@ -1536,121 +1432,15 @@ mod tests {
         ] {
             let s = Session::new(cfg.with_counting()).unwrap();
             let g = s.install();
-            let mut got = vec![0.0; a.len()];
-            batch_log10(&a, &mut got);
+            let got = eval_col(a.len(), || Col::from_slice(&a).log10());
             for (i, (&y, &x)) in got.iter().zip(&a).enumerate() {
-                let want = crate::ops::op_math(crate::ops::MathFn::Log10, x);
+                let want = crate::ops::op_math(MathFn::Log10, x);
                 assert_eq!(y.to_bits(), want.to_bits(), "lane {i}");
             }
             drop(g);
-            // One bulk count for the batch call + one per-element bump each
+            // One bulk count for the column op + one per-element bump each
             // from the oracle loop.
             assert_eq!(s.counters().trunc.math, 2 * a.len() as u64);
-        }
-    }
-
-    /// The four column-operand shapes of a binary op: (slice, slice),
-    /// (slice, broadcast), (broadcast, slice), (broadcast, broadcast).
-    const COL_SHAPES: [(bool, bool); 4] = [(false, false), (false, true), (true, false), (true, true)];
-
-    /// Every `Col` operator, `Col::log10` and [`weno5_adv`] against their
-    /// slice ops, bit for bit and with equal counters, on each dispatch
-    /// tier: hardware (no session), the monomorphized table (e11m12),
-    /// per-element emulation (e11m30) and mem-mode. A broadcast operand is compared against a slice filled
-    /// with its value.
-    #[test]
-    fn col_ops_match_slice_ops_on_every_tier() {
-        const N: usize = 7;
-        let a = [0.3, -1.7, 1e-310, 2.5e8, f64::NAN, -0.0, 7.0];
-        let b = [1.1, 3.0, -2.0, 1e-5, 0.5, 4.0, -0.0];
-        let (sa, sb) = (1.0 / 3.0, -2.75);
-        let tiers = [
-            None,
-            Some(Config::op_all(Format::new(11, 12))),
-            Some(Config::op_all(Format::new(11, 30))),
-            Some(Config::mem_functions(Format::new(11, 12), ["K"], 1e-4)),
-        ];
-        let kinds = [OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Div];
-        for cfg in &tiers {
-            // `via_col`: one run of every shape, returning resolved values.
-            let run = |via_col: bool| {
-                let sess = cfg.clone().map(|c| Session::new(c.with_counting()).unwrap());
-                let g = sess.as_ref().map(Session::install);
-                let _r = crate::context::region("K");
-                let mut got = Vec::new();
-                let _cols = scope(N);
-                let arg = |bcast: bool, v: &[f64; N], x: f64| if bcast { vec![x; N] } else { v.to_vec() };
-                for kind in kinds {
-                    for (ba, bb) in COL_SHAPES {
-                        let (x, y) = (arg(ba, &a, sa), arg(bb, &b, sb));
-                        let mut out = vec![0.0; N];
-                        if via_col {
-                            let col = |bcast: bool, v: &[f64], s: f64| {
-                                if bcast { Col::from_f64(s) } else { Col::from_slice(v) }
-                            };
-                            let (p, q) = (col(ba, &x, sa), col(bb, &y, sb));
-                            let r = match kind {
-                                OpKind::Add => p + q,
-                                OpKind::Sub => p - q,
-                                OpKind::Mul => p * q,
-                                _ => p / q,
-                            };
-                            r.read(|v| out.copy_from_slice(v));
-                        } else {
-                            batch_bin(kind, &x, &y, &mut out);
-                        }
-                        got.extend(out);
-                    }
-                }
-                for bcast in [false, true] {
-                    let x = arg(bcast, &a, 2.0);
-                    let mut out = vec![0.0; N];
-                    if via_col {
-                        let c = if bcast { Col::from_f64(2.0) } else { Col::from_slice(&x) };
-                        c.sqrt().read(|v| out.copy_from_slice(v));
-                    } else {
-                        batch_sqrt(&x, &mut out);
-                    }
-                    got.extend(out);
-                }
-                for bcast in [false, true] {
-                    let x = arg(bcast, &a, 2.0);
-                    let mut out = vec![0.0; N];
-                    if via_col {
-                        let c = if bcast { Col::from_f64(2.0) } else { Col::from_slice(&x) };
-                        c.log10().read(|v| out.copy_from_slice(v));
-                    } else {
-                        batch_log10(&x, &mut out);
-                    }
-                    got.extend(out);
-                }
-                // The fused WENO5 entry, with its middle operand a slice
-                // and a broadcast.
-                let c = [2.0, -0.25, 0.125, 1e3, -4.0, 0.0, 0.5];
-                let d = [-1.0, 0.75, 1e-3, 9.0, 0.0, -2.0, 3.5];
-                for bcast in [false, true] {
-                    let mid = arg(bcast, &c, 0.625);
-                    let mut out = vec![0.0; N];
-                    if via_col {
-                        let v2 = if bcast { Col::from_f64(0.625) } else { Col::from_slice(&mid) };
-                        let [v0, v1, v3, v4] = [&a, &b, &d, &a].map(|v| Col::from_slice(v));
-                        weno5_adv([v0, v1, v2, v3, v4]).read(|v| out.copy_from_slice(v));
-                    } else {
-                        batch_weno5_adv(&a, &b, &mid, &d, &a, &mut out);
-                    }
-                    got.extend(out);
-                }
-                // Mem-mode handles carry the slab epoch, which differs
-                // between sessions; compare their values.
-                let got: Vec<u64> = got.iter().map(|&x| crate::ops::resolve(x).to_bits()).collect();
-                drop(_r);
-                drop(g);
-                (got, sess.map(|s| s.counters()))
-            };
-            let (col, col_c) = run(true);
-            let (slice, slice_c) = run(false);
-            assert_eq!(col, slice, "{cfg:?}: values");
-            assert_eq!(col_c, slice_c, "{cfg:?}: counters");
         }
     }
 
@@ -1697,23 +1487,44 @@ mod tests {
 
     /// `min`/`max` are `Tracked`'s exact selections: the left operand
     /// wins ties (so `-0.0` vs `0.0` keeps the left zero) and NaNs on
-    /// either side.
+    /// either side. `minmod` is too, and gives `+0.0` unless both slopes
+    /// are nonzero with one sign: on equal slopes, `±0.0` or NaN on either
+    /// side, opposite signs and two negatives.
     #[test]
     fn col_min_max_keep_the_left_operand_on_ties_and_nan() {
         use crate::real::Tracked;
-        let a = [1.0, 0.0, -0.0, f64::NAN, 2.0, f64::NAN, 3.0];
-        let b = [1.0, -0.0, 0.0, 1.0, f64::NAN, f64::NAN, -3.0];
+        let nan = f64::NAN;
+        let a = [
+            1.0, 0.0, -0.0, nan, 2.0, nan, 3.0, 0.0, -0.0, 2.0, -1.0, -3.0, -2.0, 1.5, -2.0,
+        ];
+        let b = [
+            1.0, -0.0, 0.0, 1.0, nan, nan, -3.0, 2.0, -3.0, -0.0, 2.0, -0.5, -2.0, 0.25, -7.0,
+        ];
+        let minmod: [f64; 15] = [
+            1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.5, -2.0, 0.25, -2.0,
+        ];
         let _cols = scope(a.len());
         let (ca, cb) = (Col::from_slice(&a), Col::from_slice(&b));
-        for max in [false, true] {
-            let got = if max { ca.max(cb) } else { ca.min(cb) };
+        for op in ["min", "max", "minmod"] {
+            let got = match op {
+                "min" => ca.min(cb),
+                "max" => ca.max(cb),
+                _ => ca.minmod(cb),
+            };
             got.read(|v| {
                 for i in 0..a.len() {
                     let (x, y) = (Tracked(a[i]), Tracked(b[i]));
-                    let want = if max { x.max(y) } else { x.min(y) };
-                    assert_eq!(v[i].to_bits(), want.0.to_bits(), "max={max} lane {i}");
+                    let want = match op {
+                        "min" => x.min(y),
+                        "max" => x.max(y),
+                        _ => x.minmod(y),
+                    };
+                    assert_eq!(v[i].to_bits(), want.0.to_bits(), "{op} lane {i}");
                 }
             });
+        }
+        for i in 0..a.len() {
+            assert_eq!(a[i].minmod(b[i]).to_bits(), minmod[i].to_bits(), "f64 minmod lane {i}");
         }
     }
 

@@ -117,8 +117,9 @@
 //! **Batch kernels.** Even the cached per-op path pays a thread-local
 //! load, a dispatch branch, and a counter bump *per operation*. The
 //! [`batch`] module retires that overhead for leaf-granular inner loops:
-//! `batch_add`/`batch_mul`/... read the decision cache once per slice and
-//! bulk-add counters once per call. Each op shape is written once over a
+//! a kernel instantiated at [`batch::Col`] runs each operator over a whole
+//! column, reading the decision cache once and bulk-adding counters once
+//! per op. Each op shape is written once over a
 //! per-element executor and run by one dispatch skeleton, which picks one
 //! of four tiers: plain hardware (no session, inactive regions, the
 //! Native FP64/FP32 rungs); a fast/precise pair monomorphized over the
@@ -132,6 +133,7 @@
 //! Consumers gate on [`batch::ready`] and keep their scalar code as the
 //! mem-mode path and differential oracle.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

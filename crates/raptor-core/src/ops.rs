@@ -616,7 +616,7 @@ pub(crate) fn fmt_sqrt(fmt: Format, rm: RoundMode, dr: DoubleRound, a: f64) -> f
 }
 
 #[inline]
-pub(crate) fn emulate_fma(e: Emul, a: f64, b: f64, c: f64) -> f64 {
+fn emulate_fma(e: Emul, a: f64, b: f64, c: f64) -> f64 {
     let Emul { fmt, rm, path, dr } = e;
     match path {
         EmulPath::Native => {
@@ -662,29 +662,16 @@ pub(crate) fn fmt_fma(fmt: Format, rm: RoundMode, dr: DoubleRound, a: f64, b: f6
     // Results on a tie re-run through the exact kernel. Differentially
     // tested against the naive path in tests/fastpath.rs.
     if dr != DoubleRound::Unsafe {
-        let soft = || soft_fma(fmt, rm, a, b, c);
-        return finish_fma(fmt, a.mul_add(b, c), |r| fmt.round_f64(r, rm), soft);
+        let r = a.mul_add(b, c);
+        if !is_tie_core(r, fmt.exp_bits(), fmt.man_bits()) {
+            return if r.is_nan() {
+                f64::NAN
+            } else {
+                fmt.round_f64(r, rm)
+            };
+        }
     }
     soft_fma(fmt, rm, a, b, c)
-}
-
-/// [`finish_shortcut`] for fma, guarded by ties instead of the subnormal
-/// window: a hardware result `r` on a tie of `fmt` re-runs through `soft`
-/// (see [`fmt_fma`]); any other is canonicalized and rounded.
-#[inline(always)]
-pub(crate) fn finish_fma(
-    fmt: Format,
-    r: f64,
-    round: impl FnOnce(f64) -> f64,
-    soft: impl FnOnce() -> f64,
-) -> f64 {
-    if is_tie_core(r, fmt.exp_bits(), fmt.man_bits()) {
-        soft()
-    } else if r.is_nan() {
-        f64::NAN
-    } else {
-        round(r)
-    }
 }
 
 /// The exact-until-one-rounding kernel behind [`fmt_fma`], on operands
@@ -692,7 +679,7 @@ pub(crate) fn finish_fma(
 /// the inexact flag as sticky, then a single rounding into the format's
 /// precision and range.
 #[inline]
-pub(crate) fn soft_fma(fmt: Format, rm: RoundMode, a: f64, b: f64, c: f64) -> f64 {
+fn soft_fma(fmt: Format, rm: RoundMode, a: f64, b: f64, c: f64) -> f64 {
     let (sa, sb, sc) = (SoftFloat::from_f64(a), SoftFloat::from_f64(b), SoftFloat::from_f64(c));
     let (tz, sticky) = sa.fma_rz64(&sb, &sc);
     if tz.is_zero() && !sticky {

@@ -14,10 +14,10 @@ use crate::counters::OpKind;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// The arithmetic core of [`Real`]: what a straight-line kernel needs —
-/// the four operators, negation, `sqrt`, exact `min`/`max` selections and
-/// lifted constants — and nothing that inspects a value. Without
-/// `PartialOrd` a kernel cannot branch on its data, so the same source
-/// also runs on whole columns at once ([`crate::batch::Col`]).
+/// the four operators, negation, `sqrt`, exact `min`/`max`/`minmod`
+/// selections and lifted constants — and nothing that inspects a value.
+/// Without `PartialOrd` a kernel cannot branch on its data, so the same
+/// source also runs on whole columns at once ([`crate::batch::Col`]).
 pub trait Arith:
     Copy
     + Add<Output = Self>
@@ -39,6 +39,9 @@ pub trait Arith:
     fn min(self, other: Self) -> Self;
     /// Maximum (exact selection).
     fn max(self, other: Self) -> Self;
+    /// Minmod of two slopes (exact selection): the one of smaller
+    /// magnitude when both are nonzero with the same sign, else `+0.0`.
+    fn minmod(self, other: Self) -> Self;
 
     /// Additive identity.
     #[inline]
@@ -138,6 +141,26 @@ impl Arith for f64 {
     fn max(self, other: Self) -> Self {
         f64::max(self, other)
     }
+    #[inline]
+    fn minmod(self, other: Self) -> Self {
+        minmod(self, other)
+    }
+}
+
+/// [`Arith::minmod`] of `f64` and [`Tracked`], and of each lane of a
+/// [`crate::batch::Col`]. Differing signs, a zero or a NaN give `+0.0`.
+#[inline]
+pub(crate) fn minmod<R: Real>(a: R, b: R) -> R {
+    let z = R::zero();
+    if (a > z && b > z) || (a < z && b < z) {
+        if a.abs() < b.abs() {
+            a
+        } else {
+            b
+        }
+    } else {
+        z
+    }
 }
 
 impl Real for f64 {
@@ -233,32 +256,6 @@ impl Tracked {
     #[inline]
     pub fn raw(self) -> f64 {
         self.0
-    }
-
-    /// View a `Tracked` slice as its raw `f64` carriers (zero-copy; the
-    /// type is `repr(transparent)`). Intended for handing whole fields to
-    /// the [`crate::batch`] slice ops. Carriers may be NaN-boxed mem-mode
-    /// handles — batch consumers gate on [`crate::batch::ready`], which is
-    /// false under mem-mode sessions.
-    #[inline]
-    pub fn raw_slice(xs: &[Tracked]) -> &[f64] {
-        // SAFETY: `Tracked` is `repr(transparent)` over `f64`, so the two
-        // types have identical size, alignment, and validity, and a pointer
-        // to `[Tracked; n]` is a valid pointer to `[f64; n]`. The returned
-        // slice borrows `xs` for the same lifetime (tied by the signature),
-        // so the shared borrow rules prevent any concurrent `&mut` aliasing.
-        unsafe { core::slice::from_raw_parts(xs.as_ptr().cast::<f64>(), xs.len()) }
-    }
-
-    /// Mutable variant of [`Tracked::raw_slice`].
-    #[inline]
-    pub fn raw_slice_mut(xs: &mut [Tracked]) -> &mut [f64] {
-        // SAFETY: same layout argument as `raw_slice` (`repr(transparent)`
-        // guarantees identical size/alignment/validity). Exclusivity holds
-        // because the `&mut [Tracked]` input is the unique borrow of the
-        // buffer and the output reborrows it for the same lifetime — the
-        // original slice is inaccessible while the `&mut [f64]` view lives.
-        unsafe { core::slice::from_raw_parts_mut(xs.as_mut_ptr().cast::<f64>(), xs.len()) }
     }
 
     /// mem-mode boundary conversion into the truncated region
@@ -402,6 +399,10 @@ impl Arith for Tracked {
         } else {
             self
         }
+    }
+    #[inline]
+    fn minmod(self, other: Self) -> Self {
+        minmod(self, other)
     }
 }
 

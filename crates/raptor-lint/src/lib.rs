@@ -2,10 +2,9 @@
 //!
 //! Every number in the reproduction's codesign tables is only meaningful if
 //! **every** floating-point operation in a kernel routes through the
-//! `Tracked` dispatch layer, every `unsafe` argues its case, and every
-//! batch kernel keeps a tested scalar twin as the code evolves. This crate
+//! `Tracked` dispatch layer and every `unsafe` argues its case. This crate
 //! walks the workspace sources with a hand-rolled lightweight Rust lexer
-//! ([`lexer`]) and enforces three repo-specific rules — the invariants the
+//! ([`lexer`]) and enforces two repo-specific rules — the invariants the
 //! type system cannot carry (the cache's one-shard-lock-at-a-time rule is
 //! a borrow-checked type in `raptor-lab` instead):
 //!
@@ -20,10 +19,6 @@
 //!    `# Safety` doc section), and library crates with zero unsafe declare
 //!    `#![forbid(unsafe_code)]` so the invariant is anchored in the
 //!    compiler too.
-//! 3. **batch-pairing** ([`rules::batch_pair`]) — every public `*_batch`
-//!    kernel has a scalar twin (`foo_batch` ⇔ `foo`) and is referenced by
-//!    a differential test or the `batch_diff` smoke, so the bit-identity
-//!    contract can never silently lose coverage.
 //!
 //! ## Annotation grammar
 //!
@@ -127,7 +122,7 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
 }
 
-/// Lint the workspace rooted at `root` with all three rules plus the
+/// Lint the workspace rooted at `root` with both rules plus the
 /// annotation-grammar check. Findings come back sorted by (file, line).
 pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let ws = Workspace::scan(root)?;
@@ -135,7 +130,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     findings.extend(check_annotations(&ws));
     findings.extend(rules::tracked::check(&ws));
     findings.extend(rules::unsafe_audit::check(&ws));
-    findings.extend(rules::batch_pair::check(&ws));
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings.dedup_by(|a, b| a.file == b.file && a.line == b.line && a.msg == b.msg);
     Ok(findings)
@@ -274,17 +268,11 @@ fn match_delims(tokens: &[Token]) -> Vec<Option<usize>> {
 /// A function item found in the token stream (at any nesting depth).
 #[derive(Clone, Debug)]
 pub struct FnItem {
-    /// Function name.
-    pub name: String,
-    /// Token index of the `fn` keyword.
-    pub fn_idx: usize,
     /// Token range of the parameter list, `(` .. `)` inclusive.
     pub params: (usize, usize),
     /// Token range of the body `{` .. `}` inclusive; `None` for
     /// body-less trait-method declarations.
     pub body: Option<(usize, usize)>,
-    /// Source line of the `fn` keyword.
-    pub line: usize,
 }
 
 /// Collect every `fn` item in the file, at any depth.
@@ -346,13 +334,7 @@ pub fn collect_fns(file: &SourceFile) -> Vec<FnItem> {
             }
             k += 1;
         }
-        out.push(FnItem {
-            name: name_tok.text.clone(),
-            fn_idx: i,
-            params: (popen, pclose),
-            body,
-            line: toks[i].line,
-        });
+        out.push(FnItem { params: (popen, pclose), body });
         i = popen; // keep scanning inside (nested fns are separate items)
     }
     out

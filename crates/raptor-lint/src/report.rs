@@ -6,8 +6,7 @@
 /// One rule violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id: `tracked-escape`, `unsafe-audit`, `batch-pairing`, or
-    /// `annotation`.
+    /// Rule id: `tracked-escape`, `unsafe-audit`, or `annotation`.
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,

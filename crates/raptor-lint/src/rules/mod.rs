@@ -1,6 +1,5 @@
-//! The three repo-specific rules. Each module exposes
+//! The two repo-specific rules. Each module exposes
 //! `check(&Workspace) -> Vec<Finding>`.
 
-pub mod batch_pair;
 pub mod tracked;
 pub mod unsafe_audit;

@@ -84,38 +84,11 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
 /// Lint one already-lexed file (fixture-test entry point).
 pub fn check_file(file: &SourceFile, out: &mut Vec<Finding>) {
     let toks = &file.lexed.tokens;
-    // `*_batch` fast paths are exempt by construction: the batch tier is
-    // deliberately monomorphized plain-f64 — its correctness contract is
-    // *bit-identity with the Tracked scalar twin*, and the batch-pairing
-    // rule pins every such kernel to a twin plus a differential test.
-    // Tracking dispatch there would defeat the tier's purpose; the
-    // pairing rule is what keeps the exemption sound.
-    let fns = collect_fns(file);
-    let mut batch_bodies: Vec<(usize, usize)> = fns
-        .iter()
-        .filter(|f| f.name.ends_with("_batch"))
-        .filter_map(|f| f.body)
-        .collect();
-    batch_bodies.sort_unstable();
-    let in_batch = |idx: usize| batch_bodies.iter().any(|&(s, e)| s <= idx && idx <= e);
     // File-wide pass with no known bindings: catches const items and any
-    // code outside fn bodies (literal evidence only), skipping batch
-    // bodies.
-    let mut start = 0usize;
-    for &(bo, bc) in &batch_bodies {
-        if bo > start {
-            scan_range(file, start, bo, &HashMap::new(), out);
-        }
-        start = start.max(bc + 1);
-    }
-    if start < toks.len() {
-        scan_range(file, start, toks.len(), &HashMap::new(), out);
-    }
+    // code outside fn bodies (literal evidence only).
+    scan_range(file, 0, toks.len(), &HashMap::new(), out);
     // Per-fn passes with the known-float binding sets.
-    for f in fns {
-        if f.name.ends_with("_batch") || in_batch(f.fn_idx) {
-            continue;
-        }
+    for f in collect_fns(file) {
         let Some((bopen, bclose)) = f.body else { continue };
         let mut known = params_of(file, f.params);
         // Two passes so a `let` can use one declared later in rare

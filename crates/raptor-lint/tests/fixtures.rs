@@ -1,6 +1,7 @@
-//! Integration tests for the three rules: every seeded violation in the
-//! fixture workspace under `tests/fixtures/ws/` must be caught, nothing
-//! else in the fixture may fire, and the real workspace must be clean.
+//! Integration tests for the two rules and the annotation grammar: every
+//! seeded violation in the fixture workspace under `tests/fixtures/ws/`
+//! must be caught, nothing else in the fixture may fire, and the real
+//! workspace must be clean.
 
 use raptor_lint::{lint_workspace, Finding};
 use std::path::{Path, PathBuf};
@@ -21,15 +22,16 @@ fn tracked_escape_seeds_are_caught() {
     let mut lines: Vec<usize> = hits.iter().map(|f| f.line).collect();
     lines.sort_unstable();
     lines.dedup();
-    assert_eq!(lines.len(), 2, "exactly the two seeded escape lines: {hits:?}");
+    assert_eq!(lines.len(), 3, "exactly the three seeded escape lines: {hits:?}");
     assert!(hits.iter().all(|f| f.file == "crates/hydro/src/lib.rs"));
     // `escaped` (a * b) fires; the allow under an unknown rule name does
-    // not suppress `unknown_rule` (a - 1.0).
+    // not suppress `unknown_rule` (a - 1.0); a `*_batch` name is no
+    // exemption (`scaled_batch`, x / 2.0).
     assert!(hits.iter().any(|f| f.msg.contains("raw `*`")), "{hits:?}");
     assert!(hits.iter().any(|f| f.msg.contains("raw `-`")), "{hits:?}");
+    assert!(hits.iter().any(|f| f.msg.contains("raw `/`")), "{hits:?}");
     // `annotated` and `missing_reason` are suppressed (the latter still
-    // draws an annotation finding below), and the `*_batch` bodies are
-    // structurally exempt.
+    // draws an annotation finding below).
     assert!(!hits.iter().any(|f| f.msg.contains("raw `+`")), "{hits:?}");
 }
 
@@ -66,27 +68,6 @@ fn unsafe_audit_seeds_are_caught() {
         "{hits:?}"
     );
     assert!(!hits.iter().any(|f| f.file.contains("guarded")), "{hits:?}");
-}
-
-#[test]
-fn batch_pairing_seeds_are_caught() {
-    let all = fixture_findings();
-    let hits = by_rule(&all, "batch-pairing");
-    // `kernel_batch` draws both findings (no twin, no test); `paired_batch`
-    // only the missing test reference.
-    assert_eq!(hits.len(), 3, "{hits:?}");
-    assert!(
-        hits.iter().any(|f| f.msg.contains("`kernel_batch` has no scalar twin `kernel`")),
-        "{hits:?}"
-    );
-    assert!(
-        hits.iter().any(|f| {
-            f.msg.contains("`paired_batch`") && f.msg.contains("not referenced")
-        }),
-        "{hits:?}"
-    );
-    // `tested_batch` has both a twin and a test reference.
-    assert!(!hits.iter().any(|f| f.msg.contains("tested_batch")), "{hits:?}");
 }
 
 /// The real workspace is the fourth fixture: it must stay clean, so the

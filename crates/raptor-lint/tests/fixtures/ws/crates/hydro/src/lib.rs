@@ -1,6 +1,6 @@
-//! Seeded violations for the tracked-escape, annotation, and
-//! batch-pairing rules. This fixture names itself `hydro` so it lands in
-//! the linter's kernel-crate set.
+//! Seeded violations for the tracked-escape and annotation rules. This
+//! fixture names itself `hydro` so it lands in the linter's kernel-crate
+//! set.
 
 #![forbid(unsafe_code)]
 
@@ -20,39 +20,9 @@ pub fn unknown_rule(a: f64) -> f64 {
     a - 1.0 // lint: allow(no-such-rule, the rule name is wrong on purpose)
 }
 
-pub fn kernel_batch(xs: &[f64], out: &mut [f64]) {
+/// A `*_batch` name earns no exemption: its raw `/` is an escape too.
+pub fn scaled_batch(xs: &[f64], out: &mut [f64]) {
     for (o, x) in out.iter_mut().zip(xs) {
-        *o = *x + 1.0;
-    }
-}
-
-pub fn paired(x: f64) -> f64 {
-    x
-}
-
-pub fn paired_batch(xs: &[f64], out: &mut [f64]) {
-    for (o, x) in out.iter_mut().zip(xs) {
-        *o = *x;
-    }
-}
-
-pub fn tested(x: f64) -> f64 {
-    x
-}
-
-pub fn tested_batch(xs: &[f64], out: &mut [f64]) {
-    for (o, x) in out.iter_mut().zip(xs) {
-        *o = *x;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn twin() {
-        let xs = [1.0];
-        let mut out = [0.0];
-        super::tested_batch(&xs, &mut out);
-        assert_eq!(out[0], super::tested(xs[0]));
+        *o = *x / 2.0;
     }
 }

@@ -1,12 +1,12 @@
 //! Batch-vs-scalar bit-identity smoke: run each batched consumer twice —
-//! once with `raptor_core::batch` slice kernels enabled and once with every
-//! consumer pinned to its per-op scalar path, each half under a
-//! [`batch::force_scalar`] pin — then byte-compare every cell of every
+//! once with the `raptor_core::batch` column kernels enabled and once
+//! with every consumer pinned to its per-op scalar path, each half under
+//! a [`batch::force_scalar`] pin — then byte-compare every cell of every
 //! variable and the session op counters.
 //!
 //! Seven consumers are exercised both ways:
-//! - a tiny Sedov blast with PLM reconstruction (the element-wise sweep
-//!   chains),
+//! - a tiny Sedov blast with PLM reconstruction (`plm_interface` and the
+//!   rest of the sweep at `Col`),
 //! - the same blast with WENO5 reconstruction (the fused five-point
 //!   stencil kernel),
 //! - a Sod shock tube solved with HLL (the partitioned Riemann solver's
