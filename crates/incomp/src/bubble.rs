@@ -7,7 +7,10 @@
 //! The flow itself is computed on the uniform finest grid (the composite
 //! of the deepest AMR level); an AMR *shadow mesh* tracks the interface
 //! and provides the per-cell level map used for dynamic truncation —
-//! the same information Flash-X's real octree provides.
+//! the same information Flash-X's real octree provides. Every step passes
+//! the map to [`step`], whose batch tier groups cells by truncation
+//! decision: the whole interior is one class unless the session has a
+//! level cutoff, which makes each AMR level its own class.
 //!
 //! lint: allow(native-float, benchmark driver: initial geometry and shadow-mesh banding plus diagnostics (centroid/area/interface sampling); all truncation-targeted flow math lives in solver::step)
 

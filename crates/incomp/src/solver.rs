@@ -292,6 +292,13 @@ fn viscous_coeffs(grid: &Grid, params: &InsParams, eps: f64, i: isize, j: isize)
 /// One fractional-step update. `level_map[j * nx + i]` gives the AMR level
 /// of each interior cell (drives dynamic truncation); reference runs pass
 /// [`Session::passthrough`].
+///
+/// Tracked op-mode runs take advection and diffusion on the batch tier,
+/// one batch class at a time: the whole interior when the session has no
+/// `LevelCutoff` (the level then changes no truncation decision), else
+/// the cells of each AMR level under that level. Mem-mode and
+/// forced-scalar runs take the per-cell loops, which set each cell's
+/// level and remain the differential oracle.
 // lint: allow(native-float, only the advection and diffusion operators are truncation targets (module docs); coefficient prep, the predictor assembly, and the Hypre-substitute projection are plain f64 by design)
 pub fn step<R: Real>(
     grid: &mut Grid,
@@ -315,18 +322,20 @@ pub fn step<R: Real>(
         level_map.map(|m| m[j * nx + i] as u32)
     };
 
+    // Cells share a column when they share a truncation decision, and the
+    // level decides nothing without a `LevelCutoff`. Mem-mode sessions and
+    // the differential-test toggle (`batch::ready()` false) keep the
+    // per-cell loops below.
+    let classes = (R::IS_TRACKED && batch::ready())
+        .then(|| level_classes(level_map.filter(|_| session.config().cutoff.is_some()), n_int));
+
     // ---- INS/advection: velocity and level-set advection terms ----
     {
         let _r = region("INS/advection");
-        // Batch fast path: the WENO5 upwind derivative is data-dependent
-        // only through the wind *sign*, so the interior partitions into a
-        // plus-wind and a minus-wind set per axis, and each set runs its
-        // branch's source at `Col`. Like diffusion, this requires one
-        // shared truncation decision (no AMR level map); the scalar loop
-        // below stays as the mem-mode path and the differential oracle.
-        let use_batch = R::IS_TRACKED && level_map.is_none();
-        if use_batch && raptor_core::batch::ready() {
-            advection_cols(grid, dt, 1.0 / h, &mut us, &mut vs, &mut phin);
+        if let Some(classes) = &classes {
+            on_classes(classes, |cells| {
+                advection_cols(grid, dt, 1.0 / h, cells, &mut us, &mut vs, &mut phin)
+            });
         } else {
             for j in 0..ny {
                 for i in 0..nx {
@@ -358,17 +367,10 @@ pub fn step<R: Real>(
     let mut diff_v = vec![0.0; n_int];
     {
         let _r = region("INS/diffusion");
-        // Batch fast path: the five-point stencil has no per-cell control
-        // flow, so when every cell shares one truncation decision (no AMR
-        // level map) the instrumented build runs `viscous` at `Col` over
-        // the whole interior — one dispatch per op instead of per cell
-        // and op, same ops per cell, bit-identical results (the scalar
-        // loop below is the mem-mode / level-mapped path). `ready()` is
-        // checked inside the region so mem-mode sessions and the
-        // differential-test toggle fall through to scalar.
-        let use_batch = R::IS_TRACKED && level_map.is_none();
-        if use_batch && raptor_core::batch::ready() {
-            diffusion_cols(grid, params, eps, &mut diff_u, &mut diff_v);
+        if let Some(classes) = &classes {
+            on_classes(classes, |cells| {
+                diffusion_cols(grid, params, eps, cells, &mut diff_u, &mut diff_v)
+            });
         } else {
             let inv_re = R::from_f64(1.0 / params.re);
             let inv_h2 = R::from_f64(1.0 / (h * h));
@@ -564,25 +566,62 @@ pub fn step<R: Real>(
     grid.apply_bcs();
 }
 
-/// Column of `f` at every interior cell, offset by `(di, dj)`, in
-/// row-major interior order.
-fn interior_col(grid: &Grid, f: &[f64], (di, dj): (isize, isize)) -> Col {
+/// The batch classes of a step's `n` interior cells (row-major indices),
+/// each with the level it runs at: one unlevelled class of the whole
+/// interior without a map, else one class per AMR level present in
+/// `level_map`, in ascending level order.
+fn level_classes(level_map: Option<&[u8]>, n: usize) -> Vec<(Option<u32>, Vec<usize>)> {
+    let Some(map) = level_map else { return vec![(None, (0..n).collect())] };
+    let mut by_level = std::collections::BTreeMap::<u8, Vec<usize>>::new();
+    for (k, &l) in map.iter().enumerate() {
+        by_level.entry(l).or_default().push(k);
+    }
+    by_level.into_iter().map(|(l, cells)| (Some(u32::from(l)), cells)).collect()
+}
+
+/// Run `f` on each batch class's cells under the class's level, then
+/// leave the level unset, as the per-cell loops do.
+fn on_classes(classes: &[(Option<u32>, Vec<usize>)], mut f: impl FnMut(&[usize])) {
+    for (level, cells) in classes {
+        set_level(*level);
+        f(cells);
+    }
+    set_level(None);
+}
+
+/// Column of `f` at the interior cells `cells` (row-major interior
+/// indices), each offset by `(di, dj)`.
+fn interior_col(
+    grid: &Grid,
+    f: &[f64],
+    (di, dj): (isize, isize),
+    cells: impl IntoIterator<Item = usize>,
+) -> Col {
     let nx = grid.nx;
     Col::new_with(|o| {
-        for (k, x) in o.iter_mut().enumerate() {
+        for (x, k) in o.iter_mut().zip(cells) {
             *x = f[grid.at((k % nx) as isize + di, (k / nx) as isize + dj)];
         }
     })
 }
 
-/// The scalar diffusion loop of [`step`] at `Col`, over the whole
-/// interior in one scope: bit- and counter-identical per cell. The face
-/// viscosities and densities are the same untracked prep.
-fn diffusion_cols(grid: &Grid, params: &InsParams, eps: f64, diff_u: &mut [f64], diff_v: &mut [f64]) {
+/// The scalar diffusion loop of [`step`] at `Col`, over one batch class
+/// `cells` in one scope: bit- and counter-identical per cell. The face
+/// viscosities and densities are the same untracked prep; each cell's
+/// terms are scattered back to its index in `diff_u`/`diff_v`.
+fn diffusion_cols(
+    grid: &Grid,
+    params: &InsParams,
+    eps: f64,
+    cells: &[usize],
+    diff_u: &mut [f64],
+    diff_v: &mut [f64],
+) {
     let nx = grid.nx;
-    let _cols = batch::scope(nx * grid.ny);
-    let coeffs: Vec<([f64; 4], f64)> = (0..diff_u.len())
-        .map(|k| viscous_coeffs(grid, params, eps, (k % nx) as isize, (k / nx) as isize))
+    let _cols = batch::scope(cells.len());
+    let coeffs: Vec<([f64; 4], f64)> = cells
+        .iter()
+        .map(|&k| viscous_coeffs(grid, params, eps, (k % nx) as isize, (k / nx) as isize))
         .collect();
     let mu: [Col; 4] = std::array::from_fn(|m| {
         Col::new_with(|o| o.iter_mut().zip(&coeffs).for_each(|(o, c)| *o = c.0[m]))
@@ -591,8 +630,9 @@ fn diffusion_cols(grid: &Grid, params: &InsParams, eps: f64, diff_u: &mut [f64],
     let inv_h2 = Col::from_f64(1.0 / (grid.h * grid.h));
     let scale = Col::from_f64(1.0 / params.re) / rho;
     for (f, out) in [(&grid.u, diff_u), (&grid.v, diff_v)] {
-        let stencil = FIVE.map(|o| interior_col(grid, f, o));
-        viscous(stencil, mu, inv_h2, scale).read(|v| out.copy_from_slice(v));
+        let stencil = FIVE.map(|o| interior_col(grid, f, o, cells.iter().copied()));
+        viscous(stencil, mu, inv_h2, scale)
+            .read(|v| cells.iter().zip(v).for_each(|(&k, &x)| out[k] = x));
     }
 }
 
@@ -601,13 +641,20 @@ fn diffusion_cols(grid: &Grid, params: &InsParams, eps: f64, diff_u: &mut [f64],
 /// stencil's five difference quotients, then the fused WENO5 combination
 /// ([`batch::weno5_adv`], whose oracle is [`weno5_core`]) in the branch's
 /// argument order.
-fn weno5_deriv_cols(grid: &Grid, f: &[f64], axis: usize, class: &[usize], left_biased: bool, inv_h: Col) -> Col {
+fn weno5_deriv_cols(
+    grid: &Grid,
+    f: &[f64],
+    axis: usize,
+    class: impl Iterator<Item = usize> + Clone,
+    left_biased: bool,
+    inv_h: Col,
+) -> Col {
     // Left-biased stencils read offsets -3..=2, right-biased -2..=3.
     let base: isize = if left_biased { -3 } else { -2 };
     let nx = grid.nx;
     let g: [Col; 6] = std::array::from_fn(|s| {
         Col::new_with(|o| {
-            for (x, &k) in o.iter_mut().zip(class) {
+            for (x, k) in o.iter_mut().zip(class.clone()) {
                 *x = f[along(grid, (k % nx) as isize, (k / nx) as isize, axis, base + s as isize)];
             }
         })
@@ -620,20 +667,31 @@ fn weno5_deriv_cols(grid: &Grid, f: &[f64], axis: usize, class: &[usize], left_b
     }
 }
 
-/// The scalar advection loop of [`step`] at `Col`, over the whole
-/// interior in one scope: bit- and counter-identical per cell. Each
-/// axis's wind-sign classes (the only data-dependent control flow in
+/// The scalar advection loop of [`step`] at `Col`, over one batch class
+/// `cells` in one scope: bit- and counter-identical per cell. Each axis's
+/// wind-sign classes within it (the only data-dependent control flow in
 /// [`weno5_deriv`]) run in nested scopes; the level-set update tail stays
-/// plain `f64` like the scalar path.
+/// plain `f64` like the scalar path. Each cell's terms are scattered back
+/// to its index in `us`, `vs` and `phin`.
 // lint: allow(native-float, the level-set update tail is untracked in the scalar loop too)
-fn advection_cols(grid: &Grid, dt: f64, inv_h: f64, us: &mut [f64], vs: &mut [f64], phin: &mut [f64]) {
-    let n = us.len();
+fn advection_cols(
+    grid: &Grid,
+    dt: f64,
+    inv_h: f64,
+    cells: &[usize],
+    us: &mut [f64],
+    vs: &mut [f64],
+    phin: &mut [f64],
+) {
+    let n = cells.len();
     let _cols = batch::scope(n);
-    let (uc, vc) = (interior_col(grid, &grid.u, FIVE[0]), interior_col(grid, &grid.v, FIVE[0]));
-    // Same predicate as the scalar `wind >= 0` (NaN upwinds right).
+    let centre = |f| interior_col(grid, f, FIVE[0], cells.iter().copied());
+    let (uc, vc) = (centre(&grid.u), centre(&grid.v));
+    // Positions in `cells`, by the same predicate as the scalar
+    // `wind >= 0` (NaN upwinds right).
     let classes = |wind: Col| -> [Vec<usize>; 2] {
         wind.read(|w| {
-            let (plus, minus) = (0..n).partition(|&k| w[k] >= 0.0);
+            let (plus, minus) = (0..n).partition(|&p| w[p] >= 0.0);
             [plus, minus]
         })
     };
@@ -646,18 +704,19 @@ fn advection_cols(grid: &Grid, dt: f64, inv_h: f64, us: &mut [f64], vs: &mut [f6
                 continue;
             }
             let _class = batch::scope(class.len());
-            weno5_deriv_cols(grid, f, axis, class, left_biased, inv_h)
-                .read(|v| class.iter().zip(v).for_each(|(&k, &x)| d[k] = x));
+            weno5_deriv_cols(grid, f, axis, class.iter().map(|&p| cells[p]), left_biased, inv_h)
+                .read(|v| class.iter().zip(v).for_each(|(&p, &x)| d[p] = x));
         }
         Col::from_slice(&d)
     };
     let adv = |f: &[f64]| advect(uc, vc, deriv(f, 0, &cx), deriv(f, 1, &cy));
-    adv(&grid.u).read(|v| us.copy_from_slice(v));
-    adv(&grid.v).read(|v| vs.copy_from_slice(v));
+    let scatter = |out: &mut [f64], v: &[f64]| cells.iter().zip(v).for_each(|(&k, &x)| out[k] = x);
+    adv(&grid.u).read(|v| scatter(us, v));
+    adv(&grid.v).read(|v| scatter(vs, v));
     let phi = &grid.phi;
     adv(phi).read(|v| {
-        for (k, (p, &a)) in phin.iter_mut().zip(v).enumerate() {
-            *p = phi[grid.at((k % grid.nx) as isize, (k / grid.nx) as isize)] - dt * a;
+        for (&k, &a) in cells.iter().zip(v) {
+            phin[k] = phi[grid.at((k % grid.nx) as isize, (k / grid.nx) as isize)] - dt * a;
         }
     });
 }
@@ -797,7 +856,7 @@ fn reinit_cells<R: Real>(grid: &Grid, dtau: f64, new_phi: &mut [f64]) {
 /// the ops are exactly the scalar loop's.
 fn reinit_cols(grid: &Grid, dtau: f64, new_phi: &mut [f64]) {
     let _cols = batch::scope(new_phi.len());
-    let st = FIVE.map(|o| interior_col(grid, &grid.phi, o));
+    let st = FIVE.map(|o| interior_col(grid, &grid.phi, o, 0..new_phi.len()));
     let s = level_sign(st[0], Col::from_f64(grid.h * grid.h));
     let d = one_sided(st, Col::from_f64(grid.h));
     let classes: [Vec<usize>; 2] = s.read(|s| {
@@ -1108,6 +1167,46 @@ mod tests {
                 let cs = assert_batch_matches_scalar(&cfg, grid, &format!("{name} {what}"), three_steps);
                 assert!(cs.trunc.div > 0, "{name} {what}: advection divs counted");
                 assert!(cs.trunc.mul > 0, "{name} {what}: advection muls counted");
+            }
+        }
+    }
+
+    /// Level-mapped steps batch one class per truncation decision: the
+    /// whole interior without a cutoff, one class per AMR level with one.
+    /// Under every differential configuration, with no cutoff, M-0 and M-1
+    /// (max level 2), both maps must match the per-cell loop bit for bit
+    /// and op count for op count: horizontal bands of levels 0, 1 and 2,
+    /// and a map of level 2 only (so two level classes are empty). M-1
+    /// truncates levels 0 and 1 and runs level 2 at full precision, so on
+    /// the banded map both decisions must carry ops.
+    #[test]
+    fn level_mapped_step_batch_bit_identical_to_scalar() {
+        let grid = random_grid(0x1E7E1);
+        let n = grid.nx * grid.ny;
+        let bands: Vec<u8> = (0..n).map(|k| (3 * (k / grid.nx) / grid.ny) as u8).collect();
+        assert!((0..3).all(|l| bands.contains(&l)), "every level has cells");
+        let flat = vec![2u8; n];
+        let params = InsParams::default();
+        for (name, cfg) in differential_configs() {
+            let cutoffs = [
+                ("none", cfg.clone()),
+                ("M-0", cfg.clone().with_cutoff(2, 0)),
+                ("M-1", cfg.with_cutoff(2, 1)),
+            ];
+            for (cut, cfg) in cutoffs {
+                for (what, map) in [("bands", &bands), ("flat", &flat)] {
+                    let label = format!("{name} {cut} {what}");
+                    let cs = assert_batch_matches_scalar(&cfg, &grid, &label, |g, sess| {
+                        for _ in 0..2 {
+                            let dt = compute_dt(g, &params);
+                            step::<Tracked>(g, &params, dt, Some(map), sess);
+                        }
+                    });
+                    if cut == "M-1" && what == "bands" {
+                        assert!(cs.trunc.total() > 0, "{label}: truncated ops counted");
+                        assert!(cs.full.total() > 0, "{label}: full-precision ops counted");
+                    }
+                }
             }
         }
     }

@@ -426,6 +426,7 @@ impl Scenario for IrScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CandidateSpec;
     use std::collections::BTreeSet;
 
     #[test]
@@ -469,6 +470,35 @@ mod tests {
             let fid = sc.fidelity(&trunc, &base);
             assert!(fid < 1.0, "{name} deviates: {fid}");
             assert!(fid > 0.5, "{name} not garbage: {fid}");
+        }
+    }
+
+    /// The bubble scenario on the batch tier (one class per step under a
+    /// static candidate, one per AMR level under M-1) reproduces its
+    /// per-cell loops: the observable bit for bit and the session counters
+    /// exactly, on the path a study's bubble pairs take. (At mini scale the
+    /// shadow mesh refines the whole grid to the finest level, so M-1 runs
+    /// advection and diffusion at full precision.)
+    #[test]
+    fn bubble_scenario_batch_bit_identical_to_scalar() {
+        let p = LabParams::mini();
+        let sc = find("incomp/bubble").unwrap();
+        let e11m12 = bigfloat::Format::new(11, 12);
+        for spec in [CandidateSpec::op(e11m12), CandidateSpec::op(e11m12).with_cutoff(1)] {
+            let cfg = spec.config(sc.as_ref(), sc.max_level(&p)).unwrap();
+            let run = |force_scalar: bool| {
+                let _pin = raptor_core::batch::force_scalar(force_scalar);
+                let sess = Session::new(cfg.clone()).unwrap();
+                let obs = sc.build(&p).run(&sess);
+                (obs.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), sess.counters())
+            };
+            let (scalar, batch) = (run(true), run(false));
+            let label = spec.label();
+            assert_eq!(scalar.0, batch.0, "{label}: observable bits");
+            assert_eq!(scalar.1, batch.1, "{label}: session counters");
+            if spec.cutoff.is_none() {
+                assert!(batch.1.trunc.total() > 0, "{label}: truncated ops counted");
+            }
         }
     }
 

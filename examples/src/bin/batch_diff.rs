@@ -4,7 +4,7 @@
 //! a [`batch::force_scalar`] pin — then byte-compare every cell of every
 //! variable and the session op counters.
 //!
-//! Seven consumers are exercised both ways:
+//! Eight consumers are exercised both ways:
 //! - a tiny Sedov blast with PLM reconstruction (`plm_interface` and the
 //!   rest of the sweep at `Col`),
 //! - the same blast with WENO5 reconstruction (the fused five-point
@@ -16,8 +16,12 @@
 //! - the same bubble grid through level-set reinitialization pseudo-time
 //!   iterations (the sign-partitioned Godunov Hamiltonian),
 //! - the rising bubble through `Bubble::run`, the path the registry's
-//!   bubble scenarios take: level-mapped steps (advection and diffusion
-//!   per cell), batched reinitialization and AMR shadow-mesh regrids,
+//!   bubble scenarios take: level-mapped steps, batched reinitialization
+//!   and AMR shadow-mesh regrids. Without a level cutoff (`bubble-amr`)
+//!   each step's advection and diffusion batch the whole interior as one
+//!   class,
+//! - the same run under an M-1 level cutoff (`bubble-amr-m1`), where they
+//!   batch one class per AMR level, each under its own level,
 //! - a tiny Cellular detonation (the hydro sweep through the tabulated
 //!   Helmholtz EOS's column methods — lockstep bisection, batched Newton
 //!   — and the burn's block-wide batched Newton inversions).
@@ -96,7 +100,7 @@ fn bubble_grid() -> Grid {
 
 /// A few steps of the incompressible solver on a tiny two-phase grid with
 /// mixed-sign seeded velocities (both upwind partitions carry cells) and
-/// no AMR level map, so the batched advection/diffusion/CSF paths engage.
+/// no AMR level map (the whole interior is one batch class).
 fn run_bubble(fmt: Format, force_scalar: bool) -> (Grid, Counters) {
     let _pin = batch::force_scalar(force_scalar);
     let mut g = bubble_grid();
@@ -127,15 +131,18 @@ fn run_bubble_reinit(fmt: Format, force_scalar: bool) -> (Grid, Counters) {
     (g, sess.counters())
 }
 
-/// Ten steps of the rising bubble through `Bubble::run`, as the registry
-/// scenarios drive it: every step passes the AMR level map (so advection
-/// and diffusion run per cell), and every fifth step reinitializes the
-/// level set (batched) and regrids the shadow mesh.
-fn run_bubble_amr(fmt: Format, force_scalar: bool) -> (Grid, Counters) {
+/// Ten steps of the rising bubble through `Bubble::run` under `cfg`, as
+/// the registry scenarios drive it: every step passes the AMR level map,
+/// so advection and diffusion batch the whole interior as one class
+/// without a level cutoff and one class per AMR level with one, and every
+/// fifth step reinitializes the level set (batched) and regrids the
+/// shadow mesh. At 32 cells across and `max_level` 2 the map holds cells
+/// of levels 1 and 2, so an M-1 cutoff truncates one class and runs the
+/// other at full precision.
+fn run_bubble_amr(cfg: &Config, force_scalar: bool) -> (Grid, Counters) {
     let _pin = batch::force_scalar(force_scalar);
-    let mut sim = setup_bubble(16, 2, InsParams::default());
-    let sess = Session::new(Config::op_files(fmt, ["INS"]).with_counting())
-        .expect("valid config");
+    let mut sim = setup_bubble(32, 2, InsParams::default());
+    let sess = Session::new(cfg.clone()).expect("valid config");
     sim.run::<Tracked>(1.0, 10, &sess);
     (sim.grid, sess.counters())
 }
@@ -215,11 +222,14 @@ fn main() {
         if !report(&label, grid_diff(&grid_b, &grid_s), count_b, count_s) {
             failed = true;
         }
-        let (grid_b, count_b) = run_bubble_amr(fmt, false);
-        let (grid_s, count_s) = run_bubble_amr(fmt, true);
-        let label = format!("bubble-amr {fmt}").to_lowercase();
-        if !report(&label, grid_diff(&grid_b, &grid_s), count_b, count_s) {
-            failed = true;
+        let ins = Config::op_files(fmt, ["INS"]).with_counting();
+        for (name, cfg) in [("bubble-amr", ins.clone()), ("bubble-amr-m1", ins.with_cutoff(2, 1))] {
+            let (grid_b, count_b) = run_bubble_amr(&cfg, false);
+            let (grid_s, count_s) = run_bubble_amr(&cfg, true);
+            let label = format!("{name} {fmt}").to_lowercase();
+            if !report(&label, grid_diff(&grid_b, &grid_s), count_b, count_s) {
+                failed = true;
+            }
         }
         let (mesh_b, count_b, stats_b) = run_cellular(fmt, false);
         let (mesh_s, count_s, stats_s) = run_cellular(fmt, true);
