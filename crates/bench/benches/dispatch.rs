@@ -67,7 +67,7 @@ fn bench_dispatch(c: &mut Harness) {
     }
 
     // Batch kernels: per-element cost of op-mode `Col` ops through the
-    // monomorphized fast path — one dispatch + one bulk counter add per
+    // fast tier at the CPU's vector width — one dispatch + one bulk counter add per
     // column instead of per op. Reported per element so the rows compare
     // directly against the scalar opmode_soft_* rows above. The input
     // columns live in an outer scope; each iteration runs in a scope of
@@ -282,6 +282,7 @@ fn bench_dispatch(c: &mut Harness) {
 }
 
 fn main() {
+    println!("vector width: {}", raptor_core::batch::vector_width());
     let mut c = Harness::new();
     bench_dispatch(&mut c);
     let json = std::env::var("RAPTOR_BENCH_JSON").ok();

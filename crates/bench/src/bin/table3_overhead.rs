@@ -131,6 +131,7 @@ fn main() {
     rows.push(measure("sod-hll op-mode opt. M-0", sod, &opt_m0));
     println!("== Table 3: slowdown of RAPTOR in practice (Sedov, 12-bit mantissa) ==");
     println!("medians of {ROUNDS} alternating instrumented/native rounds, [min-max]");
+    println!("vector width: {}", raptor_core::batch::vector_width());
     println!("{:<30} {:>8} {:>24} {:>22}", "config", "trunc %", "time (s)", "overhead x");
     for r in &rows {
         let (s, o) = (&r.seconds, &r.overhead);

@@ -365,9 +365,9 @@ impl Format {
 
     /// Bit-twiddled round-to-nearest-even path (the common case in the
     /// RAPTOR runtime). The algorithm lives in [`crate::kernel`] so the
-    /// batch emulation kernels can monomorphize the same core with
-    /// const-generic widths; differential-tested against the `SoftFloat`
-    /// path there and in `raptor-core/tests/fastpath.rs`.
+    /// batch emulation kernels round with the same core;
+    /// differential-tested against the `SoftFloat` path there and in
+    /// `raptor-core/tests/fastpath.rs`.
     #[inline]
     fn round_f64_rne_fast(&self, x: f64) -> f64 {
         crate::kernel::round_rne_core(x, self.exp_bits, self.man_bits)

@@ -1,13 +1,12 @@
 //! Shared round-to-nearest-even cores for the batch emulation kernels.
 //!
-//! [`Format::round_f64`](crate::Format::round_f64) resolves its widths at
-//! run time; the batch kernel layer in `raptor-core` instead wants the
-//! compiler to constant-fold the bias, the drop count, and the masks so a
-//! whole slice can run through an auto-vectorizable loop. Both callers
-//! share [`round_rne_core`]: the `Format` path passes its fields, the
-//! kernels instantiate [`round_rne`] with const-generic widths. One
-//! algorithm, one set of differential tests, bit-identical results by
-//! construction.
+//! [`Format::round_f64`](crate::Format::round_f64) and the batch kernel
+//! layer in `raptor-core` share [`round_rne_core`]: the `Format` path
+//! passes its fields, and the batch tier's precise re-run passes the
+//! widths of the op's format. (The batch tier's fast loop rounds with
+//! its own branchless add-half-and-truncate, and defers every case that
+//! trick cannot serve to this core.) One algorithm, one set of
+//! differential tests, bit-identical results by construction.
 
 /// Round a finite or non-finite `f64` to nearest-even in the format
 /// `(exp_bits, man_bits)`, returning the result widened back to `f64`.
@@ -99,14 +98,6 @@ fn split(mag: u64, exp_bits: u32, man_bits: u32) -> (i32, u64, i32) {
         (biased - 1023, (1u64 << 52) | (mag & ((1u64 << 52) - 1)))
     };
     (exp, mant, (52 - man_bits as i32) + (emin - exp).max(0))
-}
-
-/// Monomorphized round-to-nearest-even: [`round_rne_core`] with the widths
-/// baked in at compile time, so the bias/drop/mask arithmetic constant-folds
-/// and slice loops over it auto-vectorize.
-#[inline(always)]
-pub fn round_rne<const E: u32, const M: u32>(x: f64) -> f64 {
-    round_rne_core(x, E, M)
 }
 
 /// Exact power of two as f64 for exponents representable in f64's range.
@@ -242,14 +233,15 @@ mod tests {
         }
     }
 
+    /// Spot values (normal, fp16-subnormal, overflowing, underflowing to
+    /// `-0`) against the `SoftFloat` rounding, which shares no code with
+    /// the core.
     #[test]
-    fn const_generic_wrapper_is_the_same_function() {
+    fn core_matches_soft_rounding_on_spot_values() {
         let vals = [0.1, 1.0, -2.5, 6.1e-5, 1e30, -1e-30];
         for &v in &vals {
-            assert_eq!(
-                round_rne::<5, 10>(v).to_bits(),
-                round_rne_core(v, 5, 10).to_bits()
-            );
+            let soft = Format::FP16.round_soft(&crate::SoftFloat::from_f64(v), RoundMode::NearestEven);
+            assert_eq!(round_rne_core(v, 5, 10).to_bits(), soft.to_f64().to_bits(), "{v:e}");
         }
     }
 }

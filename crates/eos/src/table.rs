@@ -274,8 +274,8 @@ pub(crate) mod tests {
     /// The batch-vs-scalar configurations, each built by `op` from its
     /// format: e5m10,
     /// the per-element fallback e11m30, and the hydro sweep differential's
-    /// six — the table's e11m12 and guarded e11m20, e11m22 (a short-cut
-    /// format outside the table), e11m12 on the Big path, e11m12 rounding
+    /// six — e11m12 and the guarded e11m20 and e11m22 (all on the batch
+    /// fast tier), e11m12 on the Big path, e11m12 rounding
     /// toward zero (which also bypasses the double-rounding short-cut),
     /// and FP32 through `Auto` (the Native rung).
     pub(crate) fn differential_configs(

@@ -266,7 +266,7 @@ fn sweep_block<R: Real, E: Eos>(
 // Riemann solver's branch bodies (partitioned by
 // `riemann::riemann_flux_batch`) and the `Cons` update, instantiated at
 // `raptor_core::batch::Col`, where each operator is one batch op over the
-// column — one truncation decision read, one bulk count, a monomorphized
+// column — one truncation decision read, one bulk count, one vectorized
 // loop. Every op is element-wise, so values stay bit-identical to the
 // scalar path and op counts exactly equal, by construction; the minmod
 // and floor selections are exact, uncounted operations, as in the scalar
@@ -802,10 +802,10 @@ mod tests {
 
     /// The batch sweep against the scalar oracle on random blocks
     /// ([`init_random`]), under the configurations no other hydro
-    /// differential covers — a short-cut format outside the kernel table
-    /// (e11m22, per-element emulation), the Big path, a directed rounding
-    /// mode and the Native FP32 rung (`Auto` resolves FP32 to it) — plus
-    /// the table's e11m12 and guarded e11m20, with both Riemann solvers
+    /// differential covers — e11m22 (guarded, like e11m20, on the batch
+    /// fast tier), the Big path, a directed rounding mode and the Native
+    /// FP32 rung (`Auto` resolves FP32 to it) — plus e11m12 and the
+    /// guarded e11m20, with both Riemann solvers
     /// and both reconstructions. Bits and counters must match exactly.
     #[test]
     fn random_states_batch_bit_identical_to_scalar() {

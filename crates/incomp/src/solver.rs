@@ -1009,8 +1009,8 @@ mod tests {
 
     /// The batch-vs-scalar configurations: e11m10 and the per-element
     /// fallback e11m30 (past the short-cut bound), plus the hydro sweep
-    /// differential's six — the table's e11m12 and guarded e11m20, e11m22
-    /// (a short-cut format outside the table), e11m12 on the Big path,
+    /// differential's six — e11m12 and the guarded e11m20 and e11m22 (all
+    /// on the batch fast tier), e11m12 on the Big path,
     /// e11m12 rounding toward zero, and FP32 through `Auto` (the Native
     /// rung).
     fn differential_configs() -> Vec<(&'static str, Config)> {

@@ -17,8 +17,9 @@
 //! written once, as the scalar op AST over a per-element executor
 //! (`Exec`), and every shape runs through one dispatch skeleton (`run`).
 //! The skeleton picks the executor; the op kind and operand shape are
-//! type parameters, fixed outside the element loop, so the fast chunk
-//! loop is branch-free straight-line code per element. The exact
+//! type parameters and the target format is loop-invariant data, so the
+//! fast chunk loop is straight-line code per element whose only
+//! data-dependent branch is one slow-flag test per chunk. The exact
 //! selections (`min`, `max`, `minmod`, negation) are uncounted lane loops.
 //!
 //! ## Dispatch tiers (fastest first)
@@ -26,25 +27,32 @@
 //! 1. **Hardware** — no session, an inactive region (plus one bulk `full`
 //!    count when the session counts full ops), or a Native op-mode
 //!    decision: plain `f64` ops, or `f32` ones for the Native FP32 rung.
-//! 2. **Op-mode, monomorphized** — round-to-nearest-even and a format in
-//!    the static table whose double rounding through `f64` is innocuous
+//! 2. **Op-mode, fast/precise** — round-to-nearest-even and a format
+//!    whose double rounding through `f64` is innocuous
 //!    ([`DoubleRound::Safe`]) or guarded ([`DoubleRound::Guarded`],
-//!    `e11m20`): the `round → hardware op → round` short-cut with
-//!    const-generic widths, bit-identical to the scalar Soft path by
-//!    construction (both funnel through
-//!    [`bigfloat::kernel::round_rne_core`]). A flagged chunk re-runs
-//!    precisely; for a guarded format that re-run sends a result in the
-//!    `f64` subnormal window through the scalar SoftFloat kernel.
+//!    `e11m17`–`e11m24`): the `round → hardware op → round` short-cut,
+//!    with the format's rounding masks and range limits precomputed once
+//!    per op (`Grid`). A chunk whose rounding met a non-finite value, a
+//!    target-subnormal magnitude or an overflow re-runs precisely,
+//!    bit-identical to the scalar Soft path by construction (both funnel
+//!    through [`bigfloat::kernel::round_rne_core`]); for a guarded format
+//!    that re-run sends a result in the `f64` subnormal window through
+//!    the SoftFloat kernel.
 //! 3. **Op-mode, per-element emulation** — everything else in op-mode:
-//!    the Big path, directed rounding modes, formats past Figueroa's bound
-//!    (`p > 25`, e.g. `e11m30`) and short-cut formats outside the table
-//!    (`e11m22`, which take the same short-cut through `ops::emulate2`).
-//!    The scalar path's own emulation functions, still with one dispatch
-//!    read and one bulk count.
+//!    the Big path, directed rounding modes and formats past Figueroa's
+//!    bound (`p > 25`, e.g. `e11m30`). The scalar path's own emulation
+//!    functions, still with one dispatch read and one bulk count.
 //! 4. **mem-mode** — defensive per-element [`crate::ops`] calls. Consumers
 //!    should gate with [`ready`] and keep their scalar path instead:
 //!    mem-mode needs per-op source locations, which a batch call cannot
 //!    attribute.
+//!
+//! The element-independent loops — the hardware tier's and the fast
+//! tier's chunk loop — are compiled at each vector width the target
+//! architecture offers (on x86-64: the baseline, AVX2 and AVX-512), and
+//! every op runs the widest one the CPU reports, detected once per
+//! process ([`vector_width`]). A flagged chunk's precise re-run, the
+//! emulation tier and the mem-mode tier run at the baseline width.
 //!
 //! ## Columns
 //!
@@ -56,14 +64,14 @@ use crate::config::EmulPath;
 use crate::context::{Dispatch, FAST};
 use crate::counters::OpKind;
 use crate::ops::{self, MathFn};
-use bigfloat::kernel::round_rne;
-use bigfloat::{DoubleRound, Format, RoundMode};
 use crate::real::Arith;
+use bigfloat::kernel::round_rne_core;
+use bigfloat::{DoubleRound, Format};
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 // ---------------------------------------------------------------------------
 // Consumer gating
@@ -444,23 +452,21 @@ fn run<S: Shape>(s: S, out: &mut [f64]) {
                 c.bump_n(kind, per * n as u64);
             }
         };
+        let width = Width::current();
         match f.dispatch.get() {
-            Dispatch::None | Dispatch::Inactive => each(s, &mut Hw, out),
+            Dispatch::None | Dispatch::Inactive => width.column(Hw, s, out),
             Dispatch::InactiveCount => {
                 count(&f.full);
-                each(s, &mut Hw, out)
+                width.column(Hw, s, out)
             }
             Dispatch::Op => {
                 count(&f.trunc);
                 let emul = f.emul.get();
                 match emul.path {
-                    EmulPath::Native if emul.fmt == Format::FP64 => each(s, &mut Hw, out),
-                    EmulPath::Native => each(s, &mut Hw32, out),
-                    _ => {
-                        if emul.dr == DoubleRound::Unsafe || !table(emul.fmt, s, out) {
-                            each(s, &mut Emulate(emul), out)
-                        }
-                    }
+                    EmulPath::Native if emul.fmt == Format::FP64 => width.column(Hw, s, out),
+                    EmulPath::Native => width.column(Hw32, s, out),
+                    _ if emul.dr != DoubleRound::Unsafe => width.column(Grid::of(emul), s, out),
+                    _ => each(s, &mut Emulate(emul), out),
                 }
             }
             Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount => each(s, &mut Ops, out),
@@ -479,46 +485,161 @@ fn each<S: Shape, X: Exec>(s: S, x: &mut X, out: &mut [f64]) {
     }
 }
 
-/// The monomorphized tier: each chunk runs through [`Fast`], and re-runs
-/// through [`Precise`] if any rounding in it tripped the slow flag.
-fn fast<S: Shape, const E: u32, const M: u32>(s: S, out: &mut [f64]) {
-    let n = out.len();
-    let mut i0 = 0;
-    while i0 < n {
-        let i1 = (i0 + S::CHUNK).min(n);
-        let (w, o) = (s.window(i0..i1), &mut out[i0..i1]);
-        let mut x = Fast::<E, M> { slow: false };
-        each(w, &mut x, o);
-        if x.slow {
-            each(w, &mut Precise::<E, M>, o);
-        }
-        i0 = i1;
+// ---------------------------------------------------------------------------
+// Vector widths
+// ---------------------------------------------------------------------------
+
+/// A tier whose whole-column loop is element-independent, so it is
+/// compiled once per vector width ([`Width::column`]).
+trait Tier: Copy {
+    fn column<S: Shape>(self, s: S, out: &mut [f64]);
+}
+
+/// A stateless executor's loop ([`Hw`], [`Hw32`]).
+impl<X: Exec + Copy> Tier for X {
+    #[inline(always)]
+    fn column<S: Shape>(mut self, s: S, out: &mut [f64]) {
+        each(s, &mut self, out)
     }
 }
 
-/// The static dispatch table: runs `s` on the monomorphized tier and
-/// returns true if `fmt` is in the shipped format ladder — fp8 variants,
-/// fp16, bf16, tf32-shaped e8m10, fp32, the paper's e5m14, and the e11
-/// mantissa-truncation ladder the campaigns bisect, up to the default
-/// ladder's `e11m20`. Every entry double-rounds innocuously
-/// ([`DoubleRound::Safe`]) except `e11m20`, which is
-/// [`DoubleRound::Guarded`]: its fast tier already flags every
-/// `f64`-subnormal operand or result, and its precise re-runs keep the
-/// scalar guard.
-fn table<S: Shape>(fmt: Format, s: S, out: &mut [f64]) -> bool {
-    macro_rules! table {
-        ($(($e:literal, $m:literal)),* $(,)?) => {
-            match (fmt.exp_bits(), fmt.man_bits()) {
-                $(($e, $m) => fast::<S, $e, $m>(s, out),)*
-                _ => return false,
+/// The fast/precise chunk loop: each chunk runs through [`Fast`], and
+/// re-runs through [`Precise`] if any rounding in it tripped the slow
+/// flag.
+impl Tier for Grid {
+    #[inline(always)]
+    fn column<S: Shape>(self, s: S, out: &mut [f64]) {
+        let n = out.len();
+        let mut i0 = 0;
+        while i0 < n {
+            let i1 = (i0 + S::CHUNK).min(n);
+            let (w, o) = (s.window(i0..i1), &mut out[i0..i1]);
+            let mut x = Fast { grid: self, slow: false };
+            each(w, &mut x, o);
+            if x.slow {
+                precise(self, w, o);
             }
-        };
+            i0 = i1;
+        }
     }
-    table!(
-        (4, 3), (5, 2), (5, 10), (5, 14), (8, 7), (8, 10), (8, 23),
-        (11, 4), (11, 6), (11, 8), (11, 10), (11, 12), (11, 14), (11, 16), (11, 20),
-    );
-    true
+}
+
+/// A flagged chunk's re-run through [`Precise`], out of line and so at
+/// the baseline width: inlined, the cold path would be copied into every
+/// width's loop and spread the hot one over more code pages.
+#[inline(never)]
+fn precise<S: Shape>(g: Grid, s: S, out: &mut [f64]) {
+    each(s, &mut Precise(g), out)
+}
+
+/// A vector width the [`Tier`] loops are compiled at, widest last.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Width {
+    /// The target's baseline features (SSE2 on x86-64).
+    Base,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// A test's pin of this thread's width (see `Width::pin`).
+    static PINNED_WIDTH: std::cell::Cell<Option<Width>> = const { std::cell::Cell::new(None) };
+}
+
+impl Width {
+    /// The widest width the CPU reports, detected once per process.
+    fn detected() -> Width {
+        static DETECTED: OnceLock<Width> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                let avx2 = std::arch::is_x86_feature_detected!("avx2");
+                let avx512 = avx2
+                    && std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512vl")
+                    && std::arch::is_x86_feature_detected!("avx512dq");
+                if avx512 {
+                    return Width::Avx512;
+                } else if avx2 {
+                    return Width::Avx2;
+                }
+            }
+            Width::Base
+        })
+    }
+
+    /// The width this thread's batch ops run at: [`Width::detected`],
+    /// unless a test pinned a narrower one.
+    #[inline]
+    fn current() -> Width {
+        #[cfg(test)]
+        if let Some(w) = PINNED_WIDTH.with(std::cell::Cell::get) {
+            return w;
+        }
+        Width::detected()
+    }
+
+    /// Run this thread's batch ops at `w` (`None`: the detected width)
+    /// until the next pin. Panics on a width the CPU does not report.
+    #[cfg(test)]
+    fn pin(w: Option<Width>) {
+        assert!(w.is_none_or(|w| w <= Width::detected()), "{w:?} is not available");
+        PINNED_WIDTH.with(|p| p.set(w));
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Width::Base => "baseline",
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx512 => "avx512",
+        }
+    }
+
+    /// `t`'s column loop over `s`, compiled at this width.
+    #[allow(unsafe_code)]
+    #[inline(always)]
+    fn column<T: Tier, S: Shape>(self, t: T, s: S, out: &mut [f64]) {
+        match self {
+            Width::Base => t.column(s, out),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2` exists only once `detected` saw the CPU
+            // report avx2 (`pin` admits no wider width than that).
+            Width::Avx2 => unsafe { x86::avx2(t, s, out) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx512` exists only once `detected` saw the CPU
+            // report avx2, avx512f, avx512vl and avx512dq.
+            Width::Avx512 => unsafe { x86::avx512(t, s, out) },
+        }
+    }
+}
+
+/// The [`Tier`] loops at the x86-64 vector extensions: each wrapper's
+/// body inlines the loop, which is then compiled for its features.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{Shape, Tier};
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn avx2<T: Tier, S: Shape>(t: T, s: S, out: &mut [f64]) {
+        t.column(s, out)
+    }
+
+    #[target_feature(enable = "avx2,avx512f,avx512vl,avx512dq")]
+    pub(super) fn avx512<T: Tier, S: Shape>(t: T, s: S, out: &mut [f64]) {
+        t.column(s, out)
+    }
+}
+
+/// The vector width the batch tier's element-independent loops run at on
+/// this CPU: `"avx512"` or `"avx2"` on x86-64 CPUs that report those
+/// extensions, else `"baseline"`. Detected once per process.
+pub fn vector_width() -> &'static str {
+    Width::detected().name()
 }
 
 // ---------------------------------------------------------------------------
@@ -797,6 +918,7 @@ trait Exec {
 }
 
 /// Hardware tier: plain `f64` ops, no rounding.
+#[derive(Clone, Copy)]
 struct Hw;
 impl Exec for Hw {
     #[inline(always)]
@@ -817,6 +939,7 @@ impl Exec for Hw {
 /// Native path. A binary op runs in `f64` on the `f32` operands and rounds
 /// once more to `f32`: innocuous double rounding (`2 * 24 + 2 <= 53`), so
 /// bit-identical to the `f32` op.
+#[derive(Clone, Copy)]
 struct Hw32;
 impl Exec for Hw32 {
     #[inline(always)]
@@ -833,59 +956,70 @@ impl Exec for Hw32 {
     }
 }
 
-/// Monomorphized fast tier: branchless [`fast_round`] around every operand
-/// and result, accumulating the shared `slow` flag. When the flag trips,
-/// the caller discards the chunk and re-runs it through [`Precise`]; when
-/// it doesn't, every intermediate is bit-identical to the precise chain
-/// (the fast-round contract), so chaining is safe.
-struct Fast<const E: u32, const M: u32> {
+/// Fast tier: branchless [`Grid::fast_round`] around every operand and
+/// result, accumulating the shared `slow` flag. When the flag trips, the
+/// caller discards the chunk and re-runs it through [`Precise`]; when it
+/// doesn't, every intermediate is bit-identical to the precise chain (the
+/// fast-round contract), so chaining is safe.
+struct Fast {
+    grid: Grid,
     slow: bool,
 }
-impl<const E: u32, const M: u32> Exec for Fast<E, M> {
+impl Exec for Fast {
     #[inline(always)]
     fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64 {
-        let r = ops::raw2(
-            kind,
-            fast_round::<E, M>(a, &mut self.slow),
-            fast_round::<E, M>(b, &mut self.slow),
-        );
-        fast_round::<E, M>(r, &mut self.slow)
+        let g = self.grid;
+        let r = ops::raw2(kind, g.fast_round(a, &mut self.slow), g.fast_round(b, &mut self.slow));
+        g.fast_round(r, &mut self.slow)
     }
     #[inline(always)]
     fn sqrt(&mut self, a: f64) -> f64 {
-        let r = fast_round::<E, M>(a, &mut self.slow).sqrt();
-        fast_round::<E, M>(r, &mut self.slow)
+        let g = self.grid;
+        let r = g.fast_round(a, &mut self.slow).sqrt();
+        g.fast_round(r, &mut self.slow)
     }
     #[inline(always)]
     fn math(&mut self, func: MathFn, a: f64) -> f64 {
-        ops::emulate_math(soft::<E, M>(), func, a)
+        ops::emulate_math(self.grid.emul, func, a)
     }
 }
 
-/// Monomorphized precise tier: the exact `round → op → finish` short-cut
-/// the scalar Soft path takes, subnormal-window guard included.
-struct Precise<const E: u32, const M: u32>;
-impl<const E: u32, const M: u32> Exec for Precise<E, M> {
+/// Precise tier: the exact `round → op → finish` short-cut the scalar
+/// Soft path takes ([`ops::fmt_op2`]), subnormal-window guard included,
+/// on the grid's widths.
+struct Precise(Grid);
+impl Exec for Precise {
     #[inline(always)]
     fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64 {
-        let (a, b) = (round_rne::<E, M>(a), round_rne::<E, M>(b));
-        finish_guarded::<E, M>(ops::raw2(kind, a, b), || {
-            ops::soft_op2(Format::new(E, M), RoundMode::NearestEven, kind, a, b)
-        })
+        let g = self.0;
+        let (a, b) = (g.round(a), g.round(b));
+        ops::finish_shortcut(
+            ops::raw2(kind, a, b),
+            g.emul.dr == DoubleRound::Guarded,
+            |r| g.round(r),
+            || ops::soft_op2(g.emul.fmt, g.emul.rm, kind, a, b),
+        )
     }
     #[inline(always)]
     fn sqrt(&mut self, a: f64) -> f64 {
-        finish::<E, M>(round_rne::<E, M>(a).sqrt())
+        // Unguarded, as in `ops::fmt_sqrt`: a square root never lands in
+        // the subnormal window.
+        let r = self.0.round(a).sqrt();
+        if r.is_nan() {
+            f64::NAN
+        } else {
+            self.0.round(r)
+        }
     }
     #[inline(always)]
     fn math(&mut self, func: MathFn, a: f64) -> f64 {
-        ops::emulate_math(soft::<E, M>(), func, a)
+        ops::emulate_math(self.0.emul, func, a)
     }
 }
 
 /// Emulation tier: the Big path, directed rounding, formats past the
-/// short-cut's bound or outside the table — the same per-op emulation the
-/// scalar path calls, with the decision captured once.
+/// short-cut's bound — the same per-op emulation the scalar path calls,
+/// with the decision captured once.
 struct Emulate(ops::Emul);
 impl Exec for Emulate {
     #[inline(always)]
@@ -922,75 +1056,75 @@ impl Exec for Ops {
 }
 
 // ---------------------------------------------------------------------------
-// Monomorphized rounding
+// Fast rounding
 // ---------------------------------------------------------------------------
 
-/// The op-mode decision a table entry stands for: the Soft path at `(E, M)`
-/// with round-to-nearest-even. Math functions have no monomorphized
-/// kernel; both table executors evaluate them through it.
-fn soft<const E: u32, const M: u32>() -> ops::Emul {
-    let fmt = Format::new(E, M);
-    ops::Emul { fmt, rm: RoundMode::NearestEven, path: EmulPath::Soft, dr: fmt.double_round() }
+/// A short-cut op-mode decision as the fast tier's loop-invariant data:
+/// the round-to-nearest-even masks and range limits of its format,
+/// precomputed once per op.
+#[derive(Clone, Copy)]
+struct Grid {
+    /// `2^(drop - 1) - 1`: half an ulp of the format, less one.
+    half_m1: u64,
+    /// Clears the `drop` low bits that the format does not keep.
+    keep: u64,
+    /// `52 - man_bits`: the position of the format's last kept bit.
+    drop: u32,
+    /// `2^emin`, the format's smallest normal magnitude.
+    min_normal: f64,
+    /// `2^(emax + 1)`, the smallest magnitude past the format's largest
+    /// finite one (`inf` for 11 exponent bits).
+    overflow: f64,
+    /// The decision itself: the precise re-run's format and guard, and
+    /// the math functions' emulation.
+    emul: ops::Emul,
 }
 
-/// Whether `(E, M)` double-rounds innocuously for every result
-/// ([`DoubleRound::Safe`]). The table's guarded formats (`e11m20`) are
-/// not: their precise re-runs keep the scalar path's subnormal-window
-/// guard. Evaluated in `const` blocks, so strict formats' kernels carry
-/// no trace of the guard.
-const fn strict<const E: u32, const M: u32>() -> bool {
-    matches!(Format::new(E, M).double_round(), DoubleRound::Safe)
-}
-
-/// Finish one short-cut op: canonicalize hardware NaNs (x86's negative
-/// "indefinite" vs the soft kernels' positive quiet NaN), then the final
-/// rounding. Mirrors the scalar short-cut in [`crate::ops`] exactly; for
-/// `sqrt`, and for every op of a strict format, it is all of it.
-#[inline(always)]
-fn finish<const E: u32, const M: u32>(r: f64) -> f64 {
-    if r.is_nan() {
-        f64::NAN
-    } else {
-        round_rne::<E, M>(r)
+impl Grid {
+    /// Round-to-nearest-even into the format, exactly as the scalar path
+    /// does ([`round_rne_core`]).
+    #[inline(always)]
+    fn round(self, x: f64) -> f64 {
+        round_rne_core(x, self.emul.fmt.exp_bits(), self.emul.fmt.man_bits())
     }
-}
 
-/// [`finish`] with the guard: a guarded format re-runs a result in the
-/// `f64` subnormal window through `soft`, the scalar SoftFloat kernel on
-/// the same rounded operands ([`ops::finish_shortcut`]).
-#[inline(always)]
-fn finish_guarded<const E: u32, const M: u32>(r: f64, soft: impl FnOnce() -> f64) -> f64 {
-    if const { strict::<E, M>() } {
-        finish::<E, M>(r)
-    } else {
-        ops::finish_shortcut(r, true, round_rne::<E, M>, soft)
+    fn of(emul: ops::Emul) -> Grid {
+        let (e, m) = (emul.fmt.exp_bits(), emul.fmt.man_bits());
+        let drop = 52 - m;
+        let emax = (1i32 << (e - 1)) - 1;
+        let pow2 = |k: i32| f64::from_bits(((k + 1023) as u64) << 52);
+        Grid {
+            half_m1: (1u64 << (drop - 1)) - 1,
+            keep: !((1u64 << drop) - 1),
+            drop,
+            min_normal: pow2(1 - emax),
+            overflow: pow2(emax + 1),
+            emul,
+        }
     }
-}
 
-/// Branchless RNE rounding for magnitudes whose rounded value stays in
-/// the target format's *normal* range: the classic add-half-and-truncate
-/// on the raw bit pattern (carry out of the mantissa bumps the biased
-/// exponent exactly as IEEE encoding requires). For anything the trick
-/// cannot serve exactly — non-finite input, a nonzero magnitude below
-/// the format's normal range (target-subnormal, variable shift), or a
-/// result past `emax` (overflow to infinity) — it *flags* `slow` instead
-/// of handling the case, and the caller re-runs that chunk through the
-/// precise [`round_rne`] path. ±0 passes through the fast path
-/// unchanged. The split keeps the hot loop free of data-dependent
-/// branches.
-#[inline(always)]
-fn fast_round<const E: u32, const M: u32>(x: f64, slow: &mut bool) -> f64 {
-    let drop = 52 - M;
-    let bias = (1i32 << (E - 1)) - 1;
-    let (emin, emax) = (1 - bias, bias);
-    let bits = x.to_bits();
-    let mag = bits & !(1u64 << 63);
-    let exp = ((bits >> 52) & 0x7FF) as i32 - 1023;
-    let lsb = (bits >> drop) & 1;
-    let rbits = bits.wrapping_add((1u64 << (drop - 1)) - 1 + lsb) & !((1u64 << drop) - 1);
-    let rexp = ((rbits >> 52) & 0x7FF) as i32 - 1023;
-    *slow |= (exp >= 1024) | ((exp < emin) & (mag != 0)) | (rexp > emax);
-    f64::from_bits(rbits)
+    /// Branchless RNE rounding for magnitudes whose rounded value stays
+    /// in the format's *normal* range: the classic add-half-and-truncate
+    /// on the raw bit pattern (carry out of the mantissa bumps the biased
+    /// exponent exactly as IEEE encoding requires). For anything the
+    /// trick cannot serve exactly — a non-finite input, a nonzero
+    /// magnitude below the format's normal range (target-subnormal,
+    /// variable shift), or a result past `emax` (overflow to infinity) —
+    /// it *flags* `slow` instead of handling the case, and the caller
+    /// re-runs that chunk through [`Precise`]. ±0 passes through
+    /// unchanged. The flags are `f64` compares against the grid's limits,
+    /// so the loop around it vectorizes.
+    #[inline(always)]
+    fn fast_round(self, x: f64, slow: &mut bool) -> f64 {
+        let bits = x.to_bits();
+        let lsb = (bits >> self.drop) & 1;
+        let r = f64::from_bits(bits.wrapping_add(self.half_m1 + lsb) & self.keep);
+        let mag = x.abs();
+        *slow |= !x.is_finite()
+            | ((mag < self.min_normal) & (mag > 0.0))
+            | (r.abs() >= self.overflow);
+        r
+    }
 }
 
 #[cfg(test)]
@@ -998,7 +1132,7 @@ mod tests {
     use super::*;
     use crate::config::Config;
     use crate::context::Session;
-    use bigfloat::Format;
+    use bigfloat::{Format, RoundMode};
 
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E3779B97F4A7C15);
@@ -1174,17 +1308,38 @@ mod tests {
     /// ops on slice⊙slice, slice⊙broadcast, broadcast⊙slice and
     /// broadcast⊙broadcast operands; sqrt and log10 of a slice and of a
     /// broadcast; minmod; both fused WENO5 tails with a slice or broadcast
-    /// middle operand) under one config per dispatch tier — the
-    /// monomorphized table (fp16, e11m8, e11m12), its guarded entry
-    /// (e11m20), a short-cut format outside the table (e11m22), a format
-    /// past the short-cut bound (e11m30), Native FP32, the Big path, a
-    /// directed rounding mode, an inactive counting region and mem-mode —
-    /// and with no session must give the scalar path's bits lane for lane
-    /// and its counters exactly (minmod counts nothing on either). Operands
-    /// are raw random bit patterns mixed with moderate values and
-    /// hand-picked specials; 300 lanes span two full chunks and a tail.
+    /// middle operand) under one config per dispatch tier — the fast
+    /// tier (fp16, e11m8, e11m12, the odd-mantissa e11m5), its guarded
+    /// formats (e11m20, e11m22), a format past the short-cut bound
+    /// (e11m30), Native FP32, the Big path, a directed rounding mode, an
+    /// inactive counting region and mem-mode — and with no session must
+    /// give the scalar path's bits lane for lane and its counters exactly
+    /// (minmod counts nothing on either), at every vector width the CPU
+    /// reports. Operands are raw random bit patterns mixed with moderate
+    /// values and hand-picked specials; 300 lanes span two full chunks
+    /// and a tail.
     #[test]
     fn every_tier_and_shape_matches_scalar_path() {
+        const WIDTHS: &[Width] = &[
+            Width::Base,
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx2,
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx512,
+        ];
+        for &width in WIDTHS {
+            if width > Width::detected() {
+                println!("vector width {}: skipped, the CPU does not report it", width.name());
+                continue;
+            }
+            println!("vector width {}: covered", width.name());
+            Width::pin(Some(width));
+            every_tier_and_shape_at_pinned_width(width);
+        }
+        Width::pin(None);
+    }
+
+    fn every_tier_and_shape_at_pinned_width(width: Width) {
         const N: usize = 300;
         let specials = [
             0.1, -7.25, 1e20, f64::NAN, 5e-310, 0.0, -0.0, f64::INFINITY, -f64::INFINITY,
@@ -1239,6 +1394,7 @@ mod tests {
             ("fp16", Config::op_all(Format::FP16), false),
             ("e11m8", Config::op_all(Format::new(11, 8)), false),
             ("e11m12", Config::op_all(e11m12), false),
+            ("e11m5", Config::op_all(Format::new(11, 5)), false),
             ("e11m20", Config::op_all(Format::new(11, 20)), false),
             ("e11m22", Config::op_all(Format::new(11, 22)), false),
             ("e11m30", Config::op_all(Format::new(11, 30)), false),
@@ -1273,12 +1429,12 @@ mod tests {
                     assert_eq!(
                         got[i].to_bits(),
                         want[i].to_bits(),
-                        "{label} {shape:?} lane {i}: {:e} vs scalar {:e}",
+                        "{width:?} {label} {shape:?} lane {i}: {:e} vs scalar {:e}",
                         got[i],
                         want[i]
                     );
                 }
-                assert_eq!(got_c, want_c, "{label} {shape:?}: counters");
+                assert_eq!(got_c, want_c, "{width:?} {label} {shape:?}: counters");
                 let counted = got_c.trunc.total() + got_c.full.total();
                 if matches!(shape, Shape::Minmod(..)) {
                     assert_eq!(counted, 0, "{label} {shape:?}: an exact selection");
@@ -1291,9 +1447,89 @@ mod tests {
         for &shape in &shapes {
             let (got, want) = (shape_col(shape, ops, w5), shape_scalar(shape, ops, w5));
             for i in 0..N {
-                assert_eq!(got[i].to_bits(), want[i].to_bits(), "no session {shape:?} lane {i}");
+                let (g, w) = (got[i].to_bits(), want[i].to_bits());
+                assert_eq!(g, w, "{width:?} no session {shape:?} lane {i}");
             }
         }
+    }
+
+    /// The fast rounding as it was before its range checks became `f64`
+    /// compares: the slow flag from the input's and the result's biased
+    /// exponents. The oracle for [`Grid::fast_round`].
+    fn fast_round_by_exponent(x: f64, e: u32, m: u32, slow: &mut bool) -> f64 {
+        let drop = 52 - m;
+        let bias = (1i32 << (e - 1)) - 1;
+        let (emin, emax) = (1 - bias, bias);
+        let bits = x.to_bits();
+        let mag = bits & !(1u64 << 63);
+        let exp = ((bits >> 52) & 0x7FF) as i32 - 1023;
+        let lsb = (bits >> drop) & 1;
+        let rbits = bits.wrapping_add((1u64 << (drop - 1)) - 1 + lsb) & !((1u64 << drop) - 1);
+        let rexp = ((rbits >> 52) & 0x7FF) as i32 - 1023;
+        *slow |= (exp >= 1024) | ((exp < emin) & (mag != 0)) | (rexp > emax);
+        f64::from_bits(rbits)
+    }
+
+    /// For every format on the short-cut (E 2..=11, guarded e11m17–e11m24
+    /// included), `Grid::fast_round` returns the exponent oracle's bits
+    /// and slow flag, on random bit patterns and on the edges: ±0, `f64`
+    /// subnormals, `2^emin` and its `f64` neighbours, the largest finite
+    /// value, the tie past it that rounds up to overflow and that tie's
+    /// neighbours, `f64::MAX`, ±inf and NaNs. An unflagged result is
+    /// the scalar rounding's.
+    #[test]
+    fn grid_fast_round_matches_exponent_oracle() {
+        use bigfloat::kernel::round_rne_core;
+        let next = |x: f64, d: i64| f64::from_bits(x.to_bits().wrapping_add_signed(d));
+        let mut state = 0x6E1D_u64;
+        let mut formats = 0;
+        for e in 2..=11u32 {
+            for m in 1..=52u32 {
+                let fmt = Format::new(e, m);
+                let dr = fmt.double_round();
+                if dr == DoubleRound::Unsafe {
+                    continue;
+                }
+                formats += 1;
+                let rm = RoundMode::NearestEven;
+                let grid = Grid::of(ops::Emul { fmt, rm, path: EmulPath::Soft, dr });
+                let (min_normal, max) = (fmt.min_normal(), fmt.max_finite());
+                let tie = max + 2f64.powi(fmt.emax() - m as i32 - 1);
+                let mut xs = vec![
+                    0.0,
+                    5e-324,
+                    1e-310,
+                    f64::MIN_POSITIVE,
+                    min_normal,
+                    next(min_normal, -1),
+                    next(min_normal, 1),
+                    max,
+                    tie,
+                    next(tie, -1),
+                    next(tie, 1),
+                    f64::MAX,
+                    f64::INFINITY,
+                    f64::NAN,
+                    f64::from_bits(u64::MAX),
+                ];
+                xs.extend((0..200).map(|_| f64::from_bits(splitmix(&mut state))));
+                for x in xs.clone() {
+                    xs.push(-x);
+                }
+                for x in xs {
+                    let (mut want_slow, mut got_slow) = (false, false);
+                    let want = fast_round_by_exponent(x, e, m, &mut want_slow);
+                    let got = grid.fast_round(x, &mut got_slow);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{fmt} {x:e}");
+                    assert_eq!(got_slow, want_slow, "{fmt} {x:e}: slow flag");
+                    if !got_slow {
+                        let exact = round_rne_core(x, e, m);
+                        assert_eq!(got.to_bits(), exact.to_bits(), "{fmt} {x:e}: unflagged");
+                    }
+                }
+            }
+        }
+        assert_eq!(formats, 240, "E 2..=11 with 1..=24 mantissa bits");
     }
 
     /// Scalar oracle for the fused kernels: the same AST on one lane
@@ -1334,16 +1570,14 @@ mod tests {
         let n = w.len() - 5;
         let win = |s: usize| &w[s..s + n];
         let v = [win(0), win(1), win(2), win(3), win(4)];
-        // Monomorphized table, per-element emulation, and a directed
-        // rounding mode that forces it too — plus the no-session hardware
-        // tier.
+        // The fast tier, per-element emulation, and a directed rounding
+        // mode that forces it too — plus the no-session hardware tier.
         let mut configs = vec![
             Config::op_all(Format::FP16),
             Config::op_all(Format::new(11, 12)),
-            // Safe format outside the static table (per-element
-            // emulation on the short-cut), the guarded table format, a
-            // guarded format outside the table, and a wide format past
-            // the double-round bound (per-element emulation).
+            // An odd-mantissa format on the fast tier, two guarded
+            // formats, and a wide format past the double-round bound
+            // (per-element emulation).
             Config::op_all(Format::new(11, 5)),
             Config::op_all(Format::new(11, 20)),
             Config::op_all(Format::new(11, 22)),

@@ -122,18 +122,21 @@
 //! per op. Each op shape is written once over a
 //! per-element executor and run by one dispatch skeleton, which picks one
 //! of four tiers: plain hardware (no session, inactive regions, the
-//! Native FP64/FP32 rungs); a fast/precise pair monomorphized over the
-//! format's exponent/mantissa widths for table formats on the short-cut
-//! above, where the rounding mask arithmetic constant-folds and the loop
-//! runs branch-free; per-element emulation through the scalar path's own
-//! functions for every other op-mode decision (Big path, directed
-//! rounding, formats past the short-cut's bound such as `e11m30` or
-//! outside the table); and defensive per-op calls under mem-mode. Results
-//! are bit-identical to the scalar path in every tier.
+//! Native FP64/FP32 rungs); a fast/precise pair for every format on the
+//! short-cut above, whose rounding masks and range limits are computed
+//! once per op, so the fast loop is straight-line code per element;
+//! per-element emulation through the scalar path's own functions for
+//! every other op-mode decision (Big path, directed rounding, formats
+//! past the short-cut's bound such as `e11m30`); and defensive per-op
+//! calls under mem-mode. The hardware and fast loops are compiled at
+//! each vector width of the target (on x86-64: baseline, AVX2, AVX-512)
+//! and run at the widest one the CPU reports
+//! ([`batch::vector_width`]). Results are bit-identical to the scalar
+//! path in every tier and at every width.
 //! Consumers gate on [`batch::ready`] and keep their scalar code as the
 //! mem-mode path and differential oracle.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

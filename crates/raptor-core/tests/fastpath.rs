@@ -260,9 +260,8 @@ fn directed_rounding_preserves_zero_sign_on_cancellation() {
     }
 }
 
-/// The e11 formats whose short-cut is guarded ([`DoubleRound::Guarded`]):
-/// one in the batch kernels' static table (`e11m20`), the rest on the
-/// per-element emulation tier.
+/// The e11 formats whose short-cut is guarded ([`DoubleRound::Guarded`]),
+/// all on the batch kernels' fast tier.
 const GUARDED: [Format; 4] =
     [Format::new(11, 18), Format::new(11, 20), Format::new(11, 22), Format::new(11, 24)];
 

@@ -190,10 +190,11 @@ fn grid_diff(a: &Grid, b: &Grid) -> Option<String> {
 
 fn main() {
     let mut failed = false;
-    // Three formats across the op-mode tiers: e11m12 runs the
-    // monomorphized tier; e11m20 its guarded entry, whose flagged chunks
-    // re-run through the subnormal-window guard; e11m30, off the
-    // double-rounding short-cut, the per-element emulation tier.
+    println!("vector width: {}", raptor_core::batch::vector_width());
+    // Three formats across the op-mode tiers: e11m12 runs the fast tier;
+    // e11m20 its guarded form, whose flagged chunks re-run through the
+    // subnormal-window guard; e11m30, off the double-rounding short-cut,
+    // the per-element emulation tier.
     for (e, m) in [(11u32, 12u32), (11, 20), (11, 30)] {
         let fmt = Format::new(e, m);
         for recon in [ReconKind::Plm, ReconKind::Weno5] {
