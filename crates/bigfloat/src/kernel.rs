@@ -1,12 +1,11 @@
-//! Shared round-to-nearest-even cores for the batch emulation kernels.
+//! The round-to-nearest-even core of the scalar emulation path.
 //!
-//! [`Format::round_f64`](crate::Format::round_f64) and the batch kernel
-//! layer in `raptor-core` share [`round_rne_core`]: the `Format` path
-//! passes its fields, and the batch tier's precise re-run passes the
-//! widths of the op's format. (The batch tier's fast loop rounds with
-//! its own branchless add-half-and-truncate, and defers every case that
-//! trick cannot serve to this core.) One algorithm, one set of
-//! differential tests, bit-identical results by construction.
+//! [`Format::round_f64`](crate::Format::round_f64) rounds with
+//! [`round_rne_core`]. The batch tier in `raptor-core` rounds with its own
+//! branch-free add-half-and-truncate plus subnormal-grid and overflow
+//! selects, which its tests check bit for bit against this core and the
+//! `SoftFloat` rounding; this core's own tests check it against
+//! `SoftFloat` too, so neither rests on code it shares.
 
 /// Round a finite or non-finite `f64` to nearest-even in the format
 /// `(exp_bits, man_bits)`, returning the result widened back to `f64`.
@@ -119,8 +118,13 @@ mod tests {
     use super::*;
     use crate::{Format, RoundMode};
 
+    /// The `SoftFloat` rounding, which shares no code with the core, with
+    /// non-finite values passed through as the core's contract says.
     fn reference(fmt: Format, x: f64) -> f64 {
-        fmt.round_f64(x, RoundMode::NearestEven)
+        if !x.is_finite() {
+            return x;
+        }
+        fmt.round_soft(&crate::SoftFloat::from_f64(x), RoundMode::NearestEven).to_f64()
     }
 
     #[test]

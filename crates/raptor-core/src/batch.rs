@@ -27,17 +27,18 @@
 //! 1. **Hardware** — no session, an inactive region (plus one bulk `full`
 //!    count when the session counts full ops), or a Native op-mode
 //!    decision: plain `f64` ops, or `f32` ones for the Native FP32 rung.
-//! 2. **Op-mode, fast/precise** — round-to-nearest-even and a format
-//!    whose double rounding through `f64` is innocuous
-//!    ([`DoubleRound::Safe`]) or guarded ([`DoubleRound::Guarded`],
-//!    `e11m17`–`e11m24`): the `round → hardware op → round` short-cut,
-//!    with the format's rounding masks and range limits precomputed once
-//!    per op (`Grid`). A chunk whose rounding met a non-finite value, a
-//!    target-subnormal magnitude or an overflow re-runs precisely,
-//!    bit-identical to the scalar Soft path by construction (both funnel
-//!    through [`bigfloat::kernel::round_rne_core`]); for a guarded format
-//!    that re-run sends a result in the `f64` subnormal window through
-//!    the SoftFloat kernel.
+//! 2. **Op-mode, fast** — round-to-nearest-even and a format whose
+//!    double rounding through `f64` is innocuous ([`DoubleRound::Safe`])
+//!    or guarded ([`DoubleRound::Guarded`], `e11m17`–`e11m24`): the
+//!    `round → hardware op → round` short-cut, with the format's rounding
+//!    masks and range limits precomputed once per op (`Grid`). A chunk
+//!    first runs a cheap rounding that flags a non-finite value, a
+//!    target-subnormal magnitude or an overflow; a flagged chunk re-runs
+//!    through a branch-free rounding exact for every input, bit-identical
+//!    to the scalar Soft path's [`bigfloat::kernel::round_rne_core`]
+//!    (the fused WENO5 stencils take the exact rounding alone). A chunk
+//!    holding a guarded format's result in the `f64` subnormal window
+//!    re-runs through the scalar path's emulation, as in tier 3.
 //! 3. **Op-mode, per-element emulation** — everything else in op-mode:
 //!    the Big path, directed rounding modes and formats past Figueroa's
 //!    bound (`p > 25`, e.g. `e11m30`). The scalar path's own emulation
@@ -51,8 +52,9 @@
 //! tier's chunk loop — are compiled at each vector width the target
 //! architecture offers (on x86-64: the baseline, AVX2 and AVX-512), and
 //! every op runs the widest one the CPU reports, detected once per
-//! process ([`vector_width`]). A flagged chunk's precise re-run, the
-//! emulation tier and the mem-mode tier run at the baseline width.
+//! process ([`vector_width`]); a flagged chunk's exact re-run stays in
+//! that loop. A guarded-window chunk's re-run, the emulation tier and the
+//! mem-mode tier run at the baseline width.
 //!
 //! ## Columns
 //!
@@ -65,7 +67,6 @@ use crate::context::{Dispatch, FAST};
 use crate::counters::OpKind;
 use crate::ops::{self, MathFn};
 use crate::real::Arith;
-use bigfloat::kernel::round_rne_core;
 use bigfloat::{DoubleRound, Format};
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -503,33 +504,43 @@ impl<X: Exec + Copy> Tier for X {
     }
 }
 
-/// The fast/precise chunk loop: each chunk runs through [`Fast`], and
-/// re-runs through [`Precise`] if any rounding in it tripped the slow
-/// flag.
+/// The fast tier's chunk loop. A chunk runs through the cheap [`Fast`]
+/// executor and, if any of its roundings tripped the slow flag, re-runs
+/// through [`Exact`] at the same width; a chunk of a shape without
+/// [`Shape::FAST_FIRST`] runs through `Exact` alone. Only a chunk holding
+/// a guarded format's result in the `f64` subnormal window leaves the
+/// loop, for [`emulate`].
 impl Tier for Grid {
     #[inline(always)]
     fn column<S: Shape>(self, s: S, out: &mut [f64]) {
         let n = out.len();
         let mut i0 = 0;
         while i0 < n {
-            let i1 = (i0 + S::CHUNK).min(n);
+            let i1 = (i0 + CHUNK).min(n);
             let (w, o) = (s.window(i0..i1), &mut out[i0..i1]);
-            let mut x = Fast { grid: self, slow: false };
-            each(w, &mut x, o);
-            if x.slow {
-                precise(self, w, o);
-            }
             i0 = i1;
+            if S::FAST_FIRST {
+                let mut x = Fast { grid: self, slow: false };
+                each(w, &mut x, o);
+                if !x.slow {
+                    continue;
+                }
+            }
+            let mut x = Exact { grid: self, window: false };
+            each(w, &mut x, o);
+            if x.window {
+                emulate(self.emul, w, o);
+            }
         }
     }
 }
 
-/// A flagged chunk's re-run through [`Precise`], out of line and so at
-/// the baseline width: inlined, the cold path would be copied into every
-/// width's loop and spread the hot one over more code pages.
+/// A guarded-window chunk's re-run through [`Emulate`], out of line and
+/// so at the baseline width: inlined, the cold path would be copied into
+/// every width's loop and spread the hot one over more code pages.
 #[inline(never)]
-fn precise<S: Shape>(g: Grid, s: S, out: &mut [f64]) {
-    each(s, &mut Precise(g), out)
+fn emulate<S: Shape>(emul: ops::Emul, s: S, out: &mut [f64]) {
+    each(s, &mut Emulate(emul), out)
 }
 
 /// A vector width the [`Tier`] loops are compiled at, widest last.
@@ -646,16 +657,23 @@ pub fn vector_width() -> &'static str {
 // Op shapes: the operands and the scalar op AST, written once
 // ---------------------------------------------------------------------------
 
+/// Chunk size of the fast tier's loop: how many elements one flagged
+/// rounding re-runs through [`Exact`]. Small enough that one stray
+/// subnormal only re-runs a cacheline-scale stretch, large enough to
+/// amortize the flag check.
+const CHUNK: usize = 128;
+
 /// One batch op: its operands, its per-element ops for the bulk count, and
 /// the scalar op AST it evaluates per element.
 trait Shape: Copy {
     /// Ops per element by kind; a call counts these times its length.
     const COUNTS: &'static [(OpKind, u64)];
-    /// Chunk size for the fast/precise split: how many elements one
-    /// flagged rounding re-runs. Small enough that one stray subnormal only
-    /// re-runs a cacheline-scale stretch, large enough to amortize the flag
-    /// check.
-    const CHUNK: usize = 128;
+    /// Whether the fast tier's chunks try the cheap [`Fast`] executor
+    /// before [`Exact`]. The fused WENO5 stencils run `Exact` alone: their
+    /// `EPS` is below the smallest normal of fp16 and e5m2, so there every
+    /// lane would flag, and a `Fast` copy of the 65-op chain at each width
+    /// grows the binary for no speed on the other formats.
+    const FAST_FIRST: bool = true;
     /// Panics unless every slice operand has length `n`.
     fn check(self, n: usize);
     /// The operands restricted to the elements `r`.
@@ -773,9 +791,7 @@ impl<const INV_TAIL: bool> Shape for Weno5<'_, INV_TAIL> {
         (OpKind::Mul, weno5_counts(INV_TAIL).2),
         (OpKind::Div, weno5_counts(INV_TAIL).3),
     ];
-    /// Element granularity: one subnormal intermediate re-runs 65 ops,
-    /// not 128 elements' worth.
-    const CHUNK: usize = 1;
+    const FAST_FIRST: bool = false;
     fn check(self, n: usize) {
         for v in self.0 {
             v.check(n);
@@ -956,11 +972,11 @@ impl Exec for Hw32 {
     }
 }
 
-/// Fast tier: branchless [`Grid::fast_round`] around every operand and
-/// result, accumulating the shared `slow` flag. When the flag trips, the
-/// caller discards the chunk and re-runs it through [`Precise`]; when it
-/// doesn't, every intermediate is bit-identical to the precise chain (the
-/// fast-round contract), so chaining is safe.
+/// Fast tier, cheap executor: branchless [`Grid::fast_round`] around every
+/// operand and result, accumulating the shared `slow` flag. When the flag
+/// trips, the caller discards the chunk and re-runs it through [`Exact`];
+/// when it doesn't, every intermediate is bit-identical to the exact chain
+/// (the fast-round contract), so chaining is safe.
 struct Fast {
     grid: Grid,
     slow: bool,
@@ -984,36 +1000,33 @@ impl Exec for Fast {
     }
 }
 
-/// Precise tier: the exact `round → op → finish` short-cut the scalar
-/// Soft path takes ([`ops::fmt_op2`]), subnormal-window guard included,
-/// on the grid's widths.
-struct Precise(Grid);
-impl Exec for Precise {
+/// Fast tier, exact executor: the `round → op → finish` short-cut the
+/// scalar Soft path takes ([`ops::fmt_op2`]), with [`Grid::exact_round`]
+/// for every rounding. It sets `window` on a guarded format's result in
+/// the `f64` subnormal window: the one case it does not round as the
+/// scalar path does, whose chunk the caller re-runs through [`Emulate`].
+struct Exact {
+    grid: Grid,
+    window: bool,
+}
+impl Exec for Exact {
     #[inline(always)]
     fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64 {
-        let g = self.0;
-        let (a, b) = (g.round(a), g.round(b));
-        ops::finish_shortcut(
-            ops::raw2(kind, a, b),
-            g.emul.dr == DoubleRound::Guarded,
-            |r| g.round(r),
-            || ops::soft_op2(g.emul.fmt, g.emul.rm, kind, a, b),
-        )
+        let g = self.grid;
+        let r = ops::raw2(kind, g.exact_round(a), g.exact_round(b));
+        self.window |= (g.emul.dr == DoubleRound::Guarded) & DoubleRound::in_window(r);
+        g.finish(r)
     }
     #[inline(always)]
     fn sqrt(&mut self, a: f64) -> f64 {
         // Unguarded, as in `ops::fmt_sqrt`: a square root never lands in
         // the subnormal window.
-        let r = self.0.round(a).sqrt();
-        if r.is_nan() {
-            f64::NAN
-        } else {
-            self.0.round(r)
-        }
+        let g = self.grid;
+        g.finish(g.exact_round(a).sqrt())
     }
     #[inline(always)]
     fn math(&mut self, func: MathFn, a: f64) -> f64 {
-        ops::emulate_math(self.0.emul, func, a)
+        ops::emulate_math(self.grid.emul, func, a)
     }
 }
 
@@ -1075,19 +1088,15 @@ struct Grid {
     /// `2^(emax + 1)`, the smallest magnitude past the format's largest
     /// finite one (`inf` for 11 exponent bits).
     overflow: f64,
-    /// The decision itself: the precise re-run's format and guard, and
-    /// the math functions' emulation.
+    /// `2^(emin - man_bits + 52)`: adding and subtracting it rounds a
+    /// magnitude below `2^emin` onto the format's subnormal grid.
+    sub_shift: f64,
+    /// The decision itself: its window guard, the guarded-window re-run's
+    /// emulation and the math functions'.
     emul: ops::Emul,
 }
 
 impl Grid {
-    /// Round-to-nearest-even into the format, exactly as the scalar path
-    /// does ([`round_rne_core`]).
-    #[inline(always)]
-    fn round(self, x: f64) -> f64 {
-        round_rne_core(x, self.emul.fmt.exp_bits(), self.emul.fmt.man_bits())
-    }
-
     fn of(emul: ops::Emul) -> Grid {
         let (e, m) = (emul.fmt.exp_bits(), emul.fmt.man_bits());
         let drop = 52 - m;
@@ -1099,31 +1108,78 @@ impl Grid {
             drop,
             min_normal: pow2(1 - emax),
             overflow: pow2(emax + 1),
+            sub_shift: pow2(1 - emax - m as i32 + 52),
             emul,
         }
     }
 
-    /// Branchless RNE rounding for magnitudes whose rounded value stays
-    /// in the format's *normal* range: the classic add-half-and-truncate
-    /// on the raw bit pattern (carry out of the mantissa bumps the biased
-    /// exponent exactly as IEEE encoding requires). For anything the
+    /// RNE rounding for magnitudes whose rounded value stays in the
+    /// format's *normal* range: the classic add-half-and-truncate on the
+    /// raw bit pattern (carry out of the mantissa bumps the biased
+    /// exponent exactly as IEEE encoding requires). ±0 passes through
+    /// unchanged.
+    #[inline(always)]
+    fn truncate(self, x: f64) -> f64 {
+        let bits = x.to_bits();
+        let lsb = (bits >> self.drop) & 1;
+        f64::from_bits(bits.wrapping_add(self.half_m1 + lsb) & self.keep)
+    }
+
+    /// Branchless [`Grid::truncate`] that *flags* `slow` for anything the
     /// trick cannot serve exactly — a non-finite input, a nonzero
     /// magnitude below the format's normal range (target-subnormal,
     /// variable shift), or a result past `emax` (overflow to infinity) —
-    /// it *flags* `slow` instead of handling the case, and the caller
-    /// re-runs that chunk through [`Precise`]. ±0 passes through
-    /// unchanged. The flags are `f64` compares against the grid's limits,
-    /// so the loop around it vectorizes.
+    /// instead of handling the case; the caller re-runs that chunk
+    /// through [`Exact`], which does. The flags are `f64` compares against
+    /// the grid's limits, so the loop around it vectorizes.
     #[inline(always)]
     fn fast_round(self, x: f64, slow: &mut bool) -> f64 {
-        let bits = x.to_bits();
-        let lsb = (bits >> self.drop) & 1;
-        let r = f64::from_bits(bits.wrapping_add(self.half_m1 + lsb) & self.keep);
+        let r = self.truncate(x);
         let mag = x.abs();
         *slow |= !x.is_finite()
             | ((mag < self.min_normal) & (mag > 0.0))
             | (r.abs() >= self.overflow);
         r
+    }
+
+    /// Branchless RNE rounding into the format for every input, bit for
+    /// bit the scalar path's
+    /// [`round_rne_core`](bigfloat::kernel::round_rne_core): the
+    /// [`Grid::truncate`] trick with `f64` selects for the cases
+    /// [`Grid::fast_round`] flags. A magnitude below `2^emin` rounds on
+    /// the subnormal grid — one hardware RNE add of `sub_shift` and its
+    /// subtraction — and takes the sign back; a rounded magnitude of
+    /// `2^(emax + 1)` or more becomes a signed infinity; a non-finite
+    /// input passes through.
+    #[inline(always)]
+    fn exact_round(self, x: f64) -> f64 {
+        let r = self.truncate(x);
+        let mag = x.abs();
+        let sub = ((mag + self.sub_shift) - self.sub_shift).copysign(x);
+        let r = if mag < self.min_normal {
+            sub
+        } else if r.abs() >= self.overflow {
+            f64::INFINITY.copysign(x)
+        } else {
+            r
+        };
+        if x.is_finite() {
+            r
+        } else {
+            x
+        }
+    }
+
+    /// An op's result rounding: [`Grid::exact_round`], then a NaN made
+    /// canonical, as the scalar path's `ops::finish_shortcut` does.
+    #[inline(always)]
+    fn finish(self, r: f64) -> f64 {
+        let r = self.exact_round(r);
+        if r.is_nan() {
+            f64::NAN
+        } else {
+            r
+        }
     }
 }
 
@@ -1234,12 +1290,13 @@ mod tests {
         assert_eq!(c.full.add, 4);
     }
 
-    /// An operand in the every-tier oracle: column `a` or `b`, or a
+    /// An operand in the every-tier oracle: column `a`, `b` or `c`, or a
     /// broadcast value.
     #[derive(Clone, Copy, Debug)]
     enum In {
         A,
         B,
+        C,
         S(f64),
     }
 
@@ -1256,11 +1313,12 @@ mod tests {
     }
 
     /// `shape` over the operand columns through `Col`, in one scope.
-    fn shape_col(shape: Shape, [a, b]: [&[f64]; 2], w: [&[f64]; 5]) -> Vec<f64> {
+    fn shape_col(shape: Shape, [a, b, c]: [&[f64]; 3], w: [&[f64]; 5]) -> Vec<f64> {
         eval_col(a.len(), || {
             let col = |x: In| match x {
                 In::A => Col::from_slice(a),
                 In::B => Col::from_slice(b),
+                In::C => Col::from_slice(c),
                 In::S(s) => Col::from_f64(s),
             };
             match shape {
@@ -1281,13 +1339,14 @@ mod tests {
 
     /// `shape` element by element through the scalar per-op entry points
     /// (`minmod` through `Tracked`'s).
-    fn shape_scalar(shape: Shape, [a, b]: [&[f64]; 2], w: [&[f64]; 5]) -> Vec<f64> {
+    fn shape_scalar(shape: Shape, [a, b, c]: [&[f64]; 3], w: [&[f64]; 5]) -> Vec<f64> {
         use crate::real::Tracked;
         (0..a.len())
             .map(|i| {
                 let at = |x: In| match x {
                     In::A => a[i],
                     In::B => b[i],
+                    In::C => c[i],
                     In::S(s) => s,
                 };
                 match shape {
@@ -1309,15 +1368,19 @@ mod tests {
     /// broadcast⊙broadcast operands; sqrt and log10 of a slice and of a
     /// broadcast; minmod; both fused WENO5 tails with a slice or broadcast
     /// middle operand) under one config per dispatch tier — the fast
-    /// tier (fp16, e11m8, e11m12, the odd-mantissa e11m5), its guarded
-    /// formats (e11m20, e11m22), a format past the short-cut bound
+    /// tier (fp16, e5m2, e11m8, e11m12, the odd-mantissa e11m5), its
+    /// guarded formats (e11m20, e11m22), a format past the short-cut bound
     /// (e11m30), Native FP32, the Big path, a directed rounding mode, an
     /// inactive counting region and mem-mode — and with no session must
     /// give the scalar path's bits lane for lane and its counters exactly
     /// (minmod counts nothing on either), at every vector width the CPU
-    /// reports. Operands are raw random bit patterns mixed with moderate
-    /// values and hand-picked specials; 300 lanes span two full chunks
-    /// and a tail.
+    /// reports. Columns `a` and `b` are raw random bit patterns mixed with
+    /// moderate values and hand-picked specials. Column `c` is tame but
+    /// for one subnormal or overflowing lane in some of its chunks (lanes
+    /// 127 and 128, a later chunk and the final partial one), so its ops
+    /// cross every switch of the fast tier's chunk loop: `Fast` passing,
+    /// `Fast` flagging into `Exact` (on two chunks running), and the next
+    /// chunk back on `Fast`. 812 lanes span six full chunks and a tail.
     #[test]
     fn every_tier_and_shape_matches_scalar_path() {
         const WIDTHS: &[Width] = &[
@@ -1340,7 +1403,7 @@ mod tests {
     }
 
     fn every_tier_and_shape_at_pinned_width(width: Width) {
-        const N: usize = 300;
+        const N: usize = 6 * CHUNK + 44;
         let specials = [
             0.1, -7.25, 1e20, f64::NAN, 5e-310, 0.0, -0.0, f64::INFINITY, -f64::INFINITY,
             f64::MIN_POSITIVE, 6e-5, 65504.0, 1e-300, -3.0,
@@ -1359,7 +1422,15 @@ mod tests {
             v
         };
         let (a, b) = (column(), column());
-        let ops = [&a[..], &b[..]];
+        // Column `c`'s chunks: hard (at its last lane), hard (at its
+        // first), tame, tame, hard, tame and a hard tail.
+        let unit = |r: u64| (r >> 12) as f64 / (1u64 << 52) as f64;
+        let mut c: Vec<f64> = (0..N).map(|_| 1.0 + unit(splitmix(&mut state))).collect();
+        let hard = [(127, -1e-310), (128, f64::MAX), (4 * CHUNK + 9, 3e-310), (N - 1, -f64::MAX)];
+        for (i, x) in hard {
+            c[i] = x;
+        }
+        let ops = [&a[..], &b[..], &c[..]];
         let w = random_windows(N, 0xE5);
         let win = |s: usize| &w[s..s + N];
         let w5 = [win(0), win(1), win(2), win(3), win(4)];
@@ -1373,9 +1444,13 @@ mod tests {
                 shapes.push(Shape::Bin(k, In::S(s), In::S(-2.5)));
             }
         }
+        for k in [OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Div] {
+            shapes.extend([Shape::Bin(k, In::C, In::S(0.7)), Shape::Bin(k, In::C, In::C)]);
+        }
         for x in [In::A, In::S(2.0)] {
             shapes.extend([Shape::Sqrt(x), Shape::Log10(x)]);
         }
+        shapes.push(Shape::Sqrt(In::C));
         shapes.extend([
             Shape::Minmod(In::A, In::B),
             Shape::Minmod(In::A, In::S(0.5)),
@@ -1392,6 +1467,7 @@ mod tests {
         directed.round = RoundMode::TowardZero;
         let configs = [
             ("fp16", Config::op_all(Format::FP16), false),
+            ("e5m2", Config::op_all(Format::FP8_E5M2), false),
             ("e11m8", Config::op_all(Format::new(11, 8)), false),
             ("e11m12", Config::op_all(e11m12), false),
             ("e11m5", Config::op_all(Format::new(11, 5)), false),
@@ -1532,6 +1608,105 @@ mod tests {
         assert_eq!(formats, 240, "E 2..=11 with 1..=24 mantissa bits");
     }
 
+    /// `2^k`, down into `f64`'s subnormal range.
+    fn pow2(k: i32) -> f64 {
+        if k >= -1022 {
+            f64::from_bits(((k + 1023) as u64) << 52)
+        } else {
+            f64::from_bits(1u64 << (k + 1074))
+        }
+    }
+
+    /// For every format on the short-cut (E 2..=11), `Grid::exact_round`
+    /// gives the bits of the scalar path's `round_rne_core` and of the
+    /// `SoftFloat` rounding (non-finite values passed through). Inputs:
+    /// random bit patterns; random magnitudes in `[2^(emin-m-2),
+    /// 2^(emin+2))`; `2^emin`, the subnormal grid's ties `q/2`, `1.5q` and
+    /// `2.5q` (`q` the smallest subnormal) and the overflow tie, each with
+    /// its `f64` neighbours; `f64` subnormals, ±0, ±inf and NaNs of either
+    /// sign. The exact
+    /// executor's binary ops and square roots on pairs of them give the
+    /// scalar path's bits and flag only a guarded format's result in the
+    /// `f64` subnormal window.
+    #[test]
+    fn grid_exact_round_matches_core_and_soft() {
+        use bigfloat::kernel::round_rne_core;
+        use bigfloat::SoftFloat;
+        let next = |x: f64, d: i64| f64::from_bits(x.to_bits().wrapping_add_signed(d));
+        let mut state = 0xE4AC_u64;
+        let (mut formats, mut windows) = (0, 0);
+        for e in 2..=11u32 {
+            for m in 1..=52u32 {
+                let fmt = Format::new(e, m);
+                let dr = fmt.double_round();
+                if dr == DoubleRound::Unsafe {
+                    continue;
+                }
+                formats += 1;
+                let rm = RoundMode::NearestEven;
+                let emul = ops::Emul { fmt, rm, path: EmulPath::Soft, dr };
+                let grid = Grid::of(emul);
+                let q = fmt.min_subnormal();
+                let tie = fmt.max_finite() + 2f64.powi(fmt.emax() - m as i32 - 1);
+                let mut xs = vec![
+                    0.0,
+                    5e-324,
+                    1e-310,
+                    next(f64::MIN_POSITIVE, -1),
+                    f64::INFINITY,
+                    f64::NAN,
+                    f64::from_bits(u64::MAX),
+                    f64::from_bits(0x7FF0_0000_0000_0001),
+                ];
+                for t in [fmt.min_normal(), q / 2.0, 1.5 * q, 2.5 * q, tie] {
+                    xs.extend([t, next(t, -1), next(t, 1)]);
+                }
+                xs.extend((0..200).map(|_| f64::from_bits(splitmix(&mut state))));
+                xs.extend((0..200).map(|_| {
+                    let r = splitmix(&mut state);
+                    let k = fmt.emin() - m as i32 - 2 + (r % (m as u64 + 4)) as i32;
+                    f64::from_bits(0x3FF0_0000_0000_0000 | (r >> 12)) * pow2(k)
+                }));
+                for x in xs.clone() {
+                    xs.push(-x);
+                }
+                for &x in &xs {
+                    let got = grid.exact_round(x);
+                    let core = round_rne_core(x, e, m);
+                    let soft = if x.is_finite() {
+                        fmt.round_soft(&SoftFloat::from_f64(x), rm).to_f64()
+                    } else {
+                        x
+                    };
+                    assert_eq!(got.to_bits(), core.to_bits(), "{fmt} {x:e}: round_rne_core");
+                    assert_eq!(got.to_bits(), soft.to_bits(), "{fmt} {x:e}: round_soft");
+                }
+                for (i, &a) in xs.iter().enumerate() {
+                    let b = xs[(i * 7 + 3) % xs.len()];
+                    for kind in [OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Div] {
+                        let mut x = Exact { grid, window: false };
+                        let got = x.bin(kind, a, b);
+                        let r = ops::raw2(kind, round_rne_core(a, e, m), round_rne_core(b, e, m));
+                        let in_window = dr == DoubleRound::Guarded && DoubleRound::in_window(r);
+                        assert_eq!(x.window, in_window, "{fmt} {a:e} {kind:?} {b:e}: window flag");
+                        windows += in_window as usize;
+                        if !in_window {
+                            let want = ops::emulate2(emul, kind, a, b);
+                            assert_eq!(got.to_bits(), want.to_bits(), "{fmt} {a:e} {kind:?} {b:e}");
+                        }
+                    }
+                    let mut x = Exact { grid, window: false };
+                    let got = x.sqrt(a);
+                    assert!(!x.window, "{fmt} sqrt {a:e}: window flag");
+                    let want = ops::emulate_sqrt(emul, a);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{fmt} sqrt {a:e}");
+                }
+            }
+        }
+        assert_eq!(formats, 240, "E 2..=11 with 1..=24 mantissa bits");
+        assert!(windows > 0, "some guarded results land in the window");
+    }
+
     /// Scalar oracle for the fused kernels: the same AST on one lane
     /// through the per-op scalar entry points.
     fn weno5_lane(adv: bool, [v0, v1, v2, v3, v4]: [f64; 5]) -> f64 {
@@ -1549,9 +1724,9 @@ mod tests {
 
     fn random_windows(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed;
-        // Mostly smooth data with raw-bit outliers sprinkled in, so both
-        // the fast chain and the precise re-run (inf/NaN/subnormal
-        // intermediates) are exercised.
+        // Mostly smooth data with raw-bit outliers sprinkled in, so the
+        // exact chain meets its hard cases (inf/NaN/subnormal
+        // intermediates).
         (0..n + 5)
             .map(|i| {
                 let r = splitmix(&mut state);

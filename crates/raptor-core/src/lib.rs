@@ -122,9 +122,10 @@
 //! per op. Each op shape is written once over a
 //! per-element executor and run by one dispatch skeleton, which picks one
 //! of four tiers: plain hardware (no session, inactive regions, the
-//! Native FP64/FP32 rungs); a fast/precise pair for every format on the
-//! short-cut above, whose rounding masks and range limits are computed
-//! once per op, so the fast loop is straight-line code per element;
+//! Native FP64/FP32 rungs); for every format on the short-cut above, a
+//! cheap rounding and, for the chunks it flags, an exact one in the same
+//! vector loop, with the format's rounding masks and range limits
+//! computed once per op, so the loop is straight-line code per element;
 //! per-element emulation through the scalar path's own functions for
 //! every other op-mode decision (Big path, directed rounding, formats
 //! past the short-cut's bound such as `e11m30`); and defensive per-op

@@ -542,10 +542,12 @@ pub(crate) fn fmt_op2(
 /// "indefinite"; the soft kernels emit the canonical positive one), then
 /// the final rounding `round` — unless the format is `guarded` and `r`
 /// lies in the `f64` subnormal window ([`DoubleRound::in_window`]), where
-/// `soft` recomputes the op with a single rounding. Every guarded
-/// short-cut, scalar and batch, ends here.
+/// `soft` recomputes the op with a single rounding. Every scalar guarded
+/// short-cut ends here; the batch tier's exact executor does the same
+/// with its own rounding and re-runs a window result's chunk through
+/// this path.
 #[inline(always)]
-pub(crate) fn finish_shortcut(
+fn finish_shortcut(
     r: f64,
     guarded: bool,
     round: impl FnOnce(f64) -> f64,
@@ -564,7 +566,7 @@ pub(crate) fn finish_shortcut(
 /// already rounded into `fmt`: allocation-free format ops (scratch-pad
 /// analog, Fig. 4b).
 #[inline]
-pub(crate) fn soft_op2(fmt: Format, rm: RoundMode, kind: OpKind, a: f64, b: f64) -> f64 {
+fn soft_op2(fmt: Format, rm: RoundMode, kind: OpKind, a: f64, b: f64) -> f64 {
     let sa = SoftFloat::from_f64(a);
     let sb = SoftFloat::from_f64(b);
     let r = match kind {

@@ -30,6 +30,12 @@
 //! cargo run --release -p raptor-examples --bin batch_diff
 //! ```
 //!
+//! Each consumer runs at four formats, one line each (32 in all): e11m12
+//! and e5m10 on the fast tier (e5m10's small exponent range sends many
+//! chunks through the exact rounding of subnormal and overflowing
+//! values), the guarded e11m20, and e11m30 on the per-element emulation
+//! tier.
+//!
 //! Exits nonzero (and names the first differing cell) on any mismatch.
 //! This is the CI gate for the batch tier's core contract: the fast path
 //! is an *optimization*, never a semantic change.
@@ -191,11 +197,14 @@ fn grid_diff(a: &Grid, b: &Grid) -> Option<String> {
 fn main() {
     let mut failed = false;
     println!("vector width: {}", raptor_core::batch::vector_width());
-    // Three formats across the op-mode tiers: e11m12 runs the fast tier;
-    // e11m20 its guarded form, whose flagged chunks re-run through the
-    // subnormal-window guard; e11m30, off the double-rounding short-cut,
-    // the per-element emulation tier.
-    for (e, m) in [(11u32, 12u32), (11, 20), (11, 30)] {
+    // Four formats across the op-mode tiers: e11m12 runs the fast tier;
+    // e5m10 (fp16) runs it with a small exponent range, so many chunks
+    // meet subnormal and overflowing values and re-run through the exact
+    // rounding; e11m20 is the guarded form, whose chunks with a result in
+    // the f64 subnormal window re-run through the scalar emulation;
+    // e11m30, off the double-rounding short-cut, the per-element
+    // emulation tier.
+    for (e, m) in [(11u32, 12u32), (5, 10), (11, 20), (11, 30)] {
         let fmt = Format::new(e, m);
         for recon in [ReconKind::Plm, ReconKind::Weno5] {
             let (mesh_b, count_b) = run_sedov(fmt, recon, false);
