@@ -99,6 +99,28 @@ fn bench_dispatch(c: &mut Harness) {
         }
     }
 
+    // Math functions: per-element cost of `Col::log10`, the table EOS's
+    // lookup op, on the fast tier — the `f64` library call and the
+    // format's rounding per lane; fp16's range sends no lane of this ramp
+    // past it.
+    {
+        use raptor_core::batch::{self, Col};
+        for (flabel, bfmt) in [("e11m12", Format::new(11, 12)), ("fp16", Format::new(5, 10))] {
+            let sess = Session::new(Config::op_all(bfmt)).unwrap();
+            let _g = sess.install();
+            for n in [64usize, 1024] {
+                let _inputs = batch::scope(n);
+                let a = Col::from_slice(&(0..n).map(|i| 0.5 + i as f64 * 0.37).collect::<Vec<_>>());
+                g.bench_per_element(&format!("col_log10_{flabel}_{n}"), n, |b| {
+                    b.iter(|| {
+                        let _iter = batch::scope(n);
+                        black_box(a).log10().read(|v| black_box(v[0]))
+                    })
+                });
+            }
+        }
+    }
+
     // Fused WENO5 stencil kernel: 65 tracked ops per element through one
     // dispatch — what the sweep and the incomp advection pay per
     // interface. The matching scalar_weno5 rows run the per-op Tracked

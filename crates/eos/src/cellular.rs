@@ -553,6 +553,62 @@ mod tests {
         }
     }
 
+    /// `hydro::compute_dt` on the leaf columns against its per-cell loop
+    /// through the tabulated EOS (`sound_speed_col`: the lockstep
+    /// bisection and the table's `log10` lookups) on the seeded random
+    /// state, given velocities of either sign up to about the sound speed,
+    /// with `Driver/dt` outside the truncation scope (`Hydro` only) and
+    /// inside it (`op_all`), at e11m12, e5m10, the guarded e11m20 and the
+    /// emulation tier's e11m30. The `dt` bits and the counters must be
+    /// equal.
+    #[test]
+    fn compute_dt_batch_bit_identical_to_scalar() {
+        use crate::table::tests::splitmix;
+        use bigfloat::Format;
+        use raptor_core::{batch, Config, Tracked};
+        let mut sim = random_cellular(0xD7);
+        let lay = hydro::Layout::of(&sim.mesh);
+        let mut s = 0xD7_u64;
+        for idx in sim.mesh.leaves() {
+            let d = &mut sim.mesh.block_mut(idx).data;
+            for j in lay.ng..lay.ng + lay.ny {
+                for i in lay.ng..lay.ng + lay.nx {
+                    let rho = d[lay.at(hydro::DENS, i, j)];
+                    for var in [hydro::MOMX, hydro::MOMY] {
+                        let unit = (splitmix(&mut s) >> 11) as f64 / (1u64 << 53) as f64;
+                        d[lay.at(var, i, j)] = rho * 3e8 * (2.0 * unit - 1.0);
+                    }
+                }
+            }
+        }
+        let run = |cfg: &Config, force_scalar: bool| {
+            let _pin = batch::force_scalar(force_scalar);
+            let sess = Session::new(cfg.clone().with_counting()).unwrap();
+            let g = sess.install();
+            let dt = hydro::compute_dt::<Tracked, _>(&sim.mesh, &sim.eos, &sim.hydro);
+            drop(g);
+            (dt, sess.counters())
+        };
+        for (e, m) in [(11u32, 12u32), (5, 10), (11, 20), (11, 30)] {
+            let fmt = Format::new(e, m);
+            for (scope, cfg) in [
+                ("Hydro", Config::op_files(fmt, ["Hydro"])),
+                ("all", Config::op_all(fmt)),
+            ] {
+                let (dt_s, c_s) = run(&cfg, true);
+                let (dt_b, c_b) = run(&cfg, false);
+                assert_eq!(
+                    dt_b.to_bits(),
+                    dt_s.to_bits(),
+                    "{fmt} {scope}: dt {dt_b:e} vs scalar {dt_s:e}"
+                );
+                assert_eq!(c_b, c_s, "{fmt} {scope}: counters");
+                let c = if scope == "all" { c_b.trunc } else { c_b.full };
+                assert!(c.math > 0, "{fmt} {scope}: table log10s counted");
+            }
+        }
+    }
+
     #[test]
     fn truncated_eos_at_48_bits_converges() {
         use bigfloat::Format;

@@ -18,7 +18,7 @@
 
 use crate::recon::{plm_interface, weno5_interface, ReconKind};
 use crate::riemann::{riemann_flux, riemann_flux_batch, RiemannKind, RiemannScratch};
-use crate::state::{cons_to_prim, Cols, Cons, Eos, Floors, Prim, DENS, ENER, MOMX, MOMY};
+use crate::state::{cons_to_prim, Cols, Cons, Eos, EosView, Floors, Prim, DENS, ENER, MOMX, MOMY};
 use amr::{fill_guards, par_leaves, BcSpec, Block, LeafGeom, Mesh};
 use raptor_core::batch::{self, Col};
 use raptor_core::{count_field_values, region, set_level, Arith, Mode, Real, Session};
@@ -90,26 +90,58 @@ impl Layout {
 /// only through the truncated solution values it reads. Instantiated with
 /// [`raptor_core::Tracked`] under a counting session, its operations land
 /// in the "full-precision" bar of Fig. 7.
+///
+/// In the instrumented build each leaf's cells run as one set of columns
+/// ([`cell_dt`] at [`Col`]) when [`batch::ready`] holds inside the region,
+/// as the sweep checks inside `Hydro`; the per-cell loop stays the
+/// mem-mode path and the differential oracle. Both fold the cells' limits
+/// in the same order, row by row.
 pub fn compute_dt<R: Real, E: Eos>(mesh: &Mesh, eos: &E, params: &HydroParams) -> f64 {
     let _r = region("Driver/dt");
     let lay = Layout::of(mesh);
+    let use_batch = R::IS_TRACKED && batch::ready();
     let mut dt = f64::MAX;
     for idx in mesh.leaves() {
         let b = mesh.block(idx);
         let (dx, dy) = mesh.cell_size(b.pos.level);
-        let (rdx, rdy) = (R::from_f64(dx), R::from_f64(dy));
-        for j in 0..lay.ny {
-            for i in 0..lay.nx {
-                let u = load_cons::<R>(&b.data, &lay, i + lay.ng, j + lay.ng);
-                let w = cons_to_prim(u, eos, &params.floors);
-                let c = eos.sound_speed(w.rho, w.p);
-                let sx = rdx / (w.vx.abs() + c);
-                let sy = rdy / (w.vy.abs() + c);
-                dt = dt.min(sx.min(sy).to_f64());
+        if use_batch {
+            // Element `j*nx + i` is interior cell (i, j).
+            let _cells = batch::scope(lay.nx * lay.ny);
+            let vars = Cons { rho: DENS, mx: MOMX, my: MOMY, e: ENER };
+            let u = vars.map(|var| {
+                Col::new_with(|o| {
+                    for (j, row) in o.chunks_exact_mut(lay.nx).enumerate() {
+                        let at = |i: usize| b.data[lay.at(var, i + lay.ng, j + lay.ng)];
+                        row.iter_mut().enumerate().for_each(|(i, x)| *x = at(i));
+                    }
+                })
+            });
+            let (rdx, rdy) = (Col::from_f64(dx), Col::from_f64(dy));
+            cell_dt(u, &Cols(eos), &params.floors, rdx, rdy).read(|s| {
+                s.iter().for_each(|&s| dt = dt.min(s));
+            });
+        } else {
+            let (rdx, rdy) = (R::from_f64(dx), R::from_f64(dy));
+            for j in 0..lay.ny {
+                for i in 0..lay.nx {
+                    let u = load_cons::<R>(&b.data, &lay, i + lay.ng, j + lay.ng);
+                    dt = dt.min(cell_dt(u, eos, &params.floors, rdx, rdy).to_f64());
+                }
             }
         }
     }
     params.cfl * dt
+}
+
+/// One cell's CFL limit `min(dx / (|vx| + c), dy / (|vy| + c))`, written
+/// once for [`compute_dt`]'s per-cell loop and its columns.
+#[inline]
+fn cell_dt<R: Arith, E: EosView<R>>(u: Cons<R>, eos: &E, fl: &Floors, rdx: R, rdy: R) -> R {
+    let w = cons_to_prim(u, eos, fl);
+    let c = eos.sound_speed(w.rho, w.p);
+    let sx = rdx / (w.vx.abs() + c);
+    let sy = rdy / (w.vy.abs() + c);
+    sx.min(sy)
 }
 
 #[inline]
@@ -862,6 +894,56 @@ mod tests {
                     assert_batch_matches_scalar(&build, params, cfg, 2, &label);
                 }
             }
+        }
+    }
+
+    /// `compute_dt` on the leaf columns against its per-cell loop on
+    /// random blocks ([`init_random`], whose floored and supersonic cells
+    /// take both signs of every velocity), with `Driver/dt` outside the
+    /// truncation scope (`Hydro` only: inactive, counted as full
+    /// precision) and inside it (`op_all`): e11m12 and e5m10 on the fast
+    /// tier, the guarded e11m20, and e11m30 on the emulation tier. The
+    /// `dt` bits and the counters must be equal.
+    #[test]
+    fn compute_dt_batch_bit_identical_to_scalar() {
+        use bigfloat::Format;
+        use raptor_core::{Config, Tracked};
+        let floors = Floors { small_rho: 1e-4, small_p: 1e-4 };
+        let params = HydroParams { floors, ..Default::default() };
+        let eos = GammaLaw::default();
+        // `compute_dt` under a counting session of `cfg`, pinned to the
+        // per-cell loop if `force_scalar`, else on the leaf columns.
+        let run = |m: &Mesh, cfg: &Config, force_scalar: bool| {
+            let _pin = batch::force_scalar(force_scalar);
+            let sess = Session::new(cfg.clone().with_counting()).unwrap();
+            let g = sess.install();
+            let dt = compute_dt::<Tracked, _>(m, &eos, &params);
+            drop(g);
+            (dt, sess.counters())
+        };
+        let formats = [(11u32, 12u32), (5, 10), (11, 20), (11, 30)];
+        for (seed, (e, m)) in formats.into_iter().enumerate() {
+            let fmt = Format::new(e, m);
+            let mut mesh = mesh_sized(ReconKind::Plm, 8, 6);
+            init_random(&mut mesh, 0xD7 + seed as u64, floors);
+            let mut dts = Vec::new();
+            for (scope, cfg) in [
+                ("Hydro", Config::op_files(fmt, ["Hydro"])),
+                ("all", Config::op_all(fmt)),
+            ] {
+                let (dt_s, c_s) = run(&mesh, &cfg, true);
+                let (dt_b, c_b) = run(&mesh, &cfg, false);
+                assert_eq!(
+                    dt_b.to_bits(),
+                    dt_s.to_bits(),
+                    "{fmt} {scope}: dt {dt_b:e} vs scalar {dt_s:e}"
+                );
+                assert_eq!(c_b, c_s, "{fmt} {scope}: counters");
+                let counted = if scope == "all" { c_b.trunc.total() } else { c_b.full.total() };
+                assert!(counted > 1_000, "{fmt} {scope}: ops counted");
+                dts.push(dt_b);
+            }
+            assert_ne!(dts[0].to_bits(), dts[1].to_bits(), "{fmt}: truncation changes dt");
         }
     }
 

@@ -20,7 +20,8 @@
 //! type parameters and the target format is loop-invariant data, so the
 //! fast chunk loop is straight-line code per element whose only
 //! data-dependent branch is one slow-flag test per chunk. The exact
-//! selections (`min`, `max`, `minmod`, negation) are uncounted lane loops.
+//! selections (`min`, `max`, `minmod`) and sign operations (negation, `abs`)
+//! are uncounted lane loops.
 //!
 //! ## Dispatch tiers (fastest first)
 //!
@@ -38,7 +39,11 @@
 //!    to the scalar Soft path's [`bigfloat::kernel::round_rne_core`]
 //!    (the fused WENO5 stencils take the exact rounding alone). A chunk
 //!    holding a guarded format's result in the `f64` subnormal window
-//!    re-runs through the scalar path's emulation, as in tier 3.
+//!    re-runs through the scalar path's emulation, as in tier 3. A math
+//!    function (`log10`) rounds on the same grid: the `f64` library value
+//!    at the rounded operand, then one `p`-bit rounding, which is final
+//!    in the format's normal range; only a lane whose result rounds below
+//!    that range or past it runs the scalar path's emulation.
 //! 3. **Op-mode, per-element emulation** — everything else in op-mode:
 //!    the Big path, directed rounding modes and formats past Figueroa's
 //!    bound (`p > 25`, e.g. `e11m30`). The scalar path's own emulation
@@ -132,7 +137,7 @@ pub fn ready() -> bool {
 /// over the whole column — one `FastPath` read, one bulk count — so a
 /// scalar kernel instantiated at `Col` runs the batch tier with exactly
 /// the scalar path's values and op counts, element by element.
-/// `min`/`max`/`minmod` are the exact selects [`Tracked`](crate::Tracked) makes.
+/// `min`/`max`/`minmod` and `abs` are the exact operations [`Tracked`](crate::Tracked) makes.
 ///
 /// Columns live in a [`scope`], whose length every column in it shares
 /// (an op between two broadcasts yields a full column and counts one op
@@ -373,17 +378,22 @@ col_ops! {
     Div div DivAssign div_assign DIV;
 }
 
+/// `f` lane by lane: an exact sign operation, uncounted like `Tracked`'s.
+fn col_sign(a: Col, f: fn(f64) -> f64) -> Col {
+    Col::op(|ar, out| match ar.operand(a) {
+        Operand::S(v) => {
+            v.check(out.len());
+            out.iter_mut().zip(v).for_each(|(o, &x)| *o = f(x));
+        }
+        Operand::B(x) => out.fill(f(x)),
+    })
+}
+
 impl core::ops::Neg for Col {
     type Output = Col;
     /// Exact sign flip, uncounted like [`Tracked`](crate::Tracked)'s.
     fn neg(self) -> Col {
-        Col::op(|ar, out| match ar.operand(self) {
-            Operand::S(v) => {
-                v.check(out.len());
-                out.iter_mut().zip(v).for_each(|(o, x)| *o = -x);
-            }
-            Operand::B(x) => out.fill(-x),
-        })
+        col_sign(self, |x| -x)
     }
 }
 
@@ -435,6 +445,10 @@ impl Arith for Col {
     }
     fn minmod(self, other: Col) -> Col {
         col_select(self, other, crate::real::minmod)
+    }
+    /// Exact magnitude, uncounted like `Tracked::abs`.
+    fn abs(self) -> Col {
+        col_sign(self, f64::abs)
     }
 }
 
@@ -994,9 +1008,10 @@ impl Exec for Fast {
         let r = g.fast_round(a, &mut self.slow).sqrt();
         g.fast_round(r, &mut self.slow)
     }
+    /// [`Grid::math`]: exact for every input, so it never trips `slow`.
     #[inline(always)]
     fn math(&mut self, func: MathFn, a: f64) -> f64 {
-        ops::emulate_math(self.grid.emul, func, a)
+        self.grid.math(func, a)
     }
 }
 
@@ -1024,9 +1039,11 @@ impl Exec for Exact {
         let g = self.grid;
         g.finish(g.exact_round(a).sqrt())
     }
+    /// [`Grid::math`], unguarded: the scalar path evaluates math
+    /// functions in `f64` too, so no result's window needs re-running.
     #[inline(always)]
     fn math(&mut self, func: MathFn, a: f64) -> f64 {
-        ops::emulate_math(self.grid.emul, func, a)
+        self.grid.math(func, a)
     }
 }
 
@@ -1181,6 +1198,40 @@ impl Grid {
             r
         }
     }
+
+    /// A math function's result in the format, bit for bit the scalar Soft
+    /// path's [`ops::emulate_math`]: `func` in `f64` on the rounded operand
+    /// ([`Grid::exact_round`] is that path's `round_f64` at RNE), then
+    /// [`Grid::truncate`], the path's `p`-bit rounding of a normal `f64`,
+    /// which is final when it lands in the format's normal range. ±0 and
+    /// ±inf pass through and a NaN is made canonical, as the `SoftFloat`
+    /// round trip does. A result that rounds below the format's normal
+    /// range or past it goes through `emulate_math` itself. An `f64`
+    /// subnormal needs no test of its own: `truncate` rounds it onto the
+    /// 11-exponent-bit subnormal grid in one step, so it reaches the
+    /// normal range (at `2^-1022`) only from the top half-ulp below, where
+    /// the scalar path's two roundings land too, and stays below the range
+    /// otherwise.
+    #[inline(always)]
+    fn math(self, func: MathFn, a: f64) -> f64 {
+        let y = func.eval_f64(self.exact_round(a));
+        let r = self.truncate(y);
+        if y == 0.0 || y.is_infinite() {
+            y
+        } else if y.is_nan() {
+            f64::NAN
+        } else if (r.abs() >= self.min_normal) & (r.abs() < self.overflow) {
+            r
+        } else {
+            emulate_math(self.emul, func, a)
+        }
+    }
+}
+
+/// [`Grid::math`]'s out-of-range lanes, out of line like [`emulate`].
+#[inline(never)]
+fn emulate_math(emul: ops::Emul, func: MathFn, a: f64) -> f64 {
+    ops::emulate_math(emul, func, a)
 }
 
 #[cfg(test)]
@@ -1705,6 +1756,150 @@ mod tests {
         }
         assert_eq!(formats, 240, "E 2..=11 with 1..=24 mantissa bits");
         assert!(windows > 0, "some guarded results land in the window");
+    }
+
+    /// For every format on the short-cut (E 2..=11) and every math
+    /// function, `Grid::math` gives the bits of the scalar path's
+    /// `ops::emulate_math`. Inputs: random bit patterns and moderate
+    /// values; ±0, ±inf and NaNs of either sign; negative operands (logs
+    /// of negatives); `1` (`log10(1)`); exponents that put `exp` and
+    /// `exp2` just under the format's smallest normal, on its subnormal
+    /// grid and past its `emax`; and `-740` (`exp(-740)`, an `f64`
+    /// subnormal). Every class of result — passed through, NaN, rounded
+    /// in range, and each fallback — occurs somewhere.
+    #[test]
+    fn grid_math_matches_emulate_math() {
+        use std::f64::consts::LN_2;
+        const FUNCS: [MathFn; 21] = [
+            MathFn::Exp,
+            MathFn::Exp2,
+            MathFn::ExpM1,
+            MathFn::Ln,
+            MathFn::Ln1p,
+            MathFn::Log2,
+            MathFn::Log10,
+            MathFn::Sin,
+            MathFn::Cos,
+            MathFn::Tan,
+            MathFn::Asin,
+            MathFn::Acos,
+            MathFn::Atan,
+            MathFn::Sinh,
+            MathFn::Cosh,
+            MathFn::Tanh,
+            MathFn::Cbrt,
+            MathFn::Floor,
+            MathFn::Ceil,
+            MathFn::Trunc,
+            MathFn::Round,
+        ];
+        let mut state = 0x3A7E_u64;
+        let mut formats = 0;
+        // Lanes by class: passed through, NaN, rounded in range, and the
+        // fallbacks for f64-subnormal, target-subnormal and overflowing
+        // results.
+        let mut classes = [0usize; 6];
+        for e in 2..=11u32 {
+            for m in 1..=52u32 {
+                let fmt = Format::new(e, m);
+                let dr = fmt.double_round();
+                if dr == DoubleRound::Unsafe {
+                    continue;
+                }
+                formats += 1;
+                let emul = ops::Emul { fmt, rm: RoundMode::NearestEven, path: EmulPath::Soft, dr };
+                let grid = Grid::of(emul);
+                let (emin, emax) = (fmt.emin() as f64, fmt.emax() as f64);
+                let mut xs = vec![
+                    0.0,
+                    f64::INFINITY,
+                    f64::NAN,
+                    f64::from_bits(0x7FF0_0000_0000_0001),
+                    1.0,
+                    0.5,
+                    2.5,
+                    -740.0,
+                    emin - 0.25,
+                    emin - 0.5 * m as f64,
+                    emax + 1.5,
+                ];
+                for k in [emin - 0.25, emin - 0.5 * m as f64, emax + 1.5] {
+                    xs.push(k * LN_2);
+                }
+                xs.extend((0..40).map(|_| f64::from_bits(splitmix(&mut state))));
+                let unit = |r: u64| (r >> 11) as f64 / (1u64 << 53) as f64;
+                xs.extend((0..40).map(|_| 40.0 * unit(splitmix(&mut state))));
+                for x in xs.clone() {
+                    xs.push(-x);
+                }
+                for func in FUNCS {
+                    for &x in &xs {
+                        let got = grid.math(func, x);
+                        let want = ops::emulate_math(emul, func, x);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{fmt} {func:?}({x:e}): {got:e} vs {want:e}"
+                        );
+                        let y = func.eval_f64(grid.exact_round(x));
+                        let r = grid.truncate(y).abs();
+                        let class = if y == 0.0 || y.is_infinite() {
+                            0
+                        } else if y.is_nan() {
+                            1
+                        } else if y.abs() < f64::MIN_POSITIVE {
+                            3
+                        } else if r < grid.min_normal {
+                            4
+                        } else if r >= grid.overflow {
+                            5
+                        } else {
+                            2
+                        };
+                        classes[class] += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(formats, 240, "E 2..=11 with 1..=24 mantissa bits");
+        assert!(classes.iter().all(|&n| n > 0), "every class of result occurs: {classes:?}");
+    }
+
+    /// `Grid::math` takes an `f64`-subnormal result that `truncate`
+    /// carries up to `2^-1022` as final: for every 11-exponent-bit format
+    /// on the short-cut, results from the midpoint below `2^-1022` up
+    /// round there both in one step and through the scalar path's `p`-bit
+    /// then format rounding (`SoftFloat::tanh`, as `tanh` is the identity
+    /// on them in `f64`), and results under the midpoint stay below it.
+    #[test]
+    fn grid_truncate_of_f64_subnormals_matches_soft_double_rounding() {
+        use bigfloat::SoftFloat;
+        let rm = RoundMode::NearestEven;
+        let mut state = 0x5B_u64;
+        for m in 1..=24u32 {
+            let fmt = Format::new(11, m);
+            let dr = fmt.double_round();
+            let grid = Grid::of(ops::Emul { fmt, rm, path: EmulPath::Soft, dr });
+            let mid = f64::MIN_POSITIVE - fmt.min_subnormal() / 2.0;
+            let next = |x: f64, d: i64| f64::from_bits(x.to_bits().wrapping_add_signed(d));
+            let mut ys = vec![mid, next(mid, 1), next(f64::MIN_POSITIVE, -1)];
+            let span = f64::MIN_POSITIVE.to_bits() - mid.to_bits();
+            ys.extend((0..50).map(|_| f64::from_bits(mid.to_bits() + splitmix(&mut state) % span)));
+            let below = next(mid, -1);
+            for y in ys.iter().copied().chain([below]).flat_map(|y| [y, -y]) {
+                assert_eq!(y.tanh().to_bits(), y.to_bits(), "{fmt} tanh({y:e})");
+                let soft = SoftFloat::from_f64(y).tanh(fmt.precision(), rm);
+                let want = fmt.round_soft(&soft, rm).to_f64();
+                let got = grid.truncate(y);
+                if y.abs() == below {
+                    assert!(got.abs() < f64::MIN_POSITIVE, "{fmt} {y:e}: stays subnormal");
+                } else {
+                    assert_eq!(got.abs(), f64::MIN_POSITIVE, "{fmt} {y:e}: carries to 2^-1022");
+                    let what = "scalar double rounding";
+                    assert_eq!(got.to_bits(), want.to_bits(), "{fmt} {y:e}: {what}");
+                }
+            }
+        }
     }
 
     /// Scalar oracle for the fused kernels: the same AST on one lane

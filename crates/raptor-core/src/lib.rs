@@ -125,7 +125,10 @@
 //! Native FP64/FP32 rungs); for every format on the short-cut above, a
 //! cheap rounding and, for the chunks it flags, an exact one in the same
 //! vector loop, with the format's rounding masks and range limits
-//! computed once per op, so the loop is straight-line code per element;
+//! computed once per op, so the loop is straight-line code per element
+//! (math functions round the `f64` library value on the same grid, and
+//! only lanes that leave the format's normal range take the scalar
+//! emulation);
 //! per-element emulation through the scalar path's own functions for
 //! every other op-mode decision (Big path, directed rounding, formats
 //! past the short-cut's bound such as `e11m30`); and defensive per-op

@@ -14,7 +14,7 @@ use crate::counters::OpKind;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// The arithmetic core of [`Real`]: what a straight-line kernel needs —
-/// the four operators, negation, `sqrt`, exact `min`/`max`/`minmod`
+/// the four operators, negation and `abs`, `sqrt`, exact `min`/`max`/`minmod`
 /// selections and lifted constants — and nothing that inspects a value.
 /// Without `PartialOrd` a kernel cannot branch on its data, so the same
 /// source also runs on whole columns at once ([`crate::batch::Col`]).
@@ -42,6 +42,8 @@ pub trait Arith:
     /// Minmod of two slopes (exact selection): the one of smaller
     /// magnitude when both are nonzero with the same sign, else `+0.0`.
     fn minmod(self, other: Self) -> Self;
+    /// Absolute value (exact sign operation, uncounted).
+    fn abs(self) -> Self;
 
     /// Additive identity.
     #[inline]
@@ -90,8 +92,6 @@ pub trait Real:
     /// Lower to `f64`, resolving mem-mode handles to their truncated value.
     fn to_f64(self) -> f64;
 
-    /// Absolute value (exact sign operation).
-    fn abs(self) -> Self;
     /// Integer power via repeated multiplication (each counted).
     fn powi(self, n: i32) -> Self;
     /// Real power (math-library call).
@@ -145,6 +145,10 @@ impl Arith for f64 {
     fn minmod(self, other: Self) -> Self {
         minmod(self, other)
     }
+    #[inline]
+    fn abs(self) -> Self {
+        f64::abs(self)
+    }
 }
 
 /// [`Arith::minmod`] of `f64` and [`Tracked`], and of each lane of a
@@ -167,10 +171,6 @@ impl Real for f64 {
     #[inline]
     fn to_f64(self) -> f64 {
         self
-    }
-    #[inline]
-    fn abs(self) -> Self {
-        f64::abs(self)
     }
     #[inline]
     fn powi(self, n: i32) -> Self {
@@ -404,6 +404,11 @@ impl Arith for Tracked {
     fn minmod(self, other: Self) -> Self {
         minmod(self, other)
     }
+    #[inline]
+    #[track_caller]
+    fn abs(self) -> Self {
+        Tracked(ops::op_sign(self.0, SignOp::Abs))
+    }
 }
 
 impl Real for Tracked {
@@ -412,11 +417,6 @@ impl Real for Tracked {
     #[inline(always)]
     fn to_f64(self) -> f64 {
         ops::resolve(self.0)
-    }
-    #[inline]
-    #[track_caller]
-    fn abs(self) -> Self {
-        Tracked(ops::op_sign(self.0, SignOp::Abs))
     }
     #[inline]
     #[track_caller]

@@ -4,11 +4,14 @@
 //! a [`batch::force_scalar`] pin — then byte-compare every cell of every
 //! variable and the session op counters.
 //!
-//! Eight consumers are exercised both ways:
+//! Nine consumers are exercised both ways:
 //! - a tiny Sedov blast with PLM reconstruction (`plm_interface` and the
 //!   rest of the sweep at `Col`),
 //! - the same blast with WENO5 reconstruction (the fused five-point
 //!   stencil kernel),
+//! - the PLM blast truncated program-wide (`sedov-all`), so the driver's
+//!   CFL timestep runs truncated on `compute_dt`'s leaf columns and feeds
+//!   every later step,
 //! - a Sod shock tube solved with HLL (the partitioned Riemann solver's
 //!   supersonic/subsonic interface classes and the HLL middle flux),
 //! - a tiny two-phase bubble step loop (fused WENO5 upwind advection,
@@ -30,7 +33,7 @@
 //! cargo run --release -p raptor-examples --bin batch_diff
 //! ```
 //!
-//! Each consumer runs at four formats, one line each (32 in all): e11m12
+//! Each consumer runs at four formats, one line each (36 in all): e11m12
 //! and e5m10 on the fast tier (e5m10's small exponent range sends many
 //! chunks through the exact rounding of subnormal and overflowing
 //! values), the guarded e11m20, and e11m30 on the per-element emulation
@@ -47,12 +50,12 @@ use incomp::{compute_dt, reinitialize, setup_bubble, step, Grid, InsParams};
 use raptor_core::{batch, Config, Counters, Session, Tracked};
 
 /// One tiny Sedov run (max_level=2, 3 threads, a handful of steps) under
-/// an op-mode counting session; returns the final mesh and the counters.
-fn run_sedov(fmt: Format, recon: ReconKind, force_scalar: bool) -> (amr::Mesh, Counters) {
+/// an op-mode counting session of `cfg`; returns the final mesh and the
+/// counters.
+fn run_sedov(cfg: &Config, recon: ReconKind, force_scalar: bool) -> (amr::Mesh, Counters) {
     let _pin = batch::force_scalar(force_scalar);
     let mut sim = setup(Problem::Sedov, 2, 8, recon);
-    let sess = Session::new(Config::op_files(fmt, ["Hydro"]).with_counting())
-        .expect("valid config");
+    let sess = Session::new(cfg.clone()).expect("valid config");
     sim.run::<Tracked>(0.02, 12, 3, &sess);
     (sim.mesh, sess.counters())
 }
@@ -206,10 +209,16 @@ fn main() {
     // emulation tier.
     for (e, m) in [(11u32, 12u32), (5, 10), (11, 20), (11, 30)] {
         let fmt = Format::new(e, m);
-        for recon in [ReconKind::Plm, ReconKind::Weno5] {
-            let (mesh_b, count_b) = run_sedov(fmt, recon, false);
-            let (mesh_s, count_s) = run_sedov(fmt, recon, true);
-            let label = format!("sedov-{recon:?} {fmt}").to_lowercase();
+        let hydro = Config::op_files(fmt, ["Hydro"]).with_counting();
+        let all = Config::op_all(fmt).with_counting();
+        for (name, cfg, recon) in [
+            ("sedov-plm", &hydro, ReconKind::Plm),
+            ("sedov-weno5", &hydro, ReconKind::Weno5),
+            ("sedov-all", &all, ReconKind::Plm),
+        ] {
+            let (mesh_b, count_b) = run_sedov(cfg, recon, false);
+            let (mesh_s, count_s) = run_sedov(cfg, recon, true);
+            let label = format!("{name} {fmt}");
             if !report(&label, amr::bitwise_diff(&mesh_b, &mesh_s), count_b, count_s) {
                 failed = true;
             }
