@@ -82,6 +82,28 @@ impl Layout {
     pub fn at(&self, var: usize, i: usize, j: usize) -> usize {
         var * self.cpv + j * self.stride + i
     }
+
+    /// Flat index of padded cell `a` along interior cross line `c` of
+    /// `axis`.
+    #[inline]
+    fn along(&self, axis: usize, var: usize, c: usize, a: usize) -> usize {
+        if axis == 0 { self.at(var, a, c + self.ng) } else { self.at(var, c + self.ng, a) }
+    }
+}
+
+/// The conserved columns of `n` cells per interior line along `axis`, from
+/// padded cell `a0` on: element `c*n + a` is cell `a0 + a` of line `c`.
+/// At axis 0 from `ng` with `n = nx` that is interior cell (a, c).
+fn load_cols(data: &[f64], lay: &Layout, axis: usize, a0: usize, n: usize) -> Cons<Col> {
+    let vars = Cons { rho: DENS, mx: MOMX, my: MOMY, e: ENER };
+    vars.map(|var| {
+        Col::new_with(|o| {
+            for (c, line) in o.chunks_exact_mut(n).enumerate() {
+                let at = |a: usize| data[lay.along(axis, var, c, a0 + a)];
+                line.iter_mut().enumerate().for_each(|(a, x)| *x = at(a));
+            }
+        })
+    })
 }
 
 /// Global CFL timestep, evaluated in the `Driver/dt` region (like Flash-X's
@@ -107,15 +129,7 @@ pub fn compute_dt<R: Real, E: Eos>(mesh: &Mesh, eos: &E, params: &HydroParams) -
         if use_batch {
             // Element `j*nx + i` is interior cell (i, j).
             let _cells = batch::scope(lay.nx * lay.ny);
-            let vars = Cons { rho: DENS, mx: MOMX, my: MOMY, e: ENER };
-            let u = vars.map(|var| {
-                Col::new_with(|o| {
-                    for (j, row) in o.chunks_exact_mut(lay.nx).enumerate() {
-                        let at = |i: usize| b.data[lay.at(var, i + lay.ng, j + lay.ng)];
-                        row.iter_mut().enumerate().for_each(|(i, x)| *x = at(i));
-                    }
-                })
-            });
+            let u = load_cols(&b.data, &lay, 0, lay.ng, lay.nx);
             let (rdx, rdy) = (Col::from_f64(dx), Col::from_f64(dy));
             cell_dt(u, &Cols(eos), &params.floors, rdx, rdy).read(|s| {
                 s.iter().for_each(|&s| dt = dt.min(s));
@@ -348,28 +362,12 @@ fn sweep_block_batch<E: Eos>(
     let ng = lay.ng;
     let l = n_along + 2 * ng; // padded line length
     let k = n_along + 1; // interfaces per line
-    // Flat `data` index of padded cell `a` along interior cross line `c`.
-    let at = |var: usize, c: usize, a: usize| -> usize {
-        if axis == 0 { lay.at(var, a, c + ng) } else { lay.at(var, c + ng, a) }
-    };
-    // The conserved columns of `n` cells per line from padded cell `a0` on:
-    // element `c*n + a` is cell `a0 + a` of line `c`.
-    let load = |data: &[f64], a0: usize, n: usize| {
-        let vars = Cons { rho: DENS, mx: MOMX, my: MOMY, e: ENER };
-        vars.map(|var| {
-            Col::new_with(|o| {
-                for (c, line) in o.chunks_exact_mut(n).enumerate() {
-                    line.iter_mut().enumerate().for_each(|(a, x)| *x = data[at(var, c, a0 + a)]);
-                }
-            })
-        })
-    };
     let mut rs = BATCH_SCRATCH.with(|b| std::mem::take(&mut *b.borrow_mut()));
     // ---- Hydro/eos: primitive recovery over every padded line ----
     let _cells = batch::scope(n_cross * l);
     let prim = {
         let _r = region("Hydro/eos");
-        let u = load(data, 0, l);
+        let u = load_cols(data, lay, axis, 0, l);
         cons_to_prim(u, &Cols(eos), &params.floors)
     };
     // ---- Hydro/recon: interface states, component-wise ----
@@ -407,7 +405,7 @@ fn sweep_block_batch<E: Eos>(
                 })
             })
         };
-        let u = load(data, ng, n_along);
+        let u = load_cols(data, lay, axis, ng, n_along);
         let df = flux.map(|f| side(f, 1)).sub(flux.map(|f| side(f, 0)));
         // lint: allow(native-float, dt/h is the per-sweep CFL ratio lifted once at the kernel boundary)
         let dt_h = Col::from_f64(dt / h);
@@ -415,7 +413,7 @@ fn sweep_block_batch<E: Eos>(
         for (col, var) in [(unew.rho, DENS), (unew.mx, MOMX), (unew.my, MOMY), (unew.e, ENER)] {
             col.read(|v| {
                 for (c, line) in v.chunks_exact(n_along).enumerate() {
-                    line.iter().enumerate().for_each(|(a, &x)| data[at(var, c, ng + a)] = x);
+                    line.iter().enumerate().for_each(|(a, &x)| data[lay.along(axis, var, c, ng + a)] = x);
                 }
             });
         }
