@@ -13,6 +13,9 @@
 //!   `mpfr_init2` per operation in Fig. 5a) and for precisions beyond 64
 //!   bits.
 //!
+//! [`ExactSum`] sums non-negative `f64` values exactly, in any order, and
+//! rounds once when read: mem-mode's per-site deviation sums.
+//!
 //! Both types implement **correct rounding** for `add`, `sub`, `mul`, `div`,
 //! `sqrt` and `fma` in all five IEEE-754 rounding directions, with an
 //! unbounded exponent (like MPFR). IEEE-style exponent-range semantics —
@@ -39,6 +42,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod accum;
 pub mod big;
 pub mod format;
 pub mod kernel;
@@ -46,6 +50,7 @@ pub mod round;
 pub mod soft;
 pub mod soft_math;
 
+pub use accum::ExactSum;
 pub use big::BigFloat;
 pub use format::{DoubleRound, Format};
 pub use round::RoundMode;

@@ -50,10 +50,12 @@
 //! Flag statistics are keyed by *call site*: the `&'static Location` from
 //! `#[track_caller]` is mapped by address (a multiplicative hash) to a
 //! per-shard site index, interned by [`SrcLoc`] on first sight, so the op
-//! path never compares file names or hashes a path. Consecutive ops at
-//! the same site accumulate in a *run* that is added to the site's entry
-//! when the site changes; the summation order of `sum_dev` is therefore
-//! fixed by the op sequence alone.
+//! path never compares file names or hashes a path. Every statistic is
+//! order-free: op and flag counts add, the maximum is a maximum, and the
+//! deviations sum exactly in a [`bigfloat::ExactSum`], rounded once when
+//! the report is built. Which thread ran which block, the order in which
+//! shards merge, and whether a site's ops came one at a time or as a
+//! batch column's lanes therefore leave the report unchanged.
 //!
 //! A shard outlives its install: the guard's drop clears it and parks it
 //! in a thread-local, and the next install on that thread takes it back,
@@ -64,7 +66,7 @@
 //! See the "Runtime hot path" section of the crate docs for the
 //! invariants kernels may rely on.
 
-use bigfloat::{BigFloat, DoubleRound, Format, RoundMode, SoftFloat};
+use bigfloat::{BigFloat, DoubleRound, ExactSum, Format, RoundMode, SoftFloat};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -267,19 +269,48 @@ pub struct LocStats {
     pub flags: u64,
     /// Largest relative deviation observed.
     pub max_dev: f64,
-    /// Sum of relative deviations (for the mean).
+    /// Sum of relative deviations (for the mean): the exact sum, rounded
+    /// once to nearest, so it does not depend on the order of the ops.
     pub sum_dev: f64,
 }
 
-impl LocStats {
+/// A site's statistics while they accumulate: [`LocStats`] with the
+/// deviations summed exactly.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SiteStats {
+    ops: u64,
+    flags: u64,
+    max_dev: f64,
+    sum_dev: ExactSum,
+}
+
+impl SiteStats {
+    /// Record one operation's deviation.
+    #[inline]
+    pub(crate) fn add(&mut self, rel_dev: f64, threshold: f64) {
+        self.ops += 1;
+        self.sum_dev.add(rel_dev);
+        if rel_dev > self.max_dev {
+            self.max_dev = rel_dev;
+        }
+        if rel_dev > threshold {
+            self.flags += 1;
+        }
+    }
+
     /// Add another accumulation into this one.
-    fn absorb(&mut self, s: &LocStats) {
+    fn absorb(&mut self, s: &SiteStats) {
         self.ops += s.ops;
         self.flags += s.flags;
-        self.sum_dev += s.sum_dev;
+        self.sum_dev.absorb(&s.sum_dev);
         if s.max_dev > self.max_dev {
             self.max_dev = s.max_dev;
         }
+    }
+
+    /// The report's view: the sum rounded once.
+    fn stats(&self) -> LocStats {
+        LocStats { ops: self.ops, flags: self.flags, max_dev: self.max_dev, sum_dev: self.sum_dev.value() }
     }
 }
 
@@ -326,9 +357,6 @@ impl Hasher for AddrHasher {
     }
 }
 
-/// Sentinel site index: no run in progress.
-const NO_SITE: u32 = u32::MAX;
-
 /// How a carrier value relates to a shard's slab.
 pub(crate) enum Lookup<'a> {
     /// A live handle of this shard.
@@ -350,10 +378,7 @@ pub(crate) struct MemShard {
     site_of: HashMap<usize, u32, BuildHasherDefault<AddrHasher>>,
     /// Interned call sites, one per distinct `SrcLoc`, with the statistics
     /// accumulated since the last merge.
-    sites: Vec<(SrcLoc, LocStats)>,
-    /// The site of the current run of consecutive ops, and its totals.
-    run_site: u32,
-    run: LocStats,
+    sites: Vec<(SrcLoc, SiteStats)>,
     auto_promotions: u64,
     stale_handles: u64,
 }
@@ -366,8 +391,6 @@ impl Default for MemShard {
             epoch: 0,
             site_of: HashMap::default(),
             sites: Vec::new(),
-            run_site: NO_SITE,
-            run: LocStats::default(),
             auto_promotions: 0,
             stale_handles: 0,
         }
@@ -394,7 +417,7 @@ impl MemShard {
     /// while the rest of the program allocates, and only its size is
     /// worth keeping.
     pub(crate) fn park(mut self) {
-        debug_assert!(self.run_site == NO_SITE && self.auto_promotions == 0);
+        debug_assert!(self.auto_promotions == 0);
         self.clear_slab();
         self.slab_hint = self.slots.capacity();
         self.slots = Vec::new();
@@ -415,10 +438,8 @@ impl MemShard {
 
     pub(crate) fn reset_stats(&mut self) {
         for (_, s) in &mut self.sites {
-            *s = LocStats::default();
+            *s = SiteStats::default();
         }
-        self.run_site = NO_SITE;
-        self.run = LocStats::default();
         self.auto_promotions = 0;
         self.stale_handles = 0;
     }
@@ -484,7 +505,7 @@ impl MemShard {
         let i = match self.sites.iter().position(|(l, _)| *l == src) {
             Some(i) => i as u32,
             None => {
-                self.sites.push((src, LocStats::default()));
+                self.sites.push((src, SiteStats::default()));
                 (self.sites.len() - 1) as u32
             }
         };
@@ -492,39 +513,24 @@ impl MemShard {
         i
     }
 
-    /// Add the current run into its site's entry.
-    fn flush_run(&mut self) {
-        if self.run_site != NO_SITE {
-            self.sites[self.run_site as usize].1.absorb(&self.run);
-            self.run_site = NO_SITE;
-            self.run = LocStats::default();
-        }
+    /// The statistics entry of a call site.
+    #[inline]
+    pub(crate) fn site_stats(&mut self, loc: &'static Location<'static>) -> &mut SiteStats {
+        let site = self.site(loc);
+        &mut self.sites[site as usize].1
     }
 
     /// Record an operation's deviation at a call site.
     #[inline]
     pub(crate) fn record(&mut self, loc: &'static Location<'static>, rel_dev: f64, threshold: f64) {
-        let site = self.site(loc);
-        if site != self.run_site {
-            self.flush_run();
-            self.run_site = site;
-        }
-        let e = &mut self.run;
-        e.ops += 1;
-        e.sum_dev += rel_dev;
-        if rel_dev > e.max_dev {
-            e.max_dev = rel_dev;
-        }
-        if rel_dev > threshold {
-            e.flags += 1;
-        }
+        self.site_stats(loc).add(rel_dev, threshold);
     }
 }
 
 /// A session's merged mem-mode statistics.
 #[derive(Default)]
 pub(crate) struct MemStats {
-    stats: HashMap<SrcLoc, LocStats>,
+    stats: HashMap<SrcLoc, SiteStats>,
     auto_promotions: u64,
     stale_handles: u64,
 }
@@ -539,11 +545,10 @@ impl MemStats {
     /// shard's *slots* are never merged — handles are strictly
     /// thread-local and die at the barrier.
     pub(crate) fn merge(&mut self, shard: &mut MemShard) {
-        shard.flush_run();
         for (loc, s) in &mut shard.sites {
             if s.ops > 0 {
                 self.stats.entry(*loc).or_default().absorb(s);
-                *s = LocStats::default();
+                *s = SiteStats::default();
             }
         }
         self.auto_promotions += std::mem::take(&mut shard.auto_promotions);
@@ -555,7 +560,7 @@ impl MemStats {
         let mut v: Vec<LocReport> = self
             .stats
             .iter()
-            .map(|(loc, stats)| LocReport { loc: *loc, stats: *stats })
+            .map(|(loc, stats)| LocReport { loc: *loc, stats: stats.stats() })
             .collect();
         v.sort_by(|a, b| {
             b.stats
@@ -693,7 +698,40 @@ mod tests {
         assert!(m.slots.capacity() >= 100);
         assert_eq!(m.epoch, epoch.wrapping_add(1), "parking clears the slab");
         assert_eq!(m.sites.len(), 1);
-        assert_eq!(m.sites[0].1, LocStats::default());
+        assert_eq!(m.sites[0].1.stats(), LocStats::default());
+    }
+
+    /// The merged statistics do not depend on how the ops were split
+    /// across shards or on the order the shards merge in.
+    #[test]
+    fn merged_stats_are_order_free() {
+        let here = Location::caller();
+        let devs = [0.1, 1e-17, 0.3, 2.5e-9, 0.0, 1e-300, 0.7, 1e-16];
+        let report = |split: usize, reverse: bool| {
+            let (mut a, mut b) = (MemShard::default(), MemShard::default());
+            for (i, &d) in devs.iter().enumerate() {
+                if i < split { &mut a } else { &mut b }.record(here, d, 0.2);
+            }
+            let mut merged = MemStats::default();
+            if reverse {
+                merged.merge(&mut b);
+                merged.merge(&mut a);
+            } else {
+                merged.merge(&mut a);
+                merged.merge(&mut b);
+            }
+            merged.report()[0].stats
+        };
+        let want = report(devs.len(), false);
+        assert_eq!(want.ops, 8);
+        assert_eq!(want.flags, 2);
+        assert_eq!(want.max_dev, 0.7);
+        for split in 0..devs.len() {
+            for reverse in [false, true] {
+                let got = report(split, reverse);
+                assert_eq!(got.sum_dev.to_bits(), want.sum_dev.to_bits(), "split {split} {reverse}");
+            }
+        }
     }
 
     #[test]
