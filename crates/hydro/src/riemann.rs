@@ -121,7 +121,7 @@ fn hllc_star<R: Arith>(w: Prim<R>, u: Cons<R>, f: Cons<R>, s: R, sm: R, axis: us
 }
 
 // ---------------------------------------------------------------------------
-// Partitioned batch solvers (op-mode fast path)
+// Partitioned batch solvers (the batch sweep's path)
 // ---------------------------------------------------------------------------
 //
 // `riemann_flux` for a whole column of interfaces at once (the sweep
@@ -133,27 +133,27 @@ fn hllc_star<R: Arith>(w: Prim<R>, u: Cons<R>, f: Cons<R>, s: R, sm: R, axis: us
 // `sl >= 0` / `sr <= 0` early returns, the HLLC `sm >= 0` side) becomes a
 // *partition* of the interfaces by the scalar predicate on the exact
 // values: each class is gathered into a nested column scope, runs the
-// branch's source there, and scatters back in interface order. Per
-// interface that is exactly the scalar solver's op sequence, so values are
-// bit-identical and op counts equal; the scalar solver remains the
-// mem-mode path and the differential oracle.
+// branch's source there, and scatters back in interface order
+// (`batch::scatter`, which moves a mem-mode column's shadows and raw lanes
+// with its values). Per interface that is exactly the scalar solver's op
+// sequence at the scalar solver's call sites, so values are bit-identical,
+// op counts equal and mem-mode reports the same; the scalar solver remains
+// the differential oracle.
 
-/// The partition's index lists and the flux columns being assembled,
-/// reused across calls.
+/// The partition's index lists, reused across calls.
 #[derive(Default)]
 pub struct RiemannScratch {
     left: Vec<usize>,
     right: Vec<usize>,
     sub: Vec<usize>,
     side: [Vec<usize>; 2],
-    out: [Vec<f64>; 4],
 }
 
 impl RiemannScratch {
-    /// Capacity held by the flux columns, for the scratch-reuse tests.
+    /// Capacity held by the class lists, for the scratch-reuse tests.
     #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {
-        self.out[0].capacity()
+        self.left.capacity() + self.right.capacity() + self.sub.capacity()
     }
 }
 
@@ -167,18 +167,15 @@ fn gather_cons(u: Cons<Col>, idx: &[usize]) -> Cons<Col> {
     Cons::from_array(batch::gather(u.to_array(), idx))
 }
 
-/// `out[to[j]] = c[j]` for every component of `c`.
-fn scatter(c: Cons<Col>, to: impl Iterator<Item = usize> + Clone, out: &mut [Vec<f64>; 4]) {
-    for (col, o) in c.to_array().into_iter().zip(out) {
-        col.read(|v| to.clone().zip(v).for_each(|(i, &x)| o[i] = x));
-    }
+/// Lane `j` of every component of `c` into lane `to[j]` of `out`'s.
+fn scatter(c: Cons<Col>, to: impl Iterator<Item = usize> + Clone, out: Cons<Col>) {
+    batch::scatter(out.to_array(), c.to_array(), to.enumerate());
 }
 
-/// `out[i] = c[i]` for every component of `c` and every `i` in `idx`.
-fn copy_at(c: Cons<Col>, idx: &[usize], out: &mut [Vec<f64>; 4]) {
-    for (col, o) in c.to_array().into_iter().zip(out) {
-        col.read(|v| idx.iter().for_each(|&i| o[i] = v[i]));
-    }
+/// Lane `i` of every component of `c` into the same lane of `out`'s, for
+/// every `i` in `idx`.
+fn copy_at(c: Cons<Col>, idx: &[usize], out: Cons<Col>) {
+    batch::scatter(out.to_array(), c.to_array(), idx.iter().map(|&i| (i, i)));
 }
 
 /// Partitioned batch counterpart of [`riemann_flux`] over the columns of
@@ -188,8 +185,9 @@ fn copy_at(c: Cons<Col>, idx: &[usize], out: &mut [Vec<f64>; 4]) {
 ///
 /// Callers are responsible for region scoping (the sweep evaluates this
 /// inside `Hydro/riemann`, exactly where it calls the scalar solver) and
-/// for checking [`raptor_core::batch::ready`] — under mem-mode or the
-/// force-scalar toggle they must stay on the scalar loop.
+/// for gating: [`raptor_core::batch::ready`] in op mode, and under mem
+/// mode [`raptor_core::batch::mem_ready`] with an EOS whose column methods
+/// share the scalar source ([`Eos::COLS_SHARE_SOURCE`]).
 pub fn riemann_flux_batch<E: Eos>(
     kind: RiemannKind,
     eos: &E,
@@ -203,8 +201,8 @@ pub fn riemann_flux_batch<E: Eos>(
     let fl = physical_flux(wl, eos, axis);
     let fr = physical_flux(wr, eos, axis);
     // Upwind classes, in the scalar test order (NaN speeds are subsonic).
-    let RiemannScratch { left, right, sub, side, out } = rs;
-    let n = sl.read(|sl| {
+    let RiemannScratch { left, right, sub, side } = rs;
+    sl.read(|sl| {
         sr.read(|sr| {
             left.clear();
             right.clear();
@@ -213,10 +211,10 @@ pub fn riemann_flux_batch<E: Eos>(
                 let class = if l >= 0.0 { &mut *left } else if r <= 0.0 { &mut *right } else { &mut *sub };
                 class.push(f);
             }
-            sl.len()
         })
     });
-    out.iter_mut().for_each(|o| o.resize(n, 0.0));
+    // Every interface is in one class, so every lane is written.
+    let out = Cons::from_array(Col::new_many(|_| {}));
     copy_at(fl, left, out);
     copy_at(fr, right, out);
     if !sub.is_empty() {
@@ -250,7 +248,7 @@ pub fn riemann_flux_batch<E: Eos>(
             }
         }
     }
-    Cons::from_array(out.each_ref().map(|o| Col::from_slice(o)))
+    out
 }
 
 #[cfg(test)]

@@ -45,16 +45,16 @@ pub struct Prim<R> {
     pub p: R,
 }
 
-/// Equation of state abstraction (Flash-X `Eos` unit).
-///
-/// The three evaluators come twice: at any [`Real`] (the scalar path,
-/// where an implementation may branch on its data), and at [`Col`], whole
-/// columns at once for the hydro sweep's batch path. Both must run the
-/// same operations per element, in the same regions, so the two paths
-/// stay bit-identical with equal op counts. A closed-form EOS writes its
-/// formulas once over [`Arith`] and instantiates them at both; an
-/// iterative one wraps its slice-shaped evaluators.
+/// Equation of state abstraction (Flash-X `Eos` unit). The evaluators
+/// come at any [`Real`] (the scalar path, which may branch on its data)
+/// and at [`Col`] (the hydro sweep's batch path), with the same ops per
+/// element in the same regions, so the paths stay bit-identical with
+/// equal op counts.
 pub trait Eos: Sync + Send {
+    /// Whether the column methods are the scalar ones' own source at `Col`
+    /// (a closed form written once over [`Arith`]): each op then has the
+    /// scalar call site, so mem-mode columns report as the scalar path.
+    const COLS_SHARE_SOURCE: bool = false;
     /// Pressure from density and specific internal energy.
     fn pressure<R: Real>(&self, rho: R, eint: R) -> R;
     /// Specific internal energy from density and pressure.
@@ -137,6 +137,7 @@ impl GammaLaw {
 }
 
 impl Eos for GammaLaw {
+    const COLS_SHARE_SOURCE: bool = true;
     #[inline]
     fn pressure<R: Real>(&self, rho: R, eint: R) -> R {
         self.p_of(rho, eint)
@@ -160,9 +161,8 @@ impl Eos for GammaLaw {
     }
 }
 
-/// Floors applied during primitive recovery (Flash-X `smlrho`/`smallp`):
-/// essential under aggressive truncation, which can drive density or
-/// pressure negative.
+/// Floors applied during primitive recovery (Flash-X `smlrho`/`smallp`),
+/// essential where aggressive truncation drives density or pressure below 0.
 #[derive(Clone, Copy, Debug)]
 pub struct Floors {
     /// Minimum density.

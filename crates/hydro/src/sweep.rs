@@ -116,8 +116,9 @@ fn load_cols(data: &[f64], lay: &Layout, axis: usize, a0: usize, n: usize) -> Co
 /// In the instrumented build each leaf's cells run as one set of columns
 /// ([`cell_dt`] at [`Col`]) when [`batch::ready`] holds inside the region,
 /// as the sweep checks inside `Hydro`; the per-cell loop stays the
-/// mem-mode path and the differential oracle. Both fold the cells' limits
-/// in the same order, row by row.
+/// mem-mode path (its few ops are outside the sweep's scope) and the
+/// differential oracle. Both fold the cells' limits in the same order,
+/// row by row.
 pub fn compute_dt<R: Real, E: Eos>(mesh: &Mesh, eos: &E, params: &HydroParams) -> f64 {
     let _r = region("Driver/dt");
     let lay = Layout::of(mesh);
@@ -211,17 +212,21 @@ pub fn sweep_axis<R: Real, E: Eos>(
     // merges its flag statistics into the session (the sweep barrier).
     let mem_mode = session.config().mode == Mode::Mem;
     // The batch sweep runs in the instrumented build only (the f64
-    // reference build keeps its scalar loops). `batch::ready()` is checked
-    // per block *after* the session is installed — it rejects mem-mode
-    // sessions, whose per-op source-location attribution a column op
-    // cannot reproduce, and the `batch::force_scalar` differential pin.
+    // reference build keeps its scalar loops). The gates are checked per
+    // block *after* the session is installed; both honour the
+    // `batch::force_scalar` differential pin. `batch::ready()` admits op
+    // mode. Under mem mode the columns report each op at its call site,
+    // which is the scalar path's only where every op runs the scalar
+    // source: PLM (WENO5's fused stencil has sites of its own) with an EOS
+    // whose column methods share its scalar source.
     let use_batch = R::IS_TRACKED;
+    let mem_cols = params.recon == ReconKind::Plm && E::COLS_SHARE_SOURCE;
     let kernel = |geom: LeafGeom, block: &mut Block| {
         let _guard = session.install();
         set_level(Some(geom.level));
         let h = if axis == 0 { geom.dx } else { geom.dy };
         let _hydro = region("Hydro");
-        if use_batch && raptor_core::batch::ready() {
+        if use_batch && (batch::ready() || (mem_cols && batch::mem_ready())) {
             sweep_block_batch::<E>(&mut block.data, &lay, eos, params, dt, h, axis);
         } else {
             sweep_block::<R, E>(&mut block.data, &lay, eos, params, dt, h, axis);
@@ -300,7 +305,7 @@ fn sweep_block<R: Real, E: Eos>(
 }
 
 // ---------------------------------------------------------------------------
-// Batch-specialized sweep (op-mode fast path)
+// Batch-specialized sweep
 // ---------------------------------------------------------------------------
 //
 // The same update as `sweep_block`, with every stage run once over every
@@ -316,8 +321,12 @@ fn sweep_block<R: Real, E: Eos>(
 // loop. Every op is element-wise, so values stay bit-identical to the
 // scalar path and op counts exactly equal, by construction; the minmod
 // and floor selections are exact, uncounted operations, as in the scalar
-// path. The scalar path above remains the mem-mode path and the
-// differential oracle.
+// path. Lanes move between stages only through column moves
+// (`Col::lines`, `batch::gather`, `batch::scatter`), which carry a
+// mem-mode column's shadows and raw lanes with its values, and every op
+// runs at the scalar path's call site: under a mem-mode session the PLM
+// sweep's report is the scalar path's too. The scalar path above remains
+// the WENO5 and tabulated-EOS mem-mode path and the differential oracle.
 
 thread_local! {
     /// Per-worker Riemann scratch: taken at block entry and put back at
@@ -334,21 +343,13 @@ thread_local! {
 /// becomes an interface, so column ops over the windows run exactly the
 /// scalar sweep's interfaces.
 fn windows<const S: usize>(w: Col, l: usize, k: usize, off: usize) -> [Col; S] {
-    Col::new_many(|outs| {
-        w.read(|w| {
-            for (s, o) in outs.into_iter().enumerate() {
-                for (line, win) in w.chunks_exact(l).zip(o.chunks_exact_mut(k)) {
-                    win.copy_from_slice(&line[off + s..][..k]);
-                }
-            }
-        })
-    })
+    std::array::from_fn(|s| w.lines(l, k, off + s))
 }
 
 /// Directional update of one block through the batch kernels, each stage
 /// once over every line of the block. Semantics (values, op counts, region
-/// scoping) are identical to `sweep_block` instantiated with `Tracked`
-/// under an op-mode session.
+/// scoping, and under mem mode with PLM the report) are identical to
+/// `sweep_block` instantiated with `Tracked`.
 fn sweep_block_batch<E: Eos>(
     data: &mut [f64],
     lay: &Layout,
@@ -396,15 +397,7 @@ fn sweep_block_batch<E: Eos>(
         let _r = region("Hydro/update");
         let _interior = batch::scope(n_cross * n_along);
         // The fluxes left (`off` 0) and right (`off` 1) of every cell.
-        let side = |f: Col, off: usize| {
-            Col::new_with(|o| {
-                f.read(|f| {
-                    for (c, line) in o.chunks_exact_mut(n_along).enumerate() {
-                        line.copy_from_slice(&f[c * k + off..][..n_along]);
-                    }
-                })
-            })
-        };
+        let side = |f: Col, off: usize| f.lines(k, n_along, off);
         let u = load_cols(data, lay, axis, ng, n_along);
         let df = flux.map(|f| side(f, 1)).sub(flux.map(|f| side(f, 0)));
         // lint: allow(native-float, dt/h is the per-sweep CFL ratio lifted once at the kernel boundary)
@@ -890,6 +883,54 @@ mod tests {
                     };
                     let label = format!("random {name} {recon:?} {kind:?}");
                     assert_batch_matches_scalar(&build, params, cfg, 2, &label);
+                }
+            }
+        }
+    }
+
+    /// The mem-mode column sweep against the scalar per-op sweep
+    /// (`batch::force_scalar`): two steps on 2 worker threads from random
+    /// blocks ([`init_random`], whose truncated primitive recovery floors
+    /// density and pressure, so columns mix raw floor constants with
+    /// shadowed lanes), at e11m12 and e5m10 on the fast tier's grid, the
+    /// guarded e11m20 and e11m30 past the short-cut, with both Riemann
+    /// solvers and deviation thresholds 1e-4 and 1e-2. The mesh bits, the
+    /// counters and the whole `Report::to_json` document (every site's
+    /// ops, flags and deviations, and the auto-promotion warning) must be
+    /// equal.
+    #[test]
+    fn mem_columns_bit_identical_to_scalar() {
+        use bigfloat::Format;
+        use raptor_core::{Config, Tracked};
+        let floors = Floors { small_rho: 1e-4, small_p: 1e-4 };
+        let eos = GammaLaw::default();
+        let bc = BcSpec::all_outflow(4);
+        for (e, m) in [(11u32, 12u32), (5, 10), (11, 20), (11, 30)] {
+            let fmt = Format::new(e, m);
+            for threshold in [1e-4, 1e-2] {
+                let cfg = Config::mem_functions(fmt, ["Hydro"], threshold).with_counting();
+                for kind in [RiemannKind::Hllc, RiemannKind::Hll] {
+                    let params = HydroParams { riemann: kind, floors, ..Default::default() };
+                    let run = |force_scalar: bool| {
+                        let _pin = batch::force_scalar(force_scalar);
+                        let mut m = mesh_sized(ReconKind::Plm, 8, 6);
+                        init_random(&mut m, 0x5EED, floors);
+                        let sess = Session::new(cfg.clone()).unwrap();
+                        for s in 0..2 {
+                            let dt = compute_dt::<f64, _>(&m, &eos, &params);
+                            step::<Tracked, _>(&mut m, &bc, &eos, &params, dt, 2, &sess, s % 2 == 1);
+                        }
+                        (m, sess.report())
+                    };
+                    let (m_s, r_s) = run(true);
+                    let (m_c, r_c) = run(false);
+                    let label = format!("{fmt} threshold {threshold:e} {kind:?}");
+                    assert_eq!(amr::bitwise_diff(&m_c, &m_s), None, "{label}: mesh");
+                    assert_eq!(r_c.counters, r_s.counters, "{label}: counters");
+                    assert_eq!(r_c.to_json().render(), r_s.to_json().render(), "{label}: report");
+                    assert!(r_s.counters.trunc.total() > 1_000, "{label}: ops counted");
+                    assert!(r_s.flags.len() > 20, "{label}: sites reported");
+                    assert!(r_s.warnings[0].contains("auto-promoted"), "{label}: {:?}", r_s.warnings);
                 }
             }
         }

@@ -49,18 +49,39 @@
 //!    the Big path, directed rounding modes and formats past Figueroa's
 //!    bound (`p > 25`, e.g. `e11m30`). The scalar path's own emulation
 //!    functions, still with one dispatch read and one bulk count.
-//! 4. **mem-mode** — defensive per-element [`crate::ops`] calls. Consumers
-//!    should gate with [`ready`] and keep their scalar path instead:
-//!    mem-mode needs per-op source locations, which a batch call cannot
-//!    attribute.
+//! 4. **mem-mode** — under a session whose slots hold format values in
+//!    `f64` at the format's own precision (every
+//!    [`crate::Config::mem_functions`] session), a column carries two
+//!    planes: each lane is *raw* (a gathered value, a broadcast constant,
+//!    or a lane an exact selection took from a raw operand) or
+//!    *shadowed* (a format value and its FP64 shadow). An active op
+//!    promotes its raw operand lanes as the scalar path auto-promotes a
+//!    raw value (counted), runs the value plane through the tier op mode
+//!    uses for the format (the fast tier's grid, or the `Fmt` slot
+//!    arithmetic per lane past the short-cut: operand rounding is the
+//!    identity on format values) and the shadow plane in hardware, then
+//!    adds every lane's relative deviation into the op's call site at
+//!    once: one site lookup per column op. The operators carry
+//!    `#[track_caller]`, so a generic kernel line is one site at
+//!    [`Tracked`](crate::Tracked) and at `Col`, and the report equals the
+//!    scalar path's. An inactive op runs the value plane in hardware and
+//!    yields raw lanes; exact selections and sign operations move both
+//!    planes lane by lane. The fused WENO5 stencils have no per-op sites
+//!    of their own: they run lane by lane through the scalar path's
+//!    slab handles. Other mem-mode sessions (a storage precision other
+//!    than the format's) keep handles in the columns and run every op
+//!    through the per-op [`crate::ops`] entry points. Consumers gate the
+//!    planes tier with [`mem_ready`]; [`ready`] keeps meaning op mode.
 //!
 //! The element-independent loops — the hardware tier's and the fast
 //! tier's chunk loop — are compiled at each vector width the target
 //! architecture offers (on x86-64: the baseline, AVX2 and AVX-512), and
 //! every op runs the widest one the CPU reports, detected once per
 //! process ([`vector_width`]); a flagged chunk's exact re-run stays in
-//! that loop. A guarded-window chunk's re-run, the emulation tier and the
-//! mem-mode tier run at the baseline width.
+//! that loop, and the mem-mode tier's value and shadow planes run in
+//! them too. A guarded-window chunk's re-run, the emulation tier, the
+//! mem-mode tier's per-lane work (promotion, deviations, exact moves)
+//! and its handle-carrying fallback run at the baseline width.
 //!
 //! ## Columns
 //!
@@ -69,14 +90,16 @@
 //! and frees them on drop; an operand of another length panics.
 
 use crate::config::EmulPath;
-use crate::context::{Dispatch, FAST};
+use crate::context::{ActiveCtx, Dispatch, ACTIVE, FAST};
 use crate::counters::OpKind;
+use crate::memmode::{rel_deviation, Lookup, MemParams, Slot, SlotVal};
 use crate::ops::{self, MathFn};
 use crate::real::Arith;
 use bigfloat::{DoubleRound, Format};
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::ops::Range;
+use std::panic::Location;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -114,10 +137,9 @@ pub fn force_scalar(on: bool) -> ForceScalar {
 }
 
 /// Whether batch calls are profitable *and* semantics-preserving for the
-/// current thread state: false under mem-mode sessions (per-op source
-/// locations cannot be attributed from a slice loop) and under a
+/// current thread state: false under mem-mode sessions and under a
 /// `force_scalar(true)` pin. True otherwise, including with no session at
-/// all.
+/// all. Under mem mode, [`mem_ready`] says which consumers may batch.
 pub fn ready() -> bool {
     !FORCE_SCALAR.load(Ordering::Relaxed)
         && FAST.with(|f| {
@@ -126,6 +148,31 @@ pub fn ready() -> bool {
                 Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount
             )
         })
+}
+
+/// Whether this thread runs a mem-mode session whose columns carry shadow
+/// planes (the module docs' tier 4), with no `force_scalar(true)` pin.
+/// Each column op then attributes its lanes' deviations to its caller,
+/// so a kernel instantiated at [`Col`] gives the scalar path's report
+/// only where every op it runs is the scalar path's own source at the
+/// same call site: consumers check that as well (the fused WENO5
+/// stencils, for one, have sites of their own).
+pub fn mem_ready() -> bool {
+    !FORCE_SCALAR.load(Ordering::Relaxed)
+        && FAST.with(|f| {
+            f.mem_cols.get()
+                && matches!(
+                    f.dispatch.get(),
+                    Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount
+                )
+        })
+}
+
+/// Whether this thread's arithmetic column ops run the mem-mode tier's
+/// active ops: an active region of a planes session.
+#[inline]
+fn planes_active() -> bool {
+    FAST.with(|f| f.dispatch.get() == Dispatch::Mem && f.mem_cols.get())
 }
 
 // ---------------------------------------------------------------------------
@@ -144,6 +191,11 @@ pub fn ready() -> bool {
 /// (an op between two broadcasts yields a full column and counts one op
 /// per element). An op on a column from an ended scope panics, and so
 /// does an op whose operands' lengths differ from the scope's.
+///
+/// Under a mem-mode planes session a column also carries each lane's
+/// FP64 shadow and whether the lane is raw (module docs, tier 4);
+/// [`Col::read`] sees the values, which are what
+/// [`Real::to_f64`](crate::Real::to_f64) gives for `Tracked`.
 #[derive(Clone, Copy, Debug)]
 pub struct Col(Repr);
 
@@ -153,11 +205,31 @@ enum Repr {
     Slot { idx: u32, epoch: u32 },
 }
 
+/// One arena slot: a column's values and, for a column of the mem-mode
+/// tier, its shadows and raw lanes.
+#[derive(Default)]
+struct ColSlot {
+    val: Vec<f64>,
+    shadow: Vec<f64>,
+    raw: Vec<bool>,
+    /// `shadow` and `raw` hold this column's planes; without them every
+    /// lane is raw.
+    mem: bool,
+    /// The epoch of the slot's current allocation.
+    epoch: u32,
+}
+
+/// A fresh mem-mode column's planes while they are written.
+struct Planes3 {
+    val: Vec<f64>,
+    shadow: Vec<f64>,
+    raw: Vec<bool>,
+}
+
 /// The per-thread column arena: slots keep their capacity across scopes,
 /// like the batch consumers' parked scratch.
 struct Arena {
-    /// Slot buffers with the epoch of their current allocation.
-    slots: Vec<(Vec<f64>, u32)>,
+    slots: Vec<ColSlot>,
     /// Slots allocated by the open scopes.
     used: usize,
     /// Bumped whenever a scope ends, so its handles go stale.
@@ -171,10 +243,43 @@ thread_local! {
         const { RefCell::new(Arena { slots: Vec::new(), used: 0, epoch: 0, scopes: Vec::new() }) };
 }
 
-/// A column operand: an arena slot or a broadcast value.
+/// A column operand: an arena slot's values or a broadcast value.
 enum Operand<'a> {
     S(&'a [f64]),
     B(f64),
+}
+
+/// A column operand with its mem-mode planes.
+#[derive(Clone, Copy)]
+enum Lanes<'a> {
+    /// A broadcast value: raw in every lane.
+    B(f64),
+    /// Values, and the shadows and raw flags if the column has planes
+    /// (without them every lane is raw).
+    S(&'a [f64], Option<(&'a [f64], &'a [bool])>),
+}
+
+impl Lanes<'_> {
+    fn is_mem(self) -> bool {
+        matches!(self, Lanes::S(_, Some(_)))
+    }
+
+    fn check(self, n: usize) {
+        if let Lanes::S(v, _) = self {
+            assert_eq!(v.len(), n, "Col operand length differs from its scope's");
+        }
+    }
+
+    /// Lane `i`'s value, shadow and raw flag (a raw lane's shadow is its
+    /// value).
+    #[inline]
+    fn at(self, i: usize) -> (f64, f64, bool) {
+        match self {
+            Lanes::B(x) => (x, x, true),
+            Lanes::S(v, None) => (v[i], v[i], true),
+            Lanes::S(v, Some((s, r))) => (v[i], s[i], r[i]),
+        }
+    }
 }
 
 impl Arena {
@@ -190,7 +295,7 @@ impl Arena {
         self.put(col, buf)
     }
 
-    /// Take the buffer of a fresh slot, sized to the scope.
+    /// Take the value buffer of a fresh slot, sized to the scope.
     fn alloc(&mut self) -> (Col, Vec<f64>) {
         let (n, idx, epoch) = (self.len(), self.used, self.epoch);
         if idx == self.slots.len() {
@@ -198,27 +303,64 @@ impl Arena {
         }
         self.used += 1;
         let slot = &mut self.slots[idx];
-        slot.1 = epoch;
-        let mut buf = std::mem::take(&mut slot.0);
+        slot.epoch = epoch;
+        slot.mem = false;
+        let mut buf = std::mem::take(&mut slot.val);
         buf.resize(n, 0.0);
         (Col(Repr::Slot { idx: idx as u32, epoch }), buf)
     }
 
-    /// Return an allocated slot's buffer.
+    /// Return an allocated slot's value buffer.
     fn put(&mut self, col: Col, buf: Vec<f64>) -> Col {
         if let Repr::Slot { idx, .. } = col.0 {
-            self.slots[idx as usize].0 = buf;
+            self.slots[idx as usize].val = buf;
         }
         col
+    }
+
+    /// Take the three planes of a fresh slot, sized to the scope.
+    fn alloc_planes(&mut self) -> (Col, Planes3) {
+        let (col, val) = self.alloc();
+        let n = val.len();
+        let Repr::Slot { idx, .. } = col.0 else { unreachable!("alloc gives a slot") };
+        let slot = &mut self.slots[idx as usize];
+        let (mut shadow, mut raw) = (std::mem::take(&mut slot.shadow), std::mem::take(&mut slot.raw));
+        shadow.resize(n, 0.0);
+        raw.resize(n, false);
+        (col, Planes3 { val, shadow, raw })
+    }
+
+    /// Return an allocated slot's planes.
+    fn put_planes(&mut self, col: Col, p: Planes3) -> Col {
+        if let Repr::Slot { idx, .. } = col.0 {
+            let slot = &mut self.slots[idx as usize];
+            (slot.val, slot.shadow, slot.raw, slot.mem) = (p.val, p.shadow, p.raw, true);
+        }
+        col
+    }
+
+    /// The live slot behind a slot handle.
+    fn slot(&self, idx: u32, epoch: u32) -> &ColSlot {
+        match self.slots.get(idx as usize) {
+            Some(s) if (idx as usize) < self.used && s.epoch == epoch => s,
+            _ => panic!("stale Col: its batch::scope has ended"),
+        }
     }
 
     fn operand(&self, c: Col) -> Operand<'_> {
         match c.0 {
             Repr::Bcast(x) => Operand::B(x),
-            Repr::Slot { idx, epoch } => match self.slots.get(idx as usize) {
-                Some((v, e)) if (idx as usize) < self.used && *e == epoch => Operand::S(v),
-                _ => panic!("stale Col: its batch::scope has ended"),
-            },
+            Repr::Slot { idx, epoch } => Operand::S(&self.slot(idx, epoch).val),
+        }
+    }
+
+    fn lanes(&self, c: Col) -> Lanes<'_> {
+        match c.0 {
+            Repr::Bcast(x) => Lanes::B(x),
+            Repr::Slot { idx, epoch } => {
+                let s = self.slot(idx, epoch);
+                Lanes::S(&s.val, s.mem.then(|| (&s.shadow[..], &s.raw[..])))
+            }
         }
     }
 }
@@ -258,19 +400,107 @@ impl Drop for ColScope {
 }
 
 /// Columns of the current scope holding each of `cols`' elements at `idx`
-/// (as many as the scope's length).
+/// (as many as the scope's length). An uncounted move, which carries the
+/// mem-mode tier's planes.
 pub fn gather<const K: usize>(cols: [Col; K], idx: &[usize]) -> [Col; K] {
+    cols.map(|c| moved(c, Move::Gather(idx)))
+}
+
+/// Write lane `s` of each of `from`'s columns into lane `d` of the same
+/// column of `into`, in place, for every `(s, d)` in `lanes`: how a
+/// partitioned kernel assembles its classes' results. `into` holds slot
+/// columns, none of them in `from`, and may belong to an enclosing scope.
+/// An uncounted move, which carries the mem-mode tier's planes.
+pub fn scatter<const K: usize>(
+    into: [Col; K],
+    from: [Col; K],
+    lanes: impl Iterator<Item = (usize, usize)> + Clone,
+) {
     ARENA.with(|a| {
         let mut a = a.borrow_mut();
-        cols.map(|c| {
-            a.op(|ar, out| {
-                assert_eq!(idx.len(), out.len());
-                match ar.operand(c) {
-                    Operand::S(v) => out.iter_mut().zip(idx).for_each(|(o, &i)| *o = v[i]),
-                    Operand::B(x) => out.fill(x),
+        for (dst, src) in into.into_iter().zip(from) {
+            let Repr::Slot { idx, epoch } = dst.0 else { panic!("batch::scatter into a broadcast") };
+            a.slot(idx, epoch);
+            let slot = &mut a.slots[idx as usize];
+            let mut mem = slot.mem;
+            let mut d = Planes3 {
+                val: std::mem::take(&mut slot.val),
+                shadow: std::mem::take(&mut slot.shadow),
+                raw: std::mem::take(&mut slot.raw),
+            };
+            let s = a.lanes(src);
+            if s.is_mem() && !mem {
+                // Every lane so far raw: its shadow is its value.
+                d.shadow.clear();
+                d.shadow.extend_from_slice(&d.val);
+                d.raw.clear();
+                d.raw.resize(d.val.len(), true);
+                mem = true;
+            }
+            match s {
+                Lanes::S(v, _) if !mem => lanes.clone().for_each(|(i, j)| d.val[j] = v[i]),
+                _ => {
+                    for (i, j) in lanes.clone() {
+                        let (v, sh, r) = s.at(i);
+                        (d.val[j], d.shadow[j], d.raw[j]) = (v, sh, r);
+                    }
                 }
-            })
-        })
+            }
+            let slot = &mut a.slots[idx as usize];
+            (slot.val, slot.shadow, slot.raw, slot.mem) = (d.val, d.shadow, d.raw, mem);
+        }
+    })
+}
+
+/// Where a relayout takes each of its lanes from (see [`moved`]).
+#[derive(Clone, Copy)]
+enum Move<'a> {
+    /// Lane `j` from lane `idx[j]`.
+    Gather(&'a [usize]),
+    /// `k`-lane lines from lanes `off ..` of the source's `l`-lane lines.
+    Lines { l: usize, k: usize, off: usize },
+}
+
+impl Move<'_> {
+    fn apply<T: Copy>(self, src: &[T], out: &mut [T]) {
+        match self {
+            Move::Gather(idx) => {
+                assert_eq!(idx.len(), out.len());
+                out.iter_mut().zip(idx).for_each(|(o, &i)| *o = src[i]);
+            }
+            Move::Lines { l, k, off } => {
+                assert!(
+                    src.len() % l == 0 && out.len() % k == 0 && src.len() / l == out.len() / k,
+                    "{} lanes in {l}-lane lines do not make {} lanes in {k}-lane lines",
+                    src.len(),
+                    out.len()
+                );
+                for (line, o) in src.chunks_exact(l).zip(out.chunks_exact_mut(k)) {
+                    o.copy_from_slice(&line[off..][..k]);
+                }
+            }
+        }
+    }
+}
+
+/// A new column of the current scope holding `c`'s lanes as `how` moves
+/// them: its values, and its shadows and raw flags if it has planes.
+fn moved(c: Col, how: Move) -> Col {
+    ARENA.with(|a| {
+        let mut a = a.borrow_mut();
+        if !a.lanes(c).is_mem() {
+            return a.op(|ar, out| match ar.operand(c) {
+                Operand::S(v) => how.apply(v, out),
+                Operand::B(x) => out.fill(x),
+            });
+        }
+        let (col, mut p) = a.alloc_planes();
+        if let Lanes::S(v, Some((s, r))) = a.lanes(c) {
+            how.apply(v, &mut p.val);
+            how.apply(s, &mut p.shadow);
+            how.apply(r, &mut p.raw);
+        }
+        a.put_planes(col, p)
     })
 }
 
@@ -311,8 +541,22 @@ impl Col {
         })
     }
 
+    /// A new column of the scope's length made of `k`-lane lines: line
+    /// `c` holds lanes `c*l + off ..< c*l + off + k` of this column, which
+    /// holds lines of `l` lanes. An uncounted move, like [`gather`].
+    pub fn lines(self, l: usize, k: usize, off: usize) -> Col {
+        moved(self, Move::Lines { l, k, off })
+    }
+
     /// `log10` of every element, in one batch op.
+    #[track_caller]
     pub fn log10(self) -> Col {
+        if planes_active() {
+            return mem_op(Location::caller(), [self], Log10::<f64>::COUNTS, |t, [x], val, sh| match x {
+                Planes::S(v, s) => t.eval(Log10(v), Log10(s), val, sh),
+                Planes::B(v, s) => t.eval(Log10(v), Log10(s), val, sh),
+            });
+        }
         Col::op(|ar, out| match ar.operand(self) {
             Operand::S(x) => run(Log10(x), out),
             Operand::B(x) => run(Log10(x), out),
@@ -340,31 +584,86 @@ macro_rules! with_operands {
     }};
 }
 
+/// `$body` with `$v*`, `$s*` bound to each operand's value and shadow
+/// planes, each arm monomorphized on the slice-or-broadcast shapes.
+macro_rules! with_planes {
+    ($a:expr, $b:expr, |$va:ident, $sa:ident, $vb:ident, $sb:ident| $body:expr) => {{
+        use Planes::{B, S};
+        match ($a, $b) {
+            (S($va, $sa), S($vb, $sb)) => $body,
+            (S($va, $sa), B($vb, $sb)) => $body,
+            (B($va, $sa), S($vb, $sb)) => $body,
+            (B($va, $sa), B($vb, $sb)) => $body,
+        }
+    }};
+}
+
+#[track_caller]
 fn col_bin<const K: u8>(a: Col, b: Col) -> Col {
+    if planes_active() {
+        return mem_op(Location::caller(), [a, b], Bin::<K, f64, f64>::COUNTS, |t, [x, y], val, sh| {
+            with_planes!(x, y, |va, sa, vb, sb| t.eval(Bin::<K, _, _>(va, vb), Bin::<K, _, _>(sa, sb), val, sh))
+        });
+    }
     Col::op(|ar, out| with_operands!(ar, a, b, |x, y| run(Bin::<K, _, _>(x, y), out)))
 }
 
-/// `f` lane by lane: an exact selection, uncounted like `Tracked`'s.
-fn col_select<F: Fn(f64, f64) -> f64 + Copy>(a: Col, b: Col, f: F) -> Col {
-    fn lanes<F: Fn(f64, f64) -> f64>(a: impl Arg, b: impl Arg, f: F, out: &mut [f64]) {
+/// Which operand an exact selection keeps in a lane: `A`, `B`, or `+0.0`.
+#[derive(Clone, Copy)]
+enum Pick {
+    A,
+    B,
+    Zero,
+}
+
+/// `pick` lane by lane: an exact selection, uncounted like `Tracked`'s.
+/// A lane keeps the picked operand's value, and under the mem-mode tier
+/// its shadow and raw flag too; `+0.0` is a raw lane.
+fn col_select<F: Fn(f64, f64) -> Pick + Copy>(a: Col, b: Col, pick: F) -> Col {
+    fn lanes<F: Fn(f64, f64) -> Pick>(a: impl Arg, b: impl Arg, pick: F, out: &mut [f64]) {
         a.check(out.len());
         b.check(out.len());
         for (i, o) in out.iter_mut().enumerate() {
-            *o = f(a.at(i), b.at(i));
+            let (x, y) = (a.at(i), b.at(i));
+            *o = match pick(x, y) {
+                Pick::A => x,
+                Pick::B => y,
+                Pick::Zero => 0.0,
+            };
         }
     }
-    Col::op(|ar, out| with_operands!(ar, a, b, |x, y| lanes(x, y, f, out)))
+    ARENA.with(|ar| {
+        let mut ar = ar.borrow_mut();
+        if !(ar.lanes(a).is_mem() || ar.lanes(b).is_mem()) {
+            return ar.op(|ar, out| with_operands!(ar, a, b, |x, y| lanes(x, y, pick, out)));
+        }
+        let (col, mut p) = ar.alloc_planes();
+        let (x, y) = (ar.lanes(a), ar.lanes(b));
+        x.check(p.val.len());
+        y.check(p.val.len());
+        for i in 0..p.val.len() {
+            let (xi, yi) = (x.at(i), y.at(i));
+            (p.val[i], p.shadow[i], p.raw[i]) = match pick(xi.0, yi.0) {
+                Pick::A => xi,
+                Pick::B => yi,
+                Pick::Zero => (0.0, 0.0, true),
+            };
+        }
+        ar.put_planes(col, p)
+    })
 }
 
 macro_rules! col_ops {
     ($($op:ident $f:ident $assign:ident $af:ident $k:ident;)*) => {$(
         impl core::ops::$op for Col {
             type Output = Col;
+            #[track_caller]
             fn $f(self, rhs: Col) -> Col {
                 col_bin::<$k>(self, rhs)
             }
         }
         impl core::ops::$assign for Col {
+            #[track_caller]
             fn $af(&mut self, rhs: Col) {
                 *self = col_bin::<$k>(*self, rhs);
             }
@@ -380,21 +679,39 @@ col_ops! {
 }
 
 /// `f` lane by lane: an exact sign operation, uncounted like `Tracked`'s.
-fn col_sign(a: Col, f: fn(f64) -> f64) -> Col {
-    Col::op(|ar, out| match ar.operand(a) {
-        Operand::S(v) => {
-            v.check(out.len());
-            out.iter_mut().zip(v).for_each(|(o, &x)| *o = f(x));
+/// Under the mem-mode tier a shadowed lane applies `f` to its shadow too,
+/// and keeps a NaN value as it is if `keep_nan`, as a slot's negation
+/// does.
+fn col_sign(a: Col, f: fn(f64) -> f64, keep_nan: bool) -> Col {
+    ARENA.with(|ar| {
+        let mut ar = ar.borrow_mut();
+        if !ar.lanes(a).is_mem() {
+            return ar.op(|ar, out| match ar.operand(a) {
+                Operand::S(v) => {
+                    v.check(out.len());
+                    out.iter_mut().zip(v).for_each(|(o, &x)| *o = f(x));
+                }
+                Operand::B(x) => out.fill(f(x)),
+            });
         }
-        Operand::B(x) => out.fill(f(x)),
+        let (col, mut p) = ar.alloc_planes();
+        let x = ar.lanes(a);
+        x.check(p.val.len());
+        for i in 0..p.val.len() {
+            let (v, s, r) = x.at(i);
+            p.val[i] = if r || !(keep_nan && v.is_nan()) { f(v) } else { v };
+            (p.shadow[i], p.raw[i]) = (if r { p.val[i] } else { f(s) }, r);
+        }
+        ar.put_planes(col, p)
     })
 }
 
 impl core::ops::Neg for Col {
     type Output = Col;
     /// Exact sign flip, uncounted like [`Tracked`](crate::Tracked)'s.
+    #[track_caller]
     fn neg(self) -> Col {
-        col_sign(self, |x| -x)
+        col_sign(self, |x| -x, true)
     }
 }
 
@@ -415,6 +732,9 @@ pub fn weno5_adv(v: [Col; 5]) -> Col {
 }
 
 fn weno5_col<const INV_TAIL: bool>(v: [Col; 5]) -> Col {
+    if planes_active() {
+        return weno5_mem::<INV_TAIL>(v);
+    }
     Col::op(|ar, out| {
         let n = out.len();
         let cols = v.map(|c| match ar.operand(c) {
@@ -425,11 +745,64 @@ fn weno5_col<const INV_TAIL: bool>(v: [Col; 5]) -> Col {
     })
 }
 
+/// [`weno5_col`] under the mem-mode tier: the fused stencil has no call
+/// sites to attribute its 65 ops to, so its lanes run through the scalar
+/// path's per-op entry points on slab handles (raw lanes stay raw
+/// values), and the results come back as planes.
+#[cold]
+fn weno5_mem<const INV_TAIL: bool>(v: [Col; 5]) -> Col {
+    let carriers = ARENA.with(|a| {
+        let a = a.borrow();
+        let n = a.len();
+        v.map(|c| {
+            let l = a.lanes(c);
+            l.check(n);
+            with_act(|act| {
+                (0..n)
+                    .map(|i| match l.at(i) {
+                        (x, _, true) => x,
+                        (val, shadow, false) => act.mem.push(Slot { val: SlotVal::Fmt(val), shadow }),
+                    })
+                    .collect::<Vec<f64>>()
+            })
+        })
+    });
+    let mut out = vec![0.0; carriers[0].len()];
+    each(Weno5::<INV_TAIL>(carriers.each_ref().map(|c| &c[..])), &mut Ops, &mut out);
+    ARENA.with(|a| {
+        let mut a = a.borrow_mut();
+        let (col, mut p) = a.alloc_planes();
+        with_act(|act| {
+            for (i, &h) in out.iter().enumerate() {
+                let slot = match act.mem.lookup(h) {
+                    Lookup::Slot(s) => Some((s.val.to_f64(), s.shadow)),
+                    _ => None,
+                };
+                (p.val[i], p.shadow[i], p.raw[i]) = match slot {
+                    Some((v, s)) => (v, s, false),
+                    None => {
+                        let x = act.mem.value_of(h);
+                        (x, x, true)
+                    }
+                };
+            }
+        });
+        a.put_planes(col, p)
+    })
+}
+
 impl Arith for Col {
     fn from_f64(x: f64) -> Col {
         Col(Repr::Bcast(x))
     }
+    #[track_caller]
     fn sqrt(self) -> Col {
+        if planes_active() {
+            return mem_op(Location::caller(), [self], Sqrt::<f64>::COUNTS, |t, [x], val, sh| match x {
+                Planes::S(v, s) => t.eval(Sqrt(v), Sqrt(s), val, sh),
+                Planes::B(v, s) => t.eval(Sqrt(v), Sqrt(s), val, sh),
+            });
+        }
         Col::op(|ar, out| match ar.operand(self) {
             Operand::S(x) => run(Sqrt(x), out),
             Operand::B(x) => run(Sqrt(x), out),
@@ -437,19 +810,35 @@ impl Arith for Col {
     }
     /// `other` where it is below `self`, else `self`: ties and NaNs keep
     /// `self`, as `Tracked::min` does.
+    #[track_caller]
     fn min(self, other: Col) -> Col {
-        col_select(self, other, |x, y| if y < x { y } else { x })
+        col_select(self, other, |x, y| if y < x { Pick::B } else { Pick::A })
     }
     /// `other` where it is above `self`, else `self`.
+    #[track_caller]
     fn max(self, other: Col) -> Col {
-        col_select(self, other, |x, y| if y > x { y } else { x })
+        col_select(self, other, |x, y| if y > x { Pick::B } else { Pick::A })
     }
+    /// [`crate::real::minmod`]'s choice: the slope of smaller magnitude
+    /// when both are nonzero with one sign, else `+0.0`.
+    #[track_caller]
     fn minmod(self, other: Col) -> Col {
-        col_select(self, other, crate::real::minmod)
+        col_select(self, other, |x, y| {
+            if (x > 0.0 && y > 0.0) || (x < 0.0 && y < 0.0) {
+                if x.abs() < y.abs() {
+                    Pick::A
+                } else {
+                    Pick::B
+                }
+            } else {
+                Pick::Zero
+            }
+        })
     }
     /// Exact magnitude, uncounted like `Tracked::abs`.
+    #[track_caller]
     fn abs(self) -> Col {
-        col_sign(self, f64::abs)
+        col_sign(self, f64::abs, false)
     }
 }
 
@@ -484,6 +873,13 @@ fn run<S: Shape>(s: S, out: &mut [f64]) {
                     _ if emul.dr != DoubleRound::Unsafe => width.column(Grid::of(emul), s, out),
                     _ => each(s, &mut Emulate(emul), out),
                 }
+            }
+            // Under a planes session the values are plain: an inactive
+            // op is hardware on them, as on a handle's truncated value.
+            Dispatch::MemInactive if f.mem_cols.get() => width.column(Hw, s, out),
+            Dispatch::MemInactiveCount if f.mem_cols.get() => {
+                count(&f.full);
+                width.column(Hw, s, out)
             }
             Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount => each(s, &mut Ops, out),
         }
@@ -1086,6 +1482,146 @@ impl Exec for Ops {
     }
 }
 
+/// The mem-mode tier's value plane past the short-cut's bound: the `Fmt`
+/// slot arithmetic per lane, on format values.
+struct Slots(ops::Emul);
+impl Exec for Slots {
+    #[inline(always)]
+    fn bin(&mut self, kind: OpKind, a: f64, b: f64) -> f64 {
+        let e = self.0;
+        ops::fmt_op2(e.fmt, e.rm, e.dr, kind, a, b)
+    }
+    #[inline(always)]
+    fn sqrt(&mut self, a: f64) -> f64 {
+        let e = self.0;
+        ops::fmt_sqrt(e.fmt, e.rm, e.dr, a)
+    }
+    #[inline(always)]
+    fn math(&mut self, func: MathFn, a: f64) -> f64 {
+        ops::emulate_math(self.0, func, a)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The mem-mode tier's active ops
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    /// Promoted value planes of an op's raw operands, reused across ops.
+    static PROMOTED: RefCell<[Vec<f64>; 2]> = const { RefCell::new([Vec::new(), Vec::new()]) };
+}
+
+/// `body` on this thread's installed session context.
+fn with_act<R>(body: impl FnOnce(&mut ActiveCtx) -> R) -> R {
+    ACTIVE.with(|cell| {
+        let mut slot = cell.borrow_mut();
+        body(slot.as_mut().expect("a mem-mode column op implies an installed session"))
+    })
+}
+
+/// An operand of an active mem-mode op, promoted: value and shadow, each
+/// a column or broadcast.
+#[derive(Clone, Copy)]
+enum Planes<'a> {
+    B(f64, f64),
+    S(&'a [f64], &'a [f64]),
+}
+
+/// How an active mem-mode op computes its planes: the value plane through
+/// the tier op mode runs the session's format on, the shadow plane in
+/// hardware.
+#[derive(Clone, Copy)]
+struct MemTier {
+    emul: ops::Emul,
+    width: Width,
+}
+
+impl MemTier {
+    /// `value` into `val` and `shadow` into `sh`: one shape over the value
+    /// planes and the same one over the shadow planes.
+    #[inline(always)]
+    fn eval<V: Shape, S: Shape>(self, value: V, shadow: S, val: &mut [f64], sh: &mut [f64]) {
+        if self.emul.dr != DoubleRound::Unsafe {
+            self.width.column(Grid::of(self.emul), value, val);
+        } else {
+            each(value, &mut Slots(self.emul), val);
+        }
+        self.width.column(Hw, shadow, sh);
+    }
+}
+
+/// An operand's planes, its raw lanes promoted into `buf` as
+/// [`MemShard::resolve`](crate::memmode) auto-promotes a raw value: the
+/// rounded value beside the raw value as its shadow. Adds the promoted
+/// lanes to `promoted`.
+fn promote<'a>(l: Lanes<'a>, n: usize, buf: &'a mut Vec<f64>, p: &MemParams, promoted: &mut u64) -> Planes<'a> {
+    let round = |x: f64| p.make_val(x).to_f64();
+    let (v, s, raw) = match l {
+        Lanes::B(x) => {
+            *promoted += n as u64;
+            return Planes::B(round(x), x);
+        }
+        Lanes::S(v, None) => (v, v, None),
+        Lanes::S(v, Some((s, r))) => (v, s, Some(r)),
+    };
+    l.check(n);
+    let k = raw.map_or(n, |r| r.iter().filter(|&&r| r).count());
+    if k == 0 {
+        return Planes::S(v, s);
+    }
+    *promoted += k as u64;
+    buf.clear();
+    match raw {
+        None => buf.extend(v.iter().map(|&x| round(x))),
+        Some(r) => buf.extend(v.iter().zip(r).map(|(&x, &r)| if r { round(x) } else { x })),
+    }
+    Planes::S(buf, s)
+}
+
+/// One active op of the mem-mode tier over `args`: promote their raw
+/// lanes, let `eval` write the value and shadow planes, count the op
+/// `counts` times per lane, and add every lane's relative deviation into
+/// `loc`'s statistics, with one site lookup.
+fn mem_op<const A: usize>(
+    loc: &'static Location<'static>,
+    args: [Col; A],
+    counts: &[(OpKind, u64)],
+    eval: impl FnOnce(MemTier, [Planes<'_>; A], &mut [f64], &mut [f64]),
+) -> Col {
+    ARENA.with(|ar| {
+        let mut ar = ar.borrow_mut();
+        let (col, mut out) = ar.alloc_planes();
+        let n = out.val.len();
+        with_act(|act| {
+            let p = &act.mem_params;
+            let tier = MemTier { emul: p.emul(), width: Width::current() };
+            let mut promoted = 0;
+            PROMOTED.with(|bufs| {
+                let mut bufs = bufs.borrow_mut();
+                let mut bufs = bufs.iter_mut();
+                let planes = args.map(|c| {
+                    let buf = bufs.next().expect("ops take at most two operands");
+                    promote(ar.lanes(c), n, buf, p, &mut promoted)
+                });
+                eval(tier, planes, &mut out.val, &mut out.shadow);
+            });
+            act.mem.promoted(promoted);
+            let threshold = p.threshold;
+            let site = act.mem.site_stats(loc);
+            for (&v, &s) in out.val.iter().zip(&out.shadow) {
+                site.add(rel_deviation(v, s), threshold);
+            }
+        });
+        FAST.with(|f| {
+            for &(kind, per) in counts {
+                f.trunc.bump_n(kind, per * n as u64);
+            }
+        });
+        out.raw.fill(false);
+        ar.put_planes(col, out)
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Fast rounding
 // ---------------------------------------------------------------------------
@@ -1419,10 +1955,13 @@ mod tests {
     /// tier (fp16, e5m2, e11m8, e11m12, the odd-mantissa e11m5), its
     /// guarded formats (e11m20, e11m22), a format past the short-cut bound
     /// (e11m30), Native FP32, the Big path, a directed rounding mode, an
-    /// inactive counting region and mem-mode — and with no session must
-    /// give the scalar path's bits lane for lane and its counters exactly
-    /// (minmod counts nothing on either), at every vector width the CPU
-    /// reports. Columns `a` and `b` are raw random bit patterns mixed with
+    /// inactive counting region and mem-mode (the planes tier at e11m12,
+    /// fp16, the guarded e11m20 and e11m30 past the short-cut, and in an
+    /// inactive region; and a storage precision below the format's, which
+    /// keeps handles) — and with no session must give the scalar path's
+    /// bits lane for lane and its counters exactly (minmod counts nothing
+    /// on either), and under mem-mode its deviation statistics (call sites
+    /// aside) and warnings, at every vector width the CPU reports. Columns `a` and `b` are raw random bit patterns mixed with
     /// moderate values and hand-picked specials. Column `c` is tame but
     /// for one subnormal or overflowing lane in some of its chunks (lanes
     /// 127 and 128, a later chunk and the final partial one), so its ops
@@ -1527,6 +2066,11 @@ mod tests {
             ("e11m12-rz", directed, false),
             ("inactive", Config::op_functions(e11m12, ["K"]), false),
             ("mem", Config::mem_functions(e11m12, ["K"], 1e-4), true),
+            ("mem-fp16", Config::mem_functions(Format::FP16, ["K"], 1e-3), true),
+            ("mem-e11m20", Config::mem_functions(Format::new(11, 20), ["K"], 1e-6), true),
+            ("mem-e11m30", Config::mem_functions(Format::new(11, 30), ["K"], 1e-8), true),
+            ("mem-inactive", Config::mem_functions(e11m12, ["K"], 1e-4), false),
+            ("mem-prec8", Config::mem_functions(e11m12, ["K"], 1e-4).with_mem_precision(8), true),
         ];
         for (label, cfg, in_region) in &configs {
             for &shape in &shapes {
@@ -1545,10 +2089,15 @@ mod tests {
                         out.into_iter().map(crate::ops::resolve).collect()
                     };
                     drop(g);
-                    (out, s.counters())
+                    // The mem-mode statistics without their call sites,
+                    // which differ between the two drivers here.
+                    let flags: Vec<_> = s.mem_flags().into_iter().map(|r| r.stats).collect();
+                    (out, s.counters(), flags, s.warnings())
                 };
-                let (got, got_c) = run(true);
-                let (want, want_c) = run(false);
+                let (got, got_c, got_f, got_w) = run(true);
+                let (want, want_c, want_f, want_w) = run(false);
+                assert_eq!(got_f, want_f, "{width:?} {label} {shape:?}: mem-mode statistics");
+                assert_eq!(got_w, want_w, "{width:?} {label} {shape:?}: warnings");
                 for i in 0..N {
                     assert_eq!(
                         got[i].to_bits(),
@@ -2148,8 +2697,20 @@ mod tests {
         }
         let _pin = force_scalar(false);
         let s = Session::new(Config::mem_functions(Format::FP16, ["K"], 1e-6)).unwrap();
+        let g = s.install();
+        assert!(!ready(), "ready() means op mode");
+        assert!(mem_ready(), "Fmt slots at the format's precision carry planes");
+        drop(g);
+        let cfg = Config::mem_functions(Format::FP16, ["K"], 1e-6).with_mem_precision(8);
+        let s = Session::new(cfg).unwrap();
+        let g = s.install();
+        assert!(!mem_ready(), "a storage precision below the format's keeps handles");
+        drop(g);
+        drop(_pin);
+        let s = Session::new(Config::mem_functions(Format::FP16, ["K"], 1e-6)).unwrap();
         let _g = s.install();
-        assert!(!ready(), "mem-mode needs per-op source locations");
+        let _pin = force_scalar(true);
+        assert!(!mem_ready(), "the pin holds the mem-mode path too");
     }
 
     /// Two [`force_scalar`] holders run one after the other, never

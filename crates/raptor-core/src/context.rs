@@ -277,6 +277,10 @@ pub(crate) struct FastPath {
     pub(crate) emul: Cell<Emul>,
     /// `format.storage_bytes()`, for the §3.4 memory model.
     pub(crate) fmt_bytes: Cell<u64>,
+    /// A mem-mode session whose slots store format values in `f64`
+    /// ([`MemParams::planes`]): `Col`s carry shadow planes under it (see
+    /// [`crate::batch`]). Valid when `dispatch` is a mem-mode variant.
+    pub(crate) mem_cols: Cell<bool>,
     /// Per-thread op counts (truncated / full precision).
     pub(crate) trunc: CellCounts,
     pub(crate) full: CellCounts,
@@ -290,6 +294,7 @@ impl FastPath {
             dispatch: Cell::new(Dispatch::None),
             emul: Cell::new(Emul::FP64),
             fmt_bytes: Cell::new(8),
+            mem_cols: Cell::new(false),
             trunc: CellCounts::new(),
             full: CellCounts::new(),
             trunc_bytes: Cell::new(0),
@@ -392,6 +397,7 @@ impl ActiveCtx {
             f.dispatch.set(d);
             f.emul.set(Emul::of(cfg));
             f.fmt_bytes.set(cfg.format.storage_bytes() as u64);
+            f.mem_cols.set(cfg.mode == Mode::Mem && self.mem_params.planes());
         });
     }
 }

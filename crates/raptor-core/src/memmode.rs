@@ -223,6 +223,26 @@ impl MemParams {
         }
     }
 
+    /// Whether `Fmt` slots hold this session's values at the format's own
+    /// precision (every [`crate::Config::mem_functions`] session): its
+    /// slot arithmetic is then op-mode's on format values, which the batch
+    /// tier's column ops run on whole value planes.
+    pub(crate) fn planes(&self) -> bool {
+        self.fmt_slots && self.clamp.is_some_and(|f| f.precision() == self.prec)
+    }
+
+    /// The op-mode decision whose `Soft` path is this session's `Fmt`
+    /// slot arithmetic (operand rounding aside, the identity on format
+    /// values). Only for `fmt_slots` sessions.
+    pub(crate) fn emul(&self) -> crate::ops::Emul {
+        crate::ops::Emul {
+            fmt: self.clamp.expect("Fmt slots imply a clamping format"),
+            rm: self.round,
+            path: crate::config::EmulPath::Soft,
+            dr: self.dr,
+        }
+    }
+
     /// Store a `SoftFloat` result in this session's slot representation
     /// (`r` must already be rounded into the format when `fmt_slots`).
     pub(crate) fn slot_val(&self, r: SoftFloat) -> SlotVal {
@@ -480,6 +500,11 @@ impl MemShard {
         }
     }
 
+    /// Count `n` raw values auto-promoted outside [`MemShard::resolve`].
+    pub(crate) fn promoted(&mut self, n: u64) {
+        self.auto_promotions += n;
+    }
+
     /// The truncated value behind a carrier value (identity for raw
     /// values; stale handles are counted and read as NaN).
     pub(crate) fn value_of(&mut self, x: f64) -> f64 {
@@ -594,6 +619,7 @@ impl MemStats {
 }
 
 /// Relative deviation between a truncated result and its FP64 shadow.
+#[inline]
 pub(crate) fn rel_deviation(truncated: f64, shadow: f64) -> f64 {
     if truncated == shadow {
         return 0.0;

@@ -29,11 +29,17 @@
 //!   Helmholtz EOS's column methods — lockstep bisection, batched Newton
 //!   — and the burn's block-wide batched Newton inversions).
 //!
+//! Two more run under a mem-mode session (`mem_functions` over `Hydro`,
+//! threshold 1e-4), where the column sweep carries FP64 shadow planes and
+//! reports each op's deviations at its call site: the PLM Sedov blast
+//! (`sedov-plm-mem`) and the HLL Sod tube (`sod-hll-mem`). Their lines
+//! also compare the whole `Report::to_json` document.
+//!
 //! ```sh
 //! cargo run --release -p raptor-examples --bin batch_diff
 //! ```
 //!
-//! Each consumer runs at four formats, one line each (36 in all): e11m12
+//! Each consumer runs at four formats, one line each (44 in all): e11m12
 //! and e5m10 on the fast tier (e5m10's small exponent range sends many
 //! chunks through the exact rounding of subnormal and overflowing
 //! values), the guarded e11m20, and e11m30 on the per-element emulation
@@ -50,28 +56,26 @@ use incomp::{compute_dt, reinitialize, setup_bubble, step, Grid, InsParams};
 use raptor_core::{batch, Config, Counters, Session, Tracked};
 
 /// One tiny Sedov run (max_level=2, 3 threads, a handful of steps) under
-/// an op-mode counting session of `cfg`; returns the final mesh and the
-/// counters.
-fn run_sedov(cfg: &Config, recon: ReconKind, force_scalar: bool) -> (amr::Mesh, Counters) {
+/// a counting session of `cfg`; returns the final mesh and the session.
+fn run_sedov(cfg: &Config, recon: ReconKind, force_scalar: bool) -> (amr::Mesh, Session) {
     let _pin = batch::force_scalar(force_scalar);
     let mut sim = setup(Problem::Sedov, 2, 8, recon);
     let sess = Session::new(cfg.clone()).expect("valid config");
     sim.run::<Tracked>(0.02, 12, 3, &sess);
-    (sim.mesh, sess.counters())
+    (sim.mesh, sess)
 }
 
-/// A Sod shock tube solved with the HLL flux: the tube's supersonic and
-/// subsonic interface populations cover the Riemann partition's classes,
-/// and the HLL middle flux (absent from the default-HLLC Sedov runs) goes
-/// through its per-component batch chain.
-fn run_sod_hll(fmt: Format, force_scalar: bool) -> (amr::Mesh, Counters) {
+/// A Sod shock tube solved with the HLL flux under `cfg`: the tube's
+/// supersonic and subsonic interface populations cover the Riemann
+/// partition's classes, and the HLL middle flux (absent from the
+/// default-HLLC Sedov runs) goes through its per-component batch chain.
+fn run_sod_hll(cfg: &Config, force_scalar: bool) -> (amr::Mesh, Session) {
     let _pin = batch::force_scalar(force_scalar);
     let mut sim = setup(Problem::Sod, 2, 8, ReconKind::Plm);
     sim.hydro.riemann = RiemannKind::Hll;
-    let sess = Session::new(Config::op_files(fmt, ["Hydro"]).with_counting())
-        .expect("valid config");
+    let sess = Session::new(cfg.clone()).expect("valid config");
     sim.run::<Tracked>(0.02, 12, 3, &sess);
-    (sim.mesh, sess.counters())
+    (sim.mesh, sess)
 }
 
 /// A few steps of the Cellular detonation with both the hydro sweep and
@@ -185,6 +189,16 @@ fn report(label: &str, cell_diff: Option<String>, count_b: Counters, count_s: Co
     }
 }
 
+/// The first difference between two meshes' bits, or else between two
+/// sessions' rendered reports.
+fn mesh_or_report_diff(a: (&amr::Mesh, &Session), b: (&amr::Mesh, &Session)) -> Option<String> {
+    amr::bitwise_diff(a.0, b.0).or_else(|| {
+        let (ra, rb) = (a.1.report().to_json().render(), b.1.report().to_json().render());
+        let line = ra.lines().zip(rb.lines()).find(|(x, y)| x != y);
+        (ra != rb).then(|| format!("report differs: {line:?}"))
+    })
+}
+
 /// First bitwise difference between two flow grids, if any.
 fn grid_diff(a: &Grid, b: &Grid) -> Option<String> {
     for (name, fa, fb) in [("u", &a.u, &b.u), ("v", &a.v, &b.v), ("phi", &a.phi, &b.phi)] {
@@ -216,17 +230,18 @@ fn main() {
             ("sedov-weno5", &hydro, ReconKind::Weno5),
             ("sedov-all", &all, ReconKind::Plm),
         ] {
-            let (mesh_b, count_b) = run_sedov(cfg, recon, false);
-            let (mesh_s, count_s) = run_sedov(cfg, recon, true);
+            let (mesh_b, sess_b) = run_sedov(cfg, recon, false);
+            let (mesh_s, sess_s) = run_sedov(cfg, recon, true);
             let label = format!("{name} {fmt}");
-            if !report(&label, amr::bitwise_diff(&mesh_b, &mesh_s), count_b, count_s) {
+            let diff = amr::bitwise_diff(&mesh_b, &mesh_s);
+            if !report(&label, diff, sess_b.counters(), sess_s.counters()) {
                 failed = true;
             }
         }
-        let (mesh_b, count_b) = run_sod_hll(fmt, false);
-        let (mesh_s, count_s) = run_sod_hll(fmt, true);
+        let (mesh_b, sess_b) = run_sod_hll(&hydro, false);
+        let (mesh_s, sess_s) = run_sod_hll(&hydro, true);
         let label = format!("sod-hll {fmt}").to_lowercase();
-        if !report(&label, amr::bitwise_diff(&mesh_b, &mesh_s), count_b, count_s) {
+        if !report(&label, amr::bitwise_diff(&mesh_b, &mesh_s), sess_b.counters(), sess_s.counters()) {
             failed = true;
         }
         let (grid_b, count_b) = run_bubble(fmt, false);
@@ -258,6 +273,21 @@ fn main() {
         });
         if !report(&label, diff, count_b, count_s) {
             failed = true;
+        }
+        // Mem mode: the PLM column sweep with shadow planes.
+        let mem = Config::mem_functions(fmt, ["Hydro"], 1e-4).with_counting();
+        let runs: [(&str, &dyn Fn(bool) -> (amr::Mesh, Session)); 2] = [
+            ("sedov-plm-mem", &|f| run_sedov(&mem, ReconKind::Plm, f)),
+            ("sod-hll-mem", &|f| run_sod_hll(&mem, f)),
+        ];
+        for (name, run) in runs {
+            let (mesh_b, sess_b) = run(false);
+            let (mesh_s, sess_s) = run(true);
+            let label = format!("{name} {fmt}").to_lowercase();
+            let diff = mesh_or_report_diff((&mesh_b, &sess_b), (&mesh_s, &sess_s));
+            if !report(&label, diff, sess_b.counters(), sess_s.counters()) {
+                failed = true;
+            }
         }
     }
     if failed {
