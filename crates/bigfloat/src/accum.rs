@@ -51,7 +51,7 @@ impl ExactSum {
     /// Add `x`, which must not be negative (`-0.0` adds nothing).
     #[inline]
     pub fn add(&mut self, x: f64) {
-        debug_assert!(!(x < 0.0), "ExactSum adds non-negative values only: {x:e}");
+        debug_assert!(x >= 0.0 || x.is_nan(), "ExactSum adds non-negative values only: {x:e}");
         let bits = x.to_bits() & !(1 << 63);
         let exp = (bits >> 52) as u32;
         let frac = bits & ((1 << 52) - 1);

@@ -220,7 +220,7 @@ struct ColSlot {
 }
 
 /// A fresh mem-mode column's planes while they are written.
-struct Planes3 {
+struct PlaneBufs {
     val: Vec<f64>,
     shadow: Vec<f64>,
     raw: Vec<bool>,
@@ -319,7 +319,7 @@ impl Arena {
     }
 
     /// Take the three planes of a fresh slot, sized to the scope.
-    fn alloc_planes(&mut self) -> (Col, Planes3) {
+    fn alloc_planes(&mut self) -> (Col, PlaneBufs) {
         let (col, val) = self.alloc();
         let n = val.len();
         let Repr::Slot { idx, .. } = col.0 else { unreachable!("alloc gives a slot") };
@@ -327,11 +327,11 @@ impl Arena {
         let (mut shadow, mut raw) = (std::mem::take(&mut slot.shadow), std::mem::take(&mut slot.raw));
         shadow.resize(n, 0.0);
         raw.resize(n, false);
-        (col, Planes3 { val, shadow, raw })
+        (col, PlaneBufs { val, shadow, raw })
     }
 
     /// Return an allocated slot's planes.
-    fn put_planes(&mut self, col: Col, p: Planes3) -> Col {
+    fn put_planes(&mut self, col: Col, p: PlaneBufs) -> Col {
         if let Repr::Slot { idx, .. } = col.0 {
             let slot = &mut self.slots[idx as usize];
             (slot.val, slot.shadow, slot.raw, slot.mem) = (p.val, p.shadow, p.raw, true);
@@ -423,7 +423,7 @@ pub fn scatter<const K: usize>(
             a.slot(idx, epoch);
             let slot = &mut a.slots[idx as usize];
             let mut mem = slot.mem;
-            let mut d = Planes3 {
+            let mut d = PlaneBufs {
                 val: std::mem::take(&mut slot.val),
                 shadow: std::mem::take(&mut slot.shadow),
                 raw: std::mem::take(&mut slot.raw),

@@ -131,14 +131,22 @@
 //! emulation);
 //! per-element emulation through the scalar path's own functions for
 //! every other op-mode decision (Big path, directed rounding, formats
-//! past the short-cut's bound such as `e11m30`); and defensive per-op
-//! calls under mem-mode. The hardware and fast loops are compiled at
+//! past the short-cut's bound such as `e11m30`); and mem mode. Under a
+//! mem-mode session whose slots hold format values at the format's own
+//! precision (every `mem_functions` session) a column carries an FP64
+//! shadow plane and a raw flag per lane: an active op promotes raw
+//! lanes as the scalar path does, runs the values on the op-mode tier of
+//! the format and the shadows in hardware, and adds every lane's
+//! deviation into its `#[track_caller]` call site with one lookup, so
+//! the report is the scalar path's. Other mem-mode sessions make per-op
+//! calls. The hardware and fast loops are compiled at
 //! each vector width of the target (on x86-64: baseline, AVX2, AVX-512)
 //! and run at the widest one the CPU reports
 //! ([`batch::vector_width`]). Results are bit-identical to the scalar
 //! path in every tier and at every width.
-//! Consumers gate on [`batch::ready`] and keep their scalar code as the
-//! mem-mode path and differential oracle.
+//! Consumers gate on [`batch::ready`] (op mode) and [`batch::mem_ready`]
+//! (mem mode, where every op they run must be the scalar source at its
+//! call site), and keep their scalar code as the differential oracle.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -388,6 +388,7 @@ pub(crate) enum Lookup<'a> {
 }
 
 /// One thread's mem-mode state: its slab and its pending flag statistics.
+#[derive(Default)]
 pub(crate) struct MemShard {
     slots: Vec<Slot>,
     /// The slab's capacity when the shard was last parked.
@@ -401,20 +402,6 @@ pub(crate) struct MemShard {
     sites: Vec<(SrcLoc, SiteStats)>,
     auto_promotions: u64,
     stale_handles: u64,
-}
-
-impl Default for MemShard {
-    fn default() -> Self {
-        MemShard {
-            slots: Vec::new(),
-            slab_hint: 0,
-            epoch: 0,
-            site_of: HashMap::default(),
-            sites: Vec::new(),
-            auto_promotions: 0,
-            stale_handles: 0,
-        }
-    }
 }
 
 thread_local! {
