@@ -116,18 +116,23 @@ impl ExactSum {
             // Fewer than 54 significant bits: exact, subnormal or not.
             return w[0] as f64 * ulp;
         }
-        // The 64 bits from `h` down, and whether any bit below them is set.
-        let lo = h - 63;
-        let (q, r) = (lo / 64, lo % 64);
-        let top64 = if r == 0 { w[q] } else { w[q] >> r | w[q + 1] << (64 - r) };
-        let sticky = (r > 0 && w[q] << (64 - r) != 0) || w[..q].iter().any(|&x| x != 0);
+        // The 64 bits from `h` down (padded with zeros when `h < 63`), and
+        // whether any bit below them is set.
+        let (top64, sticky) = if h < 63 {
+            (w[0] << (63 - h), false)
+        } else {
+            let lo = h - 63;
+            let (q, r) = (lo / 64, lo % 64);
+            let top64 = if r == 0 { w[q] } else { w[q] >> r | w[q + 1] << (64 - r) };
+            (top64, (r > 0 && w[q] << (64 - r) != 0) || w[..q].iter().any(|&x| x != 0))
+        };
         let (mut m, rest) = (top64 >> 11, top64 & 0x7FF);
         if rest > 0x400 || (rest == 0x400 && (sticky || m & 1 == 1)) {
             m += 1;
         }
-        // m * 2^(lo + 11 - 1074), with m in [2^52, 2^53]: a carry to 2^53
-        // moves into the exponent field.
-        let biased = (lo + 11 + 52) as u64 - 1074 + 1023;
+        // m * 2^(h - 52 - 1074), with m in [2^52, 2^53]: the biased
+        // exponent is h - 1074 + 1023, and a carry to 2^53 moves into it.
+        let biased = (h + 1023 - 1074) as u64;
         let bits = (biased << 52) + (m - (1 << 52));
         if bits >= f64::INFINITY.to_bits() {
             f64::INFINITY
@@ -230,6 +235,14 @@ mod tests {
         assert_eq!(sum_of([tiny; 3]), 3.0 * tiny);
         let below = f64::from_bits(f64::MIN_POSITIVE.to_bits() - 1);
         assert_eq!(sum_of([below, tiny]), f64::MIN_POSITIVE);
+        // Sums whose top bit sits below bit 63 of the integer, and sums
+        // below 1, round without an intermediate leaving `usize`.
+        let small = 2f64.powi(-1017);
+        let half = 2f64.powi(-1070);
+        assert_eq!(sum_of([small, tiny]), small);
+        assert_eq!(sum_of([small, half]), small, "tie rounds to even");
+        assert_eq!(sum_of([small, half, tiny]), small + 2.0 * half);
+        assert_eq!(sum_of([0.25, 2f64.powi(-60)]), 0.25);
         assert_eq!(sum_of([f64::MAX, f64::MAX]), f64::INFINITY);
         let half_ulp = 2f64.powi(970);
         assert_eq!(sum_of([f64::MAX, half_ulp]), f64::INFINITY, "tie rounds to even: 2^1024");
